@@ -14,8 +14,8 @@ Every command writes a `<out>.manifest.json` sidecar recording the full
 parameter set, output names and wall-clock duration; data outputs are
 byte-identical across reruns with the same parameters (manifest timing is
 diagnostic only). Exit codes: 2 usage/validation, 3 internal-consistency
-failure, 4 I/O, 5 insufficient samples. CASCADE_THREADS caps the grid
-evaluation parallelism (defaults to the machine parallelism).
+failure, 4 I/O, 5 insufficient samples. CASCADE_THREADS caps the parallelism
+of `analytic` grid evaluation (defaults to the machine parallelism).
 """
 
 from __future__ import annotations
@@ -235,9 +235,10 @@ def cmd_general(args) -> int:
         raise ConfigInvalid(f"--rates: {exc}")
     m, n = _parse_pair(args.pair or "1,1")
     taus = _tau_grid(args)
-    values = grid_map(lambda t: g2_general(spec, m, n, t), taus)
+    # one call: the stepped propagation must not restart at chunk boundaries
+    values = g2_general(spec, m, n, taus)
     if spec.n_levels == 3:
-        closed = grid_map(lambda t: g2_three_level(*spec.rates, m, n, t), taus)
+        closed = g2_three_level(*spec.rates, m, n, taus)
         gap = float(np.abs(closed - values).max())
         if gap > 1e-6:
             print(

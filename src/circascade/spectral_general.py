@@ -1,6 +1,6 @@
-"""General-rate machinery: generator matrix, steady state, spectral
+"""General-rate machinery: generator matrix, steady state, stepped-expm
 propagation, g2 for arbitrary rates, and the exact N = 2 and N = 3 closed
-forms with their limit expressions.
+forms with their limit expressions. `decompose` serves analysis only.
 
 Sign convention: the generator Q (columns sum to zero) has eigenvalues
 -mu_j with decay rates mu_j >= 0; for equal rates mu_j = gamma (1 - z^j).
@@ -63,6 +63,13 @@ class SpectralDecomposition:
     degenerate: bool
 
 
+def characteristic_residuals(spec: CascadeSpec, eigvals: np.ndarray) -> np.ndarray:
+    """|prod(lam + g_i) - prod(g_i)| / prod(|lam| + g_i); no factor exceeds 1."""
+    rates = np.asarray(spec.rates, dtype=float)
+    scale = np.abs(eigvals)[:, None] + rates
+    return np.abs(np.prod((eigvals[:, None] + rates) / scale, 1) - np.prod(rates / scale, 1))
+
+
 @functools.lru_cache(maxsize=128)
 def decompose(spec: CascadeSpec) -> SpectralDecomposition:
     """Eigendecomposition of the generator, cached per spec.
@@ -108,16 +115,13 @@ def decompose(spec: CascadeSpec) -> SpectralDecomposition:
         degenerate = True
 
     if not degenerate:
-        rates = np.asarray(spec.rates, dtype=complex)
-        prod_rates = float(np.prod(spec.rates))
-        for lam in eigvals:
-            # scale majorizes both the polynomial value and its sensitivity
-            scale = float(np.prod(np.abs(lam) + np.asarray(spec.rates)))
-            residual = abs(np.prod(lam + rates) - prod_rates)
-            if residual > 1e-8 * max(scale, prod_rates) * spec.n_levels:
-                raise NumericalFailure(
-                    f"characteristic residual {residual:.3e} for eigenvalue {lam}"
-                )
+        residuals = characteristic_residuals(spec, eigvals)
+        worst = int(np.argmax(residuals))  # the first NaN, if any
+        if not residuals[worst] <= 1e-8 * spec.n_levels:  # NaN fails too
+            raise NumericalFailure(
+                f"characteristic residual {residuals[worst]:.3e} "
+                f"for eigenvalue {eigvals[worst]}"
+            )
 
     return SpectralDecomposition(eigvals, vectors, inverse, condition, degenerate)
 
@@ -133,33 +137,28 @@ def _clean_probabilities(p: np.ndarray) -> np.ndarray:
 
 
 def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> np.ndarray:
-    """exp(Q tau) e_s for an array of tau >= 0; rows are tau points."""
+    """exp(Q tau) e_s for an array of tau >= 0; rows are tau points, stepped
+    through the stably sorted taus with one expm(Q gap) per distinct gap."""
     n = spec.n_levels
     if not 0 <= initial_level < n:
         raise ValueError(f"initial_level {initial_level} outside [0, {n})")
     if np.any(taus < 0):
         raise ValueError("tau must be >= 0")
-    dec = decompose(spec)
-    if not dec.degenerate:
-        coeff = dec.inverse_vectors[:, initial_level]
-        modes = np.exp(np.multiply.outer(taus, dec.eigenvalues))
-        p = (modes * coeff) @ dec.vectors.T
-        residue = np.abs(p.imag).max() if p.size else 0.0
-        if residue > 1e-9:
-            raise NumericalFailure(f"imaginary residue {residue:.3e} in propagation")
-        return _clean_probabilities(p.real)
-    # near-degenerate spectrum: dense matrix exponential, correctness over speed
     q = generator_matrix(spec)
-    e0 = np.zeros(n)
-    e0[initial_level] = 1.0
+    order = np.argsort(taus, kind="stable")
+    gaps = np.diff(taus[order], prepend=0.0).tolist()
+    steps = {gap: expm(q * gap) for gap in set(gaps) if gap}
+    p = np.eye(n)[initial_level]
     out = np.empty((len(taus), n))
-    for i, t in enumerate(taus):
-        out[i] = expm(q * t) @ e0
+    for row, gap in zip(order, gaps):
+        if gap:  # a zero gap repeats the previous row
+            p = steps[gap] @ p
+        out[row] = p
     return _clean_probabilities(out)
 
 
 def propagate(spec: CascadeSpec, initial_level: int, tau: float) -> np.ndarray:
-    """Occupation probabilities after time tau, starting from one level."""
+    """Occupation probabilities after time tau from one level: expm(Q tau)[:, s]."""
     return _propagate_grid(spec, initial_level, np.atleast_1d(float(tau)))[0]
 
 
@@ -168,8 +167,8 @@ def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
 
     Pair indices are arrival-labeled (see model module): for tau >= 0 the
     trace is p(level (n+1) % N at tau | level m % N at 0) / p_ss[(n+1) % N];
-    negative delays mirror the swapped pair. tau = 0 returns the right
-    limit.
+    negative delays mirror the swapped pair; tau = 0 is the right limit.
+    Rounding depends on the whole stepped array: pass a grid in one call.
     """
     validate(spec)
     nlev = spec.n_levels

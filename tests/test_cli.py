@@ -192,6 +192,20 @@ def test_thread_count_does_not_change_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_general_thread_count_does_not_change_output(tmp_path):
+    # a monotone ladder: the stepped propagation must run over the whole grid
+    rates = tmp_path / "ladder48.json"
+    ladder = [float(r) for r in 10.0 ** np.linspace(-1, 1, 48)]
+    rates.write_text(json.dumps({"n_levels": 48, "rates": ladder}))
+    a, b = tmp_path / "one.csv", tmp_path / "four.csv"
+    base = ["general", "--rates", rates, "--pair", "2,1", "--tau", "-300:300",
+            "--steps", 1600]
+    for out, threads in ((a, "1"), (b, "4")):
+        cp = run_cli(*base, "--out", out, env_extra={"CASCADE_THREADS": threads})
+        assert cp.returncode == 0, cp.stderr
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_correlate_empty_channel_exit_5(tmp_path):
     stream_path = tmp_path / "one.events"
     stream_path.write_text("# cascade-events v1 N=3 seed=0 T=10\n1.0 2\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from circascade import (
     steady_state,
     zeta_value,
 )
+from circascade.model import NumericalFailure
+from circascade.spectral_general import characteristic_residuals
 
-from oracles import propagate_expm, steady_state_nullspace
+from oracles import g2_pair_expm, propagate_expm, steady_state_nullspace
 
 # frozen: propagate(N=3 equal, from level 2, tau=1)[0], dense-expm verified
 P_N3_LEVEL0 = 0.18701451580993642
@@ -112,6 +115,76 @@ def test_decompose_stability_and_zero_mode():
 def test_degenerate_flag_on_boundary_rates():
     # (1, 1, 4) has a double decay rate 3: the spectral path must step aside
     assert decompose(CascadeSpec(3, (1.0, 1.0, 4.0))).degenerate
+
+
+def test_decompose_residual_check_survives_wide_rate_spread():
+    # rates over 10^+-3 at N = 160 overflowed the unscaled products to NaN,
+    # which slipped past a `residual > tol` guard
+    rates = 10 ** np.random.default_rng(163).uniform(-3, 3, 160)
+    spec = CascadeSpec(160, tuple(rates))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            dec = decompose(spec)
+        except NumericalFailure:
+            return
+        residuals = characteristic_residuals(spec, dec.eigenvalues)
+    assert np.all(np.isfinite(residuals))
+
+
+def test_characteristic_residuals_flag_roots_only():
+    spec = CascadeSpec.equal(4, 1.0)
+    roots = np.array([0.0, -1 + 1j, -2.0, -1 - 1j])
+    assert characteristic_residuals(spec, roots).max() <= 1e-15
+    # (1/3)^4 - (2/3)^4 at lambda = -1/2
+    assert characteristic_residuals(spec, np.array([-0.5]))[0] == pytest.approx(15 / 81)
+
+
+def _spread_case(n, decades, seed):
+    rates = tuple(10 ** np.random.default_rng(seed).uniform(-decades, decades, n))
+    span = 3.0 * sum(1.0 / r for r in rates)  # three mean cycle times
+    return CascadeSpec(n, rates), np.linspace(-span, span, 601)
+
+
+def _oracle_gap(spec, m, k, taus, values, rng, samples=12):
+    rows = rng.choice(len(taus), samples, replace=False)
+    return max(
+        abs(values[i] - g2_pair_expm(spec.rates, m, k, taus[i])) for i in rows
+    )
+
+
+@pytest.mark.parametrize(
+    "n, decades", [(80, 1), (80, 2), (160, 1), (160, 2)],
+)
+def test_g2_general_stepped_grid_matches_expm_oracle(n, decades):
+    spec, taus = _spread_case(n, decades, seed=100 * n + decades)
+    values = g2_general(spec, 2, 1, taus)
+    assert np.all(np.isfinite(values)) and np.all(values >= 0)
+    rng = np.random.default_rng(n + decades)
+    assert _oracle_gap(spec, 2, 1, taus, values, rng) <= 1e-10
+
+
+def test_g2_general_order_independent_on_shuffled_grid():
+    rng = np.random.default_rng(12)
+    spec = CascadeSpec(7, tuple(10 ** rng.uniform(-1, 1, 7)))
+    taus = np.concatenate([rng.uniform(-20, 20, 60), [0.0, 0.0, 3.5, 3.5, -3.5]])
+    taus = np.concatenate([taus, taus[:10]])  # duplicates
+    rng.shuffle(taus)
+    order = np.argsort(taus)
+    shuffled = g2_general(spec, 3, 1, taus)
+    ordered = g2_general(spec, 3, 1, taus[order])
+    np.testing.assert_array_equal(shuffled[order], ordered)
+    assert _oracle_gap(spec, 3, 1, taus, shuffled, rng, samples=20) <= 1e-10
+
+
+def test_g2_general_stiff_spread_is_checked_or_raises():
+    spec, taus = _spread_case(160, 3, seed=163)
+    try:
+        values = g2_general(spec, 2, 1, taus)
+    except NumericalFailure:
+        return
+    rng = np.random.default_rng(3)
+    assert _oracle_gap(spec, 2, 1, taus, values, rng) <= 1e-8
 
 
 def test_propagate_identity_at_zero():
