@@ -6,11 +6,27 @@ transitions depends only on the trace class k = (n - m + 1) mod N:
     g2_k(tau) = 1 + sum_{j=1}^{N-1} z^(j k) exp(-gamma tau (1 - z^j)),
     z = exp(2 i pi / N).
 
+Modes j and N - j are complex conjugates, so the sum is evaluated in real
+arithmetic over the pairs j = 1 .. floor((N-1)/2), plus the real mode
+j = N/2 when N is even:
+
+    g2_k = 1 + 2 sum_j exp(-x d_j) cos(x sin(theta_j) + 2 pi (j k mod N) / N)
+             [+ (-1)^k exp(-2 x)],
+    x = gamma tau,  theta_j = 2 pi j / N,  d_j = 1 - cos(theta_j) = 2 sin^2(theta_j / 2),
+
+with d_j in the half-angle form so that small decays keep full relative
+precision. d_j grows with j, so at each point only the prefix of pairs
+with x d_j <= MODE_CUT is summed: the dropped tail is at most
+N exp(-MODE_CUT), about N * 4e-18, below the N * eps rounding of the sum.
+The number of pairs kept depends on the point's own x alone, so each
+value is a pure function of (N, k, x) and comes out bit-identical however
+a grid is split into calls.
+
 The same function has an exact renewal form (the jump chain is a Poisson
 process of rate gamma when all rates are equal):
 
     g2_k(tau) = N e^(-x) sum_{c>=0} x^(d + c N) / (d + c N)!,
-    x = gamma tau,  d = (N - k) % N,
+    d = (N - k) % N,
 
 which is used for small x where the mode sum loses all significant digits
 to cancellation.
@@ -19,21 +35,28 @@ to cancellation.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
 from .model import (
     EmptySubset,
-    ImaginaryResidue,
     KOutOfRange,
+    NumericalFailure,
     SubsetSpec,
     trace_index,
 )
 
-IMAG_TOL = 1e-10
 # below this value of gamma*tau the Poisson series is used instead of the mode sum
 SERIES_SWITCH = 1.0
+# mode pairs with gamma*tau*d_j above this weigh less than exp(-40) ~ 4e-18
+MODE_CUT = 40.0
+# negative values down to this many N eps are rounding and clamped to 0
+NEGATIVE_ROUNDING = 16
+# elements per temporary (points x modes) block of the mode sum
+_BLOCK = 1 << 16
+_EPS = float(np.finfo(float).eps)
 
 
 def root_of_unity(n_levels: int) -> complex:
@@ -43,17 +66,38 @@ def root_of_unity(n_levels: int) -> complex:
     return cmath.exp(2j * math.pi / n_levels)
 
 
+@functools.lru_cache(maxsize=64)
+def _mode_pairs(n_levels: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_j, sin theta_j, class-k phase) of the pairs j = 1 .. floor((N-1)/2)."""
+    j = np.arange(1, (n_levels + 1) // 2)
+    theta = 2 * np.pi * j / n_levels
+    table = (
+        2 * np.sin(theta / 2) ** 2,
+        np.sin(theta),
+        2 * np.pi * ((j * k) % n_levels) / n_levels,
+    )
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
 def _mode_sum(n_levels: int, k: int, x: np.ndarray) -> np.ndarray:
-    j = np.arange(1, n_levels)
-    z = np.exp(2j * np.pi * j / n_levels)
-    w = np.exp(2j * np.pi * j * k / n_levels)
-    vals = 1.0 + (w * np.exp(-x[:, None] * (1.0 - z))).sum(axis=1)
-    residue = np.abs(vals.imag).max() if vals.size else 0.0
-    if residue > IMAG_TOL:
-        raise ImaginaryResidue(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e}"
-        )
-    return vals.real
+    decay, freq, phase = _mode_pairs(n_levels, k)
+    out = np.ones_like(x)
+    if n_levels % 2 == 0:
+        out += (-1) ** k * np.exp(-2 * x)
+    kept = np.searchsorted(decay, MODE_CUT / x, side="right")
+    order = np.argsort(kept, kind="stable")
+    # order[ends[m - 1]:ends[m]] are the points that keep m pairs
+    ends = np.cumsum(np.bincount(kept)).tolist()
+    for m in range(1, len(ends)):
+        step = max(1, _BLOCK // m)
+        for lo in range(ends[m - 1], ends[m], step):
+            idx = order[lo:min(lo + step, ends[m])]
+            xs = x[idx, None]
+            terms = np.exp(-xs * decay[:m]) * np.cos(xs * freq[:m] + phase[:m])
+            out[idx] += 2 * terms.sum(axis=1)
+    return out
 
 
 def _poisson_series(n_levels: int, k: int, x: np.ndarray) -> np.ndarray:
@@ -82,6 +126,8 @@ def g2_equal(n_levels: int, k: int, gamma: float, tau) -> float | np.ndarray:
     """Equal-rate trace g2 of class k at delay tau >= 0.
 
     k is reduced mod N. N = 1 returns exactly 1 (Poisson stream).
+    Negative rounding down to NEGATIVE_ROUNDING * N * eps is clamped to 0;
+    a value below that raises NumericalFailure.
     """
     if n_levels < 1:
         raise KOutOfRange("n_levels must be >= 1")
@@ -101,8 +147,12 @@ def g2_equal(n_levels: int, k: int, gamma: float, tau) -> float | np.ndarray:
             out[small] = _poisson_series(n_levels, k, x[small])
         if (~small).any():
             out[~small] = _mode_sum(n_levels, k, x[~small])
-        # rounding guard: probability ratios cannot be negative
-        out[(out < 0) & (out > -1e-12)] = 0.0
+        bound = NEGATIVE_ROUNDING * n_levels * _EPS
+        if np.any(out < -bound):
+            raise NumericalFailure(
+                f"g2 value {out.min():.3e} below the rounding bound -{bound:.1e}"
+            )
+        out[out < 0] = 0.0
     return out if np.ndim(tau) else float(out[0])
 
 

@@ -252,8 +252,10 @@ class EventStream:
             self, "channels",
             tuple(np.asarray(c, dtype=float) for c in self.channels),
         )
-        if self.total_duration <= 0:
-            raise StreamInvariantViolation("total_duration must be > 0")
+        if not 0 < self.total_duration < math.inf:  # NaN fails too
+            raise StreamInvariantViolation(
+                f"total_duration must be finite and > 0, got {self.total_duration!r}"
+            )
 
     @property
     def n_levels(self) -> int:

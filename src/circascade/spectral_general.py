@@ -17,7 +17,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .model import (
     CascadeSpec,
@@ -139,6 +138,8 @@ def _clean_probabilities(p: np.ndarray) -> np.ndarray:
 def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> np.ndarray:
     """exp(Q tau) e_s for an array of tau >= 0; rows are tau points, stepped
     through the stably sorted taus with one expm(Q gap) per distinct gap."""
+    from scipy.linalg import expm  # deferred: only propagation needs scipy
+
     n = spec.n_levels
     if not 0 <= initial_level < n:
         raise ValueError(f"initial_level {initial_level} outside [0, {n})")

@@ -242,14 +242,20 @@ def read_events_text(path) -> EventStream:
         fields = dict(
             part.split("=", 1) for part in header.split() if "=" in part
         )
-        if not header.startswith("# cascade-events v1") or "N" not in fields:
+        if not header.startswith("# cascade-events v1"):
             raise StreamInvariantViolation(f"bad event stream header: {header!r}")
-        n = int(fields["N"])
-        seed = int(fields["seed"])
-        total = float(fields["T"])
-        data = np.loadtxt(fh, ndmin=2)
+        try:
+            n, seed, total = int(fields["N"]), int(fields["seed"]), float(fields["T"])
+        except (KeyError, ValueError):
+            raise StreamInvariantViolation(f"bad event stream header: {header!r}") from None
+        try:
+            data = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:
+            raise StreamInvariantViolation(f"malformed event line: {exc}") from None
     if data.size == 0:
         raise StreamInvariantViolation("event stream file has no events")
+    if data.shape[1] != 2:
+        raise StreamInvariantViolation("event lines must read '<timestamp> <label>'")
     times = data[:, 0]
     labels = data[:, 1].astype(np.int64)
     if labels.min() < 0 or labels.max() >= n:
@@ -283,12 +289,21 @@ def read_events_binary(path) -> EventStream:
         magic = fh.read(4)
         if magic != _BINARY_MAGIC:
             raise StreamInvariantViolation(f"bad magic {magic!r} in binary stream")
-        n, seed, total, count = struct.unpack("<IQdQ", fh.read(28))
-        raw = fh.read(count * 10)
+        head = fh.read(28)
+        if len(head) < 28:
+            raise StreamInvariantViolation("binary stream header is truncated")
+        n, seed, total, count = struct.unpack("<IQdQ", head)
+        raw = fh.read()
+    if len(raw) < count * 10:
+        raise StreamInvariantViolation(
+            f"binary stream truncated: {len(raw) // 10} of {count} records"
+        )
     rec = np.frombuffer(raw, dtype=np.dtype([("t", "<f8"), ("l", "<u2")]), count=count)
     times = rec["t"].astype(np.float64)
     labels = rec["l"].astype(np.int64)
-    if count and (labels.min() < 0 or labels.max() >= n):
+    if count == 0:
+        raise StreamInvariantViolation("binary stream has no events")
+    if labels.min() < 0 or labels.max() >= n:
         raise StreamInvariantViolation("event label outside [0, N)")
     stream = EventStream(
         tuple(times[labels == l] for l in range(n)), total, seed=int(seed)

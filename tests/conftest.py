@@ -1,0 +1,9 @@
+"""Let the CLI tests' `python -m circascade.cli` subprocesses find src/."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from circascade import (
     EmptySubset,
     KOutOfRange,
+    NumericalFailure,
     SubsetSpec,
     bundle_peak,
     g2_equal,
@@ -18,6 +19,8 @@ from circascade import (
     trace_index,
 )
 
+from circascade import analytic_equal
+from circascade.analytic_equal import _mode_sum, _poisson_series
 from oracles import g2_pair_expm, g2_subset_bruteforce
 
 # frozen expected value, computed with the dense matrix-exponential oracle:
@@ -192,3 +195,53 @@ def test_distinct_all_tau_traces_modulo_mirror():
     for n in (3, 6, 25):
         orbits = {frozenset({k, (2 - k) % n}) for k in range(n)}
         assert len(orbits) == n // 2 + 1
+
+
+def _complex_mode_sum(n, k, x):
+    """The mode sum as written, over all N - 1 complex modes."""
+    j = np.arange(1, n)
+    z = np.exp(2j * np.pi * j / n)
+    w = np.exp(2j * np.pi * j * k / n)
+    return (1.0 + (w * np.exp(-x[:, None] * (1.0 - z))).sum(axis=1)).real
+
+
+def test_mode_sum_matches_poisson_series_on_overlap():
+    # two independent routes to the same function, compared where both hold
+    x = np.linspace(1.0, 6.0, 201)
+    for n in range(2, 65):
+        for k in range(n):
+            np.testing.assert_allclose(
+                _mode_sum(n, k, x), _poisson_series(n, k, x), rtol=0, atol=1e-12,
+                err_msg=f"N={n} k={k}",
+            )
+
+
+@pytest.mark.parametrize("n", [6, 25, 50, 200])
+def test_mode_sum_matches_complex_form(n):
+    x = np.linspace(1.0, 10.0 * n, 2001)
+    for k in sorted(set(range(0, n, max(1, n // 25))) | {n - 1}):
+        np.testing.assert_allclose(
+            _mode_sum(n, k, x), _complex_mode_sum(n, k, x), rtol=0, atol=1e-12 * n,
+            err_msg=f"k={k}",
+        )
+
+
+def test_negative_beyond_rounding_raises(monkeypatch):
+    bound = analytic_equal.NEGATIVE_ROUNDING * 40 * np.finfo(float).eps
+    monkeypatch.setattr(analytic_equal, "_mode_sum", lambda n, k, x: np.full_like(x, -bound / 2))
+    assert g2_equal(40, 1, 1.0, 5.0) == 0.0
+    monkeypatch.setattr(analytic_equal, "_mode_sum", lambda n, k, x: np.full_like(x, -2 * bound))
+    with pytest.raises(NumericalFailure):
+        g2_equal(40, 1, 1.0, 5.0)
+
+
+@given(
+    st.integers(2, 10**4),
+    st.integers(-10**5, 10**5),
+    st.lists(st.floats(0.0, 3.0), min_size=1, max_size=256),
+)
+@settings(max_examples=60, deadline=None)
+def test_finite_and_non_negative_up_to_large_n(n, k, u):
+    # u is gamma*tau in units of N; the mode sum sits near 0 over most of it
+    vals = g2_equal(n, k, 1.0, n * np.asarray(u))
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0)

@@ -66,6 +66,21 @@ def test_analytic_class_flag_matches_pair(tmp_path):
     assert out_k.read_bytes() == out_p.read_bytes()
 
 
+def test_analytic_large_ring_exits_0(tmp_path):
+    # the mode sum at N=1000 dips to about -3e-14 near g2 = 0
+    out = tmp_path / "n1000.csv"
+    cp = run_cli("analytic", "--n", 1000, "--k", 1, "--tau", "0:3000",
+                 "--steps", 2000, "--out", out)
+    assert cp.returncode == 0, cp.stderr
+    assert np.all(load_csv(out)[:, 1] >= 0)
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, circascade.cli; sys.exit('scipy' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr or "importing circascade.cli loaded scipy"
+
+
 def test_analytic_validation_exit_code(tmp_path):
     cp = run_cli("analytic", "--n", 0, "--pair", "0,0", "--out", tmp_path / "x.csv")
     assert cp.returncode == 2
@@ -183,10 +198,18 @@ def test_rerun_is_byte_identical(tmp_path):
     assert ta.read_bytes() == tb.read_bytes()
 
 
-def test_thread_count_does_not_change_output(tmp_path):
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--n", 12, "--tau", "-30:30", "--steps", 5000],
+        # long delays keep fewer modes than short ones
+        ["--n", 50, "--tau", "-500:500", "--steps", 20000],
+    ],
+    ids=["n12", "n50"],
+)
+def test_thread_count_does_not_change_output(tmp_path, grid):
     a, b = tmp_path / "one.csv", tmp_path / "four.csv"
-    base = ["analytic", "--n", 12, "--pair", "3,1", "--tau", "-30:30",
-            "--steps", 5000]
+    base = ["analytic", "--pair", "3,1", *grid]
     assert run_cli(*base, "--out", a, env_extra={"CASCADE_THREADS": "1"}).returncode == 0
     assert run_cli(*base, "--out", b, env_extra={"CASCADE_THREADS": "4"}).returncode == 0
     assert a.read_bytes() == b.read_bytes()

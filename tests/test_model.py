@@ -177,3 +177,9 @@ def test_event_stream_span_must_fit_window():
     stream = _stream_from_merged([0.1, 1.5], [1, 0], 2, 1.0)
     with pytest.raises(StreamInvariantViolation):
         stream.check()
+
+
+@pytest.mark.parametrize("total", [float("nan"), float("inf")])
+def test_event_stream_rejects_non_finite_duration(total):
+    with pytest.raises(StreamInvariantViolation):
+        EventStream((np.array([0.5]),), total)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,6 +9,7 @@ from circascade import (
     InsufficientSamples,
     InvalidConfig,
     SimConfig,
+    StreamInvariantViolation,
     dwell_samples,
     occupancy_block_estimates,
     occupancy_estimate,
@@ -188,3 +191,27 @@ def test_binary_round_trip(tmp_path):
     path2 = tmp_path / "events2.bin"
     write_events_binary(again, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("fields", ["N=3 T=10", "N=3 seed=0"])
+def test_text_header_missing_field_rejected(tmp_path, fields):
+    path = tmp_path / "events.txt"
+    path.write_text(f"# cascade-events v1 {fields}\n0.5 2\n0.9 1\n1.4 0\n")
+    with pytest.raises(StreamInvariantViolation):
+        read_events_text(path)
+
+
+@pytest.mark.parametrize("kept_bytes", [20, 100], ids=["header", "records"])
+def test_truncated_binary_rejected(tmp_path, kept_bytes):
+    path = tmp_path / "events.bin"
+    write_events_binary(simulate(SimConfig(SPEC124, seed=8, total_events=50)), path)
+    path.write_bytes(path.read_bytes()[:kept_bytes])
+    with pytest.raises(StreamInvariantViolation):
+        read_events_binary(path)
+
+
+def test_binary_without_levels_or_events_rejected(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"CEV1" + struct.pack("<IQdQ", 0, 0, 10.0, 0))
+    with pytest.raises(StreamInvariantViolation):
+        read_events_binary(path)
