@@ -15,7 +15,6 @@ from .model import (
     EventStream,
     ImaginaryResidue,
     InsufficientSamples,
-    InvalidConfig,
     KOutOfRange,
     NoPeaksFound,
     NonFiniteRate,

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic_equal import g2_equal, g2_equal_pair
-from .model import CascadeSpec, NoPeaksFound, trace_index, validate
+from .model import CascadeSpec, ConfigInvalid, NoPeaksFound, trace_index, validate
 from .spectral_general import g2_general, g2_three_level
 
 PEAK_GRID_STEP = 0.01      # in units of 1/gamma
@@ -209,7 +209,7 @@ def _pair_evaluator(source) -> Callable[[int, int, float], float]:
 def cs_check(source, m: int, n: int, tau_samples: Sequence[float]) -> ViolationReport:
     """Report where g_nm(tau)^2 exceeds the classical bound g_nn(0) g_mm(0)."""
     if m == n:
-        raise ValueError("Cauchy-Schwarz check needs two distinct transitions")
+        raise ConfigInvalid("Cauchy-Schwarz check needs two distinct transitions")
     g = _pair_evaluator(source)
     lhs = g(n, n, 0.0) * g(m, m, 0.0)
     samples = []

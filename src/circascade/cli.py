@@ -41,7 +41,6 @@ from .model import (
     EmptyChannel,
     EmptySubset,
     InsufficientSamples,
-    InvalidConfig,
     KOutOfRange,
     NoPeaksFound,
     NumericalFailure,
@@ -112,19 +111,31 @@ def grid_map(fn, taus: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
+def _parse_numbers(flag: str, text: str, form: str, kind=float) -> list:
+    """Split a flag value shaped like `form` ('m,n', 'lo:hi', 'i,j,...')
+    and convert each field by `kind`; a wrong field count (unless `form`
+    ends in '...') or a malformed or non-finite field raises ConfigInvalid."""
+    sep = "," if "," in form else ":"
     try:
-        m, n = (int(x) for x in text.split(","))
+        values = [kind(x) for x in text.split(sep)]
     except ValueError:
-        raise ConfigInvalid(f"--pair expects 'm,n', got {text!r}")
-    return m, n
+        values = []
+    count_ok = form.endswith("...") or len(values) == form.count(sep) + 1
+    if not (values and count_ok and all(abs(v) < np.inf for v in values)):
+        raise ConfigInvalid(f"{flag} expects '{form}' with finite numbers, got {text!r}")
+    return values
+
+
+def _parse_pair(text: str) -> tuple[int, int]:
+    return tuple(_parse_numbers("--pair", text, "m,n", int))
+
+
+def _parse_subset(text: str) -> SubsetSpec:
+    return SubsetSpec(tuple(_parse_numbers("--subset", text, "i,j,...", int)))
 
 
 def _parse_range(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(x) for x in text.split(":"))
-    except ValueError:
-        raise ConfigInvalid(f"--tau expects 'lo:hi', got {text!r}")
+    lo, hi = _parse_numbers("--tau", text, "lo:hi")
     if hi <= lo:
         raise ConfigInvalid(f"--tau range must have hi > lo, got {text!r}")
     return lo, hi
@@ -138,19 +149,19 @@ def _tau_grid(args) -> np.ndarray:
     return np.linspace(lo, hi, steps + 1)
 
 
-def _write_manifest(args, command: str, outputs: list[str], started: float) -> None:
+def _write_manifest(args, started: float) -> None:
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k not in {"func"} and v is not None
     }
     manifest = {
         "artifact_version": __version__,
-        "subcommand": command,
+        "subcommand": args.command,
         "parameters": params,
-        "outputs": outputs,
+        "outputs": [args.out],
         "duration_seconds": time.monotonic() - started,
     }
-    with open(outputs[0] + ".manifest.json", "w") as fh:
+    with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -191,18 +202,15 @@ def _spec_from_flags(args) -> CascadeSpec:
 
 
 def cmd_analytic(args) -> int:
-    started = time.monotonic()
-    if args.preset:
-        _apply_preset(args)
-    if args.n is None or args.out is None:
-        raise ConfigInvalid("--n and --out are required")
+    if args.n is None:
+        raise ConfigInvalid("--n is required")
     _spec_from_flags(args)
     taus = _tau_grid(args)
     chosen = [x for x in (args.pair, args.k, args.subset) if x is not None]
     if len(chosen) != 1:
         raise ConfigInvalid("give exactly one of --pair, --k or --subset")
     if args.subset is not None:
-        subset = SubsetSpec(tuple(int(x) for x in args.subset.split(",")))
+        subset = _parse_subset(args.subset)
         values = grid_map(lambda t: g2_subset(args.n, subset, args.gamma, t), taus)
     else:
         if args.k is not None:
@@ -212,18 +220,12 @@ def cmd_analytic(args) -> int:
         values = grid_map(lambda t: g2_equal_pair(args.n, m, n, args.gamma, t), taus)
     trace = CorrelationTrace(tau=taus, values=values, source="analytic")
     write_trace_csv(trace, args.out)
-    _write_manifest(args, "analytic", [args.out], started)
     return 0
 
 
 def cmd_general(args) -> int:
-    started = time.monotonic()
-    if args.preset:
-        _apply_preset(args)
-    if args.out is None:
-        raise ConfigInvalid("--out is required")
     if args.rates_inline:
-        spec_rates = tuple(float(x) for x in args.rates_inline.split(","))
+        spec_rates = tuple(_parse_numbers("--rates-inline", args.rates_inline, "r0,r1,..."))
         spec = CascadeSpec(len(spec_rates), spec_rates)
     elif args.rates:
         spec = _spec_from_file(args.rates)
@@ -248,25 +250,22 @@ def cmd_general(args) -> int:
             return EXIT_CONSISTENCY
     trace = CorrelationTrace(tau=taus, values=values, source="spectral", spec=spec)
     write_trace_csv(trace, args.out)
-    _write_manifest(args, "general", [args.out], started)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    started = time.monotonic()
     if args.rates:
         spec = _spec_from_file(args.rates)
     elif args.n is not None:
         spec = _spec_from_flags(args)
     else:
         raise ConfigInvalid("--n/--gamma or --rates is required")
-    if args.out is None:
-        raise ConfigInvalid("--out is required")
+    events = _parse_numbers("--events", args.events, "count")[0] if args.events else None
     config = SimConfig(
         spec=spec,
         seed=args.seed,
         duration=args.duration,
-        total_events=int(float(args.events)) if args.events else None,
+        total_events=None if events is None else int(events),
         initial_level=args.initial,
         burn_in=args.burn_in,
     )
@@ -275,7 +274,6 @@ def cmd_simulate(args) -> int:
         write_events_text(stream, args.out)
     else:
         write_events_binary(stream, args.out)
-    _write_manifest(args, "simulate", [args.out], started)
     return 0
 
 
@@ -288,12 +286,9 @@ def _read_stream(path: str):
 
 
 def cmd_correlate(args) -> int:
-    started = time.monotonic()
-    if args.out is None:
-        raise ConfigInvalid("--out is required")
     stream = _read_stream(getattr(args, "in"))
     if args.subset:
-        subset = SubsetSpec(tuple(int(x) for x in args.subset.split(",")))
+        subset = _parse_subset(args.subset)
         cfg = HistogramConfig(args.bin, args.taumax)
         trace = correlate_subset(stream, subset, cfg)
     else:
@@ -302,20 +297,18 @@ def cmd_correlate(args) -> int:
         cfg = HistogramConfig(args.bin, args.taumax, channels=_parse_pair(args.pair))
         trace = correlate(stream, cfg)
     write_trace_csv(trace, args.out)
-    _write_manifest(args, "correlate", [args.out], started)
     return 0
 
 
 def cmd_peaks(args) -> int:
-    started = time.monotonic()
-    if args.preset:
-        _apply_preset(args)
-    if args.out is None:
-        raise ConfigInvalid("--out is required")
+    if not 0 < args.gamma < np.inf:
+        raise ConfigInvalid(f"--gamma must be finite and > 0, got {args.gamma!r}")
     orders = args.orders if args.orders is not None else 3
     cross_orders = args.cross_orders if args.cross_orders is not None else 7
     if args.scan:
-        lo, hi = (int(x) for x in args.scan.split(":"))
+        lo, hi = _parse_numbers("--scan", args.scan, "lo:hi", int)
+        if lo < 1:
+            raise ConfigInvalid(f"--scan needs lo >= 1, got {args.scan!r}")
         rows = ["kind,n_levels,order,tau,g2"]
         for n in range(lo, hi + 1):
             for kind, n_orders in (("auto", orders), ("cross", cross_orders)):
@@ -334,8 +327,8 @@ def cmd_peaks(args) -> int:
         with open(args.out, "w") as fh:
             fh.write("\n".join(rows) + "\n")
     else:
-        if args.n is None:
-            raise ConfigInvalid("--n is required")
+        if args.n is None or args.n < 1:
+            raise ConfigInvalid("--n >= 1 is required")
         report = (
             find_peaks_cross(args.n, args.gamma, orders)
             if args.cross
@@ -347,26 +340,23 @@ def cmd_peaks(args) -> int:
         if args.csv:
             with open(args.csv, "w") as fh:
                 fh.write(report.to_csv())
-    _write_manifest(args, "peaks", [args.out], started)
     return 0
 
 
 def cmd_cscheck(args) -> int:
-    started = time.monotonic()
-    if args.out is None:
-        raise ConfigInvalid("--out is required")
     if args.rates:
         spec = _spec_from_file(args.rates)
     else:
         spec = _spec_from_flags(args)
     m, n = _parse_pair(args.pair)
-    lo, hi, count = args.tau_samples.split(":")
-    taus = np.linspace(float(lo), float(hi), int(count))
+    lo, hi, count = _parse_numbers("--tau-samples", args.tau_samples, "lo:hi:count")
+    if count < 1 or count != int(count):
+        raise ConfigInvalid(f"--tau-samples count must be a positive integer, got {count!r}")
+    taus = np.linspace(lo, hi, int(count))
     report = cs_check(spec, m, n, taus)
     with open(args.out, "w") as fh:
         fh.write(report.to_json())
         fh.write("\n")
-    _write_manifest(args, "cscheck", [args.out], started)
     return 0
 
 
@@ -471,8 +461,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_range_flags(list(argv if argv is not None else sys.argv[1:])))
     try:
-        return args.func(args)
-    except (ConfigInvalid, ValidationError, InvalidConfig, EmptySubset, KOutOfRange) as exc:
+        started = time.monotonic()
+        if getattr(args, "preset", None):
+            _apply_preset(args)
+        if args.out is None:
+            raise ConfigInvalid("--out is required")
+        code = args.func(args)
+        if code == 0:
+            _write_manifest(args, started)
+        return code
+    except (ConfigInvalid, ValidationError, EmptySubset, KOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EmptyChannel, InsufficientSamples, NoPeaksFound) as exc:
@@ -484,10 +482,6 @@ def main(argv=None) -> int:
     except (OSError, StreamInvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        # any remaining malformed flag value (ranges, subsets, counts)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

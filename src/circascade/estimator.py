@@ -153,11 +153,16 @@ def correlate_subset(
         subset = SubsetSpec(tuple(subset))
     subset.check_against(stream.n_levels)
     _check_window(stream, cfg)
-    parts = [stream.channels[i] for i in subset.members]
-    for i, p in zip(subset.members, parts):
-        if len(p) == 0:
+    per_channel = stream.counts
+    for i in subset.members:
+        if per_channel[i] == 0:
             raise EmptyChannel(f"channel {i} has no events")
-    merged = np.sort(np.concatenate(parts))
+    # event k*N + offset carries the label with that ring offset, so whole
+    # periods plus sorted offsets index the subset's events in time order
+    n, n_events = stream.n_levels, stream.n_events
+    offsets = sorted((stream.first_label - i) % n for i in subset.members)
+    idx = (np.arange(0, n_events, n)[:, None] + offsets).ravel()
+    merged = stream.times[idx[idx < n_events]]
     counts = _pair_counts(merged, merged, cfg, same_channel=True)
     rate = len(merged) / stream.total_duration
     return _normalized_trace(counts, rate, rate, stream, cfg, subset=subset)
@@ -181,7 +186,7 @@ def block_bootstrap_stderr(
         raise ConfigInvalid("cfg.channels must be a pair (m, n)")
     m, n = cfg.channels
     _check_window(stream, cfg)
-    t0 = min(float(c[0]) for c in stream.channels if len(c))
+    t0 = float(stream.times[0])
     edges = np.linspace(t0, t0 + stream.total_duration, n_blocks + 1)
     src_all, dst_all = stream.channels[m], stream.channels[n]
     if len(src_all) == 0 or len(dst_all) == 0:

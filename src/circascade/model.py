@@ -67,10 +67,6 @@ class NumericalFailure(CascadeError, ArithmeticError):
     pass
 
 
-class InvalidConfig(CascadeError, ValueError):
-    pass
-
-
 class ConfigInvalid(CascadeError, ValueError):
     pass
 
@@ -235,73 +231,88 @@ class CorrelationTrace:
 
 @dataclass(frozen=True)
 class EventStream:
-    """Per-transition sorted emission timestamps from one trajectory.
+    """Emission timestamps of one trajectory, stored as a cyclic ring.
+
+    The jump order is deterministic (level l always relaxes to (l-1) % N),
+    so a trajectory is its strictly increasing ``times`` plus the label of
+    the first event: event i carries label ``(first_label - i) % N``, and
+    channel l is the strided view ``times[(first_label - l) % N :: N]``.
+    Label cycling and per-channel count balance hold by construction;
+    ``from_labels`` builds a stream from outside (times, labels) input and
+    rejects labels that do not cycle. ``times`` is stored read-only.
 
     ``total_duration`` is the length of the observation window; timestamps
     may start at any origin inside a window of that length. ``spec`` and
     ``seed`` record provenance when known.
     """
 
-    channels: tuple[np.ndarray, ...]
+    times: np.ndarray
+    first_label: int
+    n_levels: int
     total_duration: float
     seed: int | None = None
     spec: CascadeSpec | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "channels",
-            tuple(np.asarray(c, dtype=float) for c in self.channels),
-        )
+        times = np.asarray(self.times, dtype=float).view()
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "first_label", int(self.first_label))
+        object.__setattr__(self, "n_levels", int(self.n_levels))
+        if times.ndim != 1 or not 0 <= self.first_label < self.n_levels:
+            raise StreamInvariantViolation("need 1-d times and a first label in [0, N)")
         if not 0 < self.total_duration < math.inf:  # NaN fails too
             raise StreamInvariantViolation(
                 f"total_duration must be finite and > 0, got {self.total_duration!r}"
             )
 
+    @classmethod
+    def from_labels(cls, times, labels, n_levels: int, total_duration: float,
+                    seed: int | None = None, spec: CascadeSpec | None = None):
+        """Build a stream from time-ordered events labeled by source level.
+
+        Raises StreamInvariantViolation unless every label lies in [0, N)
+        and each label is one below the previous one, mod N.
+        """
+        labels = np.asarray(labels)
+        n = int(n_levels)
+        if labels.shape != np.shape(times):
+            raise StreamInvariantViolation("times and labels differ in length")
+        if len(labels) and not (labels.min() >= 0 and labels.max() < n):
+            raise StreamInvariantViolation("event label outside [0, N)")
+        steps = np.diff(labels.astype(np.int64, copy=False))
+        bad = np.flatnonzero((steps != -1) & (steps != n - 1))
+        if len(bad):
+            raise StreamInvariantViolation(f"label cycling broken at merged index {bad[0] + 1}")
+        first = int(labels[0]) if len(labels) else 0
+        return cls(times, first, n, total_duration, seed=seed, spec=spec)
+
     @property
-    def n_levels(self) -> int:
-        return len(self.channels)
+    def channels(self) -> tuple[np.ndarray, ...]:
+        """Per-transition timestamps: strided views into ``times``."""
+        n = self.n_levels
+        return tuple(self.times[(self.first_label - l) % n :: n] for l in range(n))
 
     @property
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.channels)
+        n, e = self.n_levels, len(self.times)
+        return tuple((e - (self.first_label - l) % n + n - 1) // n for l in range(n))
 
     @property
     def n_events(self) -> int:
-        return sum(self.counts)
+        return len(self.times)
 
     def merged(self) -> tuple[np.ndarray, np.ndarray]:
         """Globally time-ordered (timestamps, labels)."""
-        times = np.concatenate(self.channels)
-        labels = np.concatenate(
-            [np.full(len(c), l, dtype=np.int64) for l, c in enumerate(self.channels)]
-        )
-        order = np.argsort(times, kind="stable")
-        return times[order], labels[order]
+        labels = (self.first_label - np.arange(len(self.times))) % self.n_levels
+        return self.times, labels
 
     def check(self) -> None:
-        """Verify all structural invariants; raise StreamInvariantViolation."""
-        n = self.n_levels
-        for l, c in enumerate(self.channels):
-            if len(c) and np.any(np.diff(c) <= 0):
-                raise StreamInvariantViolation(
-                    f"channel {l} timestamps not strictly increasing"
-                )
-        times, labels = self.merged()
+        """Verify ordering and window span; raise StreamInvariantViolation."""
+        times = self.times
         if len(times) == 0:
             raise StreamInvariantViolation("stream contains no events")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):  # NaN fails too
             raise StreamInvariantViolation("simultaneous or out-of-order events")
-        if times[-1] - times[0] > self.total_duration * (1 + 1e-9):
+        if not times[-1] - times[0] <= self.total_duration * (1 + 1e-9):
             raise StreamInvariantViolation("timestamps span more than total_duration")
-        if n > 0 and len(times) > 1:
-            expected = (labels[:-1] - 1) % n
-            if not np.array_equal(labels[1:], expected):
-                bad = int(np.nonzero(labels[1:] != expected)[0][0])
-                raise StreamInvariantViolation(
-                    f"label cycling broken at merged index {bad + 1}"
-                )
-        counts = self.counts
-        if max(counts) - min(counts) > 1:
-            raise StreamInvariantViolation(
-                f"per-channel counts spread more than 1: {counts}"
-            )

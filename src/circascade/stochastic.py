@@ -3,9 +3,15 @@
 The jump order is deterministic (level l always relaxes to (l-1) % N), so
 a trajectory is fully described by its dwell times: visit i sits in level
 (start - i) % N for an Exponential(rates[level]) time and emits an event
-labeled with the source level at the jump. Sampling is vectorized in
-chunks; the RNG is counter-based (Philox keyed by seed and trajectory
-index) so ensembles parallelize deterministically.
+labeled with the source level at the jump. The simulator therefore keeps
+only the jump times and the level of the first recorded visit, which is
+exactly an ``EventStream`` ring. Sampling is vectorized in chunks; the RNG
+is counter-based (Philox keyed by seed and trajectory index) so ensembles
+parallelize deterministically.
+
+The file formats store one (timestamp, label) record per event; the
+readers rebuild the ring with ``EventStream.from_labels``, which rejects
+labels that do not cycle.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ import numpy as np
 
 from .model import (
     CascadeSpec,
+    ConfigInvalid,
     EventStream,
     InsufficientSamples,
-    InvalidConfig,
     StreamInvariantViolation,
     validate,
 )
@@ -27,6 +33,7 @@ from .spectral_general import steady_state
 
 _CHUNK = 1 << 19
 _BINARY_MAGIC = b"CEV1"
+_BINARY_RECORD = np.dtype([("t", "<f8"), ("l", "<u2")])
 
 
 @dataclass(frozen=True)
@@ -50,15 +57,15 @@ class SimConfig:
 def _check_config(cfg: SimConfig) -> None:
     validate(cfg.spec)
     if (cfg.duration is None) == (cfg.total_events is None):
-        raise InvalidConfig("set exactly one of duration or total_events")
+        raise ConfigInvalid("set exactly one of duration or total_events")
     if cfg.duration is not None and cfg.duration <= 0:
-        raise InvalidConfig("duration must be > 0")
+        raise ConfigInvalid("duration must be > 0")
     if cfg.total_events is not None and cfg.total_events < 1:
-        raise InvalidConfig("total_events must be >= 1")
+        raise ConfigInvalid("total_events must be >= 1")
     if cfg.burn_in < 0:
-        raise InvalidConfig("burn_in must be >= 0")
+        raise ConfigInvalid("burn_in must be >= 0")
     if cfg.initial_level is not None and not 0 <= cfg.initial_level < cfg.spec.n_levels:
-        raise InvalidConfig(
+        raise ConfigInvalid(
             f"initial_level {cfg.initial_level} outside [0, {cfg.spec.n_levels})"
         )
 
@@ -86,9 +93,7 @@ def simulate(config: SimConfig) -> EventStream:
     else:
         start = int(config.initial_level)
 
-    horizon = None
-    if config.duration is not None:
-        horizon = config.burn_in + config.duration
+    horizon = None if config.duration is None else config.burn_in + config.duration
 
     # expected number of draws; chunked sampling returns the same variates
     # as one monolithic call, so the chunk size never changes the stream
@@ -100,7 +105,7 @@ def simulate(config: SimConfig) -> EventStream:
     chunk = min(_CHUNK, max(64, int(est + 4 * np.sqrt(est) + 16)))
 
     times_parts: list[np.ndarray] = []
-    label_parts: list[np.ndarray] = []
+    first_label = 0     # level of the first recorded visit
     visit = 0
     base = 0.0          # accumulated time at the start of the current chunk
     comp = 0.0          # Kahan compensation for the chunk offsets
@@ -124,13 +129,11 @@ def simulate(config: SimConfig) -> EventStream:
         if horizon is not None:
             keep &= stamps <= horizon
         kept_times = stamps[keep]
-        kept_labels = levels[keep]
         if config.total_events is not None:
-            remaining = config.total_events - recorded
-            kept_times = kept_times[:remaining]
-            kept_labels = kept_labels[:remaining]
+            kept_times = kept_times[:config.total_events - recorded]
+        if recorded == 0 and len(kept_times):
+            first_label = int(levels[np.argmax(keep)])
         times_parts.append(kept_times)
-        label_parts.append(kept_labels.astype(np.int64))
         recorded += len(kept_times)
 
         if horizon is not None and stamps[-1] > horizon:
@@ -139,7 +142,6 @@ def simulate(config: SimConfig) -> EventStream:
             break
 
     times = np.concatenate(times_parts) - config.burn_in
-    labels = np.concatenate(label_parts)
     if len(times) == 0:
         raise InsufficientSamples("no events recorded; increase duration")
 
@@ -150,27 +152,20 @@ def simulate(config: SimConfig) -> EventStream:
             break
         times[bad + 1] = np.nextafter(times[bad], np.inf)
 
-    if config.duration is not None:
-        total = float(config.duration)
-    else:
-        total = float(times[-1])
-    channels = tuple(times[labels == l] for l in range(n))
-    return EventStream(channels, total, seed=config.seed, spec=spec)
+    total = float(times[-1] if config.duration is None else config.duration)
+    return EventStream(times, first_label, n, total, seed=config.seed, spec=spec)
 
 
 def _dwell_segments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
-    """(durations, levels) of every occupation segment, censored ends included."""
-    times, labels = stream.merged()
-    n = stream.n_levels
-    inner = np.diff(times)
-    inner_levels = (labels[:-1] - 1) % n
-    head = np.array([times[0] - 0.0])
-    head_level = np.array([labels[0]])
+    """(durations, levels) of every occupation segment, censored ends included.
+
+    Segment i is the dwell that event i ends (the window end cuts off the
+    last one), so its level is the label of event i on the ring.
+    """
+    times = stream.times
     tail_end = max(float(stream.total_duration), float(times[-1]))
-    tail = np.array([tail_end - times[-1]])
-    tail_level = np.array([(labels[-1] - 1) % n])
-    durations = np.concatenate([head, inner, tail])
-    levels = np.concatenate([head_level, inner_levels, tail_level])
+    durations = np.diff(np.concatenate(([0.0], times, [tail_end])))
+    levels = (stream.first_label - np.arange(len(times) + 1)) % stream.n_levels
     return durations, levels
 
 
@@ -201,12 +196,9 @@ def occupancy_block_estimates(stream: EventStream, n_blocks: int = 100) -> np.nd
     if usable < n_blocks * n:
         raise InsufficientSamples("too few events for the requested block count")
     block = np.repeat(np.arange(n_blocks), usable // n_blocks)
-    occ = np.zeros((n_blocks, n))
-    for l in range(n):
-        mask = levels[:usable] == l
-        occ[:, l] = np.bincount(
-            block[mask], weights=durations[:usable][mask], minlength=n_blocks
-        )
+    occ = np.bincount(
+        block * n + levels[:usable], weights=durations[:usable], minlength=n_blocks * n
+    ).reshape(n_blocks, n)
     return occ / occ.sum(axis=1, keepdims=True)
 
 
@@ -237,11 +229,9 @@ def write_events_text(stream: EventStream, path) -> None:
 
 
 def read_events_text(path) -> EventStream:
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # undecodable bytes fail below
         header = fh.readline().strip()
-        fields = dict(
-            part.split("=", 1) for part in header.split() if "=" in part
-        )
+        fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
         if not header.startswith("# cascade-events v1"):
             raise StreamInvariantViolation(f"bad event stream header: {header!r}")
         try:
@@ -256,13 +246,7 @@ def read_events_text(path) -> EventStream:
         raise StreamInvariantViolation("event stream file has no events")
     if data.shape[1] != 2:
         raise StreamInvariantViolation("event lines must read '<timestamp> <label>'")
-    times = data[:, 0]
-    labels = data[:, 1].astype(np.int64)
-    if labels.min() < 0 or labels.max() >= n:
-        raise StreamInvariantViolation("event label outside [0, N)")
-    stream = EventStream(
-        tuple(times[labels == l] for l in range(n)), total, seed=seed
-    )
+    stream = EventStream.from_labels(data[:, 0], data[:, 1].astype(np.int64), n, total, seed=seed)
     stream.check()
     return stream
 
@@ -271,13 +255,19 @@ def write_events_binary(stream: EventStream, path) -> None:
     """Compact binary format, little-endian, bit-exact round trip.
 
     Layout: magic 'CEV1', u32 N, u64 seed, f64 T, u64 count, then count
-    records of (f64 timestamp, u16 label).
+    records of (f64 timestamp, u16 label). Rings of more than 65536 levels
+    do not fit the u16 label and raise ConfigInvalid.
     """
+    if stream.n_levels > 1 << 16:
+        raise ConfigInvalid(
+            f"binary event files hold u16 labels, so N = {stream.n_levels} "
+            f"(--n) exceeds 65536 levels; use --format text"
+        )
     times, labels = stream.merged()
     seed = stream.seed if stream.seed is not None else 0
-    rec = np.zeros(len(times), dtype=np.dtype([("t", "<f8"), ("l", "<u2")]))
+    rec = np.zeros(len(times), dtype=_BINARY_RECORD)
     rec["t"] = times
-    rec["l"] = labels.astype(np.uint16)
+    rec["l"] = labels
     with open(path, "wb") as fh:
         fh.write(_BINARY_MAGIC)
         fh.write(struct.pack("<IQdQ", stream.n_levels, seed, stream.total_duration, len(times)))
@@ -294,19 +284,16 @@ def read_events_binary(path) -> EventStream:
             raise StreamInvariantViolation("binary stream header is truncated")
         n, seed, total, count = struct.unpack("<IQdQ", head)
         raw = fh.read()
-    if len(raw) < count * 10:
+    size = _BINARY_RECORD.itemsize
+    if len(raw) < count * size:
         raise StreamInvariantViolation(
-            f"binary stream truncated: {len(raw) // 10} of {count} records"
+            f"binary stream truncated: {len(raw) // size} of {count} records"
         )
-    rec = np.frombuffer(raw, dtype=np.dtype([("t", "<f8"), ("l", "<u2")]), count=count)
-    times = rec["t"].astype(np.float64)
-    labels = rec["l"].astype(np.int64)
     if count == 0:
         raise StreamInvariantViolation("binary stream has no events")
-    if labels.min() < 0 or labels.max() >= n:
-        raise StreamInvariantViolation("event label outside [0, N)")
-    stream = EventStream(
-        tuple(times[labels == l] for l in range(n)), total, seed=int(seed)
+    rec = np.frombuffer(raw, dtype=_BINARY_RECORD, count=count)
+    stream = EventStream.from_labels(
+        rec["t"].astype(np.float64), rec["l"], n, total, seed=int(seed)
     )
     stream.check()
     return stream

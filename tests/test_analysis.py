@@ -5,6 +5,7 @@ import pytest
 
 from circascade import (
     CascadeSpec,
+    ConfigInvalid,
     NoPeaksFound,
     cs_check,
     discontinuity,
@@ -106,7 +107,7 @@ def test_cs_check_equal_rates_always_violated():
 
 
 def test_cs_check_rejects_degenerate_pair():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigInvalid):
         cs_check(CascadeSpec.equal(6, 1.0), 2, 2, [0.1])
 
 

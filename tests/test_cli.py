@@ -103,6 +103,34 @@ def test_malformed_flag_values_exit_2(tmp_path):
                    "--out", tmp_path / "d.events").returncode == 2
 
 
+MALFORMED_FLAGS = [
+    ("--subset", ["analytic", "--n", 6, "--subset", "1,x"]),
+    ("--scan", ["peaks", "--scan", "3-50"]),
+    ("--scan", ["peaks", "--scan", "0:3"]),
+    ("--gamma", ["peaks", "--n", 6, "--gamma", "nan"]),
+    ("--tau-samples", ["cscheck", "--n", 6, "--pair", "3,1", "--tau-samples", "0:1"]),
+    ("--tau-samples", ["cscheck", "--n", 6, "--pair", "3,1", "--tau-samples", "0:1:-1"]),
+    ("--rates-inline", ["general", "--rates-inline", "1,x,2", "--pair", "1,1"]),
+    ("--events", ["simulate", "--n", 3, "--events", "many"]),
+    ("--events", ["simulate", "--n", 3, "--events", "inf"]),
+    ("--tau", ["analytic", "--n", 6, "--k", 1, "--tau", "nan:1"]),
+    ("--tau", ["analytic", "--n", 6, "--k", 1, "--tau", "0:inf"]),
+    ("--n", ["simulate", "--seed", 1, "--events", 100, "--n", 70000]),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, args", MALFORMED_FLAGS,
+    ids=[f"{args[0]} {flag} {args[-1]}" for flag, args in MALFORMED_FLAGS],
+)
+def test_malformed_flag_exits_2_naming_the_flag(tmp_path, flag, args):
+    out = tmp_path / "out"
+    cp = run_cli(*args, "--out", out)
+    assert cp.returncode == 2, cp.stderr
+    assert flag in cp.stderr
+    assert not out.exists()
+
+
 def test_general_three_level_trace(tmp_path):
     rates = tmp_path / "rates.json"
     rates.write_text(json.dumps({"n_levels": 3, "rates": [1.0, 1.1, 0.025]}))

@@ -40,11 +40,16 @@ def test_config_validation():
 
 
 def test_empty_channel_rejected():
-    stream = EventStream(
-        (np.array([0.5, 1.5, 2.5]), np.array([])), total_duration=100.0
-    )
+    # fewer events than levels: channel 0 never fires
+    stream = EventStream.from_labels([0.5, 1.5], [2, 1], 3, 100.0)
     with pytest.raises(EmptyChannel):
         correlate(stream, HistogramConfig(0.1, 1.0, channels=(0, 1)))
+
+
+def test_subset_of_a_short_stream_rejects_its_empty_channel():
+    stream = EventStream.from_labels([0.5, 1.5], [2, 1], 3, 100.0)
+    with pytest.raises(EmptyChannel, match="channel 0"):
+        correlate_subset(stream, SubsetSpec((0, 1)), HistogramConfig(0.1, 1.0))
 
 
 def test_poisson_stream_is_flat():
@@ -112,8 +117,11 @@ def test_normalization_sanity_far_tail():
 
 def test_global_time_shift_invariance():
     stream = make_stream(n=4, events=50_000, seed=8)
-    shifted = EventStream(
-        tuple(c + 123.456 for c in stream.channels),
+    times, labels = stream.merged()
+    shifted = EventStream.from_labels(
+        times + 123.456,
+        labels,
+        stream.n_levels,
         stream.total_duration,
         seed=stream.seed,
         spec=stream.spec,

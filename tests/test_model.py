@@ -129,17 +129,9 @@ def test_subset_spec_validation():
         SubsetSpec((0, 7)).check_against(6)
 
 
-def _stream_from_merged(times, labels, n, total):
-    times = np.asarray(times, float)
-    labels = np.asarray(labels)
-    return EventStream(
-        tuple(times[labels == l] for l in range(n)), total
-    )
-
-
 def test_event_stream_accepts_valid_cycle():
     # labels must step down cyclically: 2, 1, 0, 2, 1, 0, ...
-    stream = _stream_from_merged(
+    stream = EventStream.from_labels(
         [0.3, 0.9, 1.4, 2.2, 3.0, 3.1], [2, 1, 0, 2, 1, 0], 3, 4.0
     )
     stream.check()
@@ -148,19 +140,17 @@ def test_event_stream_accepts_valid_cycle():
 
 
 def test_event_stream_rejects_broken_cycling():
-    stream = _stream_from_merged([0.3, 0.9, 1.4], [2, 0, 1], 3, 2.0)
     with pytest.raises(StreamInvariantViolation):
-        stream.check()
+        EventStream.from_labels([0.3, 0.9, 1.4], [2, 0, 1], 3, 2.0)
 
 
 def test_event_stream_rejects_ties():
-    stream = _stream_from_merged([0.3, 0.3, 0.9], [2, 1, 0], 3, 2.0)
     with pytest.raises(StreamInvariantViolation):
-        stream.check()
+        EventStream.from_labels([0.3, 0.3, 0.9], [2, 1, 0], 3, 2.0).check()
 
 
 def test_event_stream_count_spread_of_one_is_fine():
-    stream = _stream_from_merged(
+    stream = EventStream.from_labels(
         [0.1, 0.5, 0.8, 1.2, 1.9], [1, 0, 1, 0, 1], 2, 3.0
     )
     stream.check()
@@ -170,16 +160,62 @@ def test_event_stream_count_spread_of_one_is_fine():
 def test_event_stream_rejects_imbalanced_channels():
     # channel 0 fires three times in a row: cycling and balance both break
     with pytest.raises(StreamInvariantViolation):
-        EventStream((np.array([0.1, 0.5, 0.9]), np.array([2.0])), 3.0).check()
+        EventStream.from_labels([0.1, 0.5, 0.9, 2.0], [0, 0, 0, 1], 2, 3.0)
 
 
 def test_event_stream_span_must_fit_window():
-    stream = _stream_from_merged([0.1, 1.5], [1, 0], 2, 1.0)
     with pytest.raises(StreamInvariantViolation):
-        stream.check()
+        EventStream.from_labels([0.1, 1.5], [1, 0], 2, 1.0).check()
 
 
 @pytest.mark.parametrize("total", [float("nan"), float("inf")])
 def test_event_stream_rejects_non_finite_duration(total):
     with pytest.raises(StreamInvariantViolation):
-        EventStream((np.array([0.5]),), total)
+        EventStream.from_labels([0.5], [0], 1, total)
+
+
+@given(st.integers(1, 300), st.data())
+@settings(max_examples=100, deadline=None)
+def test_ring_channels_match_the_labeled_split(n, data):
+    first = data.draw(st.integers(0, n - 1), label="first")
+    events = data.draw(st.integers(0, 2000), label="events")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    times = np.cumsum(0.1 + rng.random(events))
+    labels = (first - np.arange(events)) % n
+    stream = EventStream.from_labels(times, labels, n, float(times.sum()) + 1.0)
+    assert len(stream.channels) == n
+    for l, channel in enumerate(stream.channels):
+        np.testing.assert_array_equal(channel, times[labels == l])
+    assert stream.counts == tuple(int(np.sum(labels == l)) for l in range(n))
+    merged_times, merged_labels = stream.merged()
+    np.testing.assert_array_equal(merged_times, times)
+    np.testing.assert_array_equal(merged_labels, labels)
+    again = EventStream.from_labels(merged_times, merged_labels, n, stream.total_duration)
+    assert again.first_label == stream.first_label
+    np.testing.assert_array_equal(again.times, stream.times)
+
+
+@given(st.integers(2, 300), st.data())
+@settings(max_examples=100, deadline=None)
+def test_labels_that_do_not_cycle_are_rejected(n, data):
+    events = data.draw(st.integers(2, 2000), label="events")
+    labels = (data.draw(st.integers(0, n - 1), label="first") - np.arange(events)) % n
+    broken = data.draw(st.integers(1, events - 1), label="broken")
+    labels[broken] = data.draw(
+        st.integers(0, n - 1).filter(lambda v: v != labels[broken]), label="label"
+    )
+    with pytest.raises(StreamInvariantViolation, match=f"merged index {broken}$"):
+        EventStream.from_labels(np.arange(1.0, events + 1), labels, n, float(events))
+
+
+@pytest.mark.parametrize("labels", [[1, 0, -1], [3, 2, 1]])
+def test_labels_outside_the_ring_are_rejected(labels):
+    with pytest.raises(StreamInvariantViolation, match=r"outside \[0, N\)"):
+        EventStream.from_labels([0.1, 0.2, 0.3], labels, 3, 1.0)
+
+
+def test_stream_shorter_than_the_ring_has_empty_channels():
+    stream = EventStream.from_labels([0.5, 1.5], [2, 1], 5, 10.0)
+    stream.check()
+    assert stream.counts == (0, 1, 1, 0, 0)
+    assert [len(c) for c in stream.channels] == [0, 1, 1, 0, 0]

@@ -5,9 +5,11 @@ import pytest
 from scipy import stats
 
 from circascade import (
+    CascadeError,
     CascadeSpec,
+    ConfigInvalid,
+    EventStream,
     InsufficientSamples,
-    InvalidConfig,
     SimConfig,
     StreamInvariantViolation,
     dwell_samples,
@@ -26,17 +28,17 @@ SPEC124 = CascadeSpec(3, (1.0, 2.0, 4.0))
 
 def test_invalid_configs_rejected():
     spec = CascadeSpec.equal(3, 1.0)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigInvalid):
         simulate(SimConfig(spec, seed=1))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigInvalid):
         simulate(SimConfig(spec, seed=1, duration=10.0, total_events=10))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigInvalid):
         simulate(SimConfig(spec, seed=1, duration=-1.0))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigInvalid):
         simulate(SimConfig(spec, seed=1, total_events=0))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigInvalid):
         simulate(SimConfig(spec, seed=1, duration=1.0, burn_in=-0.1))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigInvalid):
         simulate(SimConfig(spec, seed=1, duration=1.0, initial_level=3))
 
 
@@ -53,6 +55,21 @@ def test_label_cycling_every_seed():
         stream.check()  # raises on any cycling/tie/balance violation
         _, labels = stream.merged()
         assert np.array_equal(labels[1:], (labels[:-1] - 1) % 6)
+
+
+@pytest.mark.parametrize("burn_in", [10.5, 11.0, 12.0])
+def test_burn_in_keeps_the_labels_of_the_full_trajectory(burn_in):
+    # same seed and horizon: the late stream is the tail of the full one,
+    # and these burn-ins end in each of the three levels
+    full = simulate(SimConfig(SPEC124, seed=5, duration=60.0, initial_level=0))
+    late = simulate(
+        SimConfig(SPEC124, seed=5, duration=60.0 - burn_in, burn_in=burn_in, initial_level=0)
+    )
+    times, labels = full.merged()
+    kept = times > burn_in
+    late_times, late_labels = late.merged()
+    np.testing.assert_array_equal(late_times, times[kept] - burn_in)
+    np.testing.assert_array_equal(late_labels, labels[kept])
 
 
 def test_event_count_stop_is_exact():
@@ -215,3 +232,40 @@ def test_binary_without_levels_or_events_rejected(tmp_path):
     path.write_bytes(b"CEV1" + struct.pack("<IQdQ", 0, 0, 10.0, 0))
     with pytest.raises(StreamInvariantViolation):
         read_events_binary(path)
+
+
+def test_binary_rejects_rings_beyond_u16_labels(tmp_path):
+    stream = EventStream(np.arange(1.0, 101.0), 0, 70_000, 200.0)
+    path = tmp_path / "big.events"
+    with pytest.raises(ConfigInvalid, match="--format text"):
+        write_events_binary(stream, path)
+    assert not path.exists()
+
+
+def _damaged_copies(data: bytes):
+    """Every truncation and every single-bit flip of `data`."""
+    for cut in range(len(data)):
+        yield data[:cut]
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(flipped)
+
+
+# numpy warns about an empty event block and about inf - inf on its way to
+# the error the reader raises
+@pytest.mark.filterwarnings("ignore:loadtxt", "ignore:invalid value")
+@pytest.mark.parametrize(
+    "write, read",
+    [(write_events_binary, read_events_binary), (write_events_text, read_events_text)],
+    ids=["binary", "text"],
+)
+def test_damaged_stream_files_raise_only_cascade_errors(tmp_path, write, read):
+    path = tmp_path / "events"
+    write(simulate(SimConfig(SPEC124, seed=8, total_events=12)), path)
+    for damaged in _damaged_copies(path.read_bytes()):
+        path.write_bytes(damaged)
+        try:
+            read(path)
+        except CascadeError:
+            pass
