@@ -10,21 +10,11 @@ from .model import (
     CascadeSpec,
     ConfigInvalid,
     CorrelationTrace,
-    EmptyChannel,
-    EmptySubset,
     EventStream,
-    ImaginaryResidue,
     InsufficientSamples,
-    KOutOfRange,
-    NoPeaksFound,
-    NonFiniteRate,
-    NonPositiveRate,
     NumericalFailure,
-    RatesLengthMismatch,
     StreamInvariantViolation,
     SubsetSpec,
-    ValidationError,
-    ZeroLevels,
     trace_index,
     validate,
 )

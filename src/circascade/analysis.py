@@ -11,7 +11,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic_equal import g2_equal, g2_equal_pair
-from .model import CascadeSpec, ConfigInvalid, NoPeaksFound, trace_index, validate
+from .model import (
+    CascadeSpec,
+    ConfigInvalid,
+    InsufficientSamples,
+    trace_index,
+    validate,
+)
 from .spectral_general import g2_general, g2_three_level
 
 PEAK_GRID_STEP = 0.01      # in units of 1/gamma
@@ -39,9 +45,9 @@ class PeakReport:
     def __post_init__(self):
         taus = [p.tau for p in self.peaks]
         if any(b <= a for a, b in zip(taus, taus[1:])):
-            raise ValueError("peak locations must be increasing")
+            raise ConfigInvalid("peak locations must be increasing")
         if any(p.magnitude <= 1.0 for p in self.peaks):
-            raise ValueError("peaks are excursions above the Poisson level")
+            raise ConfigInvalid("peaks are excursions above the Poisson level")
 
     def magnitudes(self) -> list[float]:
         return [p.magnitude for p in self.peaks]
@@ -87,6 +93,8 @@ def _golden_refine(f: Callable[[float], float], a: float, b: float, tol: float) 
 def _scan_peaks(
     n_levels: int, k: int, gamma: float, max_order: int
 ) -> list[tuple[float, float]]:
+    if max_order < 1:
+        raise ConfigInvalid(f"max_order must be >= 1, got {max_order}")
     step = PEAK_GRID_STEP / gamma
     found: list[tuple[float, float]] = []
     lo = step
@@ -113,11 +121,12 @@ def find_peaks(n_levels: int, gamma: float, k: int, max_order: int) -> PeakRepor
     """First max_order local maxima of the class-k equal-rate trace on tau > 0.
 
     Maxima are located by derivative sign change on a 0.01/gamma grid and
-    refined by golden section to within 1e-4/gamma.
+    refined by golden section to within 1e-4/gamma. max_order < 1 raises
+    ConfigInvalid; a trace without maxima raises InsufficientSamples.
     """
     found = _scan_peaks(n_levels, k % n_levels, gamma, max_order)
     if not found:
-        raise NoPeaksFound(f"no oscillation maxima for N={n_levels}, k={k}")
+        raise InsufficientSamples(f"no oscillation maxima for N={n_levels}, k={k}")
     peaks = tuple(
         Peak(order=q + 1, tau=t, magnitude=v) for q, (t, v) in enumerate(found)
     )
@@ -138,7 +147,7 @@ def find_peaks_cross(n_levels: int, gamma: float, max_order: int) -> PeakReport:
         sides.append(_scan_peaks(n_levels, k_mirror, gamma, max_order))
     n_orders = min(len(s) for s in sides)
     if n_orders == 0:
-        raise NoPeaksFound(f"no cross-trace maxima for N={n_levels}")
+        raise InsufficientSamples(f"no cross-trace maxima for N={n_levels}")
     peaks = []
     for q in range(min(n_orders, max_order)):
         t, v = max((side[q] for side in sides), key=lambda tv: tv[1])
@@ -203,7 +212,7 @@ def _pair_evaluator(source) -> Callable[[int, int, float], float]:
         return lambda m, n, tau: float(g2_general(spec, m, n, tau))
     if callable(source):
         return source
-    raise TypeError("source must be a CascadeSpec or a callable (m, n, tau) -> g2")
+    raise ConfigInvalid("source must be a CascadeSpec or a callable (m, n, tau) -> g2")
 
 
 def cs_check(source, m: int, n: int, tau_samples: Sequence[float]) -> ViolationReport:

@@ -40,13 +40,7 @@ import math
 
 import numpy as np
 
-from .model import (
-    EmptySubset,
-    KOutOfRange,
-    NumericalFailure,
-    SubsetSpec,
-    trace_index,
-)
+from .model import ConfigInvalid, NumericalFailure, SubsetSpec, trace_index
 
 # below this value of gamma*tau the Poisson series is used instead of the mode sum
 SERIES_SWITCH = 1.0
@@ -62,7 +56,7 @@ _EPS = float(np.finfo(float).eps)
 def root_of_unity(n_levels: int) -> complex:
     """exp(2 i pi / N), the primitive N-th root of unity."""
     if n_levels < 1:
-        raise KOutOfRange("n_levels must be >= 1")
+        raise ConfigInvalid("n_levels must be >= 1")
     return cmath.exp(2j * math.pi / n_levels)
 
 
@@ -130,12 +124,12 @@ def g2_equal(n_levels: int, k: int, gamma: float, tau) -> float | np.ndarray:
     a value below that raises NumericalFailure.
     """
     if n_levels < 1:
-        raise KOutOfRange("n_levels must be >= 1")
+        raise ConfigInvalid("n_levels must be >= 1")
     if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+        raise ConfigInvalid("gamma must be > 0")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if np.any(taus < 0):
-        raise ValueError("tau must be >= 0; use g2_equal_pair for signed delays")
+        raise ConfigInvalid("tau must be >= 0; use g2_equal_pair for signed delays")
     k = k % n_levels
     if n_levels == 1:
         out = np.ones_like(taus)
@@ -178,10 +172,10 @@ def small_tau_leading(n_levels: int, k: int, gamma: float, tau) -> float | np.nd
     k = N: N exp(-gamma tau)              (decay of the contiguous class)
     """
     if not 1 <= k <= n_levels:
-        raise KOutOfRange(f"k must be in [1, {n_levels}], got {k}")
+        raise ConfigInvalid(f"k must be in [1, {n_levels}], got {k}")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if np.any(taus < 0):
-        raise ValueError("tau must be >= 0")
+        raise ConfigInvalid("tau must be >= 0")
     x = gamma * taus
     if k == n_levels:
         out = n_levels * np.exp(-x)
@@ -226,5 +220,5 @@ def g2_subset(n_levels: int, subset: SubsetSpec, gamma: float, tau) -> float | n
 def bundle_peak(n_levels: int, n_s: int) -> float:
     """Central superbunching value N (n_S - 1) / n_S^2 of a contiguous bundle."""
     if n_s < 1:
-        raise EmptySubset("bundle size must be >= 1")
+        raise ConfigInvalid("bundle size must be >= 1")
     return n_levels * (n_s - 1) / n_s ** 2

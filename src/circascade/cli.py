@@ -13,9 +13,12 @@ estimations, and extract derived reports as CSV/JSON plot data:
 Every command writes a `<out>.manifest.json` sidecar recording the full
 parameter set, output names and wall-clock duration; data outputs are
 byte-identical across reruns with the same parameters (manifest timing is
-diagnostic only). Exit codes: 2 usage/validation, 3 internal-consistency
-failure, 4 I/O, 5 insufficient samples. CASCADE_THREADS caps the parallelism
-of `analytic` grid evaluation (defaults to the machine parallelism).
+diagnostic only). A failure prints `error: <message>` and exits with the
+`exit_code` of its `CascadeError`: 2 `ConfigInvalid` (usage/validation), 3
+`NumericalFailure` (internal consistency), 4 `StreamInvariantViolation` or
+any OSError (I/O), 5 `InsufficientSamples`. CASCADE_THREADS caps the
+parallelism of `analytic` grid evaluation (defaults to the machine
+parallelism).
 """
 
 from __future__ import annotations
@@ -38,15 +41,9 @@ from .model import (
     CascadeSpec,
     ConfigInvalid,
     CorrelationTrace,
-    EmptyChannel,
-    EmptySubset,
     InsufficientSamples,
-    KOutOfRange,
-    NoPeaksFound,
     NumericalFailure,
-    StreamInvariantViolation,
     SubsetSpec,
-    ValidationError,
     validate,
 )
 from .spectral_general import g2_general, g2_three_level
@@ -58,11 +55,6 @@ from .stochastic import (
     write_events_binary,
     write_events_text,
 )
-
-EXIT_USAGE = 2
-EXIT_CONSISTENCY = 3
-EXIT_IO = 4
-EXIT_SAMPLES = 5
 
 # figure-reproduction presets: every pinned parameter set lives here
 PRESETS = {
@@ -126,8 +118,19 @@ def _parse_numbers(flag: str, text: str, form: str, kind=float) -> list:
     return values
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    return tuple(_parse_numbers("--pair", text, "m,n", int))
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: NaN and inf exit 2 naming the flag."""
+    value = float(text)
+    if not abs(value) < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_pair(text: str, n_levels: int) -> tuple[int, int]:
+    m, n = _parse_numbers("--pair", text, "m,n", int)
+    if not (0 <= m < n_levels and 0 <= n < n_levels):
+        raise ConfigInvalid(f"--pair {text!r} has an index outside [0, {n_levels})")
+    return m, n
 
 
 def _parse_subset(text: str) -> SubsetSpec:
@@ -186,24 +189,24 @@ def _spec_from_file(path: str) -> CascadeSpec:
         text = fh.read()
     try:
         return CascadeSpec.from_json(text)
-    except ValidationError:
-        raise
+    except ConfigInvalid as exc:  # a ValueError too: re-raise it first
+        raise ConfigInvalid(f"--rates: {exc}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigInvalid(f"--rates file {path!r} is not a valid spec: {exc}")
 
 
 def _spec_from_flags(args) -> CascadeSpec:
+    if args.n is None:
+        raise ConfigInvalid("--n is required")
     spec = CascadeSpec.equal(args.n, args.gamma)
     try:
         validate(spec)
-    except ValidationError as exc:
+    except ConfigInvalid as exc:
         raise ConfigInvalid(f"--n/--gamma: {exc}")
     return spec
 
 
-def cmd_analytic(args) -> int:
-    if args.n is None:
-        raise ConfigInvalid("--n is required")
+def cmd_analytic(args) -> None:
     _spec_from_flags(args)
     taus = _tau_grid(args)
     chosen = [x for x in (args.pair, args.k, args.subset) if x is not None]
@@ -216,14 +219,13 @@ def cmd_analytic(args) -> int:
         if args.k is not None:
             m, n = 0, (args.k - 1) % args.n  # any pair of the requested class
         else:
-            m, n = _parse_pair(args.pair)
+            m, n = _parse_pair(args.pair, args.n)
         values = grid_map(lambda t: g2_equal_pair(args.n, m, n, args.gamma, t), taus)
     trace = CorrelationTrace(tau=taus, values=values, source="analytic")
     write_trace_csv(trace, args.out)
-    return 0
 
 
-def cmd_general(args) -> int:
+def cmd_general(args) -> None:
     if args.rates_inline:
         spec_rates = tuple(_parse_numbers("--rates-inline", args.rates_inline, "r0,r1,..."))
         spec = CascadeSpec(len(spec_rates), spec_rates)
@@ -233,9 +235,9 @@ def cmd_general(args) -> int:
         raise ConfigInvalid("--rates (JSON file) or --rates-inline is required")
     try:
         validate(spec)
-    except ValidationError as exc:
+    except ConfigInvalid as exc:
         raise ConfigInvalid(f"--rates: {exc}")
-    m, n = _parse_pair(args.pair or "1,1")
+    m, n = _parse_pair(args.pair or "1,1", spec.n_levels)
     taus = _tau_grid(args)
     # one call: the stepped propagation must not restart at chunk boundaries
     values = g2_general(spec, m, n, taus)
@@ -243,23 +245,19 @@ def cmd_general(args) -> int:
         closed = g2_three_level(*spec.rates, m, n, taus)
         gap = float(np.abs(closed - values).max())
         if gap > 1e-6:
-            print(
+            raise NumericalFailure(
                 f"internal consistency failure: closed form vs propagation "
-                f"disagree by {gap:.3e}", file=sys.stderr,
+                f"disagree by {gap:.3e}"
             )
-            return EXIT_CONSISTENCY
     trace = CorrelationTrace(tau=taus, values=values, source="spectral", spec=spec)
     write_trace_csv(trace, args.out)
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     if args.rates:
         spec = _spec_from_file(args.rates)
-    elif args.n is not None:
-        spec = _spec_from_flags(args)
     else:
-        raise ConfigInvalid("--n/--gamma or --rates is required")
+        spec = _spec_from_flags(args)
     events = _parse_numbers("--events", args.events, "count")[0] if args.events else None
     config = SimConfig(
         spec=spec,
@@ -274,7 +272,6 @@ def cmd_simulate(args) -> int:
         write_events_text(stream, args.out)
     else:
         write_events_binary(stream, args.out)
-    return 0
 
 
 def _read_stream(path: str):
@@ -285,7 +282,7 @@ def _read_stream(path: str):
     return read_events_text(path)
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args) -> None:
     stream = _read_stream(getattr(args, "in"))
     if args.subset:
         subset = _parse_subset(args.subset)
@@ -294,17 +291,19 @@ def cmd_correlate(args) -> int:
     else:
         if not args.pair:
             raise ConfigInvalid("give --pair or --subset")
-        cfg = HistogramConfig(args.bin, args.taumax, channels=_parse_pair(args.pair))
-        trace = correlate(stream, cfg)
+        pair = _parse_pair(args.pair, stream.n_levels)
+        trace = correlate(stream, HistogramConfig(args.bin, args.taumax, channels=pair))
     write_trace_csv(trace, args.out)
-    return 0
 
 
-def cmd_peaks(args) -> int:
-    if not 0 < args.gamma < np.inf:
-        raise ConfigInvalid(f"--gamma must be finite and > 0, got {args.gamma!r}")
+def cmd_peaks(args) -> None:
+    if args.gamma <= 0:
+        raise ConfigInvalid(f"--gamma must be > 0, got {args.gamma!r}")
     orders = args.orders if args.orders is not None else 3
     cross_orders = args.cross_orders if args.cross_orders is not None else 7
+    for flag, value in (("--orders", orders), ("--cross-orders", cross_orders)):
+        if value < 1:
+            raise ConfigInvalid(f"{flag} must be >= 1, got {value}")
     if args.scan:
         lo, hi = _parse_numbers("--scan", args.scan, "lo:hi", int)
         if lo < 1:
@@ -318,7 +317,7 @@ def cmd_peaks(args) -> int:
                         if kind == "auto"
                         else find_peaks_cross(n, args.gamma, n_orders)
                     )
-                except CascadeError:
+                except InsufficientSamples:  # no maxima at this N
                     continue
                 rows += [
                     f"{kind},{n},{p.order},{p.tau:.17g},{p.magnitude:.17g}"
@@ -340,15 +339,14 @@ def cmd_peaks(args) -> int:
         if args.csv:
             with open(args.csv, "w") as fh:
                 fh.write(report.to_csv())
-    return 0
 
 
-def cmd_cscheck(args) -> int:
+def cmd_cscheck(args) -> None:
     if args.rates:
         spec = _spec_from_file(args.rates)
     else:
         spec = _spec_from_flags(args)
-    m, n = _parse_pair(args.pair)
+    m, n = _parse_pair(args.pair, spec.n_levels)
     lo, hi, count = _parse_numbers("--tau-samples", args.tau_samples, "lo:hi:count")
     if count < 1 or count != int(count):
         raise ConfigInvalid(f"--tau-samples count must be a positive integer, got {count!r}")
@@ -357,7 +355,6 @@ def cmd_cscheck(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(report.to_json())
         fh.write("\n")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analytic", help="equal-rate closed-form trace to CSV")
     p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--pair", help="transition pair m,n")
     p.add_argument("--k", type=int, help="trace class instead of a pair")
     p.add_argument("--subset", help="comma-separated transition subset")
@@ -392,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one trajectory, write event stream")
     p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--rates", help="JSON file {n_levels, rates}")
     p.add_argument("--events", help="stop after this many events")
-    p.add_argument("--duration", type=float, help="stop after this much time")
+    p.add_argument("--duration", type=_finite_float, help="stop after this much time")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", dest="burn_in", type=float, default=0.0)
+    p.add_argument("--burn-in", dest="burn_in", type=_finite_float, default=0.0)
     p.add_argument("--initial", type=int, help="initial level (default: stationary draw)")
     p.add_argument("--format", choices=("binary", "text"), default="binary")
     p.add_argument("--out")
@@ -407,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in", required=True, help="event stream file")
     p.add_argument("--pair")
     p.add_argument("--subset")
-    p.add_argument("--bin", type=float, required=True)
-    p.add_argument("--taumax", type=float, required=True)
+    p.add_argument("--bin", type=_finite_float, required=True)
+    p.add_argument("--taumax", type=_finite_float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("peaks", help="oscillation peak report (JSON, optional CSV)")
     p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--orders", type=int, help="peak count (default 3)")
     p.add_argument("--cross", action="store_true", help="opposite-transition trace")
@@ -427,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cscheck", help="Cauchy-Schwarz violation report (JSON)")
     p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--rates", help="JSON file {n_levels, rates}")
     p.add_argument("--pair", required=True)
     p.add_argument("--tau-samples", dest="tau_samples", default="0.01:0.1:10",
@@ -466,22 +463,15 @@ def main(argv=None) -> int:
             _apply_preset(args)
         if args.out is None:
             raise ConfigInvalid("--out is required")
-        code = args.func(args)
-        if code == 0:
-            _write_manifest(args, started)
-        return code
-    except (ConfigInvalid, ValidationError, EmptySubset, KOutOfRange) as exc:
+        args.func(args)
+        _write_manifest(args, started)
+        return 0
+    except CascadeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (EmptyChannel, InsufficientSamples, NoPeaksFound) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLES
-    except NumericalFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
-    except (OSError, StreamInvariantViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return 4  # I/O, like StreamInvariantViolation
 
 
 if __name__ == "__main__":

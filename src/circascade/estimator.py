@@ -20,8 +20,8 @@ import numpy as np
 from .model import (
     ConfigInvalid,
     CorrelationTrace,
-    EmptyChannel,
     EventStream,
+    InsufficientSamples,
     SubsetSpec,
 )
 
@@ -41,10 +41,14 @@ class HistogramConfig:
     channels: tuple[int, int] | SubsetSpec | None = None
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ConfigInvalid("bin_width must be > 0")
-        if self.tau_max < self.bin_width:
-            raise ConfigInvalid("tau_max must be >= bin_width")
+        if not 0 < self.bin_width < np.inf:  # NaN fails too
+            raise ConfigInvalid(
+                f"bin_width must be finite and > 0, got {self.bin_width!r}"
+            )
+        if not self.bin_width <= self.tau_max < np.inf:
+            raise ConfigInvalid(
+                f"tau_max must be finite and >= bin_width, got {self.tau_max!r}"
+            )
 
     @property
     def n_side(self) -> int:
@@ -115,6 +119,16 @@ def _normalized_trace(
     )
 
 
+def _channel_pair(stream: EventStream, cfg: HistogramConfig) -> tuple[int, int]:
+    """The (m, n) pair of cfg, checked against the stream's N levels."""
+    if not (isinstance(cfg.channels, tuple) and len(cfg.channels) == 2):
+        raise ConfigInvalid("cfg.channels must be a pair (m, n)")
+    m, n = cfg.channels
+    if not (0 <= m < stream.n_levels and 0 <= n < stream.n_levels):
+        raise ConfigInvalid(f"channel pair {(m, n)} outside [0, {stream.n_levels})")
+    return m, n
+
+
 def _check_window(stream: EventStream, cfg: HistogramConfig) -> None:
     if cfg.tau_max > stream.total_duration / 10:
         raise ConfigInvalid(
@@ -125,15 +139,11 @@ def _check_window(stream: EventStream, cfg: HistogramConfig) -> None:
 
 def correlate(stream: EventStream, cfg: HistogramConfig) -> CorrelationTrace:
     """Coincidence-histogram estimate of g2 for the channel pair in cfg."""
-    if not (isinstance(cfg.channels, tuple) and len(cfg.channels) == 2):
-        raise ConfigInvalid("cfg.channels must be a pair (m, n)")
-    m, n = cfg.channels
-    if not (0 <= m < stream.n_levels and 0 <= n < stream.n_levels):
-        raise ConfigInvalid(f"channel pair {(m, n)} outside [0, {stream.n_levels})")
+    m, n = _channel_pair(stream, cfg)
     _check_window(stream, cfg)
     src, dst = stream.channels[m], stream.channels[n]
     if len(src) == 0 or len(dst) == 0:
-        raise EmptyChannel(f"channel {m if len(src) == 0 else n} has no events")
+        raise InsufficientSamples(f"channel {m if len(src) == 0 else n} has no events")
     counts = _pair_counts(src, dst, cfg, same_channel=(m == n))
     t_total = stream.total_duration
     return _normalized_trace(
@@ -156,7 +166,7 @@ def correlate_subset(
     per_channel = stream.counts
     for i in subset.members:
         if per_channel[i] == 0:
-            raise EmptyChannel(f"channel {i} has no events")
+            raise InsufficientSamples(f"channel {i} has no events")
     # event k*N + offset carries the label with that ring offset, so whole
     # periods plus sorted offsets index the subset's events in time order
     n, n_events = stream.n_levels, stream.n_events
@@ -182,15 +192,13 @@ def block_bootstrap_stderr(
     deviation of the resampled estimates per bin. Accounts for correlated
     counts that the plain sqrt(count) error ignores.
     """
-    if not (isinstance(cfg.channels, tuple) and len(cfg.channels) == 2):
-        raise ConfigInvalid("cfg.channels must be a pair (m, n)")
-    m, n = cfg.channels
+    m, n = _channel_pair(stream, cfg)
     _check_window(stream, cfg)
     t0 = float(stream.times[0])
     edges = np.linspace(t0, t0 + stream.total_duration, n_blocks + 1)
     src_all, dst_all = stream.channels[m], stream.channels[n]
     if len(src_all) == 0 or len(dst_all) == 0:
-        raise EmptyChannel("cannot bootstrap an empty channel")
+        raise InsufficientSamples("cannot bootstrap an empty channel")
 
     window = cfg.n_side * cfg.bin_width
     block_counts = np.zeros((n_blocks, 2 * cfg.n_side), dtype=np.int64)

@@ -14,6 +14,12 @@ Conventions (used everywhere in this package):
   labelings produce identical traces (only index differences matter); for
   unequal rates an estimated channel pair ``(m, n)`` corresponds to the
   analytic pair ``((m - 1) % N, (n - 1) % N)``.
+
+Errors: every failure is a ``CascadeError`` of one of four kinds, each
+carrying the CLI exit status in ``exit_code``: ``ConfigInvalid`` (2, input
+outside the domain), ``NumericalFailure`` (3, lost accuracy or routes that
+disagree), ``StreamInvariantViolation`` (4, a malformed event stream) and
+``InsufficientSamples`` (5, an empty channel or no peaks).
 """
 
 from __future__ import annotations
@@ -28,63 +34,37 @@ EQUAL_RATE_RTOL = 1e-12
 
 
 class CascadeError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
+    Each subclass is one outcome of the CLI and carries its exit status in
+    ``exit_code``.
+    """
 
-class ValidationError(CascadeError, ValueError):
-    """A CascadeSpec field invariant is violated."""
-
-
-class ZeroLevels(ValidationError):
-    pass
-
-
-class NonPositiveRate(ValidationError):
-    pass
-
-
-class NonFiniteRate(ValidationError):
-    pass
-
-
-class RatesLengthMismatch(ValidationError):
-    pass
-
-
-class ImaginaryResidue(CascadeError):
-    """A nominally real result kept a non-negligible imaginary part."""
-
-
-class KOutOfRange(CascadeError, ValueError):
-    pass
-
-
-class EmptySubset(CascadeError, ValueError):
-    pass
-
-
-class NumericalFailure(CascadeError, ArithmeticError):
-    pass
+    exit_code: int
 
 
 class ConfigInvalid(CascadeError, ValueError):
-    pass
+    """An input lies outside the documented domain (bad spec, flag or argument)."""
+
+    exit_code = 2
 
 
-class InsufficientSamples(CascadeError):
-    pass
+class NumericalFailure(CascadeError, ArithmeticError):
+    """A computation lost accuracy or two routes to the same trace disagree."""
 
-
-class EmptyChannel(CascadeError, ValueError):
-    pass
-
-
-class NoPeaksFound(CascadeError):
-    pass
+    exit_code = 3
 
 
 class StreamInvariantViolation(CascadeError, ValueError):
     """An event stream breaks a structural invariant (ordering, ties, cycling)."""
+
+    exit_code = 4
+
+
+class InsufficientSamples(CascadeError):
+    """Too little data for the requested result (empty channel, no peaks)."""
+
+    exit_code = 5
 
 
 @dataclass(frozen=True)
@@ -141,16 +121,16 @@ class CascadeSpec:
 def validate(spec: CascadeSpec) -> None:
     """Raise the first violated CascadeSpec invariant; return None when valid."""
     if spec.n_levels < 1:
-        raise ZeroLevels(f"n_levels must be >= 1, got {spec.n_levels}")
+        raise ConfigInvalid(f"n_levels must be >= 1, got {spec.n_levels}")
     if len(spec.rates) != spec.n_levels:
-        raise RatesLengthMismatch(
+        raise ConfigInvalid(
             f"expected {spec.n_levels} rates, got {len(spec.rates)}"
         )
     for j, r in enumerate(spec.rates):
         if not math.isfinite(r):
-            raise NonFiniteRate(f"rates[{j}] = {r!r} is not finite")
+            raise ConfigInvalid(f"rates[{j}] = {r!r} is not finite")
         if r <= 0:
-            raise NonPositiveRate(f"rates[{j}] = {r!r} must be > 0")
+            raise ConfigInvalid(f"rates[{j}] = {r!r} must be > 0")
 
 
 def trace_index(m: int, n: int, n_levels: int) -> int:
@@ -170,9 +150,9 @@ class SubsetSpec:
     def __post_init__(self):
         members = tuple(sorted(int(i) for i in self.members))
         if not members:
-            raise EmptySubset("subset must contain at least one transition")
+            raise ConfigInvalid("subset must contain at least one transition")
         if len(set(members)) != len(members):
-            raise EmptySubset(f"subset members must be distinct, got {members}")
+            raise ConfigInvalid(f"subset members must be distinct, got {members}")
         object.__setattr__(self, "members", members)
 
     @property
@@ -182,7 +162,7 @@ class SubsetSpec:
     def check_against(self, n_levels: int) -> None:
         for i in self.members:
             if not 0 <= i < n_levels:
-                raise EmptySubset(f"subset member {i} outside [0, {n_levels})")
+                raise ConfigInvalid(f"subset member {i} outside [0, {n_levels})")
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    CascadeSpec,
-    ImaginaryResidue,
-    NumericalFailure,
-    validate,
-)
+from .model import CascadeSpec, ConfigInvalid, NumericalFailure, validate
 
 IMAG_TOL = 1e-10
 DEGENERACY_RTOL = 1e-8
@@ -142,9 +137,9 @@ def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> 
 
     n = spec.n_levels
     if not 0 <= initial_level < n:
-        raise ValueError(f"initial_level {initial_level} outside [0, {n})")
+        raise ConfigInvalid(f"initial_level {initial_level} outside [0, {n})")
     if np.any(taus < 0):
-        raise ValueError("tau must be >= 0")
+        raise ConfigInvalid("tau must be >= 0")
     q = generator_matrix(spec)
     order = np.argsort(taus, kind="stable")
     gaps = np.diff(taus[order], prepend=0.0).tolist()
@@ -199,7 +194,7 @@ def g2_two_level(gamma0: float, gamma1: float, m: int, n: int, tau) -> float | n
     with the tau = 0 value taken as the right limit; (0, 1) is its mirror.
     """
     if gamma0 <= 0 or gamma1 <= 0:
-        raise ValueError("rates must be > 0")
+        raise ConfigInvalid("rates must be > 0")
     m, n = m % 2, n % 2
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     decay = np.exp(-(gamma0 + gamma1) * np.abs(taus))
@@ -237,7 +232,7 @@ def zeta_value(gamma0: float, gamma1: float, gamma2: float) -> ZetaValue:
 def _real_checked(vals: np.ndarray) -> np.ndarray:
     residue = np.abs(vals.imag).max() if vals.size else 0.0
     if residue > IMAG_TOL:
-        raise ImaginaryResidue(f"imaginary residue {residue:.3e}")
+        raise NumericalFailure(f"imaginary residue {residue:.3e}")
     out = vals.real.copy()
     out[(out < 0) & (out > -1e-12)] = 0.0
     return out
@@ -328,7 +323,7 @@ def g2_three_level(
     tau = 0 evaluates the right limit.
     """
     if min(gamma0, gamma1, gamma2) <= 0:
-        raise ValueError("rates must be > 0")
+        raise ConfigInvalid("rates must be > 0")
     rates = (gamma0, gamma1, gamma2)
     m, n = m % 3, n % 3
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -354,7 +349,7 @@ def oscillation_condition(gamma0: float, gamma1: float, gamma2: float) -> Oscill
     gives oscillations; the condition is symmetric in all rate permutations.
     """
     if min(gamma0, gamma1, gamma2) <= 0:
-        raise ValueError("rates must be > 0")
+        raise ConfigInvalid("rates must be > 0")
     z2 = zeta_value(gamma0, gamma1, gamma2).zeta_squared
     scale = max(gamma0, gamma1, gamma2) ** 2
     if abs(z2) <= 1e-12 * scale:
@@ -401,9 +396,9 @@ def g2_phenomenological(p: float, gamma1: float, gamma2: float, tau) -> float | 
     for tau >= 0, where p is the probability of good time ordering.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+        raise ConfigInvalid("p must be in [0, 1]")
     if gamma1 <= 0 or gamma2 <= 0:
-        raise ValueError("rates must be > 0")
+        raise ConfigInvalid("rates must be > 0")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     ratio = gamma2 / gamma1
     out = np.empty_like(taus)

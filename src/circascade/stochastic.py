@@ -58,12 +58,12 @@ def _check_config(cfg: SimConfig) -> None:
     validate(cfg.spec)
     if (cfg.duration is None) == (cfg.total_events is None):
         raise ConfigInvalid("set exactly one of duration or total_events")
-    if cfg.duration is not None and cfg.duration <= 0:
-        raise ConfigInvalid("duration must be > 0")
+    if cfg.duration is not None and not 0 < cfg.duration < np.inf:  # NaN fails too
+        raise ConfigInvalid(f"duration must be finite and > 0, got {cfg.duration!r}")
     if cfg.total_events is not None and cfg.total_events < 1:
         raise ConfigInvalid("total_events must be >= 1")
-    if cfg.burn_in < 0:
-        raise ConfigInvalid("burn_in must be >= 0")
+    if not 0 <= cfg.burn_in < np.inf:
+        raise ConfigInvalid(f"burn_in must be finite and >= 0, got {cfg.burn_in!r}")
     if cfg.initial_level is not None and not 0 <= cfg.initial_level < cfg.spec.n_levels:
         raise ConfigInvalid(
             f"initial_level {cfg.initial_level} outside [0, {cfg.spec.n_levels})"
@@ -246,7 +246,10 @@ def read_events_text(path) -> EventStream:
         raise StreamInvariantViolation("event stream file has no events")
     if data.shape[1] != 2:
         raise StreamInvariantViolation("event lines must read '<timestamp> <label>'")
-    stream = EventStream.from_labels(data[:, 0], data[:, 1].astype(np.int64), n, total, seed=seed)
+    labels = data[:, 1]
+    if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
+        raise StreamInvariantViolation("event labels must be whole numbers")
+    stream = EventStream.from_labels(data[:, 0], labels.astype(np.int64), n, total, seed=seed)
     stream.check()
     return stream
 

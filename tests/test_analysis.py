@@ -6,7 +6,7 @@ import pytest
 from circascade import (
     CascadeSpec,
     ConfigInvalid,
-    NoPeaksFound,
+    InsufficientSamples,
     cs_check,
     discontinuity,
     find_peaks,
@@ -35,8 +35,16 @@ def test_n50_seventh_and_eighth_peaks():
 
 
 def test_no_peaks_for_two_level():
-    with pytest.raises(NoPeaksFound):
+    with pytest.raises(InsufficientSamples, match="no oscillation maxima for N=2"):
         find_peaks(2, 1.0, 1, 1)
+
+
+@pytest.mark.parametrize("max_order", [0, -1])
+def test_peak_order_below_one_rejected(max_order):
+    with pytest.raises(ConfigInvalid, match="max_order must be >= 1"):
+        find_peaks(6, 1.0, 1, max_order)
+    with pytest.raises(ConfigInvalid, match="max_order must be >= 1"):
+        find_peaks_cross(6, 1.0, max_order)
 
 
 def test_peak_locations_near_multiples_of_round_trip_time():

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circascade import (
-    EmptySubset,
-    KOutOfRange,
+    ConfigInvalid,
     NumericalFailure,
     SubsetSpec,
     bundle_peak,
@@ -103,9 +102,9 @@ def test_small_tau_leading_examples():
 
 
 def test_small_tau_leading_rejects_bad_class():
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(ConfigInvalid, match=r"k must be in \[1, 6\], got 0"):
         small_tau_leading(6, 0, 1.0, 0.1)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(ConfigInvalid, match=r"k must be in \[1, 6\], got 7"):
         small_tau_leading(6, 7, 1.0, 0.1)
 
 
@@ -143,7 +142,7 @@ def test_subset_against_bruteforce_double_sum():
 
 
 def test_subset_empty_rejected():
-    with pytest.raises(EmptySubset):
+    with pytest.raises(ConfigInvalid, match="at least one transition"):
         g2_subset(10, (), 1.0, 0.0)
 
 

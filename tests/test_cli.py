@@ -8,8 +8,13 @@ import pytest
 
 from circascade import (
     CascadeSpec,
+    ConfigInvalid,
     HistogramConfig,
+    InsufficientSamples,
+    NumericalFailure,
     SimConfig,
+    StreamInvariantViolation,
+    cli,
     correlate,
     g2_equal_pair,
     g2_three_level,
@@ -116,6 +121,21 @@ MALFORMED_FLAGS = [
     ("--tau", ["analytic", "--n", 6, "--k", 1, "--tau", "nan:1"]),
     ("--tau", ["analytic", "--n", 6, "--k", 1, "--tau", "0:inf"]),
     ("--n", ["simulate", "--seed", 1, "--events", 100, "--n", 70000]),
+    ("--n", ["cscheck", "--pair", "3,1"]),
+    # the float flags are rejected while parsing, before the stream is opened
+    ("--bin", ["correlate", "--in", "run.events", "--pair", "1,1", "--taumax", 1, "--bin", "nan"]),
+    ("--taumax", ["correlate", "--in", "run.events", "--pair", "1,1", "--bin", 0.1, "--taumax", "nan"]),
+    ("--duration", ["simulate", "--n", 3, "--duration", "nan"]),
+    ("--duration", ["simulate", "--n", 3, "--duration", "inf"]),
+    ("--burn-in", ["simulate", "--n", 3, "--events", 10, "--burn-in", "nan"]),
+    ("--burn-in", ["simulate", "--n", 3, "--events", 10, "--burn-in", "inf"]),
+    ("--pair", ["analytic", "--n", 6, "--pair", "9,1"]),
+    ("--pair", ["general", "--rates-inline", "1,2,3", "--pair", "5,1"]),
+    ("--pair", ["cscheck", "--n", 6, "--pair", "9,1"]),
+    ("--orders", ["peaks", "--n", 6, "--orders", 0]),
+    ("--orders", ["peaks", "--n", 6, "--orders", -1]),
+    ("--orders", ["peaks", "--n", 6, "--orders", 0, "--cross"]),
+    ("--cross-orders", ["peaks", "--scan", "5:6", "--cross-orders", 0]),
 ]
 
 
@@ -128,6 +148,32 @@ def test_malformed_flag_exits_2_naming_the_flag(tmp_path, flag, args):
     cp = run_cli(*args, "--out", out)
     assert cp.returncode == 2, cp.stderr
     assert flag in cp.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(ConfigInvalid, 2), (NumericalFailure, 3), (StreamInvariantViolation, 4),
+     (InsufficientSamples, 5), (OSError, 4)],
+    ids=lambda x: x.__name__ if isinstance(x, type) else str(x),
+)
+def test_main_exits_with_the_code_of_the_error(tmp_path, monkeypatch, capsys, error, code):
+    def fail(*args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "g2_equal_pair", fail)
+    out = tmp_path / "x.csv"
+    assert cli.main(["analytic", "--n", "6", "--pair", "1,1", "--out", str(out)]) == code
+    assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
+
+
+def test_general_three_level_mismatch_exits_3(tmp_path, monkeypatch, capsys):
+    closed_form = cli.g2_three_level
+    monkeypatch.setattr(cli, "g2_three_level", lambda *a: closed_form(*a) + 1e-3)
+    out = tmp_path / "x.csv"
+    assert cli.main(["general", "--preset", "fig5", "--out", str(out)]) == 3
+    assert "closed form vs propagation disagree by 1.000e-03" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,8 +4,8 @@ import pytest
 from circascade import (
     CascadeSpec,
     ConfigInvalid,
-    EmptyChannel,
     EventStream,
+    InsufficientSamples,
     HistogramConfig,
     SimConfig,
     SubsetSpec,
@@ -39,16 +39,30 @@ def test_config_validation():
         correlate(stream, HistogramConfig(0.5, 5.0, channels=(0, 7)))
 
 
+@pytest.mark.parametrize(
+    "bin_width, tau_max", [(np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)]
+)
+def test_non_finite_bins_rejected(bin_width, tau_max):
+    with pytest.raises(ConfigInvalid, match="must be finite"):
+        HistogramConfig(bin_width, tau_max)
+
+
+def test_bootstrap_rejects_out_of_range_pair():
+    stream = make_stream(n=3, events=3000)
+    with pytest.raises(ConfigInvalid, match=r"channel pair \(0, 5\) outside \[0, 3\)"):
+        block_bootstrap_stderr(stream, HistogramConfig(0.1, 1.0, channels=(0, 5)))
+
+
 def test_empty_channel_rejected():
     # fewer events than levels: channel 0 never fires
     stream = EventStream.from_labels([0.5, 1.5], [2, 1], 3, 100.0)
-    with pytest.raises(EmptyChannel):
+    with pytest.raises(InsufficientSamples, match="channel 0 has no events"):
         correlate(stream, HistogramConfig(0.1, 1.0, channels=(0, 1)))
 
 
 def test_subset_of_a_short_stream_rejects_its_empty_channel():
     stream = EventStream.from_labels([0.5, 1.5], [2, 1], 3, 100.0)
-    with pytest.raises(EmptyChannel, match="channel 0"):
+    with pytest.raises(InsufficientSamples, match="channel 0"):
         correlate_subset(stream, SubsetSpec((0, 1)), HistogramConfig(0.1, 1.0))
 
 

@@ -6,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circascade import (
+    CascadeError,
     CascadeSpec,
+    ConfigInvalid,
     EventStream,
-    NonFiniteRate,
-    NonPositiveRate,
-    RatesLengthMismatch,
     StreamInvariantViolation,
     SubsetSpec,
-    EmptySubset,
-    ZeroLevels,
     trace_index,
     validate,
 )
@@ -25,30 +22,37 @@ def test_validate_canonical_spec():
 
 
 def test_validate_zero_levels():
-    with pytest.raises(ZeroLevels):
+    with pytest.raises(ConfigInvalid, match="n_levels must be >= 1"):
         validate(CascadeSpec(0, ()))
 
 
 def test_validate_negative_rate():
-    with pytest.raises(NonPositiveRate):
+    with pytest.raises(ConfigInvalid, match=r"rates\[1\] = -0.5 must be > 0"):
         validate(CascadeSpec(2, (1.0, -0.5)))
 
 
 def test_validate_zero_rate():
-    with pytest.raises(NonPositiveRate):
+    with pytest.raises(ConfigInvalid, match=r"rates\[1\] = 0.0 must be > 0"):
         validate(CascadeSpec(2, (1.0, 0.0)))
 
 
 def test_validate_nonfinite_rate():
-    with pytest.raises(NonFiniteRate):
+    with pytest.raises(ConfigInvalid, match=r"rates\[1\] = inf is not finite"):
         validate(CascadeSpec(2, (1.0, float("inf"))))
-    with pytest.raises(NonFiniteRate):
+    with pytest.raises(ConfigInvalid, match=r"rates\[0\] = nan is not finite"):
         validate(CascadeSpec(2, (float("nan"), 1.0)))
 
 
 def test_validate_length_mismatch():
-    with pytest.raises(RatesLengthMismatch):
+    with pytest.raises(ConfigInvalid, match="expected 3 rates, got 2"):
         validate(CascadeSpec(3, (1.0, 2.0)))
+
+
+def test_one_error_class_per_exit_code():
+    kinds = CascadeError.__subclasses__()
+    assert not any(kind.__subclasses__() for kind in kinds)
+    assert sorted(kind.exit_code for kind in kinds) == [2, 3, 4, 5]
+    assert issubclass(ConfigInvalid, ValueError)
 
 
 def test_trace_index_examples():
@@ -101,7 +105,7 @@ def test_spec_json_round_trip():
 
 
 def test_spec_json_rejects_length_mismatch():
-    with pytest.raises(RatesLengthMismatch):
+    with pytest.raises(ConfigInvalid, match="expected 3 rates, got 2"):
         CascadeSpec.from_json('{"n_levels": 3, "rates": [1.0, 2.0]}')
 
 
@@ -121,11 +125,11 @@ def test_subset_spec_validation():
     s = SubsetSpec((2, 1))
     assert s.members == (1, 2)
     assert s.n_s == 2
-    with pytest.raises(EmptySubset):
+    with pytest.raises(ConfigInvalid, match="at least one transition"):
         SubsetSpec(())
-    with pytest.raises(EmptySubset):
+    with pytest.raises(ConfigInvalid, match="must be distinct"):
         SubsetSpec((1, 1))
-    with pytest.raises(EmptySubset):
+    with pytest.raises(ConfigInvalid, match=r"member 7 outside \[0, 6\)"):
         SubsetSpec((0, 7)).check_against(6)
 
 

@@ -42,6 +42,17 @@ def test_invalid_configs_rejected():
         simulate(SimConfig(spec, seed=1, duration=1.0, initial_level=3))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("duration", np.nan), ("duration", np.inf), ("burn_in", np.nan), ("burn_in", np.inf)],
+)
+def test_non_finite_durations_rejected(field, value):
+    stop = {"duration": 1.0} if field == "burn_in" else {}
+    cfg = SimConfig(CascadeSpec.equal(3, 1.0), seed=1, **stop, **{field: value})
+    with pytest.raises(ConfigInvalid, match=f"{field} must be finite"):
+        simulate(cfg)
+
+
 def test_single_level_is_poisson_counting():
     stream = simulate(SimConfig(CascadeSpec(1, (1.0,)), seed=7, duration=1e6))
     count = stream.counts[0]
@@ -215,6 +226,13 @@ def test_text_header_missing_field_rejected(tmp_path, fields):
     path = tmp_path / "events.txt"
     path.write_text(f"# cascade-events v1 {fields}\n0.5 2\n0.9 1\n1.4 0\n")
     with pytest.raises(StreamInvariantViolation):
+        read_events_text(path)
+
+
+def test_text_fractional_labels_rejected(tmp_path):
+    path = tmp_path / "events.txt"
+    path.write_text("# cascade-events v1 N=3 seed=0 T=10\n0.5 2.7\n1.0 1.2\n1.5 0.5\n2.0 2\n")
+    with pytest.raises(StreamInvariantViolation, match="whole numbers"):
         read_events_text(path)
 
 
