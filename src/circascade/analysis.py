@@ -11,18 +11,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic_equal import g2_equal, g2_equal_pair
-from .model import (
-    CascadeSpec,
-    ConfigInvalid,
-    InsufficientSamples,
-    trace_index,
-    validate,
-)
+from .model import CascadeSpec, ConfigInvalid, InsufficientSamples, validate
 from .spectral_general import g2_general, g2_three_level
 
 PEAK_GRID_STEP = 0.01      # in units of 1/gamma
 PEAK_REFINE_TOL = 1e-4     # in units of 1/gamma
-_LIMIT_EPS = 1e-8          # offset (in units of 1/mean rate) for numeric limits
 
 
 @dataclass(frozen=True)
@@ -242,23 +235,9 @@ def cs_check(source, m: int, n: int, tau_samples: Sequence[float]) -> ViolationR
 def discontinuity(spec: CascadeSpec, m: int, n: int) -> tuple[float, float, float]:
     """(left limit, right limit, jump) of the pair (m, n) trace at tau = 0.
 
-    Equal-rate cascades evaluate the class boundary values exactly; other
-    specs evaluate the closed forms (N = 3) or the spectral propagation at
-    tau = +-1e-8 / mean rate.
+    Both limits are exact tau = 0 values on the route `cs_check` uses: the
+    left limit of g_{m,n} is the right limit of the swapped pair g_{n,m}.
     """
-    validate(spec)
-    nlev = spec.n_levels
-    if spec.is_equal_rate():
-        k_right = trace_index(m, n, nlev)
-        k_left = trace_index(n, m, nlev)
-        right = float(nlev) if k_right == 0 else 0.0
-        left = float(nlev) if k_left == 0 else 0.0
-    else:
-        eps = _LIMIT_EPS / spec.mean_rate
-        if nlev == 3:
-            left = float(g2_three_level(*spec.rates, m, n, -eps))
-            right = float(g2_three_level(*spec.rates, m, n, +eps))
-        else:
-            left = float(g2_general(spec, m, n, -eps))
-            right = float(g2_general(spec, m, n, +eps))
+    g = _pair_evaluator(spec)
+    left, right = g(n, m, 0.0), g(m, n, 0.0)
     return left, right, right - left

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .model import ConfigInvalid, NumericalFailure, SubsetSpec, trace_index
+from .model import ConfigInvalid, NumericalFailure, SubsetSpec, signed_delay, trace_index
 
 # below this value of gamma*tau the Poisson series is used instead of the mode sum
 SERIES_SWITCH = 1.0
@@ -153,16 +153,13 @@ def g2_equal(n_levels: int, k: int, gamma: float, tau) -> float | np.ndarray:
 def g2_equal_pair(n_levels: int, m: int, n: int, gamma: float, tau) -> float | np.ndarray:
     """Signed-delay correlation between transitions m and n (equal rates).
 
-    Negative delays mirror the swapped pair: g_{m,n}(tau) = g_{n,m}(-tau).
+    Negative delays mirror the swapped pair: g_{m,n}(tau) = g_{n,m}(-tau);
+    tau = 0 is the right limit.
     """
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = np.empty_like(taus)
-    pos = taus >= 0
-    if pos.any():
-        out[pos] = g2_equal(n_levels, trace_index(m, n, n_levels), gamma, taus[pos])
-    if (~pos).any():
-        out[~pos] = g2_equal(n_levels, trace_index(n, m, n_levels), gamma, -taus[~pos])
-    return out if np.ndim(tau) else float(out[0])
+    return signed_delay(
+        lambda a, b, s: g2_equal(n_levels, trace_index(a, b, n_levels), gamma, s),
+        m, n, tau,
+    )
 
 
 def small_tau_leading(n_levels: int, k: int, gamma: float, tau) -> float | np.ndarray:
@@ -201,18 +198,9 @@ def g2_subset(n_levels: int, subset: SubsetSpec, gamma: float, tau) -> float | n
 
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     acc = np.zeros_like(taus)
-    for k in range(n_levels):
-        if counts[k] == 0:
-            continue
-        pos = taus >= 0
-        vals = np.empty_like(taus)
-        if pos.any():
-            vals[pos] = g2_equal(n_levels, k, gamma, taus[pos])
-        if (~pos).any():
-            # g_{i,j}(-s) = g_{j,i}(s): the (i,j) pair of class k contributes
-            # the mirrored class (2 - k) at +s
-            vals[~pos] = g2_equal(n_levels, (2 - k) % n_levels, gamma, -taus[~pos])
-        acc += counts[k] * vals
+    for k in np.flatnonzero(counts):
+        # the pair (0, k - 1) is of class k; its mirror is class (2 - k) mod N
+        acc += counts[k] * g2_equal_pair(n_levels, 0, k - 1, gamma, taus)
     out = acc / subset.n_s ** 2
     return out if np.ndim(tau) else float(out[0])
 

@@ -14,6 +14,10 @@ Conventions (used everywhere in this package):
   labelings produce identical traces (only index differences matter); for
   unequal rates an estimated channel pair ``(m, n)`` corresponds to the
   analytic pair ``((m - 1) % N, (n - 1) % N)``.
+* Delays are signed. A negative delay mirrors the swapped pair,
+  ``g_{m,n}(-s) = g_{n,m}(s)``, and tau = 0 (also -0.0) is the right
+  limit ``g_{m,n}(0+)``; the jump of a contiguous pair sits there. Every
+  signed-delay trace applies this rule through ``signed_delay``.
 
 Errors: every failure is a ``CascadeError`` of one of four kinds, each
 carrying the CLI exit status in ``exit_code``: ``ConfigInvalid`` (2, input
@@ -139,6 +143,25 @@ def trace_index(m: int, n: int, n_levels: int) -> int:
     k = 1 is the autocorrelation class, k = 0 the contiguous-cascade class.
     """
     return (n - m + 1) % n_levels
+
+
+def signed_delay(right, m: int, n: int, tau) -> float | np.ndarray:
+    """Signed-delay trace of the pair (m, n) from its tau >= 0 branch.
+
+    ``right(a, b, s)`` evaluates the pair (a, b) on an array of s >= 0.
+    Delays tau >= 0 (-0.0 included) take ``right(m, n, tau)``; negative
+    delays take the swapped pair, ``right(n, m, -tau)``. Each branch is
+    called at most once, on its points in grid order; scalar tau returns
+    a float.
+    """
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    out = np.empty_like(taus)
+    pos = taus >= 0
+    if pos.any():
+        out[pos] = right(m, n, taus[pos])
+    if not pos.all():
+        out[~pos] = right(n, m, -taus[~pos])
+    return out if np.ndim(tau) else float(out[0])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """General-rate machinery: generator matrix, steady state, stepped-expm
 propagation, g2 for arbitrary rates, and the exact N = 2 and N = 3 closed
-forms with their limit expressions. `decompose` serves analysis only.
+forms with their limit expressions. No g2 route calls `decompose`; it
+remains a standalone eigendecomposition of the generator.
 
 Sign convention: the generator Q (columns sum to zero) has eigenvalues
 -mu_j with decay rates mu_j >= 0; for equal rates mu_j = gamma (1 - z^j).
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CascadeSpec, ConfigInvalid, NumericalFailure, validate
+from .model import CascadeSpec, ConfigInvalid, NumericalFailure, signed_delay, validate
 
 IMAG_TOL = 1e-10
 DEGENERACY_RTOL = 1e-8
@@ -168,18 +169,13 @@ def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
     """
     validate(spec)
     nlev = spec.n_levels
-    m, n = m % nlev, n % nlev
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
     pss = steady_state(spec)
-    out = np.empty_like(taus)
-    pos = taus >= 0
-    if pos.any():
-        read = (n + 1) % nlev
-        out[pos] = _propagate_grid(spec, m, taus[pos])[:, read] / pss[read]
-    if (~pos).any():
-        read = (m + 1) % nlev
-        out[~pos] = _propagate_grid(spec, n, -taus[~pos])[:, read] / pss[read]
-    return out if np.ndim(tau) else float(out[0])
+
+    def right(a, b, s):
+        read = (b + 1) % nlev
+        return _propagate_grid(spec, a, s)[:, read] / pss[read]
+
+    return signed_delay(right, m % nlev, n % nlev, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -187,26 +183,23 @@ def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
 
 
 def g2_two_level(gamma0: float, gamma1: float, m: int, n: int, tau) -> float | np.ndarray:
-    """Two-level closed forms.
+    """Two-level closed forms, with arrival-labeled pairs as in g2_general.
 
-    Autocorrelations (m == n): 1 - exp(-(g0+g1)|tau|). The emission/
-    excitation cross trace (1, 0): 1 + (g0/g1)^sign(tau) exp(-(g0+g1)|tau|),
-    with the tau = 0 value taken as the right limit; (0, 1) is its mirror.
+    Autocorrelations (m == n): 1 - exp(-(g0+g1)|tau|). The cross pair
+    (1, 0) starts and reads level 1: 1 + (g1/g0) exp(-(g0+g1) tau) for
+    tau >= 0, and 1 + (g0/g1) exp(-(g0+g1)|tau|) for tau < 0, where it
+    mirrors (0, 1). tau = 0 is the right limit.
     """
     if gamma0 <= 0 or gamma1 <= 0:
         raise ConfigInvalid("rates must be > 0")
-    m, n = m % 2, n % 2
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    decay = np.exp(-(gamma0 + gamma1) * np.abs(taus))
-    if m == n:
-        out = 1.0 - decay
-    else:
-        ratio = gamma0 / gamma1
-        sign = np.where(taus >= 0, 1.0, -1.0)
-        if (m, n) == (0, 1):
-            sign = -sign  # mirror of (1, 0): g_{0,1}(tau) = g_{1,0}(-tau)
-        out = 1.0 + ratio ** sign * decay
-    return out if np.ndim(tau) else float(out[0])
+
+    def right(a, b, s):
+        decay = np.exp(-(gamma0 + gamma1) * s)
+        if a == b:
+            return 1.0 - decay
+        return 1.0 + (gamma1 / gamma0 if a == 1 else gamma0 / gamma1) * decay
+
+    return signed_delay(right, m % 2, n % 2, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +231,18 @@ def _real_checked(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _three_auto(g0: float, g1: float, g2v: float, taus: np.ndarray) -> np.ndarray:
-    """Autocorrelation, identical for all three transitions."""
+def _three_auto(g0: float, g1: float, g2v: float, seps: np.ndarray) -> np.ndarray:
+    """Autocorrelation at s = |tau|, identical for all three transitions."""
     total = g0 + g1 + g2v
     zv = zeta_value(g0, g1, g2v)
-    a = np.abs(taus)
     if abs(zv.zeta) < 1e-12 * total:
         # coalescing decay rates: limit of the two-exponential form
-        return 1.0 - (1.0 + total * a / 2) * np.exp(-total * a / 2)
+        return 1.0 - (1.0 + total * seps / 2) * np.exp(-total * seps / 2)
     z = zv.zeta
     vals = (
         1.0
-        + (total - z) / (2 * z) * np.exp(-(total + z) / 2 * a)
-        - (total + z) / (2 * z) * np.exp(-(total - z) / 2 * a)
+        + (total - z) / (2 * z) * np.exp(-(total + z) / 2 * seps)
+        - (total + z) / (2 * z) * np.exp(-(total - z) / 2 * seps)
     )
     return _real_checked(np.atleast_1d(vals))
 
@@ -294,16 +286,6 @@ def _three_cross_neg(g0: float, g1: float, g2v: float, seps: np.ndarray) -> np.n
     return _real_checked(np.atleast_1d(vals))
 
 
-def _three_cross(g0: float, g1: float, g2v: float, taus: np.ndarray) -> np.ndarray:
-    out = np.empty_like(taus)
-    pos = taus >= 0
-    if pos.any():
-        out[pos] = _three_cross_pos(g0, g1, g2v, taus[pos])
-    if (~pos).any():
-        out[~pos] = _three_cross_neg(g0, g1, g2v, -taus[~pos])
-    return out
-
-
 # rate rotations mapping each cross pair onto the base (2, 1) trace
 _THREE_ROTATIONS = {
     (2, 1): lambda g: (g[0], g[1], g[2]),
@@ -318,22 +300,23 @@ def g2_three_level(
     """Three-level closed forms for any transition pair and signed tau.
 
     Autocorrelations share one trace. The contiguous cross pair (2, 1) is
-    the base form; (1, 0) and (0, 2) follow by rotating the rates, the
-    remaining orders by the time mirror g_{m,n}(tau) = g_{n,m}(-tau).
-    tau = 0 evaluates the right limit.
+    the base form; (1, 0) and (0, 2) follow by rotating the rates. On
+    tau >= 0 a swapped pair (1, 2), (0, 1) or (2, 0) is the base pair's
+    negative-delay branch, and negative delays mirror the swapped pair,
+    g_{m,n}(tau) = g_{n,m}(-tau). tau = 0 evaluates the right limit.
     """
     if min(gamma0, gamma1, gamma2) <= 0:
         raise ConfigInvalid("rates must be > 0")
     rates = (gamma0, gamma1, gamma2)
-    m, n = m % 3, n % 3
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if m == n:
-        out = _three_auto(*rates, taus)
-    elif (m, n) in _THREE_ROTATIONS:
-        out = _three_cross(*_THREE_ROTATIONS[(m, n)](rates), taus)
-    else:
-        out = _three_cross(*_THREE_ROTATIONS[(n, m)](rates), -taus)
-    return out if np.ndim(tau) else float(out[0])
+
+    def right(a, b, s):
+        if a == b:
+            return _three_auto(*rates, s)
+        if (a, b) in _THREE_ROTATIONS:
+            return _three_cross_pos(*_THREE_ROTATIONS[(a, b)](rates), s)
+        return _three_cross_neg(*_THREE_ROTATIONS[(b, a)](rates), s)
+
+    return signed_delay(right, m % 3, n % 3, tau)
 
 
 class OscillationRegime(enum.Enum):
@@ -363,12 +346,13 @@ def g2_limit_low_pump(gamma0: float, gamma1: float, gamma2: float, tau) -> float
     1 - exp(gamma1 tau) for tau < 0; 1 + (gamma2/gamma0) exp(-gamma2 tau)
     for tau >= 0.
     """
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = np.empty_like(taus)
-    neg = taus < 0
-    out[neg] = 1.0 - np.exp(gamma1 * taus[neg])
-    out[~neg] = 1.0 + (gamma2 / gamma0) * np.exp(-gamma2 * taus[~neg])
-    return out if np.ndim(tau) else float(out[0])
+
+    def right(a, b, s):
+        if (a, b) == (2, 1):
+            return 1.0 + (gamma2 / gamma0) * np.exp(-gamma2 * s)
+        return 1.0 - np.exp(-gamma1 * s)
+
+    return signed_delay(right, 2, 1, tau)
 
 
 def g2_limit_high_pump(gamma0: float, gamma1: float, gamma2: float, tau) -> float | np.ndarray:
@@ -377,16 +361,14 @@ def g2_limit_high_pump(gamma0: float, gamma1: float, gamma2: float, tau) -> floa
     tau < 0: 1 + (g1/g2) exp((g1+g2) tau) - (1 + g1/g2) exp(g0 tau);
     tau >= 0: 1 + (g2/g1) exp(-(g1+g2) tau).
     """
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = np.empty_like(taus)
-    neg = taus < 0
-    out[neg] = (
-        1.0
-        + (gamma1 / gamma2) * np.exp((gamma1 + gamma2) * taus[neg])
-        - (1.0 + gamma1 / gamma2) * np.exp(gamma0 * taus[neg])
-    )
-    out[~neg] = 1.0 + (gamma2 / gamma1) * np.exp(-(gamma1 + gamma2) * taus[~neg])
-    return out if np.ndim(tau) else float(out[0])
+
+    def right(a, b, s):
+        decay = np.exp(-(gamma1 + gamma2) * s)
+        if (a, b) == (2, 1):
+            return 1.0 + (gamma2 / gamma1) * decay
+        return 1.0 + (gamma1 / gamma2) * decay - (1.0 + gamma1 / gamma2) * np.exp(-gamma0 * s)
+
+    return signed_delay(right, 2, 1, tau)
 
 
 def g2_phenomenological(p: float, gamma1: float, gamma2: float, tau) -> float | np.ndarray:
@@ -399,10 +381,9 @@ def g2_phenomenological(p: float, gamma1: float, gamma2: float, tau) -> float | 
         raise ConfigInvalid("p must be in [0, 1]")
     if gamma1 <= 0 or gamma2 <= 0:
         raise ConfigInvalid("rates must be > 0")
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
     ratio = gamma2 / gamma1
-    out = np.empty_like(taus)
-    neg = taus < 0
-    out[neg] = 1.0 + (1.0 - p) * ratio * np.exp(gamma2 * taus[neg])
-    out[~neg] = 1.0 + p * ratio * np.exp(-gamma2 * taus[~neg])
-    return out if np.ndim(tau) else float(out[0])
+    # pair (1, 0) is the good order, its mirror (0, 1) the reversed one
+    return signed_delay(
+        lambda a, b, s: 1.0 + (p if a == 1 else 1.0 - p) * ratio * np.exp(-gamma2 * s),
+        1, 0, tau,
+    )

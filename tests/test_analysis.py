@@ -12,6 +12,7 @@ from circascade import (
     find_peaks,
     find_peaks_cross,
     g2_equal,
+    steady_state,
 )
 
 UNBALANCED = CascadeSpec(3, (1.0, 1.1, 0.025))
@@ -176,3 +177,9 @@ def test_discontinuity_general_rates_uses_numeric_limits():
     from circascade import steady_state
 
     assert right == pytest.approx(1 / steady_state(spec)[2], rel=1e-6)
+
+
+def test_discontinuity_returns_exact_limits():
+    spec = CascadeSpec(4, (0.5, 1.0, 2.0, 3.0))
+    right = 1 / steady_state(spec)[2]
+    assert discontinuity(spec, 2, 1) == pytest.approx((0.0, right, right), rel=1e-12, abs=0)

@@ -192,6 +192,16 @@ def test_general_three_level_trace(tmp_path):
     )
 
 
+def test_general_three_level_swapped_pair_at_tau_zero(tmp_path):
+    # the grid holds tau = 0, where (1, 2) takes its own right limit, 0
+    out = tmp_path / "g.csv"
+    cp = run_cli("general", "--rates-inline", "1,1.1,0.025", "--pair", "1,2",
+                 "--tau", "-8:8", "--steps", 1600, "--out", out)
+    assert cp.returncode == 0, cp.stderr
+    data = load_csv(out)
+    assert data[800, 0] == 0.0 and data[800, 1] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_general_two_level_equal_rates(tmp_path):
     rates = tmp_path / "rates.json"
     rates.write_text(json.dumps({"n_levels": 2, "rates": [1.0, 1.0]}))

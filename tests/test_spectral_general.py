@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circascade import (
     CascadeSpec,
@@ -267,7 +269,8 @@ def test_two_level_autocorrelation():
 def test_two_level_cross_examples():
     # equal rates: bunching of 2 at the origin, consistent with g2(0) = N
     assert g2_two_level(1.0, 1.0, 1, 0, 1e-14) == pytest.approx(2.0, abs=1e-9)
-    assert g2_two_level(2.0, 1.0, 1, 0, 0.3) == pytest.approx(1 + 2 * math.exp(-0.9))
+    # arrival labels: (1, 0) starts and reads level 1, so the ratio is g1/g0
+    assert g2_two_level(2.0, 1.0, 1, 0, 0.3) == pytest.approx(1 + 0.5 * math.exp(-0.9))
 
 
 def test_two_level_mirror():
@@ -311,6 +314,61 @@ def test_three_level_matches_propagation():
                 b = g2_general(spec, m, n, tau)
                 worst = max(worst, abs(a - b))
     assert worst <= 1e-8
+
+
+def test_three_level_tau_zero_is_the_right_limit_of_every_pair():
+    # at tau = 0 each swapped pair takes its own right limit, not the base pair's
+    spec = CascadeSpec(3, UNBALANCED)
+    for m in range(3):
+        for n in range(3):
+            exact = g2_general(spec, m, n, 0.0)
+            for zero in (0.0, -0.0):
+                assert abs(g2_three_level(*UNBALANCED, m, n, zero) - exact) <= 1e-9
+
+
+RATE = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+# delay in mean lifetimes 1 / mean(rates): both zeros, the approach to the
+# tau = 0 jump from either side, and the bulk of the trace
+DELAY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@pytest.mark.parametrize("nlev, closed, tol", [
+    (2, g2_two_level, 1e-10),
+    (3, g2_three_level, 1e-7),  # loses digits to cancellation near tau = 0
+])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_closed_forms_match_propagation(nlev, closed, tol, data):
+    rates = tuple(data.draw(st.lists(RATE, min_size=nlev, max_size=nlev)))
+    tau = data.draw(DELAY) / np.mean(rates)
+    spec = CascadeSpec(nlev, rates)
+    for m in range(nlev):
+        for n in range(nlev):
+            g = g2_general(spec, m, n, tau)
+            assert abs(closed(*rates, m, n, tau) - g) <= tol * max(1.0, abs(g))
+
+
+@given(rates=st.lists(RATE, min_size=2, max_size=5), data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_negative_delay_mirrors_the_swapped_pair_bitwise(rates, data):
+    nlev = len(rates)
+    m, n = data.draw(st.tuples(st.integers(0, nlev - 1), st.integers(0, nlev - 1)))
+    s = data.draw(st.floats(1e-12, 10.0)) / np.mean(rates)
+    spec = CascadeSpec(nlev, tuple(rates))
+    routes = [
+        lambda a, b, t: g2_equal_pair(nlev, a, b, rates[0], t),
+        lambda a, b, t: g2_general(spec, a, b, t),
+    ]
+    if nlev == 2:
+        routes.append(lambda a, b, t: g2_two_level(*rates, a, b, t))
+    if nlev == 3:
+        routes.append(lambda a, b, t: g2_three_level(*rates, a, b, t))
+    for g in routes:
+        assert g(m, n, -s) == g(n, m, s)
+        assert g(m, n, -0.0) == g(m, n, 0.0)
 
 
 def test_three_level_rotations_are_exact():
