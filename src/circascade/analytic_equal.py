@@ -128,7 +128,7 @@ def g2_equal(n_levels: int, k: int, gamma: float, tau) -> float | np.ndarray:
     if gamma <= 0:
         raise ConfigInvalid("gamma must be > 0")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(taus < 0):
+    if not np.all(taus >= 0):  # NaN fails too
         raise ConfigInvalid("tau must be >= 0; use g2_equal_pair for signed delays")
     k = k % n_levels
     if n_levels == 1:

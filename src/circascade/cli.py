@@ -276,10 +276,8 @@ def cmd_simulate(args) -> None:
 
 def _read_stream(path: str):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"CEV1":
-        return read_events_binary(path)
-    return read_events_text(path)
+        binary = fh.read(3) == b"CEV"  # any CEV magic: the binary reader names it
+    return read_events_binary(path) if binary else read_events_text(path)
 
 
 def cmd_correlate(args) -> None:

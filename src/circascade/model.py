@@ -17,7 +17,8 @@ Conventions (used everywhere in this package):
 * Delays are signed. A negative delay mirrors the swapped pair,
   ``g_{m,n}(-s) = g_{n,m}(s)``, and tau = 0 (also -0.0) is the right
   limit ``g_{m,n}(0+)``; the jump of a contiguous pair sits there. Every
-  signed-delay trace applies this rule through ``signed_delay``.
+  signed-delay trace applies this rule through ``signed_delay``, which
+  rejects a NaN delay.
 
 Errors: every failure is a ``CascadeError`` of one of four kinds, each
 carrying the CLI exit status in ``exit_code``: ``ConfigInvalid`` (2, input
@@ -117,7 +118,10 @@ class CascadeSpec:
     @classmethod
     def from_json(cls, text: str) -> "CascadeSpec":
         data = json.loads(text)
-        spec = cls(int(data["n_levels"]), tuple(data["rates"]))
+        n = data["n_levels"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ConfigInvalid(f"n_levels must be an integer, got {n!r}")
+        spec = cls(n, tuple(data["rates"]))
         validate(spec)
         return spec
 
@@ -152,9 +156,11 @@ def signed_delay(right, m: int, n: int, tau) -> float | np.ndarray:
     Delays tau >= 0 (-0.0 included) take ``right(m, n, tau)``; negative
     delays take the swapped pair, ``right(n, m, -tau)``. Each branch is
     called at most once, on its points in grid order; scalar tau returns
-    a float.
+    a float. A NaN delay raises ConfigInvalid.
     """
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if np.isnan(taus).any():
+        raise ConfigInvalid("tau must not be NaN")
     out = np.empty_like(taus)
     pos = taus >= 0
     if pos.any():

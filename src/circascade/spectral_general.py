@@ -122,11 +122,11 @@ def decompose(spec: CascadeSpec) -> SpectralDecomposition:
 
 
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
-    if p.min() < -NEGATIVE_CLAMP:
-        raise NumericalFailure(f"propagated probability {p.min():.3e} < -1e-12")
+    if not p.min() >= -NEGATIVE_CLAMP:  # NaN fails too
+        raise NumericalFailure(f"propagated probability {p.min():.3e} is not >= -1e-12")
     p = np.clip(p, 0.0, None)
     s = p.sum(axis=-1, keepdims=True)
-    if np.any(np.abs(s - 1.0) > 1e-10):
+    if not np.all(np.abs(s - 1.0) <= 1e-10):
         raise NumericalFailure("propagated probabilities do not sum to 1")
     return p / s
 
@@ -139,7 +139,7 @@ def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> 
     n = spec.n_levels
     if not 0 <= initial_level < n:
         raise ConfigInvalid(f"initial_level {initial_level} outside [0, {n})")
-    if np.any(taus < 0):
+    if not np.all(taus >= 0):  # NaN fails too
         raise ConfigInvalid("tau must be >= 0")
     q = generator_matrix(spec)
     order = np.argsort(taus, kind="stable")

@@ -9,9 +9,10 @@ exactly an ``EventStream`` ring. Sampling is vectorized in chunks; the RNG
 is counter-based (Philox keyed by seed and trajectory index) so ensembles
 parallelize deterministically.
 
-The file formats store one (timestamp, label) record per event; the
-readers rebuild the ring with ``EventStream.from_labels``, which rejects
-labels that do not cycle.
+The text format stores one '<timestamp> <label>' line per event and its
+reader rebuilds the ring with ``EventStream.from_labels``, which rejects
+labels that do not cycle. The binary format stores the ring itself: a
+header with the first label, then the raw f64 times.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .model import (
 from .spectral_general import steady_state
 
 _CHUNK = 1 << 19
-_BINARY_MAGIC = b"CEV1"
-_BINARY_RECORD = np.dtype([("t", "<f8"), ("l", "<u2")])
+_BINARY_MAGIC = b"CEV2"
+_BINARY_HEADER = struct.Struct("<IIQdQ")  # N, first label, seed, T, count
 
 
 @dataclass(frozen=True)
@@ -204,9 +205,11 @@ def occupancy_block_estimates(stream: EventStream, n_blocks: int = 100) -> np.nd
 
 def dwell_samples(stream: EventStream, level: int) -> np.ndarray:
     """Uncensored dwell times in one level (gaps preceding its departures)."""
-    times, labels = stream.merged()
-    idx = np.nonzero(labels[1:] == level)[0] + 1
-    return times[idx] - times[idx - 1]
+    n = stream.n_levels
+    if not 0 <= level < n:
+        raise ConfigInvalid(f"level {level} outside [0, {n})")
+    # gap j ends event j + 1, whose label is level when j = first - level - 1 mod N
+    return np.diff(stream.times)[(stream.first_label - level - 1) % n :: n]
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +260,17 @@ def read_events_text(path) -> EventStream:
 def write_events_binary(stream: EventStream, path) -> None:
     """Compact binary format, little-endian, bit-exact round trip.
 
-    Layout: magic 'CEV1', u32 N, u64 seed, f64 T, u64 count, then count
-    records of (f64 timestamp, u16 label). Rings of more than 65536 levels
-    do not fit the u16 label and raise ConfigInvalid.
+    Layout: magic 'CEV2', then the ``<IIQdQ`` header (u32 N, u32 first
+    label, u64 seed, f64 T, u64 count), then the ring's count f64
+    timestamps. The labels follow from the first one, so any N fits.
     """
-    if stream.n_levels > 1 << 16:
-        raise ConfigInvalid(
-            f"binary event files hold u16 labels, so N = {stream.n_levels} "
-            f"(--n) exceeds 65536 levels; use --format text"
-        )
-    times, labels = stream.merged()
     seed = stream.seed if stream.seed is not None else 0
-    rec = np.zeros(len(times), dtype=_BINARY_RECORD)
-    rec["t"] = times
-    rec["l"] = labels
+    header = _BINARY_HEADER.pack(
+        stream.n_levels, stream.first_label, seed, stream.total_duration, stream.n_events
+    )
     with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<IQdQ", stream.n_levels, seed, stream.total_duration, len(times)))
-        fh.write(rec.tobytes())
+        fh.write(_BINARY_MAGIC + header)
+        fh.write(np.ascontiguousarray(stream.times, dtype="<f8"))
 
 
 def read_events_binary(path) -> EventStream:
@@ -282,21 +278,16 @@ def read_events_binary(path) -> EventStream:
         magic = fh.read(4)
         if magic != _BINARY_MAGIC:
             raise StreamInvariantViolation(f"bad magic {magic!r} in binary stream")
-        head = fh.read(28)
-        if len(head) < 28:
+        head = fh.read(_BINARY_HEADER.size)
+        if len(head) < _BINARY_HEADER.size:
             raise StreamInvariantViolation("binary stream header is truncated")
-        n, seed, total, count = struct.unpack("<IQdQ", head)
+        n, first, seed, total, count = _BINARY_HEADER.unpack(head)
         raw = fh.read()
-    size = _BINARY_RECORD.itemsize
-    if len(raw) < count * size:
+    if len(raw) != 8 * count:
         raise StreamInvariantViolation(
-            f"binary stream truncated: {len(raw) // size} of {count} records"
+            f"binary stream body is {len(raw)} bytes, not {count} f64 timestamps"
         )
-    if count == 0:
-        raise StreamInvariantViolation("binary stream has no events")
-    rec = np.frombuffer(raw, dtype=_BINARY_RECORD, count=count)
-    stream = EventStream.from_labels(
-        rec["t"].astype(np.float64), rec["l"], n, total, seed=int(seed)
-    )
+    # the constructor rejects an unusable N, first label or T; check() no events
+    stream = EventStream(np.frombuffer(raw, "<f8"), first, n, total, seed=seed)
     stream.check()
     return stream

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from circascade import (
     correlate,
     g2_equal_pair,
     g2_three_level,
+    read_events_binary,
     read_events_text,
     simulate,
 )
@@ -120,7 +122,6 @@ MALFORMED_FLAGS = [
     ("--events", ["simulate", "--n", 3, "--events", "inf"]),
     ("--tau", ["analytic", "--n", 6, "--k", 1, "--tau", "nan:1"]),
     ("--tau", ["analytic", "--n", 6, "--k", 1, "--tau", "0:inf"]),
-    ("--n", ["simulate", "--seed", 1, "--events", 100, "--n", 70000]),
     ("--n", ["cscheck", "--pair", "3,1"]),
     # the float flags are rejected while parsing, before the stream is opened
     ("--bin", ["correlate", "--in", "run.events", "--pair", "1,1", "--taumax", 1, "--bin", "nan"]),
@@ -221,6 +222,15 @@ def test_general_bad_rates_file_exit_2(tmp_path):
     assert cp.returncode == 2
 
 
+@pytest.mark.parametrize("n_levels", ["3.9", "true"])
+def test_general_non_integer_level_count_exit_2(tmp_path, n_levels):
+    rates = tmp_path / "rates.json"
+    rates.write_text(f'{{"n_levels": {n_levels}, "rates": [1.0, 1.1, 0.025]}}')
+    cp = run_cli("general", "--rates", rates, "--pair", "1,0", "--out", tmp_path / "x.csv")
+    assert cp.returncode == 2
+    assert "--rates: n_levels must be an integer" in cp.stderr
+
+
 def test_general_missing_rates_file_exit_4(tmp_path):
     cp = run_cli("general", "--rates", tmp_path / "nope.json", "--pair", "1,0",
                  "--out", tmp_path / "x.csv")
@@ -264,6 +274,26 @@ def test_correlate_subset_flag(tmp_path):
     # (bin-averaged over [0, 0.2), so below the 2.0 limit value)
     center = np.argmin(np.abs(data[:, 0] - 0.1))
     assert data[center, 1] > 1.5
+
+
+def test_simulate_binary_ring_beyond_u16_labels(tmp_path):
+    stream_path = tmp_path / "big.events"
+    cp = run_cli("simulate", "--n", 70000, "--events", 200, "--seed", 1, "--out", stream_path)
+    assert cp.returncode == 0, cp.stderr
+    stream = simulate(SimConfig(CascadeSpec.equal(70000, 1.0), seed=1, total_events=200))
+    again = read_events_binary(stream_path)
+    assert (again.n_levels, again.first_label) == (70000, stream.first_label)
+    assert np.array_equal(again.times, stream.times)
+
+
+def test_correlate_old_binary_format_exit_4(tmp_path):
+    stream_path = tmp_path / "old.events"
+    records = b"".join(struct.pack("<dH", t, l) for t, l in ((1.0, 2), (2.0, 1), (3.0, 0)))
+    stream_path.write_bytes(b"CEV1" + struct.pack("<IQdQ", 3, 0, 10.0, 3) + records)
+    cp = run_cli("correlate", "--in", stream_path, "--pair", "1,1",
+                 "--bin", 0.05, "--taumax", 1, "--out", tmp_path / "x.csv")
+    assert cp.returncode == 4
+    assert cp.stderr == "error: bad magic b'CEV1' in binary stream\n"
 
 
 def test_rerun_is_byte_identical(tmp_path):

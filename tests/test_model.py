@@ -109,6 +109,12 @@ def test_spec_json_rejects_length_mismatch():
         CascadeSpec.from_json('{"n_levels": 3, "rates": [1.0, 2.0]}')
 
 
+@pytest.mark.parametrize("n_levels", ["3.9", "true", '"3"'])
+def test_spec_json_rejects_a_non_integer_level_count(n_levels):
+    with pytest.raises(ConfigInvalid, match="n_levels must be an integer"):
+        CascadeSpec.from_json(f'{{"n_levels": {n_levels}, "rates": [1.0, 2.0, 3.0]}}')
+
+
 def test_equal_rate_predicate():
     assert CascadeSpec.equal(4, 2.0).is_equal_rate()
     assert not CascadeSpec(2, (1.0, 1.0 + 1e-6)).is_equal_rate()

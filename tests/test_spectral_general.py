@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 
 from circascade import (
     CascadeSpec,
+    ConfigInvalid,
     OscillationRegime,
+    SubsetSpec,
+    cs_check,
     decompose,
+    g2_equal,
     g2_equal_pair,
     g2_general,
     g2_limit_high_pump,
     g2_limit_low_pump,
     g2_phenomenological,
+    g2_subset,
     g2_three_level,
     g2_two_level,
     generator_matrix,
@@ -369,6 +374,33 @@ def test_negative_delay_mirrors_the_swapped_pair_bitwise(rates, data):
     for g in routes:
         assert g(m, n, -s) == g(n, m, s)
         assert g(m, n, -0.0) == g(m, n, 0.0)
+
+
+NAN = float("nan")
+SPEC4 = CascadeSpec(4, (0.5, 1.0, 2.0, 3.0))
+NAN_DELAY_ROUTES = {
+    "g2_equal": lambda: g2_equal(6, 1, 1.0, NAN),
+    "g2_equal_pair": lambda: g2_equal_pair(6, 2, 1, 1.0, NAN),
+    "g2_subset": lambda: g2_subset(6, SubsetSpec((1, 2)), 1.0, [0.5, NAN]),
+    "g2_two_level": lambda: g2_two_level(1.0, 2.0, 1, 0, NAN),
+    "g2_three_level": lambda: g2_three_level(1.0, 1.1, 0.025, 2, 1, NAN),
+    "g2_general": lambda: g2_general(SPEC4, 2, 1, [NAN, 0.5]),
+    "propagate": lambda: propagate(SPEC4, 0, NAN),
+    "cs_check": lambda: cs_check(CascadeSpec.equal(6, 1.0), 3, 1, [0.1, NAN]),
+}
+
+
+@pytest.mark.parametrize("route", NAN_DELAY_ROUTES.values(), ids=NAN_DELAY_ROUTES.keys())
+def test_nan_delay_raises(route):
+    with pytest.raises(ConfigInvalid, match="tau must"):
+        route()
+
+
+# expm(Q * inf) is NaN; the probability guards must catch it
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_infinite_delay_fails_the_probability_guards():
+    with pytest.raises(NumericalFailure, match="propagated probability nan"):
+        g2_general(SPEC4, 2, 1, math.inf)
 
 
 def test_three_level_rotations_are_exact():

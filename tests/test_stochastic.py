@@ -133,6 +133,13 @@ def test_burn_in_shifts_origin():
     assert stream.total_duration == 500.0
 
 
+@pytest.mark.parametrize("level", [-1, 3])
+def test_dwell_samples_rejects_a_level_outside_the_ring(level):
+    stream = simulate(SimConfig(SPEC124, seed=21, total_events=100))
+    with pytest.raises(ConfigInvalid, match=f"level {level} outside"):
+        dwell_samples(stream, level)
+
+
 def test_dwell_marginals_pass_ks(subtests=None):
     stream = simulate(SimConfig(SPEC124, seed=21, total_events=330_000))
     for level, rate in enumerate(SPEC124.rates):
@@ -247,17 +254,48 @@ def test_truncated_binary_rejected(tmp_path, kept_bytes):
 
 def test_binary_without_levels_or_events_rejected(tmp_path):
     path = tmp_path / "empty.bin"
-    path.write_bytes(b"CEV1" + struct.pack("<IQdQ", 0, 0, 10.0, 0))
+    path.write_bytes(b"CEV2" + struct.pack("<IIQdQ", 0, 0, 0, 10.0, 0))
     with pytest.raises(StreamInvariantViolation):
         read_events_binary(path)
 
 
-def test_binary_rejects_rings_beyond_u16_labels(tmp_path):
-    stream = EventStream(np.arange(1.0, 101.0), 0, 70_000, 200.0)
+def test_binary_layout_is_header_plus_raw_times(tmp_path):
+    stream = simulate(SimConfig(SPEC124, seed=8, total_events=50, initial_level=1))
+    path = tmp_path / "events.bin"
+    write_events_binary(stream, path)
+    data = path.read_bytes()
+    assert len(data) == 36 + 8 * stream.n_events
+    header = struct.unpack("<4sIIQdQ", data[:36])
+    assert header == (b"CEV2", 3, stream.first_label, 8, stream.total_duration, 50)
+    assert data[36:] == stream.times.tobytes()
+
+
+def _header_with_first_label(data: bytes, first: int) -> bytes:
+    return data[:8] + struct.pack("<I", first) + data[12:]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda d: d + b"\0", lambda d: _header_with_first_label(d, 3), lambda d: d[:-1],
+     lambda d: d[:28] + struct.pack("<Q", 0)],
+    ids=["trailing byte", "first label >= N", "short body", "no events"],
+)
+def test_damaged_binary_rejected(tmp_path, damage):
+    path = tmp_path / "events.bin"
+    write_events_binary(simulate(SimConfig(SPEC124, seed=8, total_events=50)), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(StreamInvariantViolation):
+        read_events_binary(path)
+
+
+def test_binary_round_trips_rings_beyond_u16_labels(tmp_path):
+    # the ring stores no per-event label, so any N fits the binary format
+    stream = EventStream(np.arange(1.0, 101.0), 69_990, 70_000, 200.0, seed=3)
     path = tmp_path / "big.events"
-    with pytest.raises(ConfigInvalid, match="--format text"):
-        write_events_binary(stream, path)
-    assert not path.exists()
+    write_events_binary(stream, path)
+    again = read_events_binary(path)
+    assert (again.n_levels, again.first_label, again.seed) == (70_000, 69_990, 3)
+    assert np.array_equal(again.times, stream.times)
 
 
 def _damaged_copies(data: bytes):
