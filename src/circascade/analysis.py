@@ -11,7 +11,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic_equal import g2_equal, g2_equal_pair
-from .model import CascadeSpec, ConfigInvalid, InsufficientSamples, validate
+from .model import (
+    CascadeSpec,
+    ConfigInvalid,
+    InsufficientSamples,
+    check_levels,
+    check_rate,
+    validate,
+)
 from .spectral_general import g2_general, g2_three_level
 
 PEAK_GRID_STEP = 0.01      # in units of 1/gamma
@@ -117,6 +124,7 @@ def find_peaks(n_levels: int, gamma: float, k: int, max_order: int) -> PeakRepor
     refined by golden section to within 1e-4/gamma. max_order < 1 raises
     ConfigInvalid; a trace without maxima raises InsufficientSamples.
     """
+    n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
     found = _scan_peaks(n_levels, k % n_levels, gamma, max_order)
     if not found:
         raise InsufficientSamples(f"no oscillation maxima for N={n_levels}, k={k}")
@@ -133,6 +141,7 @@ def find_peaks_cross(n_levels: int, gamma: float, max_order: int) -> PeakReport:
     mirrors onto class (2 - k) mod N. For odd N the sides differ and the
     larger peak of each order is reported.
     """
+    n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
     k = (n_levels + 3) // 2
     k_mirror = (2 - k) % n_levels
     sides = [_scan_peaks(n_levels, k % n_levels, gamma, max_order)]

@@ -40,7 +40,15 @@ import math
 
 import numpy as np
 
-from .model import ConfigInvalid, NumericalFailure, SubsetSpec, signed_delay, trace_index
+from .model import (
+    ConfigInvalid,
+    NumericalFailure,
+    SubsetSpec,
+    check_levels,
+    check_rate,
+    signed_delay,
+    trace_index,
+)
 
 # below this value of gamma*tau the Poisson series is used instead of the mode sum
 SERIES_SWITCH = 1.0
@@ -55,9 +63,7 @@ _EPS = float(np.finfo(float).eps)
 
 def root_of_unity(n_levels: int) -> complex:
     """exp(2 i pi / N), the primitive N-th root of unity."""
-    if n_levels < 1:
-        raise ConfigInvalid("n_levels must be >= 1")
-    return cmath.exp(2j * math.pi / n_levels)
+    return cmath.exp(2j * math.pi / check_levels(n_levels))
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,10 +129,7 @@ def g2_equal(n_levels: int, k: int, gamma: float, tau) -> float | np.ndarray:
     Negative rounding down to NEGATIVE_ROUNDING * N * eps is clamped to 0;
     a value below that raises NumericalFailure.
     """
-    if n_levels < 1:
-        raise ConfigInvalid("n_levels must be >= 1")
-    if gamma <= 0:
-        raise ConfigInvalid("gamma must be > 0")
+    n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if not np.all(taus >= 0):  # NaN fails too
         raise ConfigInvalid("tau must be >= 0; use g2_equal_pair for signed delays")
@@ -156,6 +159,7 @@ def g2_equal_pair(n_levels: int, m: int, n: int, gamma: float, tau) -> float | n
     Negative delays mirror the swapped pair: g_{m,n}(tau) = g_{n,m}(-tau);
     tau = 0 is the right limit.
     """
+    n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
     return signed_delay(
         lambda a, b, s: g2_equal(n_levels, trace_index(a, b, n_levels), gamma, s),
         m, n, tau,
@@ -168,10 +172,11 @@ def small_tau_leading(n_levels: int, k: int, gamma: float, tau) -> float | np.nd
     k < N: N (gamma tau)^(N-k) / (N-k)!   (rise of the suppressed classes)
     k = N: N exp(-gamma tau)              (decay of the contiguous class)
     """
+    n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
     if not 1 <= k <= n_levels:
         raise ConfigInvalid(f"k must be in [1, {n_levels}], got {k}")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(taus < 0):
+    if not np.all(taus >= 0):  # NaN fails too
         raise ConfigInvalid("tau must be >= 0")
     x = gamma * taus
     if k == n_levels:
@@ -189,6 +194,7 @@ def g2_subset(n_levels: int, subset: SubsetSpec, gamma: float, tau) -> float | n
     multiplicities matter, so the double sum collapses to one pass over the
     N trace classes.
     """
+    n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
     if not isinstance(subset, SubsetSpec):
         subset = SubsetSpec(tuple(subset))
     subset.check_against(n_levels)
@@ -207,6 +213,7 @@ def g2_subset(n_levels: int, subset: SubsetSpec, gamma: float, tau) -> float | n
 
 def bundle_peak(n_levels: int, n_s: int) -> float:
     """Central superbunching value N (n_S - 1) / n_S^2 of a contiguous bundle."""
+    n_levels = check_levels(n_levels)
     if n_s < 1:
         raise ConfigInvalid("bundle size must be >= 1")
     return n_levels * (n_s - 1) / n_s ** 2

@@ -24,6 +24,7 @@ parallelism).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -195,14 +196,21 @@ def _spec_from_file(path: str) -> CascadeSpec:
         raise ConfigInvalid(f"--rates file {path!r} is not a valid spec: {exc}")
 
 
+@contextlib.contextmanager
+def _naming(flags: str):
+    """Re-raise a ConfigInvalid from the block prefixed with the flags it came from."""
+    try:
+        yield
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{flags}: {exc}") from None
+
+
 def _spec_from_flags(args) -> CascadeSpec:
     if args.n is None:
         raise ConfigInvalid("--n is required")
-    spec = CascadeSpec.equal(args.n, args.gamma)
-    try:
+    with _naming("--n/--gamma"):
+        spec = CascadeSpec.equal(args.n, args.gamma)
         validate(spec)
-    except ConfigInvalid as exc:
-        raise ConfigInvalid(f"--n/--gamma: {exc}")
     return spec
 
 
@@ -227,16 +235,14 @@ def cmd_analytic(args) -> None:
 
 def cmd_general(args) -> None:
     if args.rates_inline:
-        spec_rates = tuple(_parse_numbers("--rates-inline", args.rates_inline, "r0,r1,..."))
-        spec = CascadeSpec(len(spec_rates), spec_rates)
+        rates = tuple(_parse_numbers("--rates-inline", args.rates_inline, "r0,r1,..."))
+        with _naming("--rates-inline"):
+            spec = CascadeSpec(len(rates), rates)
+            validate(spec)
     elif args.rates:
-        spec = _spec_from_file(args.rates)
+        spec = _spec_from_file(args.rates)  # validated by from_json
     else:
         raise ConfigInvalid("--rates (JSON file) or --rates-inline is required")
-    try:
-        validate(spec)
-    except ConfigInvalid as exc:
-        raise ConfigInvalid(f"--rates: {exc}")
     m, n = _parse_pair(args.pair or "1,1", spec.n_levels)
     taus = _tau_grid(args)
     # one call: the stepped propagation must not restart at chunk boundaries
@@ -295,8 +301,6 @@ def cmd_correlate(args) -> None:
 
 
 def cmd_peaks(args) -> None:
-    if args.gamma <= 0:
-        raise ConfigInvalid(f"--gamma must be > 0, got {args.gamma!r}")
     orders = args.orders if args.orders is not None else 3
     cross_orders = args.cross_orders if args.cross_orders is not None else 7
     for flag, value in (("--orders", orders), ("--cross-orders", cross_orders)):
@@ -304,8 +308,8 @@ def cmd_peaks(args) -> None:
             raise ConfigInvalid(f"{flag} must be >= 1, got {value}")
     if args.scan:
         lo, hi = _parse_numbers("--scan", args.scan, "lo:hi", int)
-        if lo < 1:
-            raise ConfigInvalid(f"--scan needs lo >= 1, got {args.scan!r}")
+        with _naming("--scan/--gamma"):
+            validate(CascadeSpec.equal(lo, args.gamma))
         rows = ["kind,n_levels,order,tau,g2"]
         for n in range(lo, hi + 1):
             for kind, n_orders in (("auto", orders), ("cross", cross_orders)):
@@ -324,8 +328,7 @@ def cmd_peaks(args) -> None:
         with open(args.out, "w") as fh:
             fh.write("\n".join(rows) + "\n")
     else:
-        if args.n is None or args.n < 1:
-            raise ConfigInvalid("--n >= 1 is required")
+        _spec_from_flags(args)
         report = (
             find_peaks_cross(args.n, args.gamma, orders)
             if args.cross

@@ -24,13 +24,23 @@ Errors: every failure is a ``CascadeError`` of one of four kinds, each
 carrying the CLI exit status in ``exit_code``: ``ConfigInvalid`` (2, input
 outside the domain), ``NumericalFailure`` (3, lost accuracy or routes that
 disagree), ``StreamInvariantViolation`` (4, a malformed event stream) and
-``InsufficientSamples`` (5, an empty channel or no peaks).
+``InsufficientSamples`` (5, an empty channel or no peaks). The domain
+rule lives here once: a level count is an integer >= 1 (``check_levels``)
+and a rate is a finite number > 0 (``check_rate``); anything else raises
+``ConfigInvalid``. ``validate`` applies both to a ``CascadeSpec``, and the
+raw-argument entry points apply them to their own arguments: ``g2_equal``,
+``g2_equal_pair``, ``g2_subset``, ``root_of_unity``, ``small_tau_leading``,
+``bundle_peak``, ``trace_index``, ``g2_two_level``, ``g2_three_level``,
+``zeta_value``, ``oscillation_condition``, ``g2_limit_low_pump``,
+``g2_limit_high_pump``, ``g2_phenomenological``, ``find_peaks`` and
+``find_peaks_cross``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,24 +82,59 @@ class InsufficientSamples(CascadeError):
     exit_code = 5
 
 
+def _integer_levels(n_levels) -> int:
+    """``n_levels`` as an int; numpy integers pass, a bool, float or string
+    raises ConfigInvalid."""
+    try:
+        if not isinstance(n_levels, bool):
+            return operator.index(n_levels)
+    except TypeError:
+        pass
+    raise ConfigInvalid(f"n_levels must be an integer, got {n_levels!r}")
+
+
+def check_levels(n_levels) -> int:
+    """The level-count rule: ``n_levels`` as an int when it is an integer >= 1."""
+    n = _integer_levels(n_levels)
+    if n < 1:
+        raise ConfigInvalid(f"n_levels must be >= 1, got {n}")
+    return n
+
+
+def check_rate(name: str, value) -> float:
+    """The rate rule: ``value`` as a float when it is finite and > 0;
+    otherwise ConfigInvalid naming ``name``."""
+    try:
+        rate = float(value)
+    except (TypeError, ValueError):
+        raise ConfigInvalid(f"{name} = {value!r} is not a number") from None
+    if not math.isfinite(rate):
+        raise ConfigInvalid(f"{name} = {rate!r} is not finite")
+    if rate <= 0:
+        raise ConfigInvalid(f"{name} = {rate!r} must be > 0")
+    return rate
+
+
 @dataclass(frozen=True)
 class CascadeSpec:
     """A one-way cyclic cascade: N levels and the N transition rates.
 
     ``rates[0]`` is the reload rate; ``rates[j]`` for j >= 1 the relaxation
-    rate out of level j. Rates carry units of inverse time.
+    rate out of level j. Rates carry units of inverse time. The level
+    count must be an integer on construction; ``validate`` checks the rest
+    of the domain rule.
     """
 
     n_levels: int
     rates: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_levels", int(self.n_levels))
+        object.__setattr__(self, "n_levels", _integer_levels(self.n_levels))
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
 
     @classmethod
     def equal(cls, n_levels: int, gamma: float = 1.0) -> "CascadeSpec":
-        return cls(n_levels, (float(gamma),) * int(n_levels))
+        return cls(n_levels, (float(gamma),) * _integer_levels(n_levels))
 
     @property
     def max_rate(self) -> float:
@@ -118,27 +163,18 @@ class CascadeSpec:
     @classmethod
     def from_json(cls, text: str) -> "CascadeSpec":
         data = json.loads(text)
-        n = data["n_levels"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ConfigInvalid(f"n_levels must be an integer, got {n!r}")
-        spec = cls(n, tuple(data["rates"]))
+        spec = cls(data["n_levels"], tuple(data["rates"]))
         validate(spec)
         return spec
 
 
 def validate(spec: CascadeSpec) -> None:
     """Raise the first violated CascadeSpec invariant; return None when valid."""
-    if spec.n_levels < 1:
-        raise ConfigInvalid(f"n_levels must be >= 1, got {spec.n_levels}")
-    if len(spec.rates) != spec.n_levels:
-        raise ConfigInvalid(
-            f"expected {spec.n_levels} rates, got {len(spec.rates)}"
-        )
+    n = check_levels(spec.n_levels)
+    if len(spec.rates) != n:
+        raise ConfigInvalid(f"expected {n} rates, got {len(spec.rates)}")
     for j, r in enumerate(spec.rates):
-        if not math.isfinite(r):
-            raise ConfigInvalid(f"rates[{j}] = {r!r} is not finite")
-        if r <= 0:
-            raise ConfigInvalid(f"rates[{j}] = {r!r} must be > 0")
+        check_rate(f"rates[{j}]", r)
 
 
 def trace_index(m: int, n: int, n_levels: int) -> int:
@@ -146,7 +182,7 @@ def trace_index(m: int, n: int, n_levels: int) -> int:
 
     k = 1 is the autocorrelation class, k = 0 the contiguous-cascade class.
     """
-    return (n - m + 1) % n_levels
+    return (n - m + 1) % check_levels(n_levels)
 
 
 def signed_delay(right, m: int, n: int, tau) -> float | np.ndarray:

@@ -19,11 +19,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CascadeSpec, ConfigInvalid, NumericalFailure, signed_delay, validate
+from .model import (
+    CascadeSpec,
+    ConfigInvalid,
+    NumericalFailure,
+    check_rate,
+    signed_delay,
+    validate,
+)
 
 IMAG_TOL = 1e-10
 DEGENERACY_RTOL = 1e-8
 NEGATIVE_CLAMP = 1e-12
+
+
+def _rates(*gammas: float) -> tuple[float, ...]:
+    """The rate rule applied to the arguments gamma0, gamma1, ..."""
+    return tuple(check_rate(f"gamma{i}", g) for i, g in enumerate(gammas))
 
 
 def generator_matrix(spec: CascadeSpec) -> np.ndarray:
@@ -190,8 +202,7 @@ def g2_two_level(gamma0: float, gamma1: float, m: int, n: int, tau) -> float | n
     tau >= 0, and 1 + (g0/g1) exp(-(g0+g1)|tau|) for tau < 0, where it
     mirrors (0, 1). tau = 0 is the right limit.
     """
-    if gamma0 <= 0 or gamma1 <= 0:
-        raise ConfigInvalid("rates must be > 0")
+    gamma0, gamma1 = _rates(gamma0, gamma1)
 
     def right(a, b, s):
         decay = np.exp(-(gamma0 + gamma1) * s)
@@ -215,6 +226,7 @@ class ZetaValue:
 
 
 def zeta_value(gamma0: float, gamma1: float, gamma2: float) -> ZetaValue:
+    gamma0, gamma1, gamma2 = _rates(gamma0, gamma1, gamma2)
     z2 = (
         gamma0 ** 2 + gamma1 ** 2 + gamma2 ** 2
         - 2 * (gamma0 * gamma1 + gamma0 * gamma2 + gamma1 * gamma2)
@@ -305,9 +317,7 @@ def g2_three_level(
     negative-delay branch, and negative delays mirror the swapped pair,
     g_{m,n}(tau) = g_{n,m}(-tau). tau = 0 evaluates the right limit.
     """
-    if min(gamma0, gamma1, gamma2) <= 0:
-        raise ConfigInvalid("rates must be > 0")
-    rates = (gamma0, gamma1, gamma2)
+    rates = _rates(gamma0, gamma1, gamma2)
 
     def right(a, b, s):
         if a == b:
@@ -331,8 +341,7 @@ def oscillation_condition(gamma0: float, gamma1: float, gamma2: float) -> Oscill
     zeta^2 < 0 (equivalently (sqrt(g0)-sqrt(g1))^2 < g2 < (sqrt(g0)+sqrt(g1))^2)
     gives oscillations; the condition is symmetric in all rate permutations.
     """
-    if min(gamma0, gamma1, gamma2) <= 0:
-        raise ConfigInvalid("rates must be > 0")
+    gamma0, gamma1, gamma2 = _rates(gamma0, gamma1, gamma2)
     z2 = zeta_value(gamma0, gamma1, gamma2).zeta_squared
     scale = max(gamma0, gamma1, gamma2) ** 2
     if abs(z2) <= 1e-12 * scale:
@@ -346,6 +355,7 @@ def g2_limit_low_pump(gamma0: float, gamma1: float, gamma2: float, tau) -> float
     1 - exp(gamma1 tau) for tau < 0; 1 + (gamma2/gamma0) exp(-gamma2 tau)
     for tau >= 0.
     """
+    gamma0, gamma1, gamma2 = _rates(gamma0, gamma1, gamma2)
 
     def right(a, b, s):
         if (a, b) == (2, 1):
@@ -361,6 +371,7 @@ def g2_limit_high_pump(gamma0: float, gamma1: float, gamma2: float, tau) -> floa
     tau < 0: 1 + (g1/g2) exp((g1+g2) tau) - (1 + g1/g2) exp(g0 tau);
     tau >= 0: 1 + (g2/g1) exp(-(g1+g2) tau).
     """
+    gamma0, gamma1, gamma2 = _rates(gamma0, gamma1, gamma2)
 
     def right(a, b, s):
         decay = np.exp(-(gamma1 + gamma2) * s)
@@ -379,8 +390,7 @@ def g2_phenomenological(p: float, gamma1: float, gamma2: float, tau) -> float | 
     """
     if not 0.0 <= p <= 1.0:
         raise ConfigInvalid("p must be in [0, 1]")
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise ConfigInvalid("rates must be > 0")
+    gamma1, gamma2 = check_rate("gamma1", gamma1), check_rate("gamma2", gamma2)
     ratio = gamma2 / gamma1
     # pair (1, 0) is the good order, its mirror (0, 1) the reversed one
     return signed_delay(

@@ -110,6 +110,8 @@ def test_malformed_flag_values_exit_2(tmp_path):
                    "--out", tmp_path / "d.events").returncode == 2
 
 
+NEGATIVE_RATE_SPEC = os.path.join(os.path.dirname(__file__), "data", "negative_rate.json")
+
 MALFORMED_FLAGS = [
     ("--subset", ["analytic", "--n", 6, "--subset", "1,x"]),
     ("--scan", ["peaks", "--scan", "3-50"]),
@@ -137,6 +139,11 @@ MALFORMED_FLAGS = [
     ("--orders", ["peaks", "--n", 6, "--orders", -1]),
     ("--orders", ["peaks", "--n", 6, "--orders", 0, "--cross"]),
     ("--cross-orders", ["peaks", "--scan", "5:6", "--cross-orders", 0]),
+    ("--rates-inline", ["general", "--pair", "1,1", "--rates-inline", "1,-1,2"]),
+    ("--rates", ["general", "--rates", NEGATIVE_RATE_SPEC, "--pair", "2,0"]),
+    ("--gamma", ["peaks", "--n", 6, "--gamma", 0]),
+    ("--gamma", ["peaks", "--scan", "3:5", "--gamma", -1]),
+    ("--n", ["peaks", "--n", 0]),
 ]
 
 

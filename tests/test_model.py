@@ -15,6 +15,7 @@ from circascade import (
     trace_index,
     validate,
 )
+from circascade.model import check_rate
 
 
 def test_validate_canonical_spec():
@@ -113,6 +114,27 @@ def test_spec_json_rejects_length_mismatch():
 def test_spec_json_rejects_a_non_integer_level_count(n_levels):
     with pytest.raises(ConfigInvalid, match="n_levels must be an integer"):
         CascadeSpec.from_json(f'{{"n_levels": {n_levels}, "rates": [1.0, 2.0, 3.0]}}')
+
+
+@pytest.mark.parametrize(
+    "n_levels, rates", [(3.9, (1.0, 2.0, 3.0)), (True, (1.0,)), ("3", (1.0, 2.0, 3.0))],
+    ids=["float", "bool", "string"],
+)
+def test_spec_rejects_a_non_integer_level_count(n_levels, rates):
+    with pytest.raises(ConfigInvalid, match="n_levels must be an integer"):
+        CascadeSpec(n_levels, rates)
+
+
+def test_spec_accepts_a_numpy_integer_level_count():
+    spec = CascadeSpec(np.int64(3), (1.0, 2.0, 3.0))
+    validate(spec)
+    assert json.loads(spec.to_json())["n_levels"] == 3
+
+
+def test_check_rate_rejects_a_non_number():
+    with pytest.raises(ConfigInvalid, match=r"gamma = 'fast' is not a number"):
+        check_rate("gamma", "fast")
+    assert check_rate("gamma", np.float32(0.5)) == 0.5
 
 
 def test_equal_rate_predicate():

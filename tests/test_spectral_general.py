@@ -1,3 +1,5 @@
+import functools
+import inspect
 import math
 import warnings
 
@@ -6,13 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circascade
 from circascade import (
     CascadeSpec,
     ConfigInvalid,
     OscillationRegime,
     SubsetSpec,
+    bundle_peak,
     cs_check,
     decompose,
+    discontinuity,
+    find_peaks,
+    find_peaks_cross,
     g2_equal,
     g2_equal_pair,
     g2_general,
@@ -25,7 +32,11 @@ from circascade import (
     generator_matrix,
     oscillation_condition,
     propagate,
+    root_of_unity,
+    small_tau_leading,
     steady_state,
+    trace_index,
+    validate,
     zeta_value,
 )
 from circascade.model import NumericalFailure
@@ -387,6 +398,7 @@ NAN_DELAY_ROUTES = {
     "g2_general": lambda: g2_general(SPEC4, 2, 1, [NAN, 0.5]),
     "propagate": lambda: propagate(SPEC4, 0, NAN),
     "cs_check": lambda: cs_check(CascadeSpec.equal(6, 1.0), 3, 1, [0.1, NAN]),
+    "small_tau_leading": lambda: small_tau_leading(6, 2, 1.0, [0.5, NAN]),
 }
 
 
@@ -394,6 +406,84 @@ NAN_DELAY_ROUTES = {
 def test_nan_delay_raises(route):
     with pytest.raises(ConfigInvalid, match="tau must"):
         route()
+
+
+BAD_RATES = (NAN, math.inf, -math.inf, 0.0, -1.0)
+BAD_LEVEL_COUNTS = (0, 3.9, True)
+
+# every raw-argument entry point with valid arguments; an int argument is a
+# level count, a float argument a rate
+RING_CALLS = {
+    "g2_equal": (lambda n, g: g2_equal(n, 1, g, 0.5), (6, 1.0)),
+    "g2_equal_pair": (lambda n, g: g2_equal_pair(n, 2, 1, g, 0.5), (6, 1.0)),
+    "g2_subset": (lambda n, g: g2_subset(n, SubsetSpec((1, 2)), g, 0.5), (6, 1.0)),
+    "root_of_unity": (root_of_unity, (6,)),
+    "small_tau_leading": (lambda n, g: small_tau_leading(n, 2, g, 0.5), (6, 1.0)),
+    "bundle_peak": (lambda n: bundle_peak(n, 2), (6,)),
+    "trace_index": (lambda n: trace_index(2, 1, n), (6,)),
+    "g2_two_level": (lambda a, b: g2_two_level(a, b, 1, 0, 0.5), (1.0, 2.0)),
+    "g2_three_level": (lambda *g: g2_three_level(*g, 2, 1, 0.5), UNBALANCED),
+    "zeta_value": (zeta_value, UNBALANCED),
+    "oscillation_condition": (oscillation_condition, UNBALANCED),
+    "g2_limit_low_pump": (lambda *g: g2_limit_low_pump(*g, 0.5), UNBALANCED),
+    "g2_limit_high_pump": (lambda *g: g2_limit_high_pump(*g, 0.5), UNBALANCED),
+    "g2_phenomenological": (lambda *g: g2_phenomenological(0.9, *g, 0.5), (1.0, 2.0)),
+    "find_peaks": (lambda n, g: find_peaks(n, g, 1, 2), (6, 1.0)),
+    "find_peaks_cross": (lambda n, g: find_peaks_cross(n, g, 2), (6, 1.0)),
+}
+
+# each route swaps one argument of its valid call for one bad value
+BAD_RING_ROUTES = {
+    f"{name}[{i}]={bad!r}": functools.partial(call, *args[:i], bad, *args[i + 1:])
+    for name, (call, args) in RING_CALLS.items()
+    for i, good in enumerate(args)
+    for bad in (BAD_LEVEL_COUNTS if isinstance(good, int) else BAD_RATES)
+}
+
+# entry points that take a CascadeSpec and apply the rule through validate
+SPEC_ROUTES = {
+    "validate": validate,
+    "generator_matrix": generator_matrix,
+    "steady_state": steady_state,
+    "decompose": decompose,
+    "propagate": lambda spec: propagate(spec, 0, 0.5),
+    "g2_general": lambda spec: g2_general(spec, 2, 1, 0.5),
+    "discontinuity": lambda spec: discontinuity(spec, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", RING_CALLS)
+def test_ring_route_accepts_its_valid_call(name):
+    call, args = RING_CALLS[name]
+    assert call(*args) is not None
+
+
+@pytest.mark.parametrize("route", BAD_RING_ROUTES.values(), ids=BAD_RING_ROUTES.keys())
+def test_bad_ring_argument_raises(route):
+    with pytest.raises(ConfigInvalid, match="n_levels must|gamma|rates"):
+        route()
+
+
+@pytest.mark.parametrize("bad", BAD_RATES)
+@pytest.mark.parametrize("route", SPEC_ROUTES.values(), ids=SPEC_ROUTES.keys())
+def test_spec_route_rejects_a_bad_rate(route, bad):
+    with pytest.raises(ConfigInvalid, match=r"rates\[1\]"):
+        route(CascadeSpec(3, (1.0, bad, 2.0)))
+
+
+def test_every_ring_entry_point_applies_the_domain_rule():
+    # a public function that takes a level count, a rate or a spec must be
+    # covered by BAD_RING_ROUTES or SPEC_ROUTES
+    uncovered = []
+    for name in dir(circascade):
+        obj = getattr(circascade, name)
+        if name.startswith("_") or isinstance(obj, type) or not callable(obj):
+            continue
+        params = inspect.signature(obj).parameters
+        if any(p in ("n_levels", "spec") or p.startswith("gamma") for p in params):
+            if name not in RING_CALLS and name not in SPEC_ROUTES:
+                uncovered.append(name)
+    assert not uncovered
 
 
 # expm(Q * inf) is NaN; the probability guards must catch it
