@@ -15,6 +15,7 @@ from .model import (
     CascadeSpec,
     ConfigInvalid,
     InsufficientSamples,
+    check_index,
     check_levels,
     check_rate,
     validate,
@@ -93,7 +94,7 @@ def _golden_refine(f: Callable[[float], float], a: float, b: float, tol: float) 
 def _scan_peaks(
     n_levels: int, k: int, gamma: float, max_order: int
 ) -> list[tuple[float, float]]:
-    if max_order < 1:
+    if check_index("max_order", max_order) < 1:
         raise ConfigInvalid(f"max_order must be >= 1, got {max_order}")
     step = PEAK_GRID_STEP / gamma
     found: list[tuple[float, float]] = []
@@ -125,6 +126,7 @@ def find_peaks(n_levels: int, gamma: float, k: int, max_order: int) -> PeakRepor
     ConfigInvalid; a trace without maxima raises InsufficientSamples.
     """
     n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
+    k = check_index("k", k)
     found = _scan_peaks(n_levels, k % n_levels, gamma, max_order)
     if not found:
         raise InsufficientSamples(f"no oscillation maxima for N={n_levels}, k={k}")
@@ -219,6 +221,7 @@ def _pair_evaluator(source) -> Callable[[int, int, float], float]:
 
 def cs_check(source, m: int, n: int, tau_samples: Sequence[float]) -> ViolationReport:
     """Report where g_nm(tau)^2 exceeds the classical bound g_nn(0) g_mm(0)."""
+    m, n = check_index("m", m), check_index("n", n)
     if m == n:
         raise ConfigInvalid("Cauchy-Schwarz check needs two distinct transitions")
     g = _pair_evaluator(source)

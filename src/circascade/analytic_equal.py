@@ -44,6 +44,7 @@ from .model import (
     ConfigInvalid,
     NumericalFailure,
     SubsetSpec,
+    check_index,
     check_levels,
     check_rate,
     signed_delay,
@@ -133,7 +134,7 @@ def g2_equal(n_levels: int, k: int, gamma: float, tau) -> float | np.ndarray:
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if not np.all(taus >= 0):  # NaN fails too
         raise ConfigInvalid("tau must be >= 0; use g2_equal_pair for signed delays")
-    k = k % n_levels
+    k = check_index("k", k) % n_levels
     if n_levels == 1:
         out = np.ones_like(taus)
     else:
@@ -160,6 +161,7 @@ def g2_equal_pair(n_levels: int, m: int, n: int, gamma: float, tau) -> float | n
     tau = 0 is the right limit.
     """
     n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
+    m, n = check_index("m", m), check_index("n", n)
     return signed_delay(
         lambda a, b, s: g2_equal(n_levels, trace_index(a, b, n_levels), gamma, s),
         m, n, tau,
@@ -173,6 +175,7 @@ def small_tau_leading(n_levels: int, k: int, gamma: float, tau) -> float | np.nd
     k = N: N exp(-gamma tau)              (decay of the contiguous class)
     """
     n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
+    k = check_index("k", k)
     if not 1 <= k <= n_levels:
         raise ConfigInvalid(f"k must be in [1, {n_levels}], got {k}")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -213,7 +216,7 @@ def g2_subset(n_levels: int, subset: SubsetSpec, gamma: float, tau) -> float | n
 
 def bundle_peak(n_levels: int, n_s: int) -> float:
     """Central superbunching value N (n_S - 1) / n_S^2 of a contiguous bundle."""
-    n_levels = check_levels(n_levels)
+    n_levels, n_s = check_levels(n_levels), check_index("n_s", n_s)
     if n_s < 1:
         raise ConfigInvalid("bundle size must be >= 1")
     return n_levels * (n_s - 1) / n_s ** 2

@@ -25,15 +25,18 @@ carrying the CLI exit status in ``exit_code``: ``ConfigInvalid`` (2, input
 outside the domain), ``NumericalFailure`` (3, lost accuracy or routes that
 disagree), ``StreamInvariantViolation`` (4, a malformed event stream) and
 ``InsufficientSamples`` (5, an empty channel or no peaks). The domain
-rule lives here once: a level count is an integer >= 1 (``check_levels``)
-and a rate is a finite number > 0 (``check_rate``); anything else raises
-``ConfigInvalid``. ``validate`` applies both to a ``CascadeSpec``, and the
-raw-argument entry points apply them to their own arguments: ``g2_equal``,
-``g2_equal_pair``, ``g2_subset``, ``root_of_unity``, ``small_tau_leading``,
-``bundle_peak``, ``trace_index``, ``g2_two_level``, ``g2_three_level``,
-``zeta_value``, ``oscillation_condition``, ``g2_limit_low_pump``,
-``g2_limit_high_pump``, ``g2_phenomenological``, ``find_peaks`` and
-``find_peaks_cross``.
+rule lives here once: a level count is an integer >= 1 (``check_levels``),
+a rate is a finite number > 0 (``check_rate``) and a class, pair, level or
+order index is an integer (``check_index``; a bool, float or string is
+not); anything else raises ``ConfigInvalid``. ``validate`` applies the
+first two to a ``CascadeSpec``, and the raw-argument entry points apply
+them to their own arguments: ``g2_equal``, ``g2_equal_pair``,
+``g2_subset``, ``root_of_unity``, ``small_tau_leading``, ``bundle_peak``,
+``trace_index``, ``g2_two_level``, ``g2_three_level``, ``zeta_value``,
+``oscillation_condition``, ``g2_limit_low_pump``, ``g2_limit_high_pump``,
+``g2_phenomenological``, ``find_peaks`` and ``find_peaks_cross``. Those
+and ``propagate``, ``g2_general``, ``cs_check``, ``SubsetSpec`` and
+``EventStream`` apply the index rule to their indices.
 """
 
 from __future__ import annotations
@@ -82,20 +85,21 @@ class InsufficientSamples(CascadeError):
     exit_code = 5
 
 
-def _integer_levels(n_levels) -> int:
-    """``n_levels`` as an int; numpy integers pass, a bool, float or string
-    raises ConfigInvalid."""
+def check_index(name: str, value) -> int:
+    """The integer rule for level counts and class, pair, level and order
+    indices: ``value`` as an int; numpy integers pass, a bool, float or
+    string raises ConfigInvalid naming ``name``."""
     try:
-        if not isinstance(n_levels, bool):
-            return operator.index(n_levels)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
         pass
-    raise ConfigInvalid(f"n_levels must be an integer, got {n_levels!r}")
+    raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
 
 
 def check_levels(n_levels) -> int:
     """The level-count rule: ``n_levels`` as an int when it is an integer >= 1."""
-    n = _integer_levels(n_levels)
+    n = check_index("n_levels", n_levels)
     if n < 1:
         raise ConfigInvalid(f"n_levels must be >= 1, got {n}")
     return n
@@ -129,12 +133,12 @@ class CascadeSpec:
     rates: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_levels", _integer_levels(self.n_levels))
+        object.__setattr__(self, "n_levels", check_index("n_levels", self.n_levels))
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
 
     @classmethod
     def equal(cls, n_levels: int, gamma: float = 1.0) -> "CascadeSpec":
-        return cls(n_levels, (float(gamma),) * _integer_levels(n_levels))
+        return cls(n_levels, (float(gamma),) * check_index("n_levels", n_levels))
 
     @property
     def max_rate(self) -> float:
@@ -182,7 +186,7 @@ def trace_index(m: int, n: int, n_levels: int) -> int:
 
     k = 1 is the autocorrelation class, k = 0 the contiguous-cascade class.
     """
-    return (n - m + 1) % check_levels(n_levels)
+    return (check_index("n", n) - check_index("m", m) + 1) % check_levels(n_levels)
 
 
 def signed_delay(right, m: int, n: int, tau) -> float | np.ndarray:
@@ -213,7 +217,7 @@ class SubsetSpec:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(sorted(int(i) for i in self.members))
+        members = tuple(sorted(check_index("subset member", i) for i in self.members))
         if not members:
             raise ConfigInvalid("subset must contain at least one transition")
         if len(set(members)) != len(members):
@@ -302,8 +306,8 @@ class EventStream:
         times = np.asarray(self.times, dtype=float).view()
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "first_label", int(self.first_label))
-        object.__setattr__(self, "n_levels", int(self.n_levels))
+        object.__setattr__(self, "first_label", check_index("first_label", self.first_label))
+        object.__setattr__(self, "n_levels", check_index("n_levels", self.n_levels))
         if times.ndim != 1 or not 0 <= self.first_label < self.n_levels:
             raise StreamInvariantViolation("need 1-d times and a first label in [0, N)")
         if not 0 < self.total_duration < math.inf:  # NaN fails too
@@ -320,7 +324,7 @@ class EventStream:
         and each label is one below the previous one, mod N.
         """
         labels = np.asarray(labels)
-        n = int(n_levels)
+        n = check_index("n_levels", n_levels)
         if labels.shape != np.shape(times):
             raise StreamInvariantViolation("times and labels differ in length")
         if len(labels) and not (labels.min() >= 0 and labels.max() < n):

@@ -3,6 +3,10 @@ propagation, g2 for arbitrary rates, and the exact N = 2 and N = 3 closed
 forms with their limit expressions. No g2 route calls `decompose`; it
 remains a standalone eigendecomposition of the generator.
 
+Propagation needs numpy only: `_expm` is the scaling-and-squaring Pade
+scheme of Higham (2005), SIAM J. Matrix Anal. Appl. 26(4):1179-1193,
+with the degree (3, 5, 7, 9 or 13) picked from his theta table.
+
 Sign convention: the generator Q (columns sum to zero) has eigenvalues
 -mu_j with decay rates mu_j >= 0; for equal rates mu_j = gamma (1 - z^j).
 Every eigenvalue lambda solves prod_i(lambda + gamma_i) = prod_i gamma_i,
@@ -15,6 +19,7 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +28,7 @@ from .model import (
     CascadeSpec,
     ConfigInvalid,
     NumericalFailure,
+    check_index,
     check_rate,
     signed_delay,
     validate,
@@ -133,6 +139,62 @@ def decompose(spec: CascadeSpec) -> SpectralDecomposition:
     return SpectralDecomposition(eigvals, vectors, inverse, condition, degenerate)
 
 
+# Pade degree m -> (theta_m, coefficients b_0 .. b_m): a matrix of 1-norm
+# <= theta_m meets double precision with the [m/m] approximant (Higham 2005)
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                               1512.0, 56.0, 1.0)),
+    9: (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    13: (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                               7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                               10559470521600.0, 670442572800.0, 33522128640.0,
+                               1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+}
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring: the [m/m] Pade approximant of
+    exp(a / 2^s), squared s times (Higham 2005).
+
+    The squarings run on E = exp(.) - I, (I + E)^2 - I = E E + 2 E, so
+    rounding stays relative to E rather than to the identity: squaring
+    exp(.) itself lets a ring generator's column sums drift by about
+    2^s eps (1e-9 at N = 160, rates in 10^+-3), this keeps them within
+    1.3e-13. A matrix with a NaN or inf entry, or a 1-norm that
+    overflows, returns all NaN.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        return np.full_like(a, np.nan)
+    degree = next((m for m, (theta, _) in _PADE.items() if norm <= theta), 13)
+    theta, b = _PADE[degree]
+    squarings = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    a = a * 0.5 ** squarings
+    eye = np.eye(len(a))
+    a2 = a @ a
+    if degree < 13:
+        powers = [eye, a2]  # a^0, a^2, ..., a^(m - 1)
+        while len(powers) <= degree // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    e = 2 * np.linalg.solve(v - u, u)  # (v - u)^-1 (v + u) - I
+    for _ in range(squarings):
+        e = e @ e + 2 * e
+    return e + eye
+
+
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
     if not p.min() >= -NEGATIVE_CLAMP:  # NaN fails too
         raise NumericalFailure(f"propagated probability {p.min():.3e} is not >= -1e-12")
@@ -145,10 +207,10 @@ def _clean_probabilities(p: np.ndarray) -> np.ndarray:
 
 def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> np.ndarray:
     """exp(Q tau) e_s for an array of tau >= 0; rows are tau points, stepped
-    through the stably sorted taus with one expm(Q gap) per distinct gap."""
-    from scipy.linalg import expm  # deferred: only propagation needs scipy
-
+    through the stably sorted taus with one Pade `_expm(Q gap)` per
+    distinct gap."""
     n = spec.n_levels
+    initial_level = check_index("initial_level", initial_level)
     if not 0 <= initial_level < n:
         raise ConfigInvalid(f"initial_level {initial_level} outside [0, {n})")
     if not np.all(taus >= 0):  # NaN fails too
@@ -156,7 +218,7 @@ def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> 
     q = generator_matrix(spec)
     order = np.argsort(taus, kind="stable")
     gaps = np.diff(taus[order], prepend=0.0).tolist()
-    steps = {gap: expm(q * gap) for gap in set(gaps) if gap}
+    steps = {gap: _expm(q * gap) for gap in set(gaps) if gap}
     p = np.eye(n)[initial_level]
     out = np.empty((len(taus), n))
     for row, gap in zip(order, gaps):
@@ -181,6 +243,7 @@ def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
     """
     validate(spec)
     nlev = spec.n_levels
+    m, n = check_index("m", m), check_index("n", n)
     pss = steady_state(spec)
 
     def right(a, b, s):
@@ -203,6 +266,7 @@ def g2_two_level(gamma0: float, gamma1: float, m: int, n: int, tau) -> float | n
     mirrors (0, 1). tau = 0 is the right limit.
     """
     gamma0, gamma1 = _rates(gamma0, gamma1)
+    m, n = check_index("m", m), check_index("n", n)
 
     def right(a, b, s):
         decay = np.exp(-(gamma0 + gamma1) * s)
@@ -318,6 +382,7 @@ def g2_three_level(
     g_{m,n}(tau) = g_{n,m}(-tau). tau = 0 evaluates the right limit.
     """
     rates = _rates(gamma0, gamma1, gamma2)
+    m, n = check_index("m", m), check_index("n", n)
 
     def right(a, b, s):
         if a == b:

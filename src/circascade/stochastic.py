@@ -28,6 +28,7 @@ from .model import (
     EventStream,
     InsufficientSamples,
     StreamInvariantViolation,
+    check_index,
     validate,
 )
 from .spectral_general import steady_state
@@ -205,7 +206,7 @@ def occupancy_block_estimates(stream: EventStream, n_blocks: int = 100) -> np.nd
 
 def dwell_samples(stream: EventStream, level: int) -> np.ndarray:
     """Uncensored dwell times in one level (gaps preceding its departures)."""
-    n = stream.n_levels
+    n, level = stream.n_levels, check_index("level", level)
     if not 0 <= level < n:
         raise ConfigInvalid(f"level {level} outside [0, {n})")
     # gap j ends event j + 1, whose label is level when j = first - level - 1 mod N

@@ -88,6 +88,20 @@ def test_cli_import_does_not_load_scipy():
     assert cp.returncode == 0, cp.stderr or "importing circascade.cli loaded scipy"
 
 
+def test_general_and_propagate_do_not_load_scipy(tmp_path):
+    out = tmp_path / "fig5.csv"
+    code = (
+        "import sys\n"
+        "from circascade import CascadeSpec, cli, propagate\n"
+        f"assert cli.main(['general', '--preset', 'fig5', '--out', {str(out)!r}]) == 0\n"
+        "propagate(CascadeSpec(4, (0.5, 1.0, 2.0, 3.0)), 1, 0.5)\n"
+        "sys.exit('scipy' in sys.modules)\n"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr or "general or propagate loaded scipy"
+    assert out.exists()
+
+
 def test_analytic_validation_exit_code(tmp_path):
     cp = run_cli("analytic", "--n", 0, "--pair", "0,0", "--out", tmp_path / "x.csv")
     assert cp.returncode == 2

@@ -171,6 +171,20 @@ def test_event_stream_accepts_valid_cycle():
     assert stream.n_events == 6
 
 
+@pytest.mark.parametrize("n_levels", [3.9, True, "3"], ids=repr)
+def test_event_stream_rejects_a_non_integer_level_count(n_levels):
+    with pytest.raises(ConfigInvalid, match="n_levels must be an integer"):
+        EventStream(np.array([1.0, 2.0]), 0, n_levels, 10.0)
+    with pytest.raises(ConfigInvalid, match="n_levels must be an integer"):
+        EventStream.from_labels(np.array([1.0, 2.0]), np.array([1, 0]), n_levels, 10.0)
+
+
+def test_event_stream_accepts_a_numpy_integer_level_count():
+    stream = EventStream(np.array([1.0, 2.0]), np.int64(1), np.int64(3), 10.0)
+    assert (stream.n_levels, stream.first_label) == (3, 1)
+    assert type(stream.n_levels) is int and type(stream.first_label) is int
+
+
 def test_event_stream_rejects_broken_cycling():
     with pytest.raises(StreamInvariantViolation):
         EventStream.from_labels([0.3, 0.9, 1.4], [2, 0, 1], 3, 2.0)

@@ -12,12 +12,14 @@ import circascade
 from circascade import (
     CascadeSpec,
     ConfigInvalid,
+    EventStream,
     OscillationRegime,
     SubsetSpec,
     bundle_peak,
     cs_check,
     decompose,
     discontinuity,
+    dwell_samples,
     find_peaks,
     find_peaks_cross,
     g2_equal,
@@ -40,9 +42,15 @@ from circascade import (
     zeta_value,
 )
 from circascade.model import NumericalFailure
-from circascade.spectral_general import characteristic_residuals
+from circascade.spectral_general import _PADE, _expm, characteristic_residuals
 
-from oracles import g2_pair_expm, propagate_expm, steady_state_nullspace
+from oracles import (
+    expm,
+    g2_pair_expm,
+    generator_bruteforce,
+    propagate_expm,
+    steady_state_nullspace,
+)
 
 # frozen: propagate(N=3 equal, from level 2, tau=1)[0], dense-expm verified
 P_N3_LEVEL0 = 0.18701451580993642
@@ -256,6 +264,47 @@ def test_propagate_degenerate_path_matches_expm():
         np.testing.assert_allclose(
             propagate(spec, 1, tau), propagate_expm(spec.rates, 1, tau), atol=1e-10
         )
+
+
+def _pade_cases(n, decades):
+    """A ring generator scaled to 1-norms just below each Pade theta, above
+    theta_13 (2 and 10 squarings), and to 1 and 30 mean cycle times."""
+    rates = 10 ** np.random.default_rng(n + decades).uniform(-decades, decades, n)
+    q = generator_bruteforce(rates)
+    norm = np.abs(q).sum(axis=0).max()
+    theta13 = _PADE[13][0]
+    times = [0.999 * theta / norm for theta, _ in _PADE.values()]
+    times += [4 * theta13 / norm, 1000 * theta13 / norm]
+    times += [sum(1 / rates), 30 * sum(1 / rates)]
+    return [q * t for t in times]
+
+
+# the gap at 10^+-2 and 10^+-3 is the oracle's own squaring drift: measured
+# 2.7e-12 and 2.0e-10, while _expm keeps its column sums within 1.3e-13
+@pytest.mark.parametrize("decades, tol", [(1, 1e-13), (2, 1e-11), (3, 1e-9)])
+@pytest.mark.parametrize("n", [3, 12, 48, 160])
+def test_expm_matches_the_dense_oracle_on_every_pade_branch(n, decades, tol):
+    for a in _pade_cases(n, decades):
+        got = _expm(a)
+        assert np.abs(got - expm(a)).max() <= tol
+        assert np.abs(got.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+def test_expm_of_the_zero_matrix_and_of_one_by_one_matrices():
+    np.testing.assert_array_equal(_expm(np.zeros((4, 4))), np.eye(4))
+    assert _expm(generator_matrix(CascadeSpec(1, (2.0,)))).tolist() == [[1.0]]
+    for x in (-1e-3, 0.2, -2.5, -40.0):
+        a = np.array([[x]])
+        assert abs(_expm(a) - expm(a)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_expm_of_a_matrix_with_a_non_finite_norm_is_nan(bad):
+    # no OverflowError from log2(inf) and no warning (the suite raises on both);
+    # two entries of 1e308 overflow the column sum
+    a = generator_matrix(SPEC4) * 2.0
+    a[1, 2] = a[2, 2] = bad
+    assert np.isnan(_expm(a)).all()
 
 
 def test_g2_general_matches_equal_rate_closed_form():
@@ -483,6 +532,64 @@ def test_every_ring_entry_point_applies_the_domain_rule():
         if any(p in ("n_levels", "spec") or p.startswith("gamma") for p in params):
             if name not in RING_CALLS and name not in SPEC_ROUTES:
                 uncovered.append(name)
+    assert not uncovered
+
+
+BAD_INDICES = (1.5, True, "1")
+STREAM3 = EventStream(np.arange(1.0, 7.0), 0, 3, 10.0)
+
+# every public function that takes a class, pair, level or order index:
+# (its valid call as a function of the indices, the indices, the result of
+# that call before the index rule existed)
+INDEX_CALLS = {
+    "g2_equal": (lambda k: g2_equal(6, k, 1.0, 0.5), (1,), 0.0009477042003172148),
+    "g2_equal_pair": (lambda m, n: g2_equal_pair(6, m, n, 1.0, 0.5), (2, 1), 3.6392629336239715),
+    "small_tau_leading": (lambda k: small_tau_leading(6, k, 1.0, 0.5), (2,), 0.015625),
+    "bundle_peak": (lambda n_s: bundle_peak(6, n_s), (2,), 1.5),
+    "trace_index": (lambda m, n: trace_index(m, n, 6), (2, 1), 0),
+    "g2_subset": (lambda i, j: g2_subset(6, (i, j), 1.0, 0.5), (1, 2), 0.9126588461404932),
+    "find_peaks": (lambda k, order: find_peaks(6, 1.0, k, order).magnitudes()[-1], (1, 2),
+                   1.0030306184479763),
+    "find_peaks_cross": (lambda order: find_peaks_cross(6, 1.0, order).magnitudes()[-1], (2,),
+                         1.018586742614836),
+    "g2_two_level": (lambda m, n: g2_two_level(1.0, 2.0, m, n, 0.5), (1, 0), 1.4462603202968596),
+    "g2_three_level": (lambda m, n: g2_three_level(*UNBALANCED, m, n, 0.5), (2, 1),
+                       1.035174040832137),
+    "g2_general": (lambda m, n: g2_general(SPEC4, m, n, 0.5), (2, 1), 2.8464197325395317),
+    "propagate": (lambda level: float(propagate(SPEC4, level, 0.5)[0]), (1,), 0.34494700429686365),
+    "cs_check": (lambda m, n: cs_check(CascadeSpec.equal(6), m, n, [0.1]).samples[0].rhs, (3, 1),
+                 8.187307531050577e-07),
+    "discontinuity": (lambda m, n: discontinuity(CascadeSpec(3, UNBALANCED), m, n)[2], (2, 1),
+                      1.0477272727272726),
+    "dwell_samples": (lambda level: dwell_samples(STREAM3, level).tolist(), (1,), [1.0, 1.0]),
+}
+INDEX_PARAMETERS = {"m", "n", "k", "n_s", "level", "initial_level", "max_order"}
+
+
+@pytest.mark.parametrize("name", INDEX_CALLS)
+def test_integer_indices_give_the_frozen_result(name):
+    call, args, frozen = INDEX_CALLS[name]
+    assert call(*args) == frozen
+    assert call(*map(np.int64, args)) == frozen
+
+
+@pytest.mark.parametrize("bad", BAD_INDICES, ids=repr)
+@pytest.mark.parametrize("name", INDEX_CALLS)
+def test_a_non_integer_index_raises(name, bad):
+    call, args, _ = INDEX_CALLS[name]
+    for i in range(len(args)):
+        with pytest.raises(ConfigInvalid, match="must be an integer"):
+            call(*args[:i], bad, *args[i + 1:])
+
+
+def test_every_index_entry_point_applies_the_index_rule():
+    uncovered = [
+        name for name in dir(circascade)
+        if not name.startswith("_") and callable(getattr(circascade, name))
+        and not isinstance(getattr(circascade, name), type)
+        and INDEX_PARAMETERS & set(inspect.signature(getattr(circascade, name)).parameters)
+        and name not in INDEX_CALLS
+    ]
     assert not uncovered
 
 
