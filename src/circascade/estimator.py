@@ -7,8 +7,9 @@ The estimate in the bin centered at tau_b is
 where r_x = N_x / T are the channel rates and (T - |tau_b|) removes the
 finite-window edge bias. Bins are closed-left/open-right with tau = 0 on a
 bin boundary, so the discontinuity of contiguous traces is never averaged
-across sides. Pair search is a sorted two-channel sweep with a sliding
-window, linear in events plus coincidences.
+across sides. Pairs are counted by a lag sweep: within one ring, the
+pairs at a fixed lag are one contiguous slice difference of the two
+channels, so each lag costs a vectorized pass and no pair index is stored.
 """
 
 from __future__ import annotations
@@ -23,9 +24,12 @@ from .model import (
     EventStream,
     InsufficientSamples,
     SubsetSpec,
+    check_index,
 )
 
-_PAIR_CHUNK = 4_000_000
+# rows of src per sweep block: a block's slices of src, dst and the window
+# bound stay in a core's L2 cache across its lags
+_SWEEP_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -63,33 +67,55 @@ def _bin_centers(cfg: HistogramConfig) -> np.ndarray:
 def _pair_counts(
     src: np.ndarray, dst: np.ndarray, cfg: HistogramConfig, same_channel: bool
 ) -> np.ndarray:
-    """Histogram of dst - src differences inside [-W, W), W = n_side * delta."""
-    window = cfg.n_side * cfg.bin_width
-    lo = np.searchsorted(dst, src - window, side="left")
-    hi = np.searchsorted(dst, src + window, side="left")
-    counts = hi - lo
-    total_bins = 2 * cfg.n_side
-    hist = np.zeros(total_bins, dtype=np.int64)
-    cum = np.cumsum(counts)
+    """Histogram of dst - src differences inside [-W, W), W = n_side * delta.
 
-    start = 0
-    while start < len(src):
-        consumed = cum[start - 1] if start else 0
-        stop = int(np.searchsorted(cum, consumed + _PAIR_CHUNK)) + 1
-        stop = min(max(stop, start + 1), len(src))
-        c = counts[start:stop]
-        total = int(c.sum())
-        if total:
-            offsets = np.concatenate(([0], np.cumsum(c)[:-1]))
-            flat = np.arange(total) - np.repeat(offsets, c) + np.repeat(lo[start:stop], c)
-            diffs = dst[flat] - np.repeat(src[start:stop], c)
-            if same_channel:
-                diffs = diffs[diffs != 0.0]
-            idx = np.floor(diffs / cfg.bin_width).astype(np.int64) + cfg.n_side
-            valid = (idx >= 0) & (idx < total_bins)
-            hist += np.bincount(idx[valid], minlength=total_bins)
-        start = stop
-    return hist
+    The pair (i, j) counts when fl(src[i] - W) <= dst[j] < fl(src[i] + W),
+    in bin floor((dst[j] - src[i]) / delta) + n_side if that lies in
+    [0, 2 n_side); with ``same_channel`` an event is not paired with itself.
+
+    Precondition: ``src`` and ``dst`` are channels of one ring with strictly
+    increasing times, or slices of such channels, or one array with itself;
+    with ``same_channel``, every src event is also in dst. Then the first
+    dst at or after src[i] is dst[i + off] for one constant off, and the
+    pairs at lag k >= 0 are the slice differences dst[i + off + k] - src[i]
+    (checked against the upper bound) and dst[i + off - 1 - k] - src[i]
+    (checked against the lower one).
+    """
+    window = cfg.n_side * cfg.bin_width
+    # bins 0 and 2 n_side + 1 collect the pairs whose bin falls outside
+    hist = np.zeros(2 * cfg.n_side + 2, dtype=np.int64)
+    off = int(np.searchsorted(dst, src[0]))
+    _lag_sweep(src, dst, window, np.less, off + same_channel, 1, cfg, hist)
+    _lag_sweep(src, dst, -window, np.greater_equal, off - 1, -1, cfg, hist)
+    return hist[1:-1]
+
+
+def _lag_sweep(src, dst, edge, within, shift, step, cfg, hist) -> None:
+    """Add to hist the pairs (i, i + shift + step * k), k = 0, 1, ..., whose
+    dst satisfies within(dst, fl(src[i] + edge)).
+
+    Times increase along each row, so once a lag has no pair in the window
+    inside a block of rows, no later lag has one; the block stops there.
+    """
+    last = len(hist) - 1
+    for start in range(0, len(src), _SWEEP_BLOCK):
+        stop = min(start + _SWEEP_BLOCK, len(src))
+        bound = src[start:stop] + edge
+        lag_shift = shift
+        while True:
+            # rows of the block whose partner index lies inside dst
+            lo, hi = max(start, -lag_shift), min(stop, len(dst) - lag_shift)
+            if lo >= hi:
+                break
+            other = dst[lo + lag_shift:hi + lag_shift]
+            inside = within(other, bound[lo - start:hi - start])
+            if not inside.any():
+                break
+            bins = np.floor((other - src[lo:hi]) / cfg.bin_width)[inside]
+            bins += cfg.n_side + 1
+            np.clip(bins, 0, last, out=bins)
+            hist += np.bincount(bins.astype(np.intp), minlength=last + 1)
+            lag_shift += step
 
 
 def _normalized_trace(
@@ -123,7 +149,7 @@ def _channel_pair(stream: EventStream, cfg: HistogramConfig) -> tuple[int, int]:
     """The (m, n) pair of cfg, checked against the stream's N levels."""
     if not (isinstance(cfg.channels, tuple) and len(cfg.channels) == 2):
         raise ConfigInvalid("cfg.channels must be a pair (m, n)")
-    m, n = cfg.channels
+    m, n = (check_index("channel", c) for c in cfg.channels)
     if not (0 <= m < stream.n_levels and 0 <= n < stream.n_levels):
         raise ConfigInvalid(f"channel pair {(m, n)} outside [0, {stream.n_levels})")
     return m, n
@@ -204,9 +230,10 @@ def block_bootstrap_stderr(
     block_counts = np.zeros((n_blocks, 2 * cfg.n_side), dtype=np.int64)
     block_src = np.zeros(n_blocks)
     block_dur = np.diff(edges)
+    # src_all is sorted: block b holds the events in [edges[b], edges[b + 1])
+    cuts = np.searchsorted(src_all, edges)
     for b in range(n_blocks):
-        sel = (src_all >= edges[b]) & (src_all < edges[b + 1])
-        src = src_all[sel]
+        src = src_all[cuts[b]:cuts[b + 1]]
         if len(src) == 0:
             continue
         lo = np.searchsorted(dst_all, src[0] - window)

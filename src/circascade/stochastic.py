@@ -66,7 +66,9 @@ def _check_config(cfg: SimConfig) -> None:
         raise ConfigInvalid("total_events must be >= 1")
     if not 0 <= cfg.burn_in < np.inf:
         raise ConfigInvalid(f"burn_in must be finite and >= 0, got {cfg.burn_in!r}")
-    if cfg.initial_level is not None and not 0 <= cfg.initial_level < cfg.spec.n_levels:
+    if cfg.initial_level is not None and not (
+        0 <= check_index("initial_level", cfg.initial_level) < cfg.spec.n_levels
+    ):
         raise ConfigInvalid(
             f"initial_level {cfg.initial_level} outside [0, {cfg.spec.n_levels})"
         )

@@ -52,3 +52,22 @@ def g2_subset_bruteforce(n_levels, members, gamma, tau):
         for j in members:
             total += g2_pair_expm(rates, (i - 1) % n_levels, (j - 1) % n_levels, tau)
     return total / len(members) ** 2
+
+
+def pair_histogram_bruteforce(src, dst, bin_width, n_side, same_channel):
+    """Coincidence counts by the literal pair rule, one entry per (i, j).
+
+    With W = n_side * bin_width, the pair (i, j) counts when
+    fl(src_i - W) <= dst_j < fl(src_i + W), in bin
+    floor((dst_j - src_i) / bin_width) + n_side if that lies in
+    [0, 2 n_side). With same_channel an event is not paired with itself:
+    times are strictly increasing, so those are the pairs with equal times.
+    """
+    src, dst = np.asarray(src, dtype=float), np.asarray(dst, dtype=float)
+    window = n_side * bin_width
+    inside = (dst[:, None] >= src - window) & (dst[:, None] < src + window)
+    if same_channel:
+        inside &= dst[:, None] != src
+    bins = np.floor(np.subtract.outer(dst, src) / bin_width) + n_side
+    keep = inside & (bins >= 0) & (bins < 2 * n_side)
+    return np.bincount(bins[keep].astype(int), minlength=2 * n_side)

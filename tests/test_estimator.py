@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circascade import (
     CascadeSpec,
@@ -17,6 +21,9 @@ from circascade import (
     simulate,
     write_trace_csv,
 )
+from circascade import cli
+from circascade.estimator import _pair_counts
+from oracles import pair_histogram_bruteforce
 
 
 def make_stream(n=6, gamma=1.0, events=200_000, seed=0):
@@ -209,3 +216,170 @@ def test_trace_csv_format(tmp_path):
     cols = lines[1].split(",")
     assert float(cols[0]) == trace.tau[0]
     assert float(cols[1]) == trace.values[0]
+
+
+def _counts_of(trace, rate_src, rate_dst, cfg):
+    """The integer counts behind an estimate: values times the normalization."""
+    t_total = trace.total_time
+    denom = rate_src * rate_dst * (t_total - np.abs(trace.tau)) * cfg.bin_width
+    return np.rint(trace.values * denom).astype(np.int64)
+
+
+@given(
+    n=st.integers(1, 6),
+    n_events=st.integers(1, 300),
+    on_grid=st.booleans(),
+    bin_width=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+    n_side=st.integers(1, 12),
+    first=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_pair_counts_match_the_bruteforce_oracle(
+    n, n_events, on_grid, bin_width, n_side, first, seed
+):
+    # on the grid, times are whole multiples of the bin width, so differences
+    # land exactly on bin edges and on +-W; channel lengths differ by one
+    # whenever N does not divide n_events
+    rng = np.random.default_rng(seed)
+    if on_grid:
+        times = np.cumsum(rng.integers(1, 4, n_events)) * bin_width
+    else:
+        times = np.cumsum(rng.exponential(bin_width * 2, n_events)) + rng.uniform(-50, 50)
+    tau_max = n_side * bin_width
+    t_total = max(float(times[-1] - times[0]), 10 * tau_max) + 1.0
+    stream = EventStream(times, first % n, n, t_total)
+    merged_times, labels = stream.merged()
+    channel = [merged_times[labels == level] for level in range(n)]
+    for m in range(n):
+        for k in range(n):
+            expect = pair_histogram_bruteforce(channel[m], channel[k], bin_width, n_side, m == k)
+            if len(channel[m]):
+                hist_cfg = HistogramConfig(bin_width, tau_max)
+                got = _pair_counts(stream.channels[m], stream.channels[k], hist_cfg, m == k)
+                np.testing.assert_array_equal(got, expect)
+            if len(channel[m]) and len(channel[k]):
+                cfg = HistogramConfig(bin_width, tau_max, channels=(m, k))
+                trace = correlate(stream, cfg)
+                rates = len(channel[m]) / t_total, len(channel[k]) / t_total
+                np.testing.assert_array_equal(_counts_of(trace, *rates, cfg), expect)
+
+    members = tuple(sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False)))
+    if all(len(channel[i]) for i in members):
+        merged = np.sort(np.concatenate([channel[i] for i in members]))
+        cfg = HistogramConfig(bin_width, tau_max)
+        trace = correlate_subset(stream, SubsetSpec(members), cfg)
+        rate = len(merged) / t_total
+        np.testing.assert_array_equal(
+            _counts_of(trace, rate, rate, cfg),
+            pair_histogram_bruteforce(merged, merged, bin_width, n_side, True),
+        )
+
+
+def test_pair_counts_of_channel_slices_match_the_oracle():
+    # the bootstrap's case: a block of one channel against a slice of another
+    stream = make_stream(n=4, events=4000, seed=21)
+    cfg = HistogramConfig(0.25, 3.0)
+    for m, k in ((1, 1), (2, 0), (0, 3)):
+        src, dst = stream.channels[m][200:500], stream.channels[k][190:520]
+        np.testing.assert_array_equal(
+            _pair_counts(src, dst, cfg, m == k),
+            pair_histogram_bruteforce(src, dst, 0.25, cfg.n_side, m == k),
+        )
+
+
+def test_pairs_inside_the_window_but_outside_the_bins_are_dropped():
+    # on a 0.1 grid, 1.8 - 0.7 lies inside fl(0.7 + W) for W = 1.1 but its
+    # bin floor(1.1 / 0.1) + 11 rounds past the last one; the bin rule drops it
+    src, dst = 7 * 0.1, 18 * 0.1
+    assert dst < src + 11 * 0.1 and np.floor((dst - src) / 0.1) + 11 >= 22
+    cfg = HistogramConfig(0.1, 1.1)
+    assert cfg.n_side == 11
+    for n in (1, 2, 3):
+        stream = EventStream(np.arange(1, 120) * 0.1, 0, n, 100.0)
+        for m in range(n):
+            for k in range(n):
+                src, dst = stream.channels[m], stream.channels[k]
+                np.testing.assert_array_equal(
+                    _pair_counts(src, dst, cfg, m == k),
+                    pair_histogram_bruteforce(src, dst, 0.1, 11, m == k),
+                )
+
+
+# sha256 of outputs recorded before the pair counts became a lag sweep
+FROZEN_CSV = {
+    ("--pair", "1,1"): "8edb3e1f3b94ef96a39b8f9780e9addbacb033506756bd2baf939c6d0694aee6",
+    ("--pair", "2,4"): "3779af68b519452bfc22c49850a4715b190ea06ea7e5c0debc042cfd491ea659",
+    ("--subset", "1,2"): "0e0193d5031d01c350f6d5409e50648bef126f0c7559219794e2b9b66ec980de",
+}
+FROZEN_BOOTSTRAP = {
+    (1, 1): "d114cf095651212cfeba2fcc7c1d2bece3ff4e96be898f65b4e832281d77ce55",
+    (2, 0): "1e164dccfe95f204d05278312ebdf1b8cbbb5d0e77d1b2bf053b85882af26762",
+    (0, 2): "a18e3eadad85f8a3af94fb3183eb323d3ca2927a614671d42afccd5a8df74c16",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_correlate_csvs_keep_their_frozen_bytes(tmp_path):
+    events = tmp_path / "ring6.events"
+    assert cli.main(["simulate", "--n", "6", "--gamma", "1", "--events", "200000",
+                     "--seed", "7", "--out", str(events)]) == 0
+    for selector, digest in FROZEN_CSV.items():
+        out = tmp_path / "g.csv"
+        assert cli.main(["correlate", "--in", str(events), *selector, "--bin", "0.05",
+                         "--taumax", "15", "--out", str(out)]) == 0
+        assert _sha256(out.read_bytes()) == digest, selector
+
+
+def test_block_bootstrap_keeps_its_frozen_bytes():
+    stream = simulate(SimConfig(CascadeSpec.equal(4), seed=3, total_events=100_000))
+    for channels, digest in FROZEN_BOOTSTRAP.items():
+        cfg = HistogramConfig(0.25, 5.0, channels=channels)
+        boot = block_bootstrap_stderr(stream, cfg, n_blocks=16, n_boot=50, seed=1)
+        assert _sha256(boot.tobytes()) == digest, channels
+
+
+STREAM4 = EventStream(np.arange(1.0, 41.0), 0, 4, 45.0)
+
+
+def _correlate_bits(m, n):
+    trace = correlate(STREAM4, HistogramConfig(0.5, 2.0, channels=(m, n)))
+    return trace.values.tobytes(), repr(trace.pair)
+
+
+def _bootstrap_bits(m, n):
+    cfg = HistogramConfig(0.5, 2.0, channels=(m, n))
+    return block_bootstrap_stderr(STREAM4, cfg, n_blocks=4, n_boot=10).tobytes()
+
+
+def _simulate_bits(level):
+    config = SimConfig(CascadeSpec.equal(3), seed=1, total_events=30, initial_level=level)
+    stream = simulate(config)
+    return stream.times.tobytes(), stream.first_label
+
+
+# entry points that take a channel or level index outside the ones the
+# public-function walk covers: (call, valid indices)
+CHANNEL_INDEX_CALLS = {
+    "correlate": (_correlate_bits, (2, 1)),
+    "block_bootstrap_stderr": (_bootstrap_bits, (1, 3)),
+    "simulate": (_simulate_bits, (1,)),
+}
+
+
+@pytest.mark.parametrize("name", CHANNEL_INDEX_CALLS)
+def test_numpy_channel_indices_give_the_same_bits(name):
+    call, args = CHANNEL_INDEX_CALLS[name]
+    assert call(*map(np.int64, args)) == call(*args)
+
+
+@pytest.mark.parametrize("bad", (1.5, True, "1"), ids=repr)
+@pytest.mark.parametrize("name", CHANNEL_INDEX_CALLS)
+def test_a_non_integer_channel_index_raises(name, bad):
+    call, args = CHANNEL_INDEX_CALLS[name]
+    for i in range(len(args)):
+        with pytest.raises(ConfigInvalid, match="must be an integer"):
+            call(*args[:i], bad, *args[i + 1:])
