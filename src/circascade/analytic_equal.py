@@ -44,6 +44,7 @@ from .model import (
     ConfigInvalid,
     NumericalFailure,
     SubsetSpec,
+    check_delays,
     check_index,
     check_levels,
     check_rate,
@@ -131,9 +132,7 @@ def g2_equal(n_levels: int, k: int, gamma: float, tau) -> float | np.ndarray:
     a value below that raises NumericalFailure.
     """
     n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if not np.all(taus >= 0):  # NaN fails too
-        raise ConfigInvalid("tau must be >= 0; use g2_equal_pair for signed delays")
+    taus = check_delays(tau, signed=False)  # signed delays: g2_equal_pair
     k = check_index("k", k) % n_levels
     if n_levels == 1:
         out = np.ones_like(taus)
@@ -178,9 +177,7 @@ def small_tau_leading(n_levels: int, k: int, gamma: float, tau) -> float | np.nd
     k = check_index("k", k)
     if not 1 <= k <= n_levels:
         raise ConfigInvalid(f"k must be in [1, {n_levels}], got {k}")
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if not np.all(taus >= 0):  # NaN fails too
-        raise ConfigInvalid("tau must be >= 0")
+    taus = check_delays(tau, signed=False)
     x = gamma * taus
     if k == n_levels:
         out = n_levels * np.exp(-x)

@@ -16,9 +16,8 @@ byte-identical across reruns with the same parameters (manifest timing is
 diagnostic only). A failure prints `error: <message>` and exits with the
 `exit_code` of its `CascadeError`: 2 `ConfigInvalid` (usage/validation), 3
 `NumericalFailure` (internal consistency), 4 `StreamInvariantViolation` or
-any OSError (I/O), 5 `InsufficientSamples`. CASCADE_THREADS caps the
-parallelism of `analytic` grid evaluation (defaults to the machine
-parallelism).
+any OSError (I/O), 5 `InsufficientSamples`. `analytic` and `general`
+evaluate their grid in one call.
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -83,25 +80,9 @@ PRESETS = {
 }
 
 
-def worker_count() -> int:
-    env = os.environ.get("CASCADE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigInvalid(f"CASCADE_THREADS={env!r} is not an integer")
-    return os.cpu_count() or 1
-
-
 def grid_map(fn, taus: np.ndarray) -> np.ndarray:
-    """Evaluate fn over the grid in parallel chunks; order-preserving merge."""
-    workers = worker_count()
-    if workers <= 1 or len(taus) < 1024:
-        return np.atleast_1d(fn(taus))
-    chunks = np.array_split(taus, workers * 4)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: np.atleast_1d(fn(c)), chunks))
-    return np.concatenate(parts)
+    """Evaluate fn over the whole grid in one call."""
+    return fn(taus)
 
 
 def _parse_numbers(flag: str, text: str, form: str, kind=float) -> list:

@@ -34,15 +34,15 @@ _SWEEP_BLOCK = 16_384
 
 @dataclass(frozen=True)
 class HistogramConfig:
-    """Bin width, window half-length and the channels to correlate.
+    """Bin width, window half-length and the channel pair (m, n) to correlate.
 
-    ``channels`` is a pair (m, n) for correlate() or a SubsetSpec for
-    correlate_subset(); tau_max is truncated down to a whole number of bins.
+    correlate_subset() takes its subset as an argument and ignores
+    ``channels``; tau_max is truncated down to a whole number of bins.
     """
 
     bin_width: float
     tau_max: float
-    channels: tuple[int, int] | SubsetSpec | None = None
+    channels: tuple[int, int] | None = None
 
     def __post_init__(self):
         if not 0 < self.bin_width < np.inf:  # NaN fails too

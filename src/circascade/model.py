@@ -17,8 +17,11 @@ Conventions (used everywhere in this package):
 * Delays are signed. A negative delay mirrors the swapped pair,
   ``g_{m,n}(-s) = g_{n,m}(s)``, and tau = 0 (also -0.0) is the right
   limit ``g_{m,n}(0+)``; the jump of a contiguous pair sits there. Every
-  signed-delay trace applies this rule through ``signed_delay``, which
-  rejects a NaN delay.
+  signed-delay trace applies this rule through ``signed_delay``.
+* A delay must be finite. ``check_delays`` rejects NaN and +-inf with
+  ``ConfigInvalid``: ``signed_delay`` applies it to every signed-delay
+  trace, and ``g2_equal``, ``small_tau_leading`` and ``propagate``, which
+  take tau >= 0 only, apply it with ``signed=False``.
 
 Errors: every failure is a ``CascadeError`` of one of four kinds, each
 carrying the CLI exit status in ``exit_code``: ``ConfigInvalid`` (2, input
@@ -119,6 +122,16 @@ def check_rate(name: str, value) -> float:
     return rate
 
 
+def check_delays(tau, signed: bool = True) -> np.ndarray:
+    """The delay rule: ``tau`` as a 1-d float array when every delay is
+    finite, and also >= 0 unless ``signed``; otherwise ConfigInvalid."""
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    ok = np.abs(taus) < np.inf if signed else (taus >= 0) & (taus < np.inf)
+    if not ok.all():  # NaN fails too
+        raise ConfigInvalid("tau must be finite" if signed else "tau must be finite and >= 0")
+    return taus
+
+
 @dataclass(frozen=True)
 class CascadeSpec:
     """A one-way cyclic cascade: N levels and the N transition rates.
@@ -158,8 +171,8 @@ class CascadeSpec:
         """Steady-state event rate per channel (flux balance)."""
         return 1.0 / self.cycle_time
 
-    def is_equal_rate(self, rtol: float = EQUAL_RATE_RTOL) -> bool:
-        return (self.max_rate - min(self.rates)) <= rtol * self.max_rate
+    def is_equal_rate(self) -> bool:
+        return (self.max_rate - min(self.rates)) <= EQUAL_RATE_RTOL * self.max_rate
 
     def to_json(self) -> str:
         return json.dumps({"n_levels": self.n_levels, "rates": list(self.rates)})
@@ -196,11 +209,9 @@ def signed_delay(right, m: int, n: int, tau) -> float | np.ndarray:
     Delays tau >= 0 (-0.0 included) take ``right(m, n, tau)``; negative
     delays take the swapped pair, ``right(n, m, -tau)``. Each branch is
     called at most once, on its points in grid order; scalar tau returns
-    a float. A NaN delay raises ConfigInvalid.
+    a float. A NaN or infinite delay raises ConfigInvalid.
     """
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.isnan(taus).any():
-        raise ConfigInvalid("tau must not be NaN")
+    taus = check_delays(tau)
     out = np.empty_like(taus)
     pos = taus >= 0
     if pos.any():

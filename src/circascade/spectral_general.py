@@ -28,6 +28,7 @@ from .model import (
     CascadeSpec,
     ConfigInvalid,
     NumericalFailure,
+    check_delays,
     check_index,
     check_rate,
     signed_delay,
@@ -213,8 +214,7 @@ def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> 
     initial_level = check_index("initial_level", initial_level)
     if not 0 <= initial_level < n:
         raise ConfigInvalid(f"initial_level {initial_level} outside [0, {n})")
-    if not np.all(taus >= 0):  # NaN fails too
-        raise ConfigInvalid("tau must be >= 0")
+    taus = check_delays(taus, signed=False)
     q = generator_matrix(spec)
     order = np.argsort(taus, kind="stable")
     gaps = np.diff(taus[order], prepend=0.0).tolist()

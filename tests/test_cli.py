@@ -102,6 +102,19 @@ def test_general_and_propagate_do_not_load_scipy(tmp_path):
     assert out.exists()
 
 
+def test_analytic_runs_without_a_thread_pool(tmp_path):
+    out = tmp_path / "fig1c.csv"
+    code = (
+        "import sys\n"
+        "from circascade import cli\n"
+        f"assert cli.main(['analytic', '--preset', 'fig1c', '--out', {str(out)!r}]) == 0\n"
+        "sys.exit('concurrent.futures' in sys.modules)\n"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr or "analytic loaded concurrent.futures"
+    assert out.exists()
+
+
 def test_analytic_validation_exit_code(tmp_path):
     cp = run_cli("analytic", "--n", 0, "--pair", "0,0", "--out", tmp_path / "x.csv")
     assert cp.returncode == 2

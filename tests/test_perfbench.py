@@ -1,7 +1,8 @@
-"""The benchmark harness runs its Monte Carlo smoke pass and reports correct.
+"""The benchmark harness runs its smoke passes and reports correct.
 
-The traced pass wraps `EventStream.check` and `EventStream.merged` by name,
-so this also guards those hooks.
+The traced passes wrap functions by name: `montecarlo` guards the
+`EventStream.check` and `EventStream.merged` hooks, and `figures` is the
+only workload whose traced pass enters `cli.grid_map`.
 """
 
 import json
@@ -9,12 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_montecarlo_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["montecarlo", "figures"])
+def test_smoke_run_is_correct(workload):
     cp = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--smoke", "--workload", "montecarlo"],
+        [sys.executable, "perfbench/run.py", "--smoke", "--workload", workload],
         capture_output=True, text=True, cwd=ROOT, timeout=600,
     )
     assert cp.returncode == 0, cp.stderr[-2000:]

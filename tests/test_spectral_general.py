@@ -416,6 +416,26 @@ def test_closed_forms_match_propagation(nlev, closed, tol, data):
             assert abs(closed(*rates, m, n, tau) - g) <= tol * max(1.0, abs(g))
 
 
+# delay in lifetimes 1 / gamma: both zeros, either side of the tau = 0 jump,
+# and up to two cycles of the largest ring
+LIFETIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9]), st.floats(-128.0, 128.0)
+)
+
+
+@given(
+    nlev=st.integers(2, 64),
+    gamma=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_equal_rate_closed_form_matches_propagation(nlev, gamma, data):
+    m, n = data.draw(st.tuples(st.integers(0, nlev - 1), st.integers(0, nlev - 1)))
+    tau = data.draw(LIFETIMES) / gamma
+    g = g2_general(CascadeSpec.equal(nlev, gamma), m, n, tau)
+    assert abs(g2_equal_pair(nlev, m, n, gamma, tau) - g) <= 1e-14 * nlev * max(1.0, abs(g))
+
+
 @given(rates=st.lists(RATE, min_size=2, max_size=5), data=st.data())
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_negative_delay_mirrors_the_swapped_pair_bitwise(rates, data):
@@ -438,23 +458,33 @@ def test_negative_delay_mirrors_the_swapped_pair_bitwise(rates, data):
 
 NAN = float("nan")
 SPEC4 = CascadeSpec(4, (0.5, 1.0, 2.0, 3.0))
-NAN_DELAY_ROUTES = {
-    "g2_equal": lambda: g2_equal(6, 1, 1.0, NAN),
-    "g2_equal_pair": lambda: g2_equal_pair(6, 2, 1, 1.0, NAN),
-    "g2_subset": lambda: g2_subset(6, SubsetSpec((1, 2)), 1.0, [0.5, NAN]),
-    "g2_two_level": lambda: g2_two_level(1.0, 2.0, 1, 0, NAN),
-    "g2_three_level": lambda: g2_three_level(1.0, 1.1, 0.025, 2, 1, NAN),
-    "g2_general": lambda: g2_general(SPEC4, 2, 1, [NAN, 0.5]),
-    "propagate": lambda: propagate(SPEC4, 0, NAN),
-    "cs_check": lambda: cs_check(CascadeSpec.equal(6, 1.0), 3, 1, [0.1, NAN]),
-    "small_tau_leading": lambda: small_tau_leading(6, 2, 1.0, [0.5, NAN]),
+DELAY_ROUTES = {
+    "g2_equal": lambda t: g2_equal(6, 1, 1.0, t),
+    "g2_equal_pair": lambda t: g2_equal_pair(6, 2, 1, 1.0, t),
+    "g2_subset": lambda t: g2_subset(6, SubsetSpec((1, 2)), 1.0, [0.5, t]),
+    "g2_two_level": lambda t: g2_two_level(1.0, 2.0, 1, 0, t),
+    "g2_three_level": lambda t: g2_three_level(1.0, 1.1, 0.025, 2, 1, t),
+    "g2_limit_low_pump": lambda t: g2_limit_low_pump(1.0, 1.1, 0.025, t),
+    "g2_limit_high_pump": lambda t: g2_limit_high_pump(1.0, 1.1, 0.025, t),
+    "g2_phenomenological": lambda t: g2_phenomenological(0.8, 1.0, 2.0, t),
+    "g2_general": lambda t: g2_general(SPEC4, 2, 1, [t, 0.5]),
+    "propagate": lambda t: propagate(SPEC4, 0, t),
+    "cs_check": lambda t: cs_check(CascadeSpec.equal(6, 1.0), 3, 1, [0.1, t]),
+    "small_tau_leading": lambda t: small_tau_leading(6, 2, 1.0, [0.5, t]),
 }
+# a NaN case keeps the bare route name as its id
+NONFINITE_DELAYS = {"": NAN, "-inf": math.inf, "--inf": -math.inf}
 
 
-@pytest.mark.parametrize("route", NAN_DELAY_ROUTES.values(), ids=NAN_DELAY_ROUTES.keys())
-def test_nan_delay_raises(route):
-    with pytest.raises(ConfigInvalid, match="tau must"):
-        route()
+@pytest.mark.parametrize(
+    "route, tau",
+    [(r, t) for r in DELAY_ROUTES.values() for t in NONFINITE_DELAYS.values()],
+    ids=[name + suffix for name in DELAY_ROUTES for suffix in NONFINITE_DELAYS],
+)
+def test_nan_delay_raises(route, tau):
+    """Every delay route rejects NaN, inf and -inf with the one delay rule."""
+    with pytest.raises(ConfigInvalid, match="tau must be finite"):
+        route(tau)
 
 
 BAD_RATES = (NAN, math.inf, -math.inf, 0.0, -1.0)
@@ -593,10 +623,10 @@ def test_every_index_entry_point_applies_the_index_rule():
     assert not uncovered
 
 
-# expm(Q * inf) is NaN; the probability guards must catch it
-@pytest.mark.filterwarnings("ignore:invalid value")
-def test_infinite_delay_fails_the_probability_guards():
-    with pytest.raises(NumericalFailure, match="propagated probability nan"):
+# expm(Q * inf) would be NaN: the delay rule rejects inf before any step,
+# without a numpy warning
+def test_infinite_delay_is_rejected_before_propagation():
+    with pytest.raises(ConfigInvalid, match="tau must be finite"):
         g2_general(SPEC4, 2, 1, math.inf)
 
 
