@@ -202,29 +202,24 @@ class ViolationReport:
         )
 
 
-def _pair_evaluator(source) -> Callable[[int, int, float], float]:
-    if isinstance(source, CascadeSpec):
-        spec = source
-        validate(spec)
-        if spec.is_equal_rate():
-            gamma = spec.rates[0]
-            return lambda m, n, tau: float(
-                g2_equal_pair(spec.n_levels, m, n, gamma, tau)
-            )
-        if spec.n_levels == 3:
-            return lambda m, n, tau: float(g2_three_level(*spec.rates, m, n, tau))
-        return lambda m, n, tau: float(g2_general(spec, m, n, tau))
-    if callable(source):
-        return source
-    raise ConfigInvalid("source must be a CascadeSpec or a callable (m, n, tau) -> g2")
+def _pair_evaluator(spec: CascadeSpec) -> Callable[[int, int, float], float]:
+    if not isinstance(spec, CascadeSpec):
+        raise ConfigInvalid(f"spec must be a CascadeSpec, got {type(spec).__name__}")
+    validate(spec)
+    if spec.is_equal_rate():
+        gamma = spec.rates[0]
+        return lambda m, n, tau: float(g2_equal_pair(spec.n_levels, m, n, gamma, tau))
+    if spec.n_levels == 3:
+        return lambda m, n, tau: float(g2_three_level(*spec.rates, m, n, tau))
+    return lambda m, n, tau: float(g2_general(spec, m, n, tau))
 
 
-def cs_check(source, m: int, n: int, tau_samples: Sequence[float]) -> ViolationReport:
+def cs_check(spec: CascadeSpec, m: int, n: int, tau_samples: Sequence[float]) -> ViolationReport:
     """Report where g_nm(tau)^2 exceeds the classical bound g_nn(0) g_mm(0)."""
     m, n = check_index("m", m), check_index("n", n)
     if m == n:
         raise ConfigInvalid("Cauchy-Schwarz check needs two distinct transitions")
-    g = _pair_evaluator(source)
+    g = _pair_evaluator(spec)
     lhs = g(n, n, 0.0) * g(m, m, 0.0)
     samples = []
     max_ratio: float | None = None

@@ -18,6 +18,8 @@ Conventions (used everywhere in this package):
   ``g_{m,n}(-s) = g_{n,m}(s)``, and tau = 0 (also -0.0) is the right
   limit ``g_{m,n}(0+)``; the jump of a contiguous pair sits there. Every
   signed-delay trace applies this rule through ``signed_delay``.
+* An ``EventStream``'s times strictly increase: its constructor checks
+  this, so no tied or unordered stream, read or built, reaches the estimator.
 * A delay must be finite. ``check_delays`` rejects NaN and +-inf with
   ``ConfigInvalid``: ``signed_delay`` applies it to every signed-delay
   trace, and ``g2_equal``, ``small_tau_leading`` and ``propagate``, which
@@ -297,7 +299,8 @@ class EventStream:
     so a trajectory is its strictly increasing ``times`` plus the label of
     the first event: event i carries label ``(first_label - i) % N``, and
     channel l is the strided view ``times[(first_label - l) % N :: N]``.
-    Label cycling and per-channel count balance hold by construction;
+    Label cycling, per-channel count balance and strict order (checked on
+    construction, NaN failing) hold for every stream;
     ``from_labels`` builds a stream from outside (times, labels) input and
     rejects labels that do not cycle. ``times`` is stored read-only.
 
@@ -325,6 +328,8 @@ class EventStream:
             raise StreamInvariantViolation(
                 f"total_duration must be finite and > 0, got {self.total_duration!r}"
             )
+        if not np.all(times[1:] > times[:-1]):  # NaN fails too
+            raise StreamInvariantViolation("simultaneous or out-of-order events")
 
     @classmethod
     def from_labels(cls, times, labels, n_levels: int, total_duration: float,
@@ -368,11 +373,9 @@ class EventStream:
         return self.times, labels
 
     def check(self) -> None:
-        """Verify ordering and window span; raise StreamInvariantViolation."""
+        """Raise StreamInvariantViolation if the stream is empty or outruns its window."""
         times = self.times
         if len(times) == 0:
             raise StreamInvariantViolation("stream contains no events")
-        if not np.all(np.diff(times) > 0):  # NaN fails too
-            raise StreamInvariantViolation("simultaneous or out-of-order events")
         if not times[-1] - times[0] <= self.total_duration * (1 + 1e-9):
             raise StreamInvariantViolation("timestamps span more than total_duration")

@@ -3,6 +3,9 @@ propagation, g2 for arbitrary rates, and the exact N = 2 and N = 3 closed
 forms with their limit expressions. No g2 route calls `decompose`; it
 remains a standalone eigendecomposition of the generator.
 
+The N = 3 closed form is one expression for all nine pairs, fixed by the
+value and slope at tau = 0 of the read level's two decaying modes.
+
 Propagation needs numpy only: `_expm` is the scaling-and-squaring Pade
 scheme of Higham (2005), SIAM J. Matrix Anal. Appl. 26(4):1179-1193,
 with the degree (3, 5, 7, 9 or 13) picked from his theta table.
@@ -35,7 +38,6 @@ from .model import (
     validate,
 )
 
-IMAG_TOL = 1e-10
 DEGENERACY_RTOL = 1e-8
 NEGATIVE_CLAMP = 1e-12
 
@@ -298,98 +300,47 @@ def zeta_value(gamma0: float, gamma1: float, gamma2: float) -> ZetaValue:
     return ZetaValue(z2, cmath.sqrt(complex(z2)))
 
 
-def _real_checked(vals: np.ndarray) -> np.ndarray:
-    residue = np.abs(vals.imag).max() if vals.size else 0.0
-    if residue > IMAG_TOL:
-        raise NumericalFailure(f"imaginary residue {residue:.3e}")
-    out = vals.real.copy()
-    out[(out < 0) & (out > -1e-12)] = 0.0
-    return out
-
-
-def _three_auto(g0: float, g1: float, g2v: float, seps: np.ndarray) -> np.ndarray:
-    """Autocorrelation at s = |tau|, identical for all three transitions."""
-    total = g0 + g1 + g2v
-    zv = zeta_value(g0, g1, g2v)
-    if abs(zv.zeta) < 1e-12 * total:
-        # coalescing decay rates: limit of the two-exponential form
-        return 1.0 - (1.0 + total * seps / 2) * np.exp(-total * seps / 2)
-    z = zv.zeta
-    vals = (
-        1.0
-        + (total - z) / (2 * z) * np.exp(-(total + z) / 2 * seps)
-        - (total + z) / (2 * z) * np.exp(-(total - z) / 2 * seps)
-    )
-    return _real_checked(np.atleast_1d(vals))
-
-
-def _three_cross_pos(g0: float, g1: float, g2v: float, taus: np.ndarray) -> np.ndarray:
-    """Contiguous cross trace at tau >= 0 (pair (2, 1) with these rates)."""
-    total = g0 + g1 + g2v
-    zv = zeta_value(g0, g1, g2v)
-    c = -g0 + g1 + g2v
-    if abs(zv.zeta) < 1e-12 * total:
-        d0 = (g0 - g1) * g1 + (2 * g0 + g1) * g2v
-        lim = (d0 + c * g1 - c * d0 * taus / 2) * np.exp(-total * taus / 2)
-        return np.atleast_1d(1.0 + lim / (2 * g0 * g1))
-    z = zv.zeta
-    dp = (g0 - g1 + z) * g1 + (2 * g0 + g1) * g2v
-    dm = (g0 - g1 - z) * g1 + (2 * g0 + g1) * g2v
-    vals = 1.0 + (
-        (c + z) * dp * np.exp(-(total + z) / 2 * taus)
-        - (c - z) * dm * np.exp(-(total - z) / 2 * taus)
-    ) / (4 * z * g0 * g1)
-    return _real_checked(np.atleast_1d(vals))
-
-
-def _three_cross_neg(g0: float, g1: float, g2v: float, seps: np.ndarray) -> np.ndarray:
-    """Contiguous cross trace at tau < 0, as a function of s = |tau|."""
-    total = g0 + g1 + g2v
-    zv = zeta_value(g0, g1, g2v)
-    a = g0 - g1 + g2v
-    if abs(zv.zeta) < 1e-12 * total:
-        b0 = g1 ** 2 + g2v ** 2 - g0 * (g1 + g2v)
-        p1 = -b0 - a * (g1 + g2v)
-        lim = (p1 - a * b0 * seps / 2) * np.exp(-total * seps / 2)
-        return np.atleast_1d(1.0 + lim / (2 * g2v ** 2))
-    z = zv.zeta
-    bp = g1 ** 2 + g2v ** 2 - (g0 + z) * (g1 + g2v)
-    bm = g1 ** 2 + g2v ** 2 - (g0 - z) * (g1 + g2v)
-    vals = 1.0 + (
-        (a - z) * bp * np.exp(-(total + z) / 2 * seps)
-        - (a + z) * bm * np.exp(-(total - z) / 2 * seps)
-    ) / (4 * z * g2v ** 2)
-    return _real_checked(np.atleast_1d(vals))
-
-
-# rate rotations mapping each cross pair onto the base (2, 1) trace
-_THREE_ROTATIONS = {
-    (2, 1): lambda g: (g[0], g[1], g[2]),
-    (1, 0): lambda g: (g[2], g[0], g[1]),
-    (0, 2): lambda g: (g[1], g[2], g[0]),
-}
-
-
 def g2_three_level(
     gamma0: float, gamma1: float, gamma2: float, m: int, n: int, tau
 ) -> float | np.ndarray:
-    """Three-level closed forms for any transition pair and signed tau.
+    """Three-level closed form for any transition pair and signed tau.
 
-    Autocorrelations share one trace. The contiguous cross pair (2, 1) is
-    the base form; (1, 0) and (0, 2) follow by rotating the rates. On
-    tau >= 0 a swapped pair (1, 2), (0, 1) or (2, 0) is the base pair's
-    negative-delay branch, and negative delays mirror the swapped pair,
-    g_{m,n}(tau) = g_{n,m}(-tau). tau = 0 evaluates the right limit.
+    At tau = s >= 0 the pair (m, n) starts in level a = m and reads level
+    r = (n + 1) % 3. f(s) = p_r(s) - p_ss[r] lies in the span of the two
+    decaying modes (-S +- zeta) / 2, S = g0 + g1 + g2, so its value
+    c0 = [a = r] - p_ss[r] and slope d = Q[r, a] at s = 0 fix it:
+
+        f = exp(-S s / 2) [c0 cosh(zeta s / 2) + (d + c0 S / 2) sinh(zeta s / 2) / (zeta / 2)]
+
+    and g = 1 + f / p_ss[r], in real arithmetic: cos and sinc for
+    zeta^2 <= 0 (exact at zeta = 0), the slow mode factored out through
+    expm1 for zeta^2 > 0. S, zeta^2 and the weights come from the sorted
+    rates, so rotating the rates with the pair gives the same bits.
+    Negative delays mirror the swapped pair, g_{m,n}(tau) = g_{n,m}(-tau);
+    tau = 0 evaluates the right limit.
     """
     rates = _rates(gamma0, gamma1, gamma2)
     m, n = check_index("m", m), check_index("n", n)
+    lo, mid, hi = sorted(rates)
+    total = lo + mid + hi
+    z2 = zeta_value(lo, mid, hi).zeta_squared
+    inverse_sum = 1.0 / lo + 1.0 / mid + 1.0 / hi
 
     def right(a, b, s):
-        if a == b:
-            return _three_auto(*rates, s)
-        if (a, b) in _THREE_ROTATIONS:
-            return _three_cross_pos(*_THREE_ROTATIONS[(a, b)](rates), s)
-        return _three_cross_neg(*_THREE_ROTATIONS[(b, a)](rates), s)
+        r = (b + 1) % 3
+        p = 1.0 / rates[r] / inverse_sum
+        c0 = (a == r) - p
+        d = -rates[a] if r == a else rates[a] if r == (a - 1) % 3 else 0.0
+        v = d + c0 * total / 2
+        if z2 <= 0:
+            w = math.sqrt(-z2) / 2
+            f = np.exp(-total / 2 * s) * (c0 * np.cos(w * s) + v * s * np.sinc(w * s / math.pi))
+        else:
+            h = math.sqrt(z2) / 2
+            slow = (lo * mid + lo * hi + mid * hi) / (total / 2 + h)  # S/2 - h, no cancellation
+            e = np.expm1(-2 * h * s)
+            f = np.exp(-slow * s) * (c0 * (1 + e / 2) - v * e / (2 * h))
+        return 1.0 + f / p
 
     return signed_delay(right, m % 3, n % 3, tau)
 

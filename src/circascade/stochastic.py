@@ -290,7 +290,8 @@ def read_events_binary(path) -> EventStream:
         raise StreamInvariantViolation(
             f"binary stream body is {len(raw)} bytes, not {count} f64 timestamps"
         )
-    # the constructor rejects an unusable N, first label or T; check() no events
+    # the constructor rejects an unusable N, first label or T and unordered
+    # times; check() no events
     stream = EventStream(np.frombuffer(raw, "<f8"), first, n, total, seed=seed)
     stream.check()
     return stream

@@ -137,17 +137,9 @@ def test_cs_check_unbalanced_three_level():
     assert report.all_violated
 
 
-def test_cs_check_accepts_callable_source():
-    calls = []
-
-    def fake_g2(m, n, tau):
-        calls.append((m, n, tau))
-        return 0.5 if m == n else 2.0
-
-    report = cs_check(fake_g2, 1, 0, [0.3])
-    assert report.lhs == pytest.approx(0.25)
-    assert report.samples[0].violated  # 4.0 > 0.25
-    assert report.max_ratio == pytest.approx(16.0)
+def test_cs_check_takes_a_spec_only():
+    with pytest.raises(ConfigInvalid, match="spec must be a CascadeSpec"):
+        cs_check(lambda m, n, tau: 1.0, 1, 0, [0.3])
 
 
 def test_discontinuity_equal_contiguous():

@@ -237,6 +237,15 @@ def test_general_three_level_swapped_pair_at_tau_zero(tmp_path):
     assert data[800, 0] == 0.0 and data[800, 1] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_general_three_level_stiff_rates_pass_the_route_check(tmp_path):
+    # rates six decades apart: the closed form and the propagation still agree
+    out = tmp_path / "stiff.csv"
+    argv = ["general", "--rates-inline", "0.001,1000,0.001", "--pair", "2,1",
+            "--tau=-2:2", "--steps", "400", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert load_csv(out).shape == (401, 2)
+
+
 def test_general_two_level_equal_rates(tmp_path):
     rates = tmp_path / "rates.json"
     rates.write_text(json.dumps({"n_levels": 2, "rates": [1.0, 1.0]}))

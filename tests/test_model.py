@@ -195,6 +195,16 @@ def test_event_stream_rejects_ties():
         EventStream.from_labels([0.3, 0.3, 0.9], [2, 1, 0], 3, 2.0).check()
 
 
+def test_event_stream_rejects_unordered_times_on_construction():
+    # the estimator counts pairs assuming strict order: an in-memory stream
+    # with a tie must fail before it gets there, not only on check()
+    with pytest.raises(StreamInvariantViolation, match="out-of-order"):
+        EventStream(np.array([1.0, 2.0, 2.0, 3.0, *np.arange(4.0, 60.0)]), 0, 1, 100.0)
+    for times in ([2.0, 1.0], [1.0, float("nan"), 3.0]):
+        with pytest.raises(StreamInvariantViolation, match="out-of-order"):
+            EventStream(np.array(times), 0, 1, 10.0)
+
+
 def test_event_stream_count_spread_of_one_is_fine():
     stream = EventStream.from_labels(
         [0.1, 0.5, 0.8, 1.2, 1.9], [1, 0, 1, 0, 1], 2, 3.0
