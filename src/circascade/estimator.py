@@ -193,12 +193,13 @@ def correlate_subset(
     for i in subset.members:
         if per_channel[i] == 0:
             raise InsufficientSamples(f"channel {i} has no events")
-    # event k*N + offset carries the label with that ring offset, so whole
-    # periods plus sorted offsets index the subset's events in time order
-    n, n_events = stream.n_levels, stream.n_events
+    # event k*N + offset carries the label with that ring offset, so period
+    # by period the channels in sorted offset order interleave in time order
+    n, n_s = stream.n_levels, len(subset.members)
     offsets = sorted((stream.first_label - i) % n for i in subset.members)
-    idx = (np.arange(0, n_events, n)[:, None] + offsets).ravel()
-    merged = stream.times[idx[idx < n_events]]
+    merged = np.empty(sum(per_channel[i] for i in subset.members))
+    for j, offset in enumerate(offsets):
+        merged[j::n_s] = stream.times[offset::n]
     counts = _pair_counts(merged, merged, cfg, same_channel=True)
     rate = len(merged) / stream.total_duration
     return _normalized_trace(counts, rate, rate, stream, cfg, subset=subset)

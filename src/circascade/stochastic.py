@@ -17,6 +17,7 @@ header with the first label, then the raw f64 times.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -34,6 +35,8 @@ from .model import (
 from .spectral_general import steady_state
 
 _CHUNK = 1 << 19
+_NUDGE_BLOCK = 1 << 20
+_TEXT_BLOCK = 1 << 12  # lines formatted per write
 _BINARY_MAGIC = b"CEV2"
 _BINARY_HEADER = struct.Struct("<IIQdQ")  # N, first label, seed, T, count
 
@@ -79,11 +82,17 @@ def _rng_for(cfg: SimConfig) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _capacity(config: SimConfig, expected: int) -> int:
+    """Initial length of the stamp buffer, which doubles when a run outgrows it."""
+    return expected if config.total_events is None else config.total_events
+
+
 def simulate(config: SimConfig) -> EventStream:
     """Run one trajectory and return its event stream.
 
-    Bit-identical output for identical config, independent of chunking or
-    worker count. Timestamps are strictly increasing by construction
+    Bit-identical output for identical config. Kept stamps go straight
+    into one preallocated buffer, so the returned stream is the only
+    full-length copy. Timestamps are strictly increasing by construction
     (coincident rounding collisions are nudged by one ulp).
     """
     _check_config(config)
@@ -106,21 +115,24 @@ def simulate(config: SimConfig) -> EventStream:
         est = config.burn_in * event_rate + config.total_events
     else:
         est = horizon * event_rate
-    chunk = min(_CHUNK, max(64, int(est + 4 * np.sqrt(est) + 16)))
+    expected = int(est + 4 * np.sqrt(est) + 16)
+    chunk = min(_CHUNK, max(64, expected))
 
-    times_parts: list[np.ndarray] = []
+    times = np.empty(_capacity(config, expected))
+    # visit v sits in level (start - v) % n, so the rates from visit v on
+    # repeat cycle rolled by v
+    cycle = rates[(start - np.arange(n)) % n]
     first_label = 0     # level of the first recorded visit
     visit = 0
     base = 0.0          # accumulated time at the start of the current chunk
     comp = 0.0          # Kahan compensation for the chunk offsets
     recorded = 0
     while True:
-        idx = visit + np.arange(chunk)
-        levels = (start - idx) % n
-        dwells = rng.standard_exponential(chunk) / rates[levels]
-        stamps = base + (np.cumsum(dwells) - comp)
-        visit += chunk
-        chunk = min(_CHUNK, 2 * chunk)
+        dwells = rng.standard_exponential(chunk)
+        dwells /= np.tile(np.roll(cycle, -(visit % n)), -(-chunk // n))[:chunk]
+        stamps = np.cumsum(dwells)
+        stamps -= comp
+        stamps += base
 
         # compensated accumulation of the chunk total
         chunk_sum = float(dwells.sum())
@@ -129,35 +141,52 @@ def simulate(config: SimConfig) -> EventStream:
         comp = (t - base) - y
         base = t
 
-        keep = stamps > config.burn_in
-        if horizon is not None:
-            keep &= stamps <= horizon
-        kept_times = stamps[keep]
+        # stamps never decrease within a chunk, so the kept ones are a slice
+        lo = int(np.searchsorted(stamps, config.burn_in, side="right"))
+        hi = chunk if horizon is None else int(np.searchsorted(stamps, horizon, side="right"))
         if config.total_events is not None:
-            kept_times = kept_times[:config.total_events - recorded]
-        if recorded == 0 and len(kept_times):
-            first_label = int(levels[np.argmax(keep)])
-        times_parts.append(kept_times)
-        recorded += len(kept_times)
+            hi = min(hi, lo + config.total_events - recorded)
+        kept = hi - lo
+        if recorded == 0 and kept:
+            first_label = (start - visit - lo) % n
+        if recorded + kept > len(times):
+            grown = np.empty(max(2 * len(times), recorded + kept))
+            grown[:recorded] = times[:recorded]
+            times = grown
+        times[recorded:recorded + kept] = stamps[lo:hi]
+        recorded += kept
+        visit += chunk
+        chunk = min(_CHUNK, 2 * chunk)
 
         if horizon is not None and stamps[-1] > horizon:
             break
         if config.total_events is not None and recorded >= config.total_events:
             break
 
-    times = np.concatenate(times_parts) - config.burn_in
-    if len(times) == 0:
+    if recorded == 0:
         raise InsufficientSamples("no events recorded; increase duration")
-
-    # nudge coincident-rounding collisions up by one ulp (extremely rare)
-    while True:
-        bad = np.nonzero(np.diff(times) <= 0)[0]
-        if len(bad) == 0:
-            break
-        times[bad + 1] = np.nextafter(times[bad], np.inf)
+    times = times[:recorded]
+    times -= config.burn_in
+    _nudge_collisions(times)
 
     total = float(times[-1] if config.duration is None else config.duration)
     return EventStream(times, first_label, n, total, seed=config.seed, spec=spec)
+
+
+def _nudge_collisions(times: np.ndarray) -> None:
+    """Raise, in place, every stamp not above its predecessor to one ulp above it.
+
+    Such rounding collisions are extremely rare. Blocks overlap by one
+    stamp, the last one of the previous block, which is final by then; so
+    the result equals that of one pass over the whole array.
+    """
+    for start in range(1, len(times), _NUDGE_BLOCK):
+        block = times[start - 1:start + _NUDGE_BLOCK]
+        while True:
+            bad = np.flatnonzero(np.diff(block) <= 0)
+            if len(bad) == 0:
+                break
+            block[bad + 1] = np.nextafter(block[bad], np.inf)
 
 
 def _dwell_segments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
@@ -221,17 +250,21 @@ def dwell_samples(stream: EventStream, level: int) -> np.ndarray:
 
 def write_events_text(stream: EventStream, path) -> None:
     """Plain-text format: header line, then '<timestamp> <label>' per event."""
-    times, labels = stream.merged()
+    times, n = stream.times, stream.n_levels
     seed = stream.seed if stream.seed is not None else 0
     with open(path, "w") as fh:
         fh.write(
             f"# cascade-events v1 N={stream.n_levels} seed={seed} "
             f"T={stream.total_duration:.17g}\n"
         )
-        fh.write(
-            "\n".join(f"{t:.17g} {l}" for t, l in zip(times, labels.tolist()))
-        )
-        fh.write("\n")
+        for start in range(0, len(times), _TEXT_BLOCK):
+            stop = min(start + _TEXT_BLOCK, len(times))
+            labels = (stream.first_label - np.arange(start, stop)) % n
+            fh.write("".join(
+                f"{t:.17g} {l}\n" for t, l in zip(times[start:stop].tolist(), labels.tolist())
+            ))
+        if len(times) == 0:
+            fh.write("\n")
 
 
 def read_events_text(path) -> EventStream:
@@ -285,13 +318,18 @@ def read_events_binary(path) -> EventStream:
         if len(head) < _BINARY_HEADER.size:
             raise StreamInvariantViolation("binary stream header is truncated")
         n, first, seed, total, count = _BINARY_HEADER.unpack(head)
-        raw = fh.read()
-    if len(raw) != 8 * count:
+        # size the body from the file before allocating, so a damaged count
+        # cannot ask for a huge buffer
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size == 8 * count:
+            times = np.empty(count, "<f8")
+            size = fh.readinto(times)
+    if size != 8 * count:
         raise StreamInvariantViolation(
-            f"binary stream body is {len(raw)} bytes, not {count} f64 timestamps"
+            f"binary stream body is {size} bytes, not {count} f64 timestamps"
         )
     # the constructor rejects an unusable N, first label or T and unordered
     # times; check() no events
-    stream = EventStream(np.frombuffer(raw, "<f8"), first, n, total, seed=seed)
+    stream = EventStream(times, first, n, total, seed=seed)
     stream.check()
     return stream

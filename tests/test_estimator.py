@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ def test_bias_bound_over_seeds():
     slope = np.gradient(analytic, tau)
     bound = np.maximum(3 * sem, 0.5 * np.abs(slope) * cfg.bin_width)
     assert np.all(np.abs(mean - analytic) <= bound + 1e-12)
+
+
+def test_subset_merge_holds_only_the_merged_events():
+    # the merge writes the subset's channels into one array, n_S / N of the stream
+    n_events = 4_000_000
+    stream = EventStream(np.arange(1.0, n_events + 1), 0, 6, n_events + 1.0)
+    tracemalloc.start()
+    try:
+        correlate_subset(stream, SubsetSpec((1, 2)), HistogramConfig(0.5, 3.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 8 * n_events
 
 
 def test_subset_superbunching_spike_n50():

@@ -1,4 +1,6 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from circascade import (
     write_events_binary,
     write_events_text,
 )
+from circascade import stochastic
 
 SPEC124 = CascadeSpec(3, (1.0, 2.0, 4.0))
 
@@ -115,6 +118,80 @@ def test_chunking_never_changes_the_stream():
     ts, _ = short.merged()
     tl, _ = long.merged()
     assert np.array_equal(ts, tl[: len(ts)])
+
+
+# sha256 of times.tobytes() recorded before simulate wrote into one buffer:
+# a 1e12:1 rate spread rounds every fast dwell away, so about half the
+# stamps collide and are nudged, in runs that cross the nudge's block edges
+FROZEN_NUDGED = {
+    "total_events": (
+        SimConfig(CascadeSpec(2, (1e-12, 1e12)), seed=4, total_events=3 * 2**20 + 5),
+        "4db312706506dc80c51febc53bbc96e39deca248f570cefe5879787cc238be37",
+    ),
+    "duration": (
+        SimConfig(CascadeSpec(3, (1e-9, 1e9, 1.0)), seed=4, duration=2e12),
+        "16e9bce7abc4afc3d9cfb6331624f7b2ff7e1a88d18fcdc72681c5ada630b258",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", FROZEN_NUDGED)
+def test_nudged_streams_keep_their_frozen_bytes(mode):
+    config, digest = FROZEN_NUDGED[mode]
+    times = simulate(config).times
+    assert np.all(times[1:] > times[:-1])
+    assert hashlib.sha256(times.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "stop", [{"duration": 700_000.0, "burn_in": 3.5}, {"total_events": 1_300_000}],
+    ids=["duration", "total_events"],
+)
+def test_buffer_growth_never_changes_the_stream(monkeypatch, stop):
+    # from a one-element buffer the stamps outgrow it on every chunk
+    config = SimConfig(SPEC124, seed=12, **stop)
+    expected = simulate(config)
+    monkeypatch.setattr(stochastic, "_capacity", lambda config, expected: 1)
+    grown = simulate(config)
+    assert grown.first_label == expected.first_label
+    assert grown.total_duration == expected.total_duration
+    assert np.array_equal(grown.times, expected.times)
+
+
+def _peak_per_stream_byte(call, n_events: int) -> float:
+    """Peak traced bytes of call() over the 8 bytes per event of its stream."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n_events)
+
+
+def test_simulate_holds_one_copy_of_the_stream():
+    config = SimConfig(CascadeSpec.equal(6), seed=3, total_events=4_000_000)
+    assert _peak_per_stream_byte(lambda: simulate(config), 4_000_000) <= 2.5
+
+
+def test_binary_reader_holds_one_copy_of_the_stream(tmp_path):
+    n_events = 4_000_000
+    path = tmp_path / "events.bin"
+    write_events_binary(EventStream(np.arange(1.0, n_events + 1), 2, 6, n_events + 1.0), path)
+    assert _peak_per_stream_byte(lambda: read_events_binary(path), n_events) <= 1.25
+
+
+def test_text_writer_formats_block_by_block(tmp_path):
+    n_events = 100_000
+    stream = EventStream(np.arange(1.0, n_events + 1), 2, 6, n_events + 1.0)
+    path = tmp_path / "events.txt"
+    assert _peak_per_stream_byte(lambda: write_events_text(stream, path), n_events) <= 2.0
+
+
+def test_text_writer_keeps_an_empty_stream_as_header_and_empty_line(tmp_path):
+    path = tmp_path / "events.txt"
+    write_events_text(EventStream(np.empty(0), 0, 3, 10.0, seed=2), path)
+    assert path.read_text() == "# cascade-events v1 N=3 seed=2 T=10\n\n"
 
 
 def test_different_trajectory_different_stream():
