@@ -6,11 +6,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .analytic_equal import g2_equal, g2_equal_pair
+from .analytic_equal import MODE_CUT, g2_equal, g2_equal_pair
 from .model import (
     CascadeSpec,
     ConfigInvalid,
@@ -24,6 +24,8 @@ from .spectral_general import g2_general, g2_three_level
 
 PEAK_GRID_STEP = 0.01      # in units of 1/gamma
 PEAK_REFINE_TOL = 1e-4     # in units of 1/gamma
+PEAK_SCAN_WINDOW = 4096    # grid points per g2_equal call of the peak scan
+_INVPHI = (math.sqrt(5) - 1) / 2
 
 
 @dataclass(frozen=True)
@@ -75,20 +77,60 @@ class PeakReport:
         return "\n".join(lines) + "\n"
 
 
-def _golden_refine(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    invphi = (math.sqrt(5) - 1) / 2
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+def _golden_refine(
+    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, tol: float
+) -> np.ndarray:
+    """Midpoints of the golden-section maxima of f on every bracket [a_i, b_i].
+
+    Each bracket follows the scalar update rules and leaves the active set
+    once b - a <= tol; the next probes of all active brackets come from one
+    call of f on an array, so f must be elementwise.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = np.split(f(np.concatenate([c, d])), 2)
+    while (active := b - a > tol).any():
+        left = active & (fc > fd)
+        right = active & ~left
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = b[left] - _INVPHI * (b[left] - a[left])
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = a[right] + _INVPHI * (b[right] - a[right])
+        fc[left], fd[right] = np.split(
+            f(np.concatenate([c[left], d[right]])), [np.count_nonzero(left)]
+        )
     return (a + b) / 2
+
+
+def _grid_brackets(
+    n_levels: int, k: int, gamma: float, max_order: int
+) -> Iterator[tuple[float, float]]:
+    """(tau_{i-1}, tau_{i+1}) around each grid maximum above 1, in tau order.
+
+    The grid is np.arange(lo, hi, step), evaluated PEAK_SCAN_WINDOW points
+    at a time with the last two points carried across each seam. It ends
+    where gamma tau d_1 > MODE_CUT: the mode sum keeps no pair there, so
+    g2 is exactly 1 and no maximum above 1 can follow.
+    """
+    step = PEAK_GRID_STEP / gamma
+    tau_flat = 0.0 if n_levels == 1 else MODE_CUT / (2 * gamma * math.sin(math.pi / n_levels) ** 2)
+    lo, hi = step, (max_order + 2) * n_levels / gamma
+    for _ in range(2):  # extend the scan once if the range came up short
+        count = max(0, math.ceil((hi - lo) / step))  # len(np.arange(lo, hi, step))
+        if count < 3:
+            return
+        delta = (lo + step) - lo  # np.arange's points are lo + i * delta
+        taus, g = np.empty(0), np.empty(0)
+        for start in range(0, count, PEAK_SCAN_WINDOW):
+            window = lo + np.arange(start, min(start + PEAK_SCAN_WINDOW, count)) * delta
+            taus = np.concatenate([taus[-2:], window])
+            g = np.concatenate([g[-2:], g2_equal(n_levels, k, gamma, window)])
+            mid = g[1:-1]
+            for i in np.flatnonzero((mid > g[:-2]) & (mid >= g[2:]) & (mid > 1.0)):
+                yield float(taus[i]), float(taus[i + 2])
+            if taus[-1] > tau_flat:
+                return
+        lo, hi = hi - 2 * step, 2 * hi  # overlap so no seam point is skipped
 
 
 def _scan_peaks(
@@ -96,34 +138,27 @@ def _scan_peaks(
 ) -> list[tuple[float, float]]:
     if check_index("max_order", max_order) < 1:
         raise ConfigInvalid(f"max_order must be >= 1, got {max_order}")
-    step = PEAK_GRID_STEP / gamma
-    found: list[tuple[float, float]] = []
-    lo = step
-    hi = (max_order + 2) * n_levels / gamma
-    for _ in range(2):  # extend the scan once if the range came up short
-        taus = np.arange(lo, hi, step)
-        if len(taus) < 3:
+    brackets = []
+    for bracket in _grid_brackets(n_levels, k, gamma, max_order):
+        brackets.append(bracket)
+        if len(brackets) == max_order:
             break
-        g = np.atleast_1d(g2_equal(n_levels, k, gamma, taus))
-        rising = g[1:-1] > g[:-2]
-        falling = g[1:-1] >= g[2:]
-        above = g[1:-1] > 1.0
-        for i in np.nonzero(rising & falling & above)[0] + 1:
-            f = lambda t: g2_equal(n_levels, k, gamma, t)
-            tp = _golden_refine(f, taus[i - 1], taus[i + 1], PEAK_REFINE_TOL / gamma)
-            found.append((tp, float(f(tp))))
-            if len(found) >= max_order:
-                return found
-        lo, hi = hi - 2 * step, 2 * hi  # overlap so no seam point is skipped
-    return found
+    if not brackets:
+        return []
+    f = lambda t: g2_equal(n_levels, k, gamma, t)
+    a, b = np.array(brackets).T
+    taus = _golden_refine(f, a, b, PEAK_REFINE_TOL / gamma)
+    return list(zip(taus.tolist(), f(taus).tolist()))
 
 
 def find_peaks(n_levels: int, gamma: float, k: int, max_order: int) -> PeakReport:
     """First max_order local maxima of the class-k equal-rate trace on tau > 0.
 
-    Maxima are located by derivative sign change on a 0.01/gamma grid and
-    refined by golden section to within 1e-4/gamma. max_order < 1 raises
-    ConfigInvalid; a trace without maxima raises InsufficientSamples.
+    Maxima are located by derivative sign change on a 0.01/gamma grid,
+    scanned PEAK_SCAN_WINDOW points at a time until the max_order-th
+    maximum or until the trace is exactly 1. One golden section, batched
+    over all of them, then refines each to within 1e-4/gamma. max_order < 1
+    raises ConfigInvalid; a trace without maxima raises InsufficientSamples.
     """
     n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
     k = check_index("k", k)

@@ -289,6 +289,8 @@ def cmd_peaks(args) -> None:
             raise ConfigInvalid(f"{flag} must be >= 1, got {value}")
     if args.scan:
         lo, hi = _parse_numbers("--scan", args.scan, "lo:hi", int)
+        if hi < lo:
+            raise ConfigInvalid(f"--scan range must have hi >= lo, got {args.scan!r}")
         with _naming("--scan/--gamma"):
             validate(CascadeSpec.equal(lo, args.gamma))
         rows = ["kind,n_levels,order,tau,g2"]

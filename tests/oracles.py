@@ -5,6 +5,8 @@ brute-force double sums) and deliberately avoids the package's own
 spectral or closed-form code paths.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -71,3 +73,24 @@ def pair_histogram_bruteforce(src, dst, bin_width, n_side, same_channel):
     bins = np.floor(np.subtract.outer(dst, src) / bin_width) + n_side
     keep = inside & (bins >= 0) & (bins < 2 * n_side)
     return np.bincount(bins[keep].astype(int), minlength=2 * n_side)
+
+
+def golden_section_max(f, a, b, tol):
+    """Textbook scalar golden-section search for a maximum of f on [a, b].
+
+    Shrinks the bracket one probe at a time (a tie keeps the right part)
+    and returns the midpoint of the first bracket no wider than tol.
+    """
+    invphi = (math.sqrt(5) - 1) / 2
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (a + b) / 2

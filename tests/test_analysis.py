@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circascade import (
     CascadeSpec,
@@ -14,6 +17,8 @@ from circascade import (
     g2_equal,
     steady_state,
 )
+from circascade import analysis
+from oracles import golden_section_max
 
 UNBALANCED = CascadeSpec(3, (1.0, 1.1, 0.025))
 
@@ -105,6 +110,110 @@ def test_peak_report_serialization():
     csv = report.to_csv().splitlines()
     assert csv[0] == "order,tau,g2"
     assert len(csv) == 3
+
+
+SEAM_CASES = [(5, 1, 1.0, 3), (6, 2, 2.5, 3), (9, 1, 0.5, 2), (4, 0, 1.0, 2), (7, 3, 1.3, 2)]
+
+
+@pytest.mark.parametrize("window", [3, 7, 64])
+def test_scan_window_does_not_change_peaks(monkeypatch, window):
+    default = [
+        (find_peaks(n, gamma, k, orders), find_peaks_cross(n, gamma, orders))
+        for n, k, gamma, orders in SEAM_CASES
+    ]
+    monkeypatch.setattr(analysis, "PEAK_SCAN_WINDOW", window)
+    for (n, k, gamma, orders), (auto, cross) in zip(SEAM_CASES, default):
+        assert find_peaks(n, gamma, k, orders) == auto
+        assert find_peaks_cross(n, gamma, orders) == cross
+
+
+@given(st.floats(0.05, 4.0), st.integers(1, 8), st.sampled_from([64, 4096]))
+@settings(max_examples=25, deadline=None)
+def test_scan_grid_is_the_arange_grid(gamma, max_order, window):
+    # N = 2, class 1 has no maximum above 1, so the scan runs until the trace
+    # is flat: all of the first np.arange grid, then a prefix of the second
+    seen = []
+
+    def record(n_levels, k, gamma_, taus):
+        seen.append(np.array(taus))
+        return g2_equal(n_levels, k, gamma_, taus)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "g2_equal", record)
+        mp.setattr(analysis, "PEAK_SCAN_WINDOW", window)
+        with pytest.raises(InsufficientSamples):
+            find_peaks(2, gamma, 1, max_order)
+    step = analysis.PEAK_GRID_STEP / gamma
+    hi = (max_order + 2) * 2 / gamma
+    first = np.arange(step, hi, step)
+    second = np.arange(hi - 2 * step, 2 * hi, step)
+    scanned = np.concatenate(seen)
+    assert len(first) < len(scanned) <= len(first) + len(second)
+    expected = np.concatenate([first, second])[:len(scanned)]
+    assert scanned.tobytes() == expected.tobytes()
+
+
+def _plateaus(centre):
+    # a step function of the distance to centre: probes often tie
+    return lambda x: -np.floor(np.abs(np.asarray(x) - centre) * 8.0)
+
+
+@given(
+    st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 5.0)), min_size=1, max_size=8),
+    st.floats(-50.0, 50.0),
+    st.floats(1e-6, 0.1),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_golden_section_matches_scalar_reference(brackets, centre, tol, smooth):
+    if smooth:
+        f = lambda x: np.cos(np.asarray(x) - centre) - 1e-3 * np.asarray(x) ** 2
+    else:
+        f = _plateaus(centre)
+    a = np.array([lo for lo, _ in brackets])
+    b = a + np.array([width for _, width in brackets])
+    batched = analysis._golden_refine(f, a, b, tol)
+    scalar = lambda t: float(f(np.array([t]))[0])
+    expected = [golden_section_max(scalar, float(lo), float(hi), tol) for lo, hi in zip(a, b)]
+    assert batched.tobytes() == np.array(expected).tobytes()
+
+
+@given(st.integers(3, 30), st.integers(0, 29), st.floats(5.0, 400.0))
+@settings(max_examples=40, deadline=None)
+def test_batched_golden_section_on_g2_matches_scalar_reference(n, k, centre):
+    f = lambda t: g2_equal(n, k, 1.0, t)
+    a = centre + np.array([0.0, 1.5, 7.25])
+    b = a + 0.02
+    batched = analysis._golden_refine(f, a, b, 1e-4)
+    expected = [golden_section_max(f, float(lo), float(hi), 1e-4) for lo, hi in zip(a, b)]
+    assert batched.tobytes() == np.array(expected).tobytes()
+
+
+def test_peak_scan_makes_few_g2_calls(monkeypatch):
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return g2_equal(*args)
+
+    monkeypatch.setattr(analysis, "g2_equal", count)
+    report = find_peaks(50, 1.0, 1, 8)
+    assert len(report.peaks) == 8
+    assert len(calls) <= 40
+
+
+def test_huge_order_count_stops_where_the_trace_is_flat():
+    # past gamma tau d_1 > MODE_CUT the trace is exactly 1: no more maxima
+    bounded = find_peaks(6, 1.0, 1, 2000)
+    assert len(bounded.peaks) == 26
+    tracemalloc.start()
+    try:
+        huge = find_peaks(6, 1.0, 1, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert huge.peaks == bounded.peaks
+    assert peak < 4 * 2**20
 
 
 def test_cs_check_equal_rates_always_violated():

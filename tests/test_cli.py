@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -143,6 +144,7 @@ MALFORMED_FLAGS = [
     ("--subset", ["analytic", "--n", 6, "--subset", "1,x"]),
     ("--scan", ["peaks", "--scan", "3-50"]),
     ("--scan", ["peaks", "--scan", "0:3"]),
+    ("--scan", ["peaks", "--scan", "5:3"]),
     ("--gamma", ["peaks", "--n", 6, "--gamma", "nan"]),
     ("--tau-samples", ["cscheck", "--n", 6, "--pair", "3,1", "--tau-samples", "0:1"]),
     ("--tau-samples", ["cscheck", "--n", 6, "--pair", "3,1", "--tau-samples", "0:1:-1"]),
@@ -405,6 +407,26 @@ def test_peaks_report(tmp_path):
     assert abs(mags[6] - 1.13) <= 0.03
     assert abs(mags[7] - 1.09) <= 0.03
     assert csv.read_text().splitlines()[0] == "order,tau,g2"
+
+
+# sha256 of the data outputs, recorded at commit 8677761, where every golden-
+# section probe of the peak scan was its own single-point g2_equal call
+PINNED_PEAKS = [
+    (["--preset", "fig2"],
+     "1a925ca49701c88ddad47f9ce1c0177af17a56b9f07d7ff33945c6a49e655aab"),
+    (["--scan", "4:9", "--k", 2, "--gamma", 2.5, "--orders", 3, "--cross-orders", 2],
+     "fd86dc167aa345568c24b51ec219a3a426d6cef939132ab2e62aca46237f42ab"),
+    (["--n", 7, "--cross", "--gamma", 0.5, "--orders", 4],
+     "a696cf11c986df0adea0997b4ba548e756b07b2d231ad75a9b1aea38214c9313"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_PEAKS, ids=["fig2", "scan", "cross"])
+def test_peaks_outputs_are_pinned(tmp_path, args, digest):
+    out = tmp_path / "peaks.out"
+    cp = run_cli("peaks", *args, "--out", out)
+    assert cp.returncode == 0, cp.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_peaks_two_level_exit_5(tmp_path):
