@@ -15,6 +15,7 @@ from .model import (
     NumericalFailure,
     StreamInvariantViolation,
     SubsetSpec,
+    steady_state,
     trace_index,
     validate,
 )
@@ -40,7 +41,6 @@ from .spectral_general import (
     generator_matrix,
     oscillation_condition,
     propagate,
-    steady_state,
     zeta_value,
 )
 from .stochastic import (

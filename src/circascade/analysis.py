@@ -3,6 +3,7 @@ reports, tau = 0 discontinuity quantification."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from .model import (
     check_index,
     check_levels,
     check_rate,
-    validate,
 )
 from .spectral_general import g2_general, g2_three_level
 
@@ -102,35 +102,26 @@ def _golden_refine(
     return (a + b) / 2
 
 
-def _grid_brackets(
-    n_levels: int, k: int, gamma: float, max_order: int
-) -> Iterator[tuple[float, float]]:
+def _grid_brackets(n_levels: int, k: int, gamma: float) -> Iterator[tuple[float, float]]:
     """(tau_{i-1}, tau_{i+1}) around each grid maximum above 1, in tau order.
 
-    The grid is np.arange(lo, hi, step), evaluated PEAK_SCAN_WINDOW points
+    The grid is tau_i = step + i * step, evaluated PEAK_SCAN_WINDOW points
     at a time with the last two points carried across each seam. It ends
-    where gamma tau d_1 > MODE_CUT: the mode sum keeps no pair there, so
-    g2 is exactly 1 and no maximum above 1 can follow.
+    with the first window past gamma tau d_1 = MODE_CUT: the mode sum keeps
+    no pair there, so g2 is exactly 1 and no maximum above 1 can follow.
     """
     step = PEAK_GRID_STEP / gamma
     tau_flat = 0.0 if n_levels == 1 else MODE_CUT / (2 * gamma * math.sin(math.pi / n_levels) ** 2)
-    lo, hi = step, (max_order + 2) * n_levels / gamma
-    for _ in range(2):  # extend the scan once if the range came up short
-        count = max(0, math.ceil((hi - lo) / step))  # len(np.arange(lo, hi, step))
-        if count < 3:
+    taus, g = np.empty(0), np.empty(0)
+    for start in itertools.count(0, PEAK_SCAN_WINDOW):
+        window = step + np.arange(start, start + PEAK_SCAN_WINDOW) * step
+        taus = np.concatenate([taus[-2:], window])
+        g = np.concatenate([g[-2:], g2_equal(n_levels, k, gamma, window)])
+        mid = g[1:-1]
+        for i in np.flatnonzero((mid > g[:-2]) & (mid >= g[2:]) & (mid > 1.0)):
+            yield float(taus[i]), float(taus[i + 2])
+        if taus[-1] > tau_flat:
             return
-        delta = (lo + step) - lo  # np.arange's points are lo + i * delta
-        taus, g = np.empty(0), np.empty(0)
-        for start in range(0, count, PEAK_SCAN_WINDOW):
-            window = lo + np.arange(start, min(start + PEAK_SCAN_WINDOW, count)) * delta
-            taus = np.concatenate([taus[-2:], window])
-            g = np.concatenate([g[-2:], g2_equal(n_levels, k, gamma, window)])
-            mid = g[1:-1]
-            for i in np.flatnonzero((mid > g[:-2]) & (mid >= g[2:]) & (mid > 1.0)):
-                yield float(taus[i]), float(taus[i + 2])
-            if taus[-1] > tau_flat:
-                return
-        lo, hi = hi - 2 * step, 2 * hi  # overlap so no seam point is skipped
 
 
 def _scan_peaks(
@@ -139,7 +130,7 @@ def _scan_peaks(
     if check_index("max_order", max_order) < 1:
         raise ConfigInvalid(f"max_order must be >= 1, got {max_order}")
     brackets = []
-    for bracket in _grid_brackets(n_levels, k, gamma, max_order):
+    for bracket in _grid_brackets(n_levels, k, gamma):
         brackets.append(bracket)
         if len(brackets) == max_order:
             break
@@ -240,7 +231,6 @@ class ViolationReport:
 def _pair_evaluator(spec: CascadeSpec) -> Callable[[int, int, float], float]:
     if not isinstance(spec, CascadeSpec):
         raise ConfigInvalid(f"spec must be a CascadeSpec, got {type(spec).__name__}")
-    validate(spec)
     if spec.is_equal_rate():
         gamma = spec.rates[0]
         return lambda m, n, tau: float(g2_equal_pair(spec.n_levels, m, n, gamma, tau))

@@ -42,7 +42,6 @@ from .model import (
     InsufficientSamples,
     NumericalFailure,
     SubsetSpec,
-    validate,
 )
 from .spectral_general import g2_general, g2_three_level
 from .stochastic import (
@@ -190,9 +189,7 @@ def _spec_from_flags(args) -> CascadeSpec:
     if args.n is None:
         raise ConfigInvalid("--n is required")
     with _naming("--n/--gamma"):
-        spec = CascadeSpec.equal(args.n, args.gamma)
-        validate(spec)
-    return spec
+        return CascadeSpec.equal(args.n, args.gamma)
 
 
 def cmd_analytic(args) -> None:
@@ -219,9 +216,8 @@ def cmd_general(args) -> None:
         rates = tuple(_parse_numbers("--rates-inline", args.rates_inline, "r0,r1,..."))
         with _naming("--rates-inline"):
             spec = CascadeSpec(len(rates), rates)
-            validate(spec)
     elif args.rates:
-        spec = _spec_from_file(args.rates)  # validated by from_json
+        spec = _spec_from_file(args.rates)
     else:
         raise ConfigInvalid("--rates (JSON file) or --rates-inline is required")
     m, n = _parse_pair(args.pair or "1,1", spec.n_levels)
@@ -292,7 +288,7 @@ def cmd_peaks(args) -> None:
         if hi < lo:
             raise ConfigInvalid(f"--scan range must have hi >= lo, got {args.scan!r}")
         with _naming("--scan/--gamma"):
-            validate(CascadeSpec.equal(lo, args.gamma))
+            CascadeSpec.equal(lo, args.gamma)
         rows = ["kind,n_levels,order,tau,g2"]
         for n in range(lo, hi + 1):
             for kind, n_orders in (("auto", orders), ("cross", cross_orders)):

@@ -33,15 +33,17 @@ disagree), ``StreamInvariantViolation`` (4, a malformed event stream) and
 rule lives here once: a level count is an integer >= 1 (``check_levels``),
 a rate is a finite number > 0 (``check_rate``) and a class, pair, level or
 order index is an integer (``check_index``; a bool, float or string is
-not); anything else raises ``ConfigInvalid``. ``validate`` applies the
-first two to a ``CascadeSpec``, and the raw-argument entry points apply
-them to their own arguments: ``g2_equal``, ``g2_equal_pair``,
-``g2_subset``, ``root_of_unity``, ``small_tau_leading``, ``bundle_peak``,
-``trace_index``, ``g2_two_level``, ``g2_three_level``, ``zeta_value``,
-``oscillation_condition``, ``g2_limit_low_pump``, ``g2_limit_high_pump``,
-``g2_phenomenological``, ``find_peaks`` and ``find_peaks_cross``. Those
-and ``propagate``, ``g2_general``, ``cs_check``, ``SubsetSpec`` and
-``EventStream`` apply the index rule to their indices.
+not); anything else raises ``ConfigInvalid``. A ``CascadeSpec`` applies
+the first two through ``validate`` when it is built, so every spec that
+exists is valid and no function that takes one checks it again. The
+raw-argument entry points apply them to their own arguments:
+``g2_equal``, ``g2_equal_pair``, ``g2_subset``, ``root_of_unity``,
+``small_tau_leading``, ``bundle_peak``, ``trace_index``, ``g2_two_level``,
+``g2_three_level``, ``zeta_value``, ``oscillation_condition``,
+``g2_limit_low_pump``, ``g2_limit_high_pump``, ``g2_phenomenological``,
+``find_peaks`` and ``find_peaks_cross``. Those and ``propagate``,
+``g2_general``, ``cs_check``, ``SubsetSpec`` and ``EventStream`` apply the
+index rule to their indices.
 """
 
 from __future__ import annotations
@@ -139,9 +141,8 @@ class CascadeSpec:
     """A one-way cyclic cascade: N levels and the N transition rates.
 
     ``rates[0]`` is the reload rate; ``rates[j]`` for j >= 1 the relaxation
-    rate out of level j. Rates carry units of inverse time. The level
-    count must be an integer on construction; ``validate`` checks the rest
-    of the domain rule.
+    rate out of level j. Rates carry units of inverse time. Construction
+    applies ``validate``, so every spec that exists lies in the domain.
     """
 
     n_levels: int
@@ -150,6 +151,7 @@ class CascadeSpec:
     def __post_init__(self):
         object.__setattr__(self, "n_levels", check_index("n_levels", self.n_levels))
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
+        validate(self)
 
     @classmethod
     def equal(cls, n_levels: int, gamma: float = 1.0) -> "CascadeSpec":
@@ -182,9 +184,7 @@ class CascadeSpec:
     @classmethod
     def from_json(cls, text: str) -> "CascadeSpec":
         data = json.loads(text)
-        spec = cls(data["n_levels"], tuple(data["rates"]))
-        validate(spec)
-        return spec
+        return cls(data["n_levels"], tuple(data["rates"]))
 
 
 def validate(spec: CascadeSpec) -> None:
@@ -194,6 +194,12 @@ def validate(spec: CascadeSpec) -> None:
         raise ConfigInvalid(f"expected {n} rates, got {len(spec.rates)}")
     for j, r in enumerate(spec.rates):
         check_rate(f"rates[{j}]", r)
+
+
+def steady_state(spec: CascadeSpec) -> np.ndarray:
+    """Stationary occupation: p[l] proportional to 1/rates[l] (flux balance)."""
+    w = 1.0 / np.asarray(spec.rates, dtype=float)
+    return w / w.sum()
 
 
 def trace_index(m: int, n: int, n_levels: int) -> int:

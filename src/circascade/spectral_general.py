@@ -1,4 +1,4 @@
-"""General-rate machinery: generator matrix, steady state, stepped-expm
+"""General-rate machinery: generator matrix, stepped-expm
 propagation, g2 for arbitrary rates, and the exact N = 2 and N = 3 closed
 forms with their limit expressions. No g2 route calls `decompose`; it
 remains a standalone eigendecomposition of the generator.
@@ -35,7 +35,7 @@ from .model import (
     check_index,
     check_rate,
     signed_delay,
-    validate,
+    steady_state,
 )
 
 DEGENERACY_RTOL = 1e-8
@@ -52,20 +52,12 @@ def generator_matrix(spec: CascadeSpec) -> np.ndarray:
 
     Q[l, l] = -rates[l]; Q[(l-1) % N, l] = +rates[l]; zero elsewhere.
     """
-    validate(spec)
     n = spec.n_levels
     q = np.zeros((n, n))
     for l, r in enumerate(spec.rates):
         q[l, l] -= r
         q[(l - 1) % n, l] += r
     return q
-
-
-def steady_state(spec: CascadeSpec) -> np.ndarray:
-    """Stationary occupation: p[l] proportional to 1/rates[l] (flux balance)."""
-    validate(spec)
-    w = 1.0 / np.asarray(spec.rates, dtype=float)
-    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,6 @@ def decompose(spec: CascadeSpec) -> SpectralDecomposition:
     positive real part beyond rounding, or the characteristic-polynomial
     residual prod(lambda + gamma_i) - prod(gamma_i) is out of tolerance.
     """
-    validate(spec)
     q = generator_matrix(spec)
     gmax = spec.max_rate
     try:
@@ -243,7 +234,6 @@ def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
     negative delays mirror the swapped pair; tau = 0 is the right limit.
     Rounding depends on the whole stepped array: pass a grid in one call.
     """
-    validate(spec)
     nlev = spec.n_levels
     m, n = check_index("m", m), check_index("n", n)
     pss = steady_state(spec)

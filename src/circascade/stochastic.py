@@ -30,9 +30,8 @@ from .model import (
     InsufficientSamples,
     StreamInvariantViolation,
     check_index,
-    validate,
+    steady_state,
 )
-from .spectral_general import steady_state
 
 _CHUNK = 1 << 19
 _NUDGE_BLOCK = 1 << 20
@@ -48,6 +47,7 @@ class SimConfig:
     Exactly one of ``duration`` (observation window after burn-in) or
     ``total_events`` (events recorded after burn-in) must be set.
     ``initial_level=None`` draws the starting level from the steady state.
+    Construction raises ConfigInvalid for any setting outside these rules.
     """
 
     spec: CascadeSpec
@@ -58,23 +58,21 @@ class SimConfig:
     burn_in: float = 0.0
     trajectory: int = 0
 
-
-def _check_config(cfg: SimConfig) -> None:
-    validate(cfg.spec)
-    if (cfg.duration is None) == (cfg.total_events is None):
-        raise ConfigInvalid("set exactly one of duration or total_events")
-    if cfg.duration is not None and not 0 < cfg.duration < np.inf:  # NaN fails too
-        raise ConfigInvalid(f"duration must be finite and > 0, got {cfg.duration!r}")
-    if cfg.total_events is not None and cfg.total_events < 1:
-        raise ConfigInvalid("total_events must be >= 1")
-    if not 0 <= cfg.burn_in < np.inf:
-        raise ConfigInvalid(f"burn_in must be finite and >= 0, got {cfg.burn_in!r}")
-    if cfg.initial_level is not None and not (
-        0 <= check_index("initial_level", cfg.initial_level) < cfg.spec.n_levels
-    ):
-        raise ConfigInvalid(
-            f"initial_level {cfg.initial_level} outside [0, {cfg.spec.n_levels})"
-        )
+    def __post_init__(self):
+        if (self.duration is None) == (self.total_events is None):
+            raise ConfigInvalid("set exactly one of duration or total_events")
+        if self.duration is not None and not 0 < self.duration < np.inf:  # NaN fails too
+            raise ConfigInvalid(f"duration must be finite and > 0, got {self.duration!r}")
+        if self.total_events is not None and self.total_events < 1:
+            raise ConfigInvalid("total_events must be >= 1")
+        if not 0 <= self.burn_in < np.inf:
+            raise ConfigInvalid(f"burn_in must be finite and >= 0, got {self.burn_in!r}")
+        if self.initial_level is not None and not (
+            0 <= check_index("initial_level", self.initial_level) < self.spec.n_levels
+        ):
+            raise ConfigInvalid(
+                f"initial_level {self.initial_level} outside [0, {self.spec.n_levels})"
+            )
 
 
 def _rng_for(cfg: SimConfig) -> np.random.Generator:
@@ -95,7 +93,6 @@ def simulate(config: SimConfig) -> EventStream:
     full-length copy. Timestamps are strictly increasing by construction
     (coincident rounding collisions are nudged by one ulp).
     """
-    _check_config(config)
     spec = config.spec
     n = spec.n_levels
     rates = np.asarray(spec.rates, dtype=float)

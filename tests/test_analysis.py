@@ -131,7 +131,7 @@ def test_scan_window_does_not_change_peaks(monkeypatch, window):
 @settings(max_examples=25, deadline=None)
 def test_scan_grid_is_the_arange_grid(gamma, max_order, window):
     # N = 2, class 1 has no maximum above 1, so the scan runs until the trace
-    # is flat: all of the first np.arange grid, then a prefix of the second
+    # is flat: whole windows of step + i * step, the last one past tau_flat
     seen = []
 
     def record(n_levels, k, gamma_, taus):
@@ -144,13 +144,12 @@ def test_scan_grid_is_the_arange_grid(gamma, max_order, window):
         with pytest.raises(InsufficientSamples):
             find_peaks(2, gamma, 1, max_order)
     step = analysis.PEAK_GRID_STEP / gamma
-    hi = (max_order + 2) * 2 / gamma
-    first = np.arange(step, hi, step)
-    second = np.arange(hi - 2 * step, 2 * hi, step)
+    tau_flat = analysis.MODE_CUT / (2 * gamma)  # gamma tau d_1 = MODE_CUT, d_1 = 2
     scanned = np.concatenate(seen)
-    assert len(first) < len(scanned) <= len(first) + len(second)
-    expected = np.concatenate([first, second])[:len(scanned)]
+    expected = step + np.arange(len(scanned)) * step
     assert scanned.tobytes() == expected.tobytes()
+    assert [len(w) for w in seen] == [window] * len(seen)
+    assert [w[-1] > tau_flat for w in seen] == [False] * (len(seen) - 1) + [True]
 
 
 def _plateaus(centre):
@@ -214,6 +213,8 @@ def test_huge_order_count_stops_where_the_trace_is_flat():
         tracemalloc.stop()
     assert huge.peaks == bounded.peaks
     assert peak < 4 * 2**20
+    # an order count past the float range: the scan never converts it
+    assert find_peaks(6, 1.0, 1, 10**400).peaks == bounded.peaks
 
 
 def test_cs_check_equal_rates_always_violated():

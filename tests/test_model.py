@@ -84,17 +84,16 @@ def test_trace_index_rotation_invariant(n, m, k, r):
 )
 @settings(max_examples=200)
 def test_validate_accepts_iff_invariants_hold(n, rates):
-    spec = CascadeSpec(n, tuple(rates))
     should_pass = (
         n >= 1
         and len(rates) == n
         and all(np.isfinite(r) and r > 0 for r in rates)
     )
     if should_pass:
-        validate(spec)
+        validate(CascadeSpec(n, tuple(rates)))
     else:
-        with pytest.raises(Exception):
-            validate(spec)
+        with pytest.raises(ConfigInvalid):
+            CascadeSpec(n, tuple(rates))
 
 
 def test_spec_json_round_trip():

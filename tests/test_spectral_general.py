@@ -521,7 +521,7 @@ BAD_RING_ROUTES = {
     for bad in (BAD_LEVEL_COUNTS if isinstance(good, int) else BAD_RATES)
 }
 
-# entry points that take a CascadeSpec and apply the rule through validate
+# entry points that take a CascadeSpec: a bad rate raises when the spec is built
 SPEC_ROUTES = {
     "validate": validate,
     "generator_matrix": generator_matrix,

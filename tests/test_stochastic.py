@@ -51,9 +51,8 @@ def test_invalid_configs_rejected():
 )
 def test_non_finite_durations_rejected(field, value):
     stop = {"duration": 1.0} if field == "burn_in" else {}
-    cfg = SimConfig(CascadeSpec.equal(3, 1.0), seed=1, **stop, **{field: value})
     with pytest.raises(ConfigInvalid, match=f"{field} must be finite"):
-        simulate(cfg)
+        SimConfig(CascadeSpec.equal(3, 1.0), seed=1, **stop, **{field: value})
 
 
 def test_single_level_is_poisson_counting():
