@@ -150,7 +150,13 @@ class CascadeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n_levels", check_index("n_levels", self.n_levels))
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
+        try:
+            rates = tuple(self.rates)
+        except TypeError:
+            raise ConfigInvalid(f"rates must be a sequence, got {self.rates!r}") from None
+        object.__setattr__(
+            self, "rates", tuple(check_rate(f"rates[{j}]", r) for j, r in enumerate(rates))
+        )
         validate(self)
 
     @classmethod

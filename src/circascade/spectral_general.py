@@ -6,9 +6,13 @@ remains a standalone eigendecomposition of the generator.
 The N = 3 closed form is one expression for all nine pairs, fixed by the
 value and slope at tau = 0 of the read level's two decaying modes.
 
-Propagation needs numpy only: `_expm` is the scaling-and-squaring Pade
-scheme of Higham (2005), SIAM J. Matrix Anal. Appl. 26(4):1179-1193,
-with the degree (3, 5, 7, 9 or 13) picked from his theta table.
+Propagation needs numpy only. The generator is essentially nonnegative,
+so `_expm` shifts it to a nonnegative matrix and sums a Taylor series
+with repeated squaring: no terms of opposite sign meet, and every
+probability is accurate relative to itself, even deep in the antibunching
+dip (Xue and Ye, "Computing exponentials of essentially non-negative
+matrices entrywise to high relative accuracy", Math. Comp. 82, 2013).
+A negative propagated probability is therefore a failure, not rounding.
 
 Sign convention: the generator Q (columns sum to zero) has eigenvalues
 -mu_j with decay rates mu_j >= 0; for equal rates mu_j = gamma (1 - z^j).
@@ -39,7 +43,6 @@ from .model import (
 )
 
 DEGENERACY_RTOL = 1e-8
-NEGATIVE_CLAMP = 1e-12
 
 
 def _rates(*gammas: float) -> tuple[float, ...]:
@@ -133,66 +136,42 @@ def decompose(spec: CascadeSpec) -> SpectralDecomposition:
     return SpectralDecomposition(eigvals, vectors, inverse, condition, degenerate)
 
 
-# Pade degree m -> (theta_m, coefficients b_0 .. b_m): a matrix of 1-norm
-# <= theta_m meets double precision with the [m/m] approximant (Higham 2005)
-_PADE = {
-    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                               1512.0, 56.0, 1.0)),
-    9: (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    13: (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
-                               7771770303897600.0, 1187353796428800.0, 129060195264000.0,
-                               10559470521600.0, 670442572800.0, 33522128640.0,
-                               1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
-}
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring: the [m/m] Pade approximant of
-    exp(a / 2^s), squared s times (Higham 2005).
+    """exp(a) of an essentially nonnegative a (a ring generator times
+    t >= 0), accurate entry by entry relative to itself (Xue and Ye 2013).
 
-    The squarings run on E = exp(.) - I, (I + E)^2 - I = E E + 2 E, so
-    rounding stays relative to E rather than to the identity: squaring
-    exp(.) itself lets a ring generator's column sums drift by about
-    2^s eps (1e-9 at N = 160, rates in 10^+-3), this keeps them within
-    1.3e-13. A matrix with a NaN or inf entry, or a 1-norm that
-    overflows, returns all NaN.
+    With s = max(-a[i, i]), B = a + s I >= 0, so exp(a) = e^-s exp(B)
+    sums no terms of opposite sign: a Taylor polynomial of B / 2^k, k =
+    ceil(log2(N - 1 + s)), of the least degree m with 2^k / (m + 1)! <=
+    2^-53, times e^(-s / 2^k), then k squarings. Each squaring divides
+    every column by its sum, since exp(a) has unit column sums; without
+    that the squarings drift by about 2^k eps. A matrix with a NaN or inf
+    entry, or a 1-norm that overflows, returns all NaN.
     """
+    n = len(a)
     with np.errstate(over="ignore"):
         norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     if not math.isfinite(norm):
         return np.full_like(a, np.nan)
-    degree = next((m for m, (theta, _) in _PADE.items() if norm <= theta), 13)
-    theta, b = _PADE[degree]
-    squarings = math.ceil(math.log2(norm / theta)) if norm > theta else 0
-    a = a * 0.5 ** squarings
-    eye = np.eye(len(a))
-    a2 = a @ a
-    if degree < 13:
-        powers = [eye, a2]  # a^0, a^2, ..., a^(m - 1)
-        while len(powers) <= degree // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-        v = sum(b[2 * k] * p for k, p in enumerate(powers))
-    else:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    e = 2 * np.linalg.solve(v - u, u)  # (v - u)^-1 (v + u) - I
-    for _ in range(squarings):
-        e = e @ e + 2 * e
-    return e + eye
+    shift = float(-a.diagonal().min(initial=0.0))
+    k = math.ceil(math.log2(max(1.0, n - 1 + shift)))
+    degree = 1
+    while math.lgamma(degree + 2) < (k + 53) * math.log(2):  # log (m + 1)!
+        degree += 1
+    b = np.ldexp(a + shift * np.eye(n), -k)
+    e = np.eye(n)
+    for j in range(degree, 0, -1):  # Horner: T = I + B T / j
+        e = np.eye(n) + b @ e / j
+    e *= math.exp(-math.ldexp(shift, -k))
+    for _ in range(k):
+        e = e @ e
+        e /= e.sum(axis=0)
+    return e
 
 
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
-    if not p.min() >= -NEGATIVE_CLAMP:  # NaN fails too
-        raise NumericalFailure(f"propagated probability {p.min():.3e} is not >= -1e-12")
-    p = np.clip(p, 0.0, None)
+    if not p.min() >= 0.0:  # NaN fails too
+        raise NumericalFailure(f"propagated probability {p.min():.3e} is not >= 0")
     s = p.sum(axis=-1, keepdims=True)
     if not np.all(np.abs(s - 1.0) <= 1e-10):
         raise NumericalFailure("propagated probabilities do not sum to 1")
@@ -201,8 +180,9 @@ def _clean_probabilities(p: np.ndarray) -> np.ndarray:
 
 def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> np.ndarray:
     """exp(Q tau) e_s for an array of tau >= 0; rows are tau points, stepped
-    through the stably sorted taus with one Pade `_expm(Q gap)` per
-    distinct gap."""
+    through the stably sorted taus with one `_expm(Q gap)` per distinct
+    gap. Each step multiplies a nonnegative vector by a nonnegative
+    matrix, so the relative accuracy of every entry survives the steps."""
     n = spec.n_levels
     initial_level = check_index("initial_level", initial_level)
     if not 0 <= initial_level < n:
@@ -308,6 +288,12 @@ def g2_three_level(
     rates, so rotating the rates with the pair gives the same bits.
     Negative delays mirror the swapped pair, g_{m,n}(tau) = g_{n,m}(-tau);
     tau = 0 evaluates the right limit.
+
+    The form is accurate to about eps / p_ss[r] absolute, not relative to
+    g. When r is the one fast level and tau has outlived the fast mode,
+    the bracket cancels to O(p_ss[r]): at rates (0.001, 1000, 0.001),
+    pair (1, 0), tau = 0.1, g = 1.96e-4 is off by 2.2e-10 (1.1e-6
+    relative). `g2_general` is accurate entry by entry there.
     """
     rates = _rates(gamma0, gamma1, gamma2)
     m, n = check_index("m", m), check_index("n", n)

@@ -6,8 +6,8 @@ a trajectory is fully described by its dwell times: visit i sits in level
 labeled with the source level at the jump. The simulator therefore keeps
 only the jump times and the level of the first recorded visit, which is
 exactly an ``EventStream`` ring. Sampling is vectorized in chunks; the RNG
-is counter-based (Philox keyed by seed and trajectory index) so ensembles
-parallelize deterministically.
+is counter-based (Philox keyed by the seed), so one seed gives one stream
+whatever the chunk size.
 
 The text format stores one '<timestamp> <label>' line per event and its
 reader rebuilds the ring with ``EventStream.from_labels``, which rejects
@@ -56,7 +56,6 @@ class SimConfig:
     total_events: int | None = None
     initial_level: int | None = None
     burn_in: float = 0.0
-    trajectory: int = 0
 
     def __post_init__(self):
         if (self.duration is None) == (self.total_events is None):
@@ -76,7 +75,7 @@ class SimConfig:
 
 
 def _rng_for(cfg: SimConfig) -> np.random.Generator:
-    key = np.array([cfg.seed, cfg.trajectory], dtype=np.uint64)
+    key = np.array([cfg.seed, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -1,12 +1,13 @@
 """Independent oracles for the test suite.
 
 Everything here is built from first principles (dense matrix exponential,
-brute-force double sums) and deliberately avoids the package's own
-spectral or closed-form code paths.
+60-digit mpmath exponentials and series, brute-force double sums) and
+deliberately avoids the package's own spectral or closed-form code paths.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -44,6 +45,67 @@ def g2_pair_expm(rates, m, n, tau):
     pss = steady_state_nullspace(rates)
     read = (n + 1) % nlev
     return propagate_expm(rates, m % nlev, tau)[read] / pss[read]
+
+
+def _mp_generator(rates):
+    n = len(rates)
+    q = mpmath.zeros(n, n)
+    for l, g in enumerate(rates):
+        q[l, l] -= mpmath.mpf(g)
+        q[(l - 1) % n, l] += mpmath.mpf(g)
+    return q
+
+
+def propagate_mpmath(rates, initial_level, step, steps, digits=60):
+    """Occupations at step, 2 step, ..., steps * step from one level, each
+    entry accurate far below double precision relative to itself.
+
+    One 60-digit mpmath expm of the shifted generator (Q + s I) step >= 0,
+    s the largest rate, times e^(-s step): a sum of positive terms, so
+    even the tiniest occupation keeps its digits. Returns an array of
+    shape (steps, N).
+    """
+    with mpmath.workdps(digits):
+        shift = max(mpmath.mpf(g) for g in rates)
+        h = mpmath.mpf(step)
+        b = (_mp_generator(rates) + shift * mpmath.eye(len(rates))) * h
+        jump = mpmath.expm(b) * mpmath.exp(-shift * h)
+        p = mpmath.zeros(len(rates), 1)
+        p[initial_level] = 1
+        rows = []
+        for _ in range(steps):
+            p = jump * p
+            rows.append([float(x) for x in p])
+    return np.array(rows)
+
+
+def g2_pair_mpmath(rates, m, n, tau):
+    """Arrival-labeled pair correlation for tau >= 0 from `propagate_mpmath`."""
+    nlev = len(rates)
+    read = (n + 1) % nlev
+    inverse = [1 / mpmath.mpf(g) for g in rates]
+    p = propagate_mpmath(rates, m % nlev, tau, 1)[0, read]
+    return p * float(sum(inverse) / inverse[read])
+
+
+def g2_equal_poisson(n_levels, m, n, gamma, tau, digits=60):
+    """Equal-rate pair correlation for tau >= 0 from the Poisson series.
+
+    The excitation takes j steps down the ring by time tau with Poisson
+    probability e^(-gamma tau) (gamma tau)^j / j!, so level m reaches the
+    read level (n + 1) % N after d, d + N, d + 2N, ... steps, d = (m - n -
+    1) mod N; every term is positive, so the sum keeps its digits.
+    """
+    with mpmath.workdps(digits):
+        x = mpmath.mpf(gamma) * mpmath.mpf(tau)
+        j = (m - n - 1) % n_levels
+        total, term = mpmath.mpf(0), mpmath.exp(-x) * x ** j / mpmath.factorial(j)
+        while term > total * mpmath.mpf(10) ** -(digits - 5) or j < 4 * n_levels:
+            total += term
+            for i in range(j + 1, j + n_levels + 1):
+                term *= x / i
+            j += n_levels
+        return float(n_levels * total)
 
 
 def g2_subset_bruteforce(n_levels, members, gamma, tau):

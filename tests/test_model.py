@@ -124,6 +124,12 @@ def test_spec_rejects_a_non_integer_level_count(n_levels, rates):
         CascadeSpec(n_levels, rates)
 
 
+def test_spec_rejects_rates_that_are_not_a_sequence():
+    # a non-numeric rate is one of BAD_RATES in test_spectral_general
+    with pytest.raises(ConfigInvalid, match="rates must be a sequence, got 5"):
+        CascadeSpec(2, 5)
+
+
 def test_spec_accepts_a_numpy_integer_level_count():
     spec = CascadeSpec(np.int64(3), (1.0, 2.0, 3.0))
     validate(spec)

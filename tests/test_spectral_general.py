@@ -44,13 +44,16 @@ from circascade import (
     zeta_value,
 )
 from circascade.model import NumericalFailure
-from circascade.spectral_general import _PADE, _expm, characteristic_residuals
+from circascade.spectral_general import _expm, characteristic_residuals
 
 from oracles import (
     expm,
+    g2_equal_poisson,
     g2_pair_expm,
+    g2_pair_mpmath,
     generator_bruteforce,
     propagate_expm,
+    propagate_mpmath,
     steady_state_nullspace,
 )
 
@@ -268,21 +271,25 @@ def test_propagate_degenerate_path_matches_expm():
         )
 
 
+# s t, s the largest rate, just below the 1-norm thresholds theta_m / 2 of
+# the Pade degrees 3, 5, 7, 9 and 13 (a ring generator's 1-norm is 2 s),
+# then at 4 and 1000 theta_13 / 2
+SHIFTED_JUMPS = [0.999 * theta / 2 for theta in (1.496e-2, 0.2539, 0.9504, 2.098, 5.372)]
+SHIFTED_JUMPS += [4 * 5.372 / 2, 1000 * 5.372 / 2]
+
+
 def _pade_cases(n, decades):
-    """A ring generator scaled to 1-norms just below each Pade theta, above
-    theta_13 (2 and 10 squarings), and to 1 and 30 mean cycle times."""
+    """A ring generator times t for each of SHIFTED_JUMPS, and for 1 and 30
+    mean cycle times."""
     rates = 10 ** np.random.default_rng(n + decades).uniform(-decades, decades, n)
     q = generator_bruteforce(rates)
-    norm = np.abs(q).sum(axis=0).max()
-    theta13 = _PADE[13][0]
-    times = [0.999 * theta / norm for theta, _ in _PADE.values()]
-    times += [4 * theta13 / norm, 1000 * theta13 / norm]
+    times = [jump / rates.max() for jump in SHIFTED_JUMPS]
     times += [sum(1 / rates), 30 * sum(1 / rates)]
     return [q * t for t in times]
 
 
 # the gap at 10^+-2 and 10^+-3 is the oracle's own squaring drift: measured
-# 2.7e-12 and 2.0e-10, while _expm keeps its column sums within 1.3e-13
+# 2.7e-12 and 2.0e-10, while _expm keeps its column sums within 7.8e-16
 @pytest.mark.parametrize("decades, tol", [(1, 1e-13), (2, 1e-11), (3, 1e-9)])
 @pytest.mark.parametrize("n", [3, 12, 48, 160])
 def test_expm_matches_the_dense_oracle_on_every_pade_branch(n, decades, tol):
@@ -295,9 +302,66 @@ def test_expm_matches_the_dense_oracle_on_every_pade_branch(n, decades, tol):
 def test_expm_of_the_zero_matrix_and_of_one_by_one_matrices():
     np.testing.assert_array_equal(_expm(np.zeros((4, 4))), np.eye(4))
     assert _expm(generator_matrix(CascadeSpec(1, (2.0,)))).tolist() == [[1.0]]
-    for x in (-1e-3, 0.2, -2.5, -40.0):
-        a = np.array([[x]])
-        assert abs(_expm(a) - expm(a)).max() <= 1e-15
+
+
+DIP_GRID = np.linspace(0.0, 8.0, 1601)
+
+
+def _relative_gap(got, ref):
+    ref = np.asarray(ref)
+    return np.abs(got - ref) / np.where(ref > 0, ref, 1.0)  # exact where ref == 0
+
+
+@pytest.mark.parametrize("nlev", range(3, 13))
+def test_equal_rate_dip_of_every_pair_is_relatively_accurate(nlev):
+    # g2 ~ tau^d near 0 for a pair whose read level is d steps away: an
+    # absolute error of eps would swamp it
+    spec, taus = CascadeSpec.equal(nlev, 1.0), DIP_GRID[:41]
+    for k in range(nlev):
+        ref = [g2_equal_poisson(nlev, 0, k, 1.0, t) for t in taus]
+        for m in range(nlev):
+            got = g2_general(spec, m, (m + k) % nlev, taus)
+            assert _relative_gap(got, ref).max() <= 1e-13, (m, k)
+
+
+def test_eight_level_autocorrelation_is_relatively_accurate_on_its_grid():
+    ref = [g2_equal_poisson(8, 1, 1, 1.0, t) for t in DIP_GRID]
+    got = g2_general(CascadeSpec.equal(8, 1.0), 1, 1, DIP_GRID)
+    assert _relative_gap(got, ref).max() <= 1e-13
+
+
+STIFF3 = (0.001, 1000.0, 0.001)
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (2, 0), (0, 0), (0, 1)])
+def test_stiff_three_level_pairs_match_mpmath(m, n):
+    # read level r = (n + 1) % 3; for (1, 0) it is the fast level, where the
+    # closed form holds only eps / p_ss[r] absolute; propagation stays relative
+    ref = g2_pair_mpmath(STIFF3, m, n, 0.1)
+    assert abs(g2_general(CascadeSpec(3, STIFF3), m, n, 0.1) - ref) <= 1e-13 * ref
+    assert abs(g2_three_level(*STIFF3, m, n, 0.1) - ref) <= 1e-9
+
+
+@given(
+    rates=st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), min_size=2, max_size=12),
+    data=st.data(),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_stepped_propagation_is_relatively_accurate(rates, data):
+    # up to 8 exact steps of a power of two, ending within three fast
+    # lifetimes, where levels behind slow ones hold tiny occupations
+    nlev, fast = len(rates), max(rates)
+    steps = data.draw(st.integers(1, 8))
+    span = 10.0 ** data.draw(st.floats(-3.0, math.log10(3.0))) / fast
+    step = 2.0 ** math.floor(math.log2(span / steps))
+    m = data.draw(st.integers(0, nlev - 1))
+    ref = propagate_mpmath(rates, m, step, steps)
+    pss = 1 / np.array(rates) / sum(1 / np.array(rates))  # flux balance, to a few eps
+    spec = CascadeSpec(nlev, tuple(rates))
+    for n in range(nlev):
+        read = (n + 1) % nlev
+        got = g2_general(spec, m, n, step * np.arange(1, steps + 1))
+        assert _relative_gap(got, ref[:, read] / pss[read]).max() <= 1e-15 * nlev * steps
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
@@ -489,7 +553,7 @@ def test_nan_delay_raises(route, tau):
         route(tau)
 
 
-BAD_RATES = (NAN, math.inf, -math.inf, 0.0, -1.0)
+BAD_RATES = (NAN, math.inf, -math.inf, 0.0, -1.0, "a", None)
 BAD_LEVEL_COUNTS = (0, 3.9, True)
 
 # every raw-argument entry point with valid arguments; an int argument is a
@@ -588,8 +652,10 @@ INDEX_CALLS = {
     "g2_two_level": (lambda m, n: g2_two_level(1.0, 2.0, m, n, 0.5), (1, 0), 1.4462603202968596),
     "g2_three_level": (lambda m, n: g2_three_level(*UNBALANCED, m, n, 0.5), (2, 1),
                        1.035174040832137),
-    "g2_general": (lambda m, n: g2_general(SPEC4, m, n, 0.5), (2, 1), 2.8464197325395317),
-    "propagate": (lambda level: float(propagate(SPEC4, level, 0.5)[0]), (1,), 0.34494700429686365),
+    # the shifted Taylor kernel's values: 60-digit mpmath puts both within
+    # 2 eps relative (1.9e-16 and 3.4e-16)
+    "g2_general": (lambda m, n: g2_general(SPEC4, m, n, 0.5), (2, 1), 2.8464197325395326),
+    "propagate": (lambda level: float(propagate(SPEC4, level, 0.5)[0]), (1,), 0.34494700429686354),
     "cs_check": (lambda m, n: cs_check(CascadeSpec.equal(6), m, n, [0.1]).samples[0].rhs, (3, 1),
                  8.187307531050577e-07),
     "discontinuity": (lambda m, n: discontinuity(CascadeSpec(3, UNBALANCED), m, n)[2], (2, 1),

@@ -193,9 +193,9 @@ def test_text_writer_keeps_an_empty_stream_as_header_and_empty_line(tmp_path):
     assert path.read_text() == "# cascade-events v1 N=3 seed=2 T=10\n\n"
 
 
-def test_different_trajectory_different_stream():
+def test_different_seed_different_stream():
     base = SimConfig(SPEC124, seed=99, total_events=1000)
-    other = SimConfig(SPEC124, seed=99, total_events=1000, trajectory=1)
+    other = SimConfig(SPEC124, seed=100, total_events=1000)
     a, b = simulate(base), simulate(other)
     assert not np.array_equal(a.channels[0][:50], b.channels[0][:50])
 
@@ -263,7 +263,7 @@ def test_stationary_draw_is_unbiased_without_burn_in():
     counts = np.zeros(3)
     n_traj = 1000
     for traj in range(n_traj):
-        cfg = SimConfig(spec, seed=77, total_events=8, trajectory=traj)
+        cfg = SimConfig(spec, seed=traj, total_events=8)
         times, labels = simulate(cfg).merged()
         before = np.searchsorted(times, probe_t)
         if before == 0:
