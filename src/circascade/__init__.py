@@ -51,6 +51,7 @@ from .stochastic import (
     read_events_binary,
     read_events_text,
     simulate,
+    simulate_to_binary,
     time_weighted_occupancy,
     write_events_binary,
     write_events_text,

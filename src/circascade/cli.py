@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 import time
@@ -44,11 +45,15 @@ from .model import (
     SubsetSpec,
 )
 from .spectral_general import g2_general, g2_three_level
+# the binary path writes through simulate_to_binary, so write_events_binary
+# is not called here; perfbench/tracer.py still wraps it by this name
 from .stochastic import (
     SimConfig,
     read_events_binary,
     read_events_text,
     simulate,
+    simulate_to_binary,
+    stream_levels,
     write_events_binary,
     write_events_text,
 )
@@ -250,30 +255,50 @@ def cmd_simulate(args) -> None:
         initial_level=args.initial,
         burn_in=args.burn_in,
     )
-    stream = simulate(config)
     if args.format == "text":
-        write_events_text(stream, args.out)
+        write_events_text(simulate(config), args.out)
     else:
-        write_events_binary(stream, args.out)
+        simulate_to_binary(config, args.out)
 
 
-def _read_stream(path: str):
+def _read_stream(path: str, levels=None):
     with open(path, "rb") as fh:
         binary = fh.read(3) == b"CEV"  # any CEV magic: the binary reader names it
-    return read_events_binary(path) if binary else read_events_text(path)
+    return (read_events_binary if binary else read_events_text)(path, levels)
 
 
 def cmd_correlate(args) -> None:
-    stream = _read_stream(getattr(args, "in"))
-    if args.subset:
-        subset = _parse_subset(args.subset)
-        cfg = HistogramConfig(args.bin, args.taumax)
-        trace = correlate_subset(stream, subset, cfg)
-    else:
-        if not args.pair:
-            raise ConfigInvalid("give --pair or --subset")
-        pair = _parse_pair(args.pair, stream.n_levels)
-        trace = correlate(stream, HistogramConfig(args.bin, args.taumax, channels=pair))
+    path = getattr(args, "in")
+    try:
+        n_levels = stream_levels(path)
+        # the checks run in the order they ran when the whole file was read
+        if args.subset:
+            subset = _parse_subset(args.subset)
+            cfg = HistogramConfig(args.bin, args.taumax)
+            subset.check_against(n_levels)
+            wanted = subset.members
+        else:
+            if not args.pair:
+                raise ConfigInvalid("give --pair or --subset")
+            wanted = _parse_pair(args.pair, n_levels)
+            cfg = HistogramConfig(args.bin, args.taumax)
+    except ConfigInvalid:
+        _read_stream(path)  # a damaged file is reported first, as it always was
+        raise
+    # read only the wanted levels: they form a smaller ring, in which level
+    # wanted[i] is channel rank[wanted[i]]
+    levels = sorted(set(wanted))
+    rank = {level: r for r, level in enumerate(levels)}
+    stream = _read_stream(path, levels)
+    try:
+        if args.subset:
+            trace = correlate_subset(stream, SubsetSpec(tuple(range(len(levels)))), cfg)
+        else:
+            channels = tuple(rank[level] for level in wanted)
+            trace = correlate(stream, dataclasses.replace(cfg, channels=channels))
+    except InsufficientSamples:  # name the empty channel by its level in the file
+        empty = next(level for level in wanted if stream.counts[rank[level]] == 0)
+        raise InsufficientSamples(f"channel {empty} has no events") from None
     write_trace_csv(trace, args.out)
 
 

@@ -193,13 +193,9 @@ def correlate_subset(
     for i in subset.members:
         if per_channel[i] == 0:
             raise InsufficientSamples(f"channel {i} has no events")
-    # event k*N + offset carries the label with that ring offset, so period
-    # by period the channels in sorted offset order interleave in time order
-    n, n_s = stream.n_levels, len(subset.members)
-    offsets = sorted((stream.first_label - i) % n for i in subset.members)
-    merged = np.empty(sum(per_channel[i] for i in subset.members))
-    for j, offset in enumerate(offsets):
-        merged[j::n_s] = stream.times[offset::n]
+    # the subset's events in time order; a subset of the whole ring is the
+    # stream itself, with no interleaved copy
+    merged = stream.select(subset.members).times
     counts = _pair_counts(merged, merged, cfg, same_channel=True)
     rate = len(merged) / stream.total_duration
     return _normalized_trace(counts, rate, rate, stream, cfg, subset=subset)

@@ -19,7 +19,8 @@ Conventions (used everywhere in this package):
   limit ``g_{m,n}(0+)``; the jump of a contiguous pair sits there. Every
   signed-delay trace applies this rule through ``signed_delay``.
 * An ``EventStream``'s times strictly increase: its constructor checks
-  this, so no tied or unordered stream, read or built, reaches the estimator.
+  this with ``check_order``, so no tied or unordered stream, read or built,
+  reaches the estimator.
 * A delay must be finite. ``check_delays`` rejects NaN and +-inf with
   ``ConfigInvalid``: ``signed_delay`` applies it to every signed-delay
   trace, and ``g2_equal``, ``small_tau_leading`` and ``propagate``, which
@@ -56,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 EQUAL_RATE_RTOL = 1e-12
+_ORDER_BLOCK = 1 << 16  # timestamps compared per step of check_order
 
 
 class CascadeError(Exception):
@@ -134,6 +136,56 @@ def check_delays(tau, signed: bool = True) -> np.ndarray:
     if not ok.all():  # NaN fails too
         raise ConfigInvalid("tau must be finite" if signed else "tau must be finite and >= 0")
     return taus
+
+
+def check_order(times: np.ndarray, previous: float | None = None) -> None:
+    """The order rule of a stream: raise StreamInvariantViolation unless
+    ``times`` strictly increase and, when ``previous`` is given, start above
+    it. NaN fails. The comparison runs block by block with overlapping
+    seams, so its temporaries stay a few kB however long ``times`` is."""
+    first_ok = previous is None or len(times) == 0 or times[0] > previous
+    blocks = (times[start - 1:start + _ORDER_BLOCK] for start in range(1, len(times), _ORDER_BLOCK))
+    if not (first_ok and all(np.all(block[1:] > block[:-1]) for block in blocks)):
+        raise StreamInvariantViolation("simultaneous or out-of-order events")
+
+
+def check_span(ends, total_duration: float) -> None:
+    """The window rule of a recorded stream: raise StreamInvariantViolation
+    unless ``ends``, its first and last timestamps, exist and lie at most
+    ``total_duration`` apart (NaN fails)."""
+    if len(ends) == 0:
+        raise StreamInvariantViolation("stream contains no events")
+    if not ends[-1] - ends[0] <= total_duration * (1 + 1e-9):
+        raise StreamInvariantViolation("timestamps span more than total_duration")
+
+
+def ring_subset(levels, n_levels: int) -> tuple[int, ...] | None:
+    """``levels`` as sorted distinct levels of an N-level ring, or None when
+    they are the whole ring; ConfigInvalid for an empty, repeated or
+    out-of-range selection."""
+    subset = SubsetSpec(tuple(levels))
+    subset.check_against(n_levels)
+    return None if subset.n_s == n_levels else subset.members
+
+
+def gather_levels(times, first_label: int, n_levels: int, members, out) -> tuple[int, int]:
+    """Copy the events of a ring segment at the levels ``members`` into the
+    head of ``out``, in time order; return (events copied, rank in
+    ``members`` of the first one).
+
+    Event i of ``times`` carries label ``(first_label - i) % N``.
+    ``members`` are sorted distinct levels. Within each period of N events
+    the members occur in the order of their offsets ``(first_label - l) %
+    N``, so each member's strided channel fills every |S|-th slot of the
+    output; the copy takes one strided assignment per member.
+    """
+    offsets = [(first_label - level) % n_levels for level in members]
+    order = sorted(range(len(members)), key=offsets.__getitem__)
+    count = sum(len(range(o, len(times), n_levels)) for o in offsets)
+    head = out[:count]
+    for slot, rank in enumerate(order):
+        head[slot::len(members)] = times[offsets[rank]::n_levels]
+    return count, order[0]
 
 
 @dataclass(frozen=True)
@@ -314,7 +366,8 @@ class EventStream:
     Label cycling, per-channel count balance and strict order (checked on
     construction, NaN failing) hold for every stream;
     ``from_labels`` builds a stream from outside (times, labels) input and
-    rejects labels that do not cycle. ``times`` is stored read-only.
+    rejects labels that do not cycle, and ``select`` cuts a stream to some
+    of its levels. ``times`` is stored read-only.
 
     ``total_duration`` is the length of the observation window; timestamps
     may start at any origin inside a window of that length. ``spec`` and
@@ -340,8 +393,7 @@ class EventStream:
             raise StreamInvariantViolation(
                 f"total_duration must be finite and > 0, got {self.total_duration!r}"
             )
-        if not np.all(times[1:] > times[:-1]):  # NaN fails too
-            raise StreamInvariantViolation("simultaneous or out-of-order events")
+        check_order(times)
 
     @classmethod
     def from_labels(cls, times, labels, n_levels: int, total_duration: float,
@@ -384,10 +436,24 @@ class EventStream:
         labels = (self.first_label - np.arange(len(self.times))) % self.n_levels
         return self.times, labels
 
+    def select(self, levels) -> "EventStream":
+        """The stream of the events at ``levels``, each level renumbered by
+        its rank among them.
+
+        Every cycle of a one-way ring visits each level once, in descending
+        order, so the events at any subset S of the levels form a one-way
+        ring of |S| levels. ``levels`` are distinct levels of this ring
+        (ConfigInvalid otherwise); the whole ring returns this stream.
+        """
+        members = ring_subset(levels, self.n_levels)
+        if members is None:
+            return self
+        counts = self.counts
+        times = np.empty(sum(counts[level] for level in members))
+        _, first = gather_levels(self.times, self.first_label, self.n_levels, members, times)
+        return EventStream(times, first, len(members), self.total_duration, seed=self.seed)
+
     def check(self) -> None:
         """Raise StreamInvariantViolation if the stream is empty or outruns its window."""
         times = self.times
-        if len(times) == 0:
-            raise StreamInvariantViolation("stream contains no events")
-        if not times[-1] - times[0] <= self.total_duration * (1 + 1e-9):
-            raise StreamInvariantViolation("timestamps span more than total_duration")
+        check_span(times[[0, -1]] if len(times) else times, self.total_duration)

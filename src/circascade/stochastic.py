@@ -12,14 +12,19 @@ whatever the chunk size.
 The text format stores one '<timestamp> <label>' line per event and its
 reader rebuilds the ring with ``EventStream.from_labels``, which rejects
 labels that do not cycle. The binary format stores the ring itself: a
-header with the first label, then the raw f64 times.
+header with the first label, then the raw f64 times. ``simulate_to_binary``
+writes that file chunk by chunk as the stamps are drawn, and
+``read_events_binary`` reads it block by block, optionally keeping only
+some levels, so neither holds more of the stream than it returns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -30,12 +35,16 @@ from .model import (
     InsufficientSamples,
     StreamInvariantViolation,
     check_index,
+    check_order,
+    check_span,
+    gather_levels,
+    ring_subset,
     steady_state,
 )
 
 _CHUNK = 1 << 19
-_NUDGE_BLOCK = 1 << 20
 _TEXT_BLOCK = 1 << 12  # lines formatted per write
+_READ_BLOCK = 1 << 17  # timestamps (1 MiB) read per step of read_events_binary
 _BINARY_MAGIC = b"CEV2"
 _BINARY_HEADER = struct.Struct("<IIQdQ")  # N, first label, seed, T, count
 
@@ -84,13 +93,23 @@ def _capacity(config: SimConfig, expected: int) -> int:
     return expected if config.total_events is None else config.total_events
 
 
-def simulate(config: SimConfig) -> EventStream:
-    """Run one trajectory and return its event stream.
+def _expected_draws(config: SimConfig) -> int:
+    """Draws a run is expected to take, with a four-sigma margin."""
+    event_rate = config.spec.n_levels / config.spec.cycle_time
+    if config.total_events is not None:
+        est = config.burn_in * event_rate + config.total_events
+    else:
+        est = (config.burn_in + config.duration) * event_rate
+    return int(est + 4 * np.sqrt(est) + 16)
 
-    Bit-identical output for identical config. Kept stamps go straight
-    into one preallocated buffer, so the returned stream is the only
-    full-length copy. Timestamps are strictly increasing by construction
-    (coincident rounding collisions are nudged by one ulp).
+
+def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """Draw one trajectory; yield, chunk by chunk, (label of the first
+    stamp, stamps) for every non-empty run of recorded stamps.
+
+    The stamps are final: burn-in subtracted and rounding collisions nudged
+    against the last stamp yielded before, so they continue one strictly
+    increasing stream. Raises InsufficientSamples when nothing is recorded.
     """
     spec = config.spec
     n = spec.n_levels
@@ -104,34 +123,27 @@ def simulate(config: SimConfig) -> EventStream:
 
     horizon = None if config.duration is None else config.burn_in + config.duration
 
-    # expected number of draws; chunked sampling returns the same variates
-    # as one monolithic call, so the chunk size never changes the stream
-    event_rate = n / spec.cycle_time
-    if config.total_events is not None:
-        est = config.burn_in * event_rate + config.total_events
-    else:
-        est = horizon * event_rate
-    expected = int(est + 4 * np.sqrt(est) + 16)
-    chunk = min(_CHUNK, max(64, expected))
+    # chunked sampling returns the same variates as one monolithic call, so
+    # the chunk size never changes the stream
+    chunk = min(_CHUNK, max(64, _expected_draws(config)))
 
-    times = np.empty(_capacity(config, expected))
     # visit v sits in level (start - v) % n, so the rates from visit v on
     # repeat cycle rolled by v
     cycle = rates[(start - np.arange(n)) % n]
-    first_label = 0     # level of the first recorded visit
     visit = 0
     base = 0.0          # accumulated time at the start of the current chunk
     comp = 0.0          # Kahan compensation for the chunk offsets
     recorded = 0
+    last = -np.inf      # last stamp yielded
     while True:
         dwells = rng.standard_exponential(chunk)
         dwells /= np.tile(np.roll(cycle, -(visit % n)), -(-chunk // n))[:chunk]
-        stamps = np.cumsum(dwells)
+        chunk_sum = float(dwells.sum())
+        stamps = np.cumsum(dwells, out=dwells)
         stamps -= comp
         stamps += base
 
         # compensated accumulation of the chunk total
-        chunk_sum = float(dwells.sum())
         y = chunk_sum - comp
         t = base + y
         comp = (t - base) - y
@@ -142,47 +154,97 @@ def simulate(config: SimConfig) -> EventStream:
         hi = chunk if horizon is None else int(np.searchsorted(stamps, horizon, side="right"))
         if config.total_events is not None:
             hi = min(hi, lo + config.total_events - recorded)
-        kept = hi - lo
-        if recorded == 0 and kept:
-            first_label = (start - visit - lo) % n
-        if recorded + kept > len(times):
-            grown = np.empty(max(2 * len(times), recorded + kept))
-            grown[:recorded] = times[:recorded]
-            times = grown
-        times[recorded:recorded + kept] = stamps[lo:hi]
-        recorded += kept
+        done = (horizon is not None and stamps[-1] > horizon) or (
+            config.total_events is not None and recorded + hi - lo >= config.total_events
+        )
+        if hi > lo:
+            kept = stamps[lo:hi]
+            kept -= config.burn_in
+            _nudge_collisions(kept, last)
+            last = float(kept[-1])
+            yield (start - visit - lo) % n, kept
+        recorded += hi - lo
         visit += chunk
         chunk = min(_CHUNK, 2 * chunk)
-
-        if horizon is not None and stamps[-1] > horizon:
-            break
-        if config.total_events is not None and recorded >= config.total_events:
+        if done:
             break
 
     if recorded == 0:
         raise InsufficientSamples("no events recorded; increase duration")
-    times = times[:recorded]
-    times -= config.burn_in
-    _nudge_collisions(times)
-
-    total = float(times[-1] if config.duration is None else config.duration)
-    return EventStream(times, first_label, n, total, seed=config.seed, spec=spec)
 
 
-def _nudge_collisions(times: np.ndarray) -> None:
-    """Raise, in place, every stamp not above its predecessor to one ulp above it.
+def simulate(config: SimConfig) -> EventStream:
+    """Run one trajectory and return its event stream.
 
-    Such rounding collisions are extremely rare. Blocks overlap by one
-    stamp, the last one of the previous block, which is final by then; so
-    the result equals that of one pass over the whole array.
+    Bit-identical output for identical config. Kept stamps go straight
+    into one preallocated buffer, so the returned stream is the only
+    full-length copy. Timestamps are strictly increasing by construction
+    (coincident rounding collisions are nudged by one ulp).
     """
-    for start in range(1, len(times), _NUDGE_BLOCK):
-        block = times[start - 1:start + _NUDGE_BLOCK]
-        while True:
-            bad = np.flatnonzero(np.diff(block) <= 0)
-            if len(bad) == 0:
-                break
-            block[bad + 1] = np.nextafter(block[bad], np.inf)
+    times = np.empty(_capacity(config, _expected_draws(config)))
+    first_label = 0     # level of the first recorded visit
+    recorded = 0
+    for label, kept in _kept_chunks(config):
+        if recorded == 0:
+            first_label = label
+        if recorded + len(kept) > len(times):
+            grown = np.empty(max(2 * len(times), recorded + len(kept)))
+            grown[:recorded] = times[:recorded]
+            times = grown
+        times[recorded:recorded + len(kept)] = kept
+        recorded += len(kept)
+    times = times[:recorded]
+    total = float(times[-1] if config.duration is None else config.duration)
+    return EventStream(times, first_label, config.spec.n_levels, total,
+                       seed=config.seed, spec=config.spec)
+
+
+def simulate_to_binary(config: SimConfig, path) -> None:
+    """Run one trajectory and write it in the binary format as it is drawn.
+
+    The file has the bytes of ``write_events_binary(simulate(config),
+    path)``, but only one chunk of stamps is held at a time. The header,
+    which needs the count and the last stamp, is written last. The file is
+    built under a sibling temporary name and renamed onto ``path`` when it
+    is complete, so a failed run leaves no file.
+    """
+    partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(bytes(len(_BINARY_MAGIC) + _BINARY_HEADER.size))
+            first_label, count, last = 0, 0, 0.0
+            for label, kept in _kept_chunks(config):
+                if count == 0:
+                    first_label = label
+                fh.write(kept.astype("<f8", copy=False))
+                count += len(kept)
+                last = float(kept[-1])
+            total = last if config.duration is None else float(config.duration)
+            fh.seek(0)
+            fh.write(_BINARY_MAGIC + _BINARY_HEADER.pack(
+                config.spec.n_levels, first_label, config.seed, total, count))
+        os.replace(partial, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+
+
+def _nudge_collisions(times: np.ndarray, previous: float) -> None:
+    """Raise, in place, every stamp not above its predecessor (``previous``
+    before the first one) to one ulp above it.
+
+    Such rounding collisions are extremely rare. The result equals that of
+    one sequential pass, so nudging a stream chunk by chunk, each chunk
+    against the last stamp of the one before, gives the same stamps as
+    nudging it whole.
+    """
+    if times[0] <= previous:
+        times[0] = np.nextafter(previous, np.inf)
+    while True:
+        bad = np.flatnonzero(np.diff(times) <= 0)
+        if len(bad) == 0:
+            break
+        times[bad + 1] = np.nextafter(times[bad], np.inf)
 
 
 def _dwell_segments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
@@ -263,16 +325,23 @@ def write_events_text(stream: EventStream, path) -> None:
             fh.write("\n")
 
 
-def read_events_text(path) -> EventStream:
+def _text_header(fh) -> tuple[int, int, float]:
+    """(N, seed, T) from the header line of an open text stream file."""
+    header = fh.readline().strip()
+    fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
+    if not header.startswith("# cascade-events v1"):
+        raise StreamInvariantViolation(f"bad event stream header: {header!r}")
+    try:
+        return int(fields["N"]), int(fields["seed"]), float(fields["T"])
+    except (KeyError, ValueError):
+        raise StreamInvariantViolation(f"bad event stream header: {header!r}") from None
+
+
+def read_events_text(path, levels=None) -> EventStream:
+    """Read a text stream file; with ``levels``, the stream of those levels
+    alone, as ``EventStream.select`` cuts it from the whole file."""
     with open(path, errors="replace") as fh:  # undecodable bytes fail below
-        header = fh.readline().strip()
-        fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
-        if not header.startswith("# cascade-events v1"):
-            raise StreamInvariantViolation(f"bad event stream header: {header!r}")
-        try:
-            n, seed, total = int(fields["N"]), int(fields["seed"]), float(fields["T"])
-        except (KeyError, ValueError):
-            raise StreamInvariantViolation(f"bad event stream header: {header!r}") from None
+        n, seed, total = _text_header(fh)
         try:
             data = np.loadtxt(fh, ndmin=2)
         except ValueError as exc:
@@ -286,7 +355,7 @@ def read_events_text(path) -> EventStream:
         raise StreamInvariantViolation("event labels must be whole numbers")
     stream = EventStream.from_labels(data[:, 0], labels.astype(np.int64), n, total, seed=seed)
     stream.check()
-    return stream
+    return stream if levels is None else stream.select(levels)
 
 
 def write_events_binary(stream: EventStream, path) -> None:
@@ -305,27 +374,75 @@ def write_events_binary(stream: EventStream, path) -> None:
         fh.write(np.ascontiguousarray(stream.times, dtype="<f8"))
 
 
-def read_events_binary(path) -> EventStream:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise StreamInvariantViolation(f"bad magic {magic!r} in binary stream")
-        head = fh.read(_BINARY_HEADER.size)
-        if len(head) < _BINARY_HEADER.size:
-            raise StreamInvariantViolation("binary stream header is truncated")
-        n, first, seed, total, count = _BINARY_HEADER.unpack(head)
-        # size the body from the file before allocating, so a damaged count
-        # cannot ask for a huge buffer
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size == 8 * count:
-            times = np.empty(count, "<f8")
-            size = fh.readinto(times)
+def _binary_header(fh) -> tuple[int, int, int, float, int]:
+    """(N, first label, seed, T, count) of an open binary stream file, read
+    up to its body, whose size is checked against the count."""
+    magic = fh.read(4)
+    if magic != _BINARY_MAGIC:
+        raise StreamInvariantViolation(f"bad magic {magic!r} in binary stream")
+    head = fh.read(_BINARY_HEADER.size)
+    if len(head) < _BINARY_HEADER.size:
+        raise StreamInvariantViolation("binary stream header is truncated")
+    n, first, seed, total, count = _BINARY_HEADER.unpack(head)
+    # size the body from the file before allocating, so a damaged count
+    # cannot ask for a huge buffer
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
     if size != 8 * count:
         raise StreamInvariantViolation(
             f"binary stream body is {size} bytes, not {count} f64 timestamps"
         )
-    # the constructor rejects an unusable N, first label or T and unordered
-    # times; check() no events
-    stream = EventStream(times, first, n, total, seed=seed)
-    stream.check()
-    return stream
+    return n, first, seed, total, count
+
+
+def stream_levels(path) -> int:
+    """The level count N in the header of a stream file of either format.
+
+    A damaged header, or a binary body of the wrong size, raises the error
+    the file's reader raises first.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(3) == _BINARY_MAGIC[:3]:  # any CEV magic: the binary check names it
+            fh.seek(0)
+            return _binary_header(fh)[0]
+    with open(path, errors="replace") as fh:
+        return _text_header(fh)[0]
+
+
+def read_events_binary(path, levels=None) -> EventStream:
+    """Read a binary stream file; with ``levels``, the stream of those levels
+    alone, as ``EventStream.select`` cuts it from the whole file.
+
+    The body is read ``_READ_BLOCK`` timestamps at a time, so a selected
+    read holds the selected events and one block, never the whole stream.
+    Every rule is checked on the whole file, whatever the selection: the
+    header, the body size, N, the first label and T, strict order across
+    block seams, at least one event and the span.
+    """
+    with open(path, "rb") as fh:
+        n, first, seed, total, count = _binary_header(fh)
+        EventStream(np.empty(0), first, n, total)  # N, first label and T, before the body
+        members = None if levels is None else ring_subset(levels, n)
+        if members is None:
+            times = np.empty(count, "<f8")
+        else:
+            times = np.empty(sum(len(range((first - level) % n, count, n)) for level in members))
+            block = np.empty(min(count, _READ_BLOCK), "<f8")
+        ends, kept, rank = [], 0, 0   # ends: first and last timestamp read
+        for start in range(0, count, _READ_BLOCK):
+            stop = min(start + _READ_BLOCK, count)
+            buf = times[start:stop] if members is None else block[:stop - start]
+            got = fh.readinto(buf)
+            if got != buf.nbytes:  # the file shrank while it was read
+                raise StreamInvariantViolation(
+                    f"binary stream body is {8 * start + got} bytes, not {count} f64 timestamps"
+                )
+            check_order(buf, ends[-1] if ends else None)
+            ends = [ends[0] if ends else buf[0], buf[-1]]
+            if members is not None:
+                got, block_rank = gather_levels(buf, (first - start) % n, n, members, times[kept:])
+                rank = block_rank if start == 0 else rank
+                kept += got
+    check_span(ends, total)
+    if members is None:
+        return EventStream(times, first, n, total, seed=seed)
+    return EventStream(times, rank, len(members), total, seed=seed)

@@ -11,18 +11,23 @@ import pytest
 from circascade import (
     CascadeSpec,
     ConfigInvalid,
+    EventStream,
     HistogramConfig,
     InsufficientSamples,
     NumericalFailure,
     SimConfig,
     StreamInvariantViolation,
+    SubsetSpec,
     cli,
     correlate,
+    correlate_subset,
     g2_equal_pair,
     g2_three_level,
     read_events_binary,
     read_events_text,
     simulate,
+    write_events_binary,
+    write_trace_csv,
 )
 
 
@@ -386,6 +391,74 @@ def test_general_rerun_gives_the_same_bytes(tmp_path):
         cp = run_cli(*base, "--out", out)
         assert cp.returncode == 0, cp.stderr
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def ring6_file(tmp_path_factory):
+    stream = simulate(SimConfig(CascadeSpec.equal(6, 1.0), seed=21, total_events=300_000))
+    path = tmp_path_factory.mktemp("ring6") / "run.events"
+    write_events_binary(stream, path)
+    return stream, path
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--pair", "1,1"), ("--pair", "1,3"), ("--pair", "4,2"), ("--pair", "0,5"),
+     ("--subset", "1,2"), ("--subset", "0,3,4"), ("--subset", "1,5"),
+     ("--subset", "5,4,3,2,1,0")],
+)
+def test_correlate_of_selected_levels_equals_the_in_memory_trace(tmp_path, ring6_file,
+                                                                  flag, value):
+    stream, path = ring6_file
+    out, expected = tmp_path / "cli.csv", tmp_path / "memory.csv"
+    argv = ["correlate", "--in", str(path), flag, value, "--bin", "0.1", "--taumax", "8",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    indices = tuple(int(i) for i in value.split(","))
+    if flag == "--pair":
+        trace = correlate(stream, HistogramConfig(0.1, 8.0, channels=indices))
+    else:
+        trace = correlate_subset(stream, SubsetSpec(indices), HistogramConfig(0.1, 8.0))
+    write_trace_csv(trace, expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value, empty",
+    [("--pair", "1,4", 4), ("--pair", "5,0", 5), ("--subset", "2,3", 3),
+     ("--subset", "0,4,5", 4)],
+)
+def test_correlate_names_an_empty_channel_by_its_level(tmp_path, capsys, flag, value, empty):
+    # events at levels 2, 1, 0 only
+    path = tmp_path / "sparse.events"
+    write_events_binary(EventStream(np.array([1.0, 2.0, 3.0]), 2, 6, 100.0), path)
+    argv = ["correlate", "--in", str(path), flag, value, "--bin", "0.5", "--taumax", "5",
+            "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 5
+    assert capsys.readouterr().err == f"error: channel {empty} has no events\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--pair", "9,1", "--pair '9,1' has an index outside [0, 6)"),
+     ("--subset", "1,7", "subset member 7 outside [0, 6)")],
+)
+def test_correlate_checks_indices_against_the_file(tmp_path, capsys, ring6_file, flag, value,
+                                                   message):
+    argv = ["correlate", "--in", str(ring6_file[1]), flag, value, "--bin", "0.1",
+            "--taumax", "8", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_correlate_reports_a_damaged_file_before_bad_flags(tmp_path, capsys):
+    path = tmp_path / "unordered.events"
+    path.write_bytes(b"CEV2" + struct.pack("<IIQdQ", 6, 0, 0, 100.0, 3)
+                     + np.array([1.0, 3.0, 2.0]).tobytes())
+    argv = ["correlate", "--in", str(path), "--pair", "9,1", "--bin", "0.5", "--taumax", "5",
+            "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == "error: simultaneous or out-of-order events\n"
 
 
 def test_correlate_empty_channel_exit_5(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from circascade import (
     trace_index,
     validate,
 )
-from circascade.model import check_rate
+from circascade import model
+from circascade.model import check_order, check_rate
 
 
 def test_validate_canonical_spec():
@@ -280,3 +282,64 @@ def test_stream_shorter_than_the_ring_has_empty_channels():
     stream.check()
     assert stream.counts == (0, 1, 1, 0, 0)
     assert [len(c) for c in stream.channels] == [0, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "where", [1, model._ORDER_BLOCK - 1, model._ORDER_BLOCK, model._ORDER_BLOCK + 1,
+              3 * model._ORDER_BLOCK])
+def test_order_check_catches_a_tie_or_nan_at_every_block_seam(where):
+    times = np.arange(1.0, 3 * model._ORDER_BLOCK + 2)
+    for bad in (times[where - 1], times[where - 1] - 0.5, np.nan):
+        broken = times.copy()
+        broken[where] = bad
+        with pytest.raises(StreamInvariantViolation, match="out-of-order"):
+            EventStream(broken, 0, 1, 1e9)
+
+
+def test_order_check_compares_the_first_time_with_the_previous_one():
+    check_order(np.array([2.0, 3.0]), previous=1.0)
+    for previous in (2.0, 5.0, np.nan):
+        with pytest.raises(StreamInvariantViolation, match="out-of-order"):
+            check_order(np.array([2.0, 3.0]), previous=previous)
+
+
+def test_building_a_stream_allocates_under_2_percent_of_its_bytes():
+    times = np.arange(1.0, 4_000_001.0)
+    tracemalloc.start()
+    try:
+        EventStream(times, 0, 6, 5e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.02 * times.nbytes
+
+
+@given(st.integers(1, 60), st.data())
+@settings(max_examples=100, deadline=None)
+def test_select_keeps_the_events_of_its_levels_as_a_ring_of_their_ranks(n, data):
+    first = data.draw(st.integers(0, n - 1), label="first")
+    events = data.draw(st.integers(0, 4 * n + 10), label="events")
+    levels = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="levels")
+    stream = EventStream(np.arange(1.0, events + 1), first, n, events + 1.0, seed=4)
+    times, labels = stream.merged()
+    members = sorted(levels)
+    keep = np.isin(labels, members)
+    expected = EventStream.from_labels(
+        times[keep], np.searchsorted(members, labels[keep]), len(members), events + 1.0)
+    got = stream.select(levels)
+    assert (got.n_levels, got.total_duration, got.seed) == (len(members), events + 1.0, 4)
+    np.testing.assert_array_equal(got.times, expected.times)
+    if keep.any():
+        assert got.first_label == expected.first_label
+
+
+def test_select_of_the_whole_ring_is_the_stream_itself():
+    stream = EventStream(np.arange(1.0, 13.0), 1, 4, 20.0)
+    assert stream.select([3, 0, 2, 1]) is stream
+
+
+@pytest.mark.parametrize("levels", [[], [1, 1], [4], [-1], [0.5]])
+def test_select_rejects_levels_outside_the_ring(levels):
+    with pytest.raises(ConfigInvalid):
+        EventStream(np.arange(1.0, 13.0), 1, 4, 20.0).select(levels)

@@ -3,6 +3,7 @@ import functools
 import inspect
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,15 @@ def test_steady_state_flux_balance_and_nullspace():
         q = generator_matrix(spec)
         assert np.abs(q @ p).max() <= 1e-12 * spec.max_rate
         np.testing.assert_allclose(p, steady_state_nullspace(spec.rates), atol=1e-9)
+
+
+def test_nullspace_oracle_keeps_small_occupations_accurate():
+    # flux balance in exact rationals: p[l] is proportional to 1/rates[l]
+    rates = (1, 1, 1000)
+    weights = [Fraction(1, r) for r in rates]
+    exact = np.array([float(w / sum(weights)) for w in weights])
+    p = steady_state_nullspace(rates)
+    np.testing.assert_allclose(p, exact, rtol=1e-15, atol=0)
 
 
 def test_decompose_equal_rate_eigenvalues():

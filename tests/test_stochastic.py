@@ -1,9 +1,14 @@
 import hashlib
+import os
 import struct
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from circascade import (
@@ -24,7 +29,7 @@ from circascade import (
     write_events_binary,
     write_events_text,
 )
-from circascade import stochastic
+from circascade import cli, stochastic
 
 SPEC124 = CascadeSpec(3, (1.0, 2.0, 4.0))
 
@@ -180,6 +185,125 @@ def test_binary_reader_holds_one_copy_of_the_stream(tmp_path):
     assert _peak_per_stream_byte(lambda: read_events_binary(path), n_events) <= 1.25
 
 
+def _simulate_argv(config: SimConfig, rates, out) -> list[str]:
+    """The `simulate` command line of config, its spec in the JSON file rates."""
+    rates.write_text(config.spec.to_json())
+    argv = ["simulate", "--rates", str(rates), "--seed", str(config.seed),
+            "--burn-in", repr(config.burn_in), "--out", str(out)]
+    if config.total_events is not None:
+        argv += ["--events", str(config.total_events)]
+    else:
+        argv += ["--duration", repr(config.duration)]
+    if config.initial_level is not None:
+        argv += ["--initial", str(config.initial_level)]
+    return argv
+
+
+# every run crosses chunk seams (chunks hold at most 2^19 draws)
+STREAMED = {
+    "total_events": SimConfig(SPEC124, seed=8, total_events=1_300_000),
+    "duration": SimConfig(SPEC124, seed=9, duration=700_000.0),
+    "burn_in": SimConfig(SPEC124, seed=10, duration=300_000.0, burn_in=250_000.5,
+                         initial_level=1),
+    **{f"nudged_{mode}": config for mode, (config, _) in FROZEN_NUDGED.items()},
+    "ring70000": SimConfig(CascadeSpec.equal(70000, 1.0), seed=1, total_events=200),
+}
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_binary_file_equals_the_written_stream(tmp_path, name):
+    config = STREAMED[name]
+    out = tmp_path / "cli.events"
+    assert cli.main(_simulate_argv(config, tmp_path / "rates.json", out)) == 0
+    write_events_binary(simulate(config), tmp_path / "ref.events")
+    assert out.read_bytes() == (tmp_path / "ref.events").read_bytes()
+
+
+def test_simulate_without_events_exits_5_and_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "none.events"
+    argv = ["simulate", "--n", "3", "--gamma", "1e-9", "--duration", "1e-6", "--out", str(out)]
+    assert cli.main(argv) == 5
+    assert capsys.readouterr().err == "error: no events recorded; increase duration\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_simulate_holds_well_under_one_copy_of_the_stream(tmp_path):
+    # measured 0.44 of the stream's bytes: one chunk of 2^19 draws and the
+    # temporaries made from it (1.59 when simulate returned the whole stream)
+    n_events = 4_000_000
+    argv = ["simulate", "--n", "6", "--events", str(n_events), "--seed", "3",
+            "--out", str(tmp_path / "run.events")]
+    assert _peak_per_stream_byte(lambda: cli.main(argv), n_events) <= 0.5
+
+
+def test_cli_pair_correlate_holds_one_channel_and_one_read_block(tmp_path):
+    # a read block is stochastic._READ_BLOCK = 2^17 timestamps, 1 MiB; the
+    # peak was measured 136 kB above channel plus block, from the order
+    # check's 64 kB blocks and the command's own objects
+    n_events = 4_000_000
+    stream = EventStream(np.arange(1.0, n_events + 1), 2, 6, n_events + 1.0)
+    path = tmp_path / "run.events"
+    write_events_binary(stream, path)
+    argv = ["correlate", "--in", str(path), "--pair", "1,1", "--bin", "0.5",
+            "--taumax", "30", "--out", str(tmp_path / "pair.csv")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_channel = 8 * stream.counts[1]
+    assert peak <= one_channel + 8 * stochastic._READ_BLOCK + (1 << 18)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 200), data=st.data())
+def test_selected_reads_equal_a_full_read_then_the_same_gather(n, data):
+    events = data.draw(st.integers(1, 3 * n + 40), label="events")
+    first = data.draw(st.integers(0, n - 1), label="first")
+    levels = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="levels")
+    block = data.draw(st.sampled_from([1, 7, 64, stochastic._READ_BLOCK]), label="block")
+    times = np.cumsum(np.random.default_rng(events).uniform(0.5, 1.5, events))
+    stream = EventStream(times, first, n, float(times[-1]) + 1.0, seed=5)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(stochastic, "_READ_BLOCK", block):
+        path = os.path.join(tmp, "events")
+        for write, read in ((write_events_binary, read_events_binary),
+                            (write_events_text, read_events_text)):
+            write(stream, path)
+            full = read(path).select(levels)
+            part = read(path, levels)
+            assert (part.n_levels, part.first_label, part.total_duration, part.seed) == (
+                full.n_levels, full.first_label, full.total_duration, full.seed)
+            assert np.array_equal(part.times, full.times)
+
+
+def test_selected_read_checks_order_across_block_seams(tmp_path, monkeypatch):
+    monkeypatch.setattr(stochastic, "_READ_BLOCK", 4)
+    times = np.arange(1.0, 13.0)
+    for seam in (4, 8):
+        for bad in (times[seam - 1], np.nan):
+            broken = times.copy()
+            broken[seam] = bad
+            path = tmp_path / "events.bin"
+            path.write_bytes(b"CEV2" + struct.pack("<IIQdQ", 3, 0, 0, 20.0, 12)
+                             + broken.tobytes())
+            with pytest.raises(StreamInvariantViolation, match="out-of-order"):
+                read_events_binary(path, [1])
+
+
+def test_selected_read_validates_the_whole_file(tmp_path):
+    # level 1 has no event, but the file has one: not "no events" but an
+    # empty channel, and a span past T fails whatever the selection
+    path = tmp_path / "events.bin"
+    write_events_binary(EventStream(np.array([1.0]), 2, 3, 10.0), path)
+    assert read_events_binary(path, [1]).n_events == 0
+    write_events_binary(EventStream(np.array([1.0, 2.0, 30.0]), 2, 3, 10.0), path)
+    with pytest.raises(StreamInvariantViolation, match="span"):
+        read_events_binary(path, [1])
+
+
 def test_text_writer_formats_block_by_block(tmp_path):
     n_events = 100_000
     stream = EventStream(np.arange(1.0, n_events + 1), 2, 6, n_events + 1.0)
@@ -319,13 +443,17 @@ def test_text_fractional_labels_rejected(tmp_path):
         read_events_text(path)
 
 
+SELECTIONS = [None, [1], [2, 0]]
+
+
 @pytest.mark.parametrize("kept_bytes", [20, 100], ids=["header", "records"])
 def test_truncated_binary_rejected(tmp_path, kept_bytes):
     path = tmp_path / "events.bin"
     write_events_binary(simulate(SimConfig(SPEC124, seed=8, total_events=50)), path)
     path.write_bytes(path.read_bytes()[:kept_bytes])
-    with pytest.raises(StreamInvariantViolation):
-        read_events_binary(path)
+    for levels in SELECTIONS:
+        with pytest.raises(StreamInvariantViolation):
+            read_events_binary(path, levels)
 
 
 def test_binary_without_levels_or_events_rejected(tmp_path):
@@ -360,8 +488,9 @@ def test_damaged_binary_rejected(tmp_path, damage):
     path = tmp_path / "events.bin"
     write_events_binary(simulate(SimConfig(SPEC124, seed=8, total_events=50)), path)
     path.write_bytes(damage(path.read_bytes()))
-    with pytest.raises(StreamInvariantViolation):
-        read_events_binary(path)
+    for levels in SELECTIONS:
+        with pytest.raises(StreamInvariantViolation):
+            read_events_binary(path, levels)
 
 
 def test_binary_round_trips_rings_beyond_u16_labels(tmp_path):
@@ -397,7 +526,8 @@ def test_damaged_stream_files_raise_only_cascade_errors(tmp_path, write, read):
     write(simulate(SimConfig(SPEC124, seed=8, total_events=12)), path)
     for damaged in _damaged_copies(path.read_bytes()):
         path.write_bytes(damaged)
-        try:
-            read(path)
-        except CascadeError:
-            pass
+        for levels in SELECTIONS:
+            try:
+                read(path, levels)
+            except CascadeError:
+                pass
