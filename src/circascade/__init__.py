@@ -48,6 +48,7 @@ from .stochastic import (
     dwell_samples,
     occupancy_block_estimates,
     occupancy_estimate,
+    read_event_blocks,
     read_events_binary,
     read_events_text,
     simulate,
@@ -60,6 +61,7 @@ from .estimator import (
     HistogramConfig,
     block_bootstrap_stderr,
     correlate,
+    correlate_blocks,
     correlate_subset,
     write_trace_csv,
 )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 import time
@@ -34,7 +33,16 @@ import numpy as np
 from . import __version__
 from .analysis import cs_check, find_peaks, find_peaks_cross
 from .analytic_equal import g2_equal_pair, g2_subset
-from .estimator import HistogramConfig, correlate, correlate_subset, write_trace_csv
+# correlate streams its file through correlate_blocks, so correlate,
+# correlate_subset and read_events_binary are not called here;
+# perfbench/tracer.py still wraps them by these names
+from .estimator import (
+    HistogramConfig,
+    correlate,
+    correlate_blocks,
+    correlate_subset,
+    write_trace_csv,
+)
 from .model import (
     CascadeError,
     CascadeSpec,
@@ -49,8 +57,8 @@ from .spectral_general import g2_general, g2_three_level
 # is not called here; perfbench/tracer.py still wraps it by this name
 from .stochastic import (
     SimConfig,
+    read_event_blocks,
     read_events_binary,
-    read_events_text,
     simulate,
     simulate_to_binary,
     stream_levels,
@@ -261,12 +269,6 @@ def cmd_simulate(args) -> None:
         simulate_to_binary(config, args.out)
 
 
-def _read_stream(path: str, levels=None):
-    with open(path, "rb") as fh:
-        binary = fh.read(3) == b"CEV"  # any CEV magic: the binary reader names it
-    return (read_events_binary if binary else read_events_text)(path, levels)
-
-
 def cmd_correlate(args) -> None:
     path = getattr(args, "in")
     try:
@@ -283,23 +285,15 @@ def cmd_correlate(args) -> None:
             wanted = _parse_pair(args.pair, n_levels)
             cfg = HistogramConfig(args.bin, args.taumax)
     except ConfigInvalid:
-        _read_stream(path)  # a damaged file is reported first, as it always was
+        for _ in read_event_blocks(path)[1]:  # a damaged file is reported first
+            pass
         raise
-    # read only the wanted levels: they form a smaller ring, in which level
-    # wanted[i] is channel rank[wanted[i]]
+    # read only the wanted levels, block by block: they form a smaller ring,
+    # in which level wanted[i] is channel levels.index(wanted[i])
     levels = sorted(set(wanted))
-    rank = {level: r for r, level in enumerate(levels)}
-    stream = _read_stream(path, levels)
-    try:
-        if args.subset:
-            trace = correlate_subset(stream, SubsetSpec(tuple(range(len(levels)))), cfg)
-        else:
-            channels = tuple(rank[level] for level in wanted)
-            trace = correlate(stream, dataclasses.replace(cfg, channels=channels))
-    except InsufficientSamples:  # name the empty channel by its level in the file
-        empty = next(level for level in wanted if stream.counts[rank[level]] == 0)
-        raise InsufficientSamples(f"channel {empty} has no events") from None
-    write_trace_csv(trace, args.out)
+    total, blocks = read_event_blocks(path, levels)
+    pair = None if args.subset else tuple(levels.index(level) for level in wanted)
+    write_trace_csv(correlate_blocks(blocks, len(levels), total, cfg, pair, levels), args.out)
 
 
 def cmd_peaks(args) -> None:

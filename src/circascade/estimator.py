@@ -10,6 +10,12 @@ bin boundary, so the discontinuity of contiguous traces is never averaged
 across sides. Pairs are counted by a lag sweep: within one ring, the
 pairs at a fixed lag are one contiguous slice difference of the two
 channels, so each lag costs a vectorized pass and no pair index is stored.
+
+The sweep takes its ring as time-ordered blocks (``correlate_blocks``) and
+carries from one block to the next only the events within the window of
+its end, so a stream read from a file block by block is counted as it is
+read. ``correlate`` and ``correlate_subset`` pass an in-memory stream as
+one block; every count equals that of the whole stream.
 """
 
 from __future__ import annotations
@@ -25,19 +31,23 @@ from .model import (
     InsufficientSamples,
     SubsetSpec,
     check_index,
+    check_levels,
+    level_count,
 )
 
 # rows of src per sweep block: a block's slices of src, dst and the window
 # bound stay in a core's L2 cache across its lags
 _SWEEP_BLOCK = 16_384
+_NO_EVENTS = np.empty(0)
 
 
 @dataclass(frozen=True)
 class HistogramConfig:
     """Bin width, window half-length and the channel pair (m, n) to correlate.
 
-    correlate_subset() takes its subset as an argument and ignores
-    ``channels``; tau_max is truncated down to a whole number of bins.
+    correlate_subset() and correlate_blocks() take their subset or pair as
+    an argument and ignore ``channels``; tau_max is truncated down to a
+    whole number of bins.
     """
 
     bin_width: float
@@ -67,68 +77,151 @@ def _bin_centers(cfg: HistogramConfig) -> np.ndarray:
 def _pair_counts(
     src: np.ndarray, dst: np.ndarray, cfg: HistogramConfig, same_channel: bool
 ) -> np.ndarray:
-    """Histogram of dst - src differences inside [-W, W), W = n_side * delta.
+    """Histogram of the dst - src differences of two time-ordered runs; see
+    ``_add_pairs``, whose precondition holds for the first dst at or after
+    src[0]."""
+    hist = np.zeros(2 * cfg.n_side, dtype=np.int64)
+    _add_pairs(hist, src, dst, int(np.searchsorted(dst, src[0])), same_channel, cfg)
+    return hist
+
+
+def _add_pairs(
+    hist: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    off: int,
+    same_channel: bool,
+    cfg: HistogramConfig,
+    src_old: np.ndarray = _NO_EVENTS,
+    dst_old: np.ndarray = _NO_EVENTS,
+) -> None:
+    """Add to hist the dst - src differences inside [-W, W), W = n_side *
+    delta, of the runs src_old + src and dst_old + dst, joined end to end,
+    except the pairs whose events are both old.
 
     The pair (i, j) counts when fl(src[i] - W) <= dst[j] < fl(src[i] + W),
     in bin floor((dst[j] - src[i]) / delta) + n_side if that lies in
     [0, 2 n_side); with ``same_channel`` an event is not paired with itself.
 
-    Precondition: ``src`` and ``dst`` are channels of one ring with strictly
-    increasing times, or slices of such channels, or one array with itself;
-    with ``same_channel``, every src event is also in dst. Then the first
-    dst at or after src[i] is dst[i + off] for one constant off, and the
-    pairs at lag k >= 0 are the slice differences dst[i + off + k] - src[i]
+    Precondition: the joined runs are channels of one ring with strictly
+    increasing times, or slices of such channels, or one run with itself;
+    with ``same_channel``, every src event is also in dst. Then joined dst
+    event i + off is the first at or after joined src event i, and the pairs
+    at lag k >= 0 are the slice differences dst[i + off + k] - src[i]
     (checked against the upper bound) and dst[i + off - 1 - k] - src[i]
-    (checked against the lower one).
+    (checked against the lower one). Old events precede new ones, so an old
+    src event pairs with new dst events upwards only, and a new one with old
+    dst events downwards only.
     """
-    window = cfg.n_side * cfg.bin_width
-    # bins 0 and 2 n_side + 1 collect the pairs whose bin falls outside
-    hist = np.zeros(2 * cfg.n_side + 2, dtype=np.int64)
-    off = int(np.searchsorted(dst, src[0]))
-    _lag_sweep(src, dst, window, np.less, off + same_channel, 1, cfg, hist)
-    _lag_sweep(src, dst, -window, np.greater_equal, off - 1, -1, cfg, hist)
-    return hist[1:-1]
+    n_src, n_dst = len(src_old), len(dst_old)
+    up = off + same_channel - n_dst  # in dst, the lag-0 upper partner of joined src 0
+    down = off - 1                   # in dst_old, the lag-0 lower partner of joined src 0
+    _lag_sweep(src_old, dst, up, 1, cfg, hist)
+    _lag_sweep(src, dst, up + n_src, 1, cfg, hist)
+    _lag_sweep(src, dst, down + n_src - n_dst, -1, cfg, hist)
+    _lag_sweep(src, dst_old, down + n_src, -1, cfg, hist)
 
 
-def _lag_sweep(src, dst, edge, within, shift, step, cfg, hist) -> None:
+def _lag_sweep(src, dst, shift, step, cfg, hist) -> None:
     """Add to hist the pairs (i, i + shift + step * k), k = 0, 1, ..., whose
-    dst satisfies within(dst, fl(src[i] + edge)).
+    dst lies inside the window: below fl(src[i] + W) going up (step 1), at
+    or above fl(src[i] - W) going down (step -1).
 
     Times increase along each row, so once a lag has no pair in the window
     inside a block of rows, no later lag has one; the block stops there.
+    Lags at which no row of the block has its partner inside dst are
+    skipped.
     """
-    last = len(hist) - 1
+    n_side, width = cfg.n_side, cfg.bin_width
+    edge = step * n_side * width
     for start in range(0, len(src), _SWEEP_BLOCK):
         stop = min(start + _SWEEP_BLOCK, len(src))
         bound = src[start:stop] + edge
-        lag_shift = shift
+        lag = max(shift, 1 - stop) if step > 0 else min(shift, len(dst) - 1 - start)
         while True:
             # rows of the block whose partner index lies inside dst
-            lo, hi = max(start, -lag_shift), min(stop, len(dst) - lag_shift)
+            lo, hi = max(start, -lag), min(stop, len(dst) - lag)
             if lo >= hi:
                 break
-            other = dst[lo + lag_shift:hi + lag_shift]
-            inside = within(other, bound[lo - start:hi - start])
-            if not inside.any():
-                break
-            bins = np.floor((other - src[lo:hi]) / cfg.bin_width)[inside]
-            bins += cfg.n_side + 1
-            np.clip(bins, 0, last, out=bins)
-            hist += np.bincount(bins.astype(np.intp), minlength=last + 1)
-            lag_shift += step
+            other, rows = dst[lo + lag:hi + lag], src[lo:hi]
+            if step > 0:
+                inside = other < bound[lo - start:hi - start]
+                if not inside.any():
+                    break
+                # dst >= src going up, so truncation is the floor
+                q = np.subtract(other, rows)
+                q /= width
+                bins = q[inside].astype(np.intp)
+                hist[n_side:] += np.bincount(bins, minlength=n_side)[:n_side]
+            else:
+                inside = other >= bound[lo - start:hi - start]
+                if not inside.any():
+                    break
+                # r = ceil((src - dst) / delta) = -floor((dst - src) / delta)
+                # exactly, so bin n_side - r; r > n_side falls below bin 0
+                q = np.subtract(rows, other)
+                q /= width
+                bins = np.ceil(q[inside]).astype(np.intp)
+                hist[:n_side + 1] += np.bincount(bins, minlength=n_side + 1)[n_side::-1]
+            lag += step
+
+
+def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig) -> tuple[np.ndarray, int, int]:
+    """Pair histogram of a ring of ``n_levels`` levels fed as consecutive
+    blocks (label of the first event, times) in time order: of channel m
+    against channel n for ``pair`` = (m, n), or of all its events against
+    each other for None. Returns (histogram, label of the first event,
+    events).
+
+    A pair is counted with the block of its later event; the earlier one
+    is in that block or in the tail carried from the blocks before. The
+    tail is every event within W of the last stamp, and one rounding more:
+    an earlier event cannot pair with a later one, since a later event
+    exceeds the last stamp. So the pairs need the window's events, not the
+    stream's, and the counts equal those of the whole stream in one block.
+    """
+    window = cfg.n_side * cfg.bin_width
+    period = 1 if pair is None else n_levels
+    m, n = pair or (0, 0)
+    hist = np.zeros(2 * cfg.n_side, dtype=np.int64)
+    tail, tail_label = _NO_EVENTS, 0
+    first, events = 0, 0
+    for label, times in blocks:
+        if len(times) == 0:
+            continue
+        if events == 0:
+            first = label
+        events += len(times)
+        held = tail_label if len(tail) else label  # label of the first event held
+        _add_pairs(
+            hist,
+            times[(label - m) % period::period],
+            times[(label - n) % period::period],
+            int((held - m) % period > (held - n) % period),
+            m == n,
+            cfg,
+            tail[(tail_label - m) % period::period],
+            tail[(tail_label - n) % period::period],
+        )
+        edge = np.nextafter(times[-1] - window, -np.inf)
+        cut = int(np.searchsorted(times, edge))
+        if cut:
+            tail, tail_label = times[cut:].copy(), (label - cut) % n_levels
+        else:  # the window reaches back past this block
+            cut = int(np.searchsorted(tail, edge))
+            tail, tail_label = np.concatenate((tail[cut:], times)), (held - cut) % n_levels
+    return hist, first, events
 
 
 def _normalized_trace(
     counts: np.ndarray,
     rate_src: float,
     rate_dst: float,
-    stream: EventStream,
+    t_total: float,
     cfg: HistogramConfig,
-    pair=None,
-    subset=None,
+    **provenance,
 ) -> CorrelationTrace:
     centers = _bin_centers(cfg)
-    t_total = stream.total_duration
     denom = rate_src * rate_dst * (t_total - np.abs(centers)) * cfg.bin_width
     values = counts / denom
     stderr = np.sqrt(np.maximum(counts, 1)) / denom
@@ -137,44 +230,79 @@ def _normalized_trace(
         values=values,
         stderr=stderr,
         source="estimated",
-        spec=stream.spec,
-        pair=pair,
-        subset=subset,
         bin_width=cfg.bin_width,
         total_time=t_total,
+        **provenance,
     )
 
 
-def _channel_pair(stream: EventStream, cfg: HistogramConfig) -> tuple[int, int]:
-    """The (m, n) pair of cfg, checked against the stream's N levels."""
-    if not (isinstance(cfg.channels, tuple) and len(cfg.channels) == 2):
-        raise ConfigInvalid("cfg.channels must be a pair (m, n)")
-    m, n = (check_index("channel", c) for c in cfg.channels)
-    if not (0 <= m < stream.n_levels and 0 <= n < stream.n_levels):
-        raise ConfigInvalid(f"channel pair {(m, n)} outside [0, {stream.n_levels})")
+def _channel_pair(channels, n_levels: int, name: str = "cfg.channels") -> tuple[int, int]:
+    """``channels`` as a pair (m, n) of levels of an N-level ring."""
+    if not (isinstance(channels, tuple) and len(channels) == 2):
+        raise ConfigInvalid(f"{name} must be a pair (m, n)")
+    m, n = (check_index("channel", c) for c in channels)
+    if not (0 <= m < n_levels and 0 <= n < n_levels):
+        raise ConfigInvalid(f"channel pair {(m, n)} outside [0, {n_levels})")
     return m, n
 
 
-def _check_window(stream: EventStream, cfg: HistogramConfig) -> None:
-    if cfg.tau_max > stream.total_duration / 10:
+def _check_window(total_duration: float, cfg: HistogramConfig) -> None:
+    if cfg.tau_max > total_duration / 10:
         raise ConfigInvalid(
             f"tau_max {cfg.tau_max} exceeds total_duration/10 = "
-            f"{stream.total_duration / 10}"
+            f"{total_duration / 10}"
         )
+
+
+def correlate_blocks(
+    blocks,
+    n_levels: int,
+    total_duration: float,
+    cfg: HistogramConfig,
+    pair: tuple[int, int] | None = None,
+    levels=None,
+    spec=None,
+) -> CorrelationTrace:
+    """Coincidence-histogram estimate of g2 from a ring of ``n_levels``
+    levels and window ``total_duration``, fed as consecutive blocks (label
+    of the first event, times) in time order: of the channel pair ``pair``
+    = (m, n), or with None of the merged emission of all its levels.
+
+    The counts hold only the events within the window of the latest block,
+    so a stream read block by block is never held whole. ``levels`` names
+    the ring's levels in the stream it was cut from (by default the ring's
+    own); the trace's pair or subset and the empty-channel message use
+    those names. The blocks are drawn to the end even when the window is
+    too long, so a reader that checks a file as it goes reports a damaged
+    file first.
+    """
+    n_levels = check_levels(n_levels)
+    if pair is not None:
+        pair = _channel_pair(pair, n_levels, "pair")
+    levels = tuple(range(n_levels) if levels is None else levels)
+    try:
+        _check_window(total_duration, cfg)
+    except ConfigInvalid:
+        for _ in blocks:  # a damaged stream is reported first
+            pass
+        raise
+    hist, first, events = _ring_pairs(blocks, n_levels, pair, cfg)
+    for channel in range(n_levels) if pair is None else pair:
+        if level_count(events, first, n_levels, channel) == 0:
+            raise InsufficientSamples(f"channel {levels[channel]} has no events")
+    if pair is None:
+        rates, provenance = (events / total_duration,) * 2, {"subset": SubsetSpec(levels)}
+    else:
+        rates = [level_count(events, first, n_levels, c) / total_duration for c in pair]
+        provenance = {"pair": tuple(levels[c] for c in pair)}
+    return _normalized_trace(hist, *rates, total_duration, cfg, spec=spec, **provenance)
 
 
 def correlate(stream: EventStream, cfg: HistogramConfig) -> CorrelationTrace:
     """Coincidence-histogram estimate of g2 for the channel pair in cfg."""
-    m, n = _channel_pair(stream, cfg)
-    _check_window(stream, cfg)
-    src, dst = stream.channels[m], stream.channels[n]
-    if len(src) == 0 or len(dst) == 0:
-        raise InsufficientSamples(f"channel {m if len(src) == 0 else n} has no events")
-    counts = _pair_counts(src, dst, cfg, same_channel=(m == n))
-    t_total = stream.total_duration
-    return _normalized_trace(
-        counts, len(src) / t_total, len(dst) / t_total, stream, cfg, pair=(m, n)
-    )
+    return correlate_blocks([(stream.first_label, stream.times)], stream.n_levels,
+                            stream.total_duration, cfg,
+                            _channel_pair(cfg.channels, stream.n_levels), spec=stream.spec)
 
 
 def correlate_subset(
@@ -188,17 +316,12 @@ def correlate_subset(
     if not isinstance(subset, SubsetSpec):
         subset = SubsetSpec(tuple(subset))
     subset.check_against(stream.n_levels)
-    _check_window(stream, cfg)
-    per_channel = stream.counts
-    for i in subset.members:
-        if per_channel[i] == 0:
-            raise InsufficientSamples(f"channel {i} has no events")
     # the subset's events in time order; a subset of the whole ring is the
     # stream itself, with no interleaved copy
-    merged = stream.select(subset.members).times
-    counts = _pair_counts(merged, merged, cfg, same_channel=True)
-    rate = len(merged) / stream.total_duration
-    return _normalized_trace(counts, rate, rate, stream, cfg, subset=subset)
+    merged = stream.select(subset.members)
+    return correlate_blocks([(merged.first_label, merged.times)], merged.n_levels,
+                            stream.total_duration, cfg, levels=subset.members,
+                            spec=stream.spec)
 
 
 def block_bootstrap_stderr(
@@ -215,8 +338,8 @@ def block_bootstrap_stderr(
     deviation of the resampled estimates per bin. Accounts for correlated
     counts that the plain sqrt(count) error ignores.
     """
-    m, n = _channel_pair(stream, cfg)
-    _check_window(stream, cfg)
+    m, n = _channel_pair(cfg.channels, stream.n_levels)
+    _check_window(stream.total_duration, cfg)
     t0 = float(stream.times[0])
     edges = np.linspace(t0, t0 + stream.total_duration, n_blocks + 1)
     src_all, dst_all = stream.channels[m], stream.channels[n]

@@ -168,6 +168,12 @@ def ring_subset(levels, n_levels: int) -> tuple[int, ...] | None:
     return None if subset.n_s == n_levels else subset.members
 
 
+def level_count(n_events: int, first_label: int, n_levels: int, level: int) -> int:
+    """Events at ``level`` among the ``n_events`` events of a ring segment
+    whose first event carries ``first_label``."""
+    return (n_events - (first_label - level) % n_levels + n_levels - 1) // n_levels
+
+
 def gather_levels(times, first_label: int, n_levels: int, members, out) -> tuple[int, int]:
     """Copy the events of a ring segment at the levels ``members`` into the
     head of ``out``, in time order; return (events copied, rank in
@@ -425,7 +431,7 @@ class EventStream:
     @property
     def counts(self) -> tuple[int, ...]:
         n, e = self.n_levels, len(self.times)
-        return tuple((e - (self.first_label - l) % n + n - 1) // n for l in range(n))
+        return tuple(level_count(e, self.first_label, n, l) for l in range(n))
 
     @property
     def n_events(self) -> int:

@@ -5,9 +5,9 @@ a trajectory is fully described by its dwell times: visit i sits in level
 (start - i) % N for an Exponential(rates[level]) time and emits an event
 labeled with the source level at the jump. The simulator therefore keeps
 only the jump times and the level of the first recorded visit, which is
-exactly an ``EventStream`` ring. Sampling is vectorized in chunks; the RNG
-is counter-based (Philox keyed by the seed), so one seed gives one stream
-whatever the chunk size.
+exactly an ``EventStream`` ring. Sampling is vectorized in chunks drawn
+into one reused buffer; the RNG is counter-based (Philox keyed by the
+seed), so one seed gives one stream whatever the chunk size.
 
 The text format stores one '<timestamp> <label>' line per event and its
 reader rebuilds the ring with ``EventStream.from_labels``, which rejects
@@ -16,6 +16,9 @@ header with the first label, then the raw f64 times. ``simulate_to_binary``
 writes that file chunk by chunk as the stamps are drawn, and
 ``read_events_binary`` reads it block by block, optionally keeping only
 some levels, so neither holds more of the stream than it returns.
+``read_event_blocks`` hands out those blocks as they are read, for a
+consumer that holds none of the stream, such as
+``estimator.correlate_blocks``; a text file is still read whole.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ from .model import (
     check_order,
     check_span,
     gather_levels,
+    level_count,
     ring_subset,
     steady_state,
 )
 
 _CHUNK = 1 << 19
+_RATE_ROW = 1 << 12  # draws divided by their rates per row of the rate pattern
 _TEXT_BLOCK = 1 << 12  # lines formatted per write
 _READ_BLOCK = 1 << 17  # timestamps (1 MiB) read per step of read_events_binary
 _BINARY_MAGIC = b"CEV2"
@@ -109,7 +114,9 @@ def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
 
     The stamps are final: burn-in subtracted and rounding collisions nudged
     against the last stamp yielded before, so they continue one strictly
-    increasing stream. Raises InsufficientSamples when nothing is recorded.
+    increasing stream. Every chunk is drawn into one reused buffer, so the
+    stamps are valid until the next chunk is drawn. Raises
+    InsufficientSamples when nothing is recorded.
     """
     spec = config.spec
     n = spec.n_levels
@@ -128,16 +135,26 @@ def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
     chunk = min(_CHUNK, max(64, _expected_draws(config)))
 
     # visit v sits in level (start - v) % n, so the rates from visit v on
-    # repeat cycle rolled by v
+    # repeat the cycle rolled by v: rows of the pattern from its (v % n)-th
+    # entry on, a whole number of periods long
     cycle = rates[(start - np.arange(n)) % n]
+    period = n * max(1, _RATE_ROW // n)
+    pattern = np.tile(cycle, period // n + 1)
+    buf = np.empty(chunk)
     visit = 0
     base = 0.0          # accumulated time at the start of the current chunk
     comp = 0.0          # Kahan compensation for the chunk offsets
     recorded = 0
     last = -np.inf      # last stamp yielded
     while True:
-        dwells = rng.standard_exponential(chunk)
-        dwells /= np.tile(np.roll(cycle, -(visit % n)), -(-chunk // n))[:chunk]
+        if chunk > len(buf):  # a run past its expected draws
+            buf = np.empty(chunk)
+        dwells = rng.standard_exponential(out=buf[:chunk])
+        rolled = pattern[visit % n:visit % n + period]
+        whole = chunk - chunk % period
+        rows = dwells[:whole].reshape(-1, period)
+        rows /= rolled
+        dwells[whole:] /= rolled[:chunk - whole]
         chunk_sum = float(dwells.sum())
         stamps = np.cumsum(dwells, out=dwells)
         stamps -= comp
@@ -241,7 +258,7 @@ def _nudge_collisions(times: np.ndarray, previous: float) -> None:
     if times[0] <= previous:
         times[0] = np.nextafter(previous, np.inf)
     while True:
-        bad = np.flatnonzero(np.diff(times) <= 0)
+        bad = np.flatnonzero(times[1:] <= times[:-1])
         if len(bad) == 0:
             break
         times[bad + 1] = np.nextafter(times[bad], np.inf)
@@ -394,43 +411,52 @@ def _binary_header(fh) -> tuple[int, int, int, float, int]:
     return n, first, seed, total, count
 
 
+def _is_binary(path) -> bool:
+    """Whether a stream file is binary: any CEV magic, which the binary
+    reader then checks and names."""
+    with open(path, "rb") as fh:
+        return fh.read(3) == _BINARY_MAGIC[:3]
+
+
 def stream_levels(path) -> int:
     """The level count N in the header of a stream file of either format.
 
     A damaged header, or a binary body of the wrong size, raises the error
     the file's reader raises first.
     """
-    with open(path, "rb") as fh:
-        if fh.read(3) == _BINARY_MAGIC[:3]:  # any CEV magic: the binary check names it
-            fh.seek(0)
+    if _is_binary(path):
+        with open(path, "rb") as fh:
             return _binary_header(fh)[0]
     with open(path, errors="replace") as fh:
         return _text_header(fh)[0]
 
 
-def read_events_binary(path, levels=None) -> EventStream:
-    """Read a binary stream file; with ``levels``, the stream of those levels
-    alone, as ``EventStream.select`` cuts it from the whole file.
+def _binary_blocks(path, levels=None):
+    """Generator over a binary stream file cut to ``levels`` (all when
+    None): first (levels kept, seed, T, events kept), then, block by block,
+    (label of the first event, times) of the kept ring.
 
-    The body is read ``_READ_BLOCK`` timestamps at a time, so a selected
-    read holds the selected events and one block, never the whole stream.
-    Every rule is checked on the whole file, whatever the selection: the
-    header, the body size, N, the first label and T, strict order across
-    block seams, at least one event and the span.
+    The body is read ``_READ_BLOCK`` timestamps at a time into one reused
+    buffer, and the kept levels of each block are gathered into another, so
+    a block is valid until the next is drawn. Every rule is checked on the
+    whole file, whatever it keeps: the header, the body size, N, the first
+    label and T before the first item, strict order across block seams as
+    the blocks are read, and at least one event and the span after the last.
     """
     with open(path, "rb") as fh:
         n, first, seed, total, count = _binary_header(fh)
         EventStream(np.empty(0), first, n, total)  # N, first label and T, before the body
         members = None if levels is None else ring_subset(levels, n)
+        block = np.empty(min(count, _READ_BLOCK), "<f8")
         if members is None:
-            times = np.empty(count, "<f8")
+            yield n, seed, total, count
         else:
-            times = np.empty(sum(len(range((first - level) % n, count, n)) for level in members))
-            block = np.empty(min(count, _READ_BLOCK), "<f8")
-        ends, kept, rank = [], 0, 0   # ends: first and last timestamp read
+            yield (len(members), seed, total,
+                   sum(level_count(count, first, n, level) for level in members))
+            kept = np.empty(min(len(block), len(members) * -(-len(block) // n)))
+        ends = []   # first and last timestamp read
         for start in range(0, count, _READ_BLOCK):
-            stop = min(start + _READ_BLOCK, count)
-            buf = times[start:stop] if members is None else block[:stop - start]
+            buf = block[:min(_READ_BLOCK, count - start)]
             got = fh.readinto(buf)
             if got != buf.nbytes:  # the file shrank while it was read
                 raise StreamInvariantViolation(
@@ -438,11 +464,46 @@ def read_events_binary(path, levels=None) -> EventStream:
                 )
             check_order(buf, ends[-1] if ends else None)
             ends = [ends[0] if ends else buf[0], buf[-1]]
-            if members is not None:
-                got, block_rank = gather_levels(buf, (first - start) % n, n, members, times[kept:])
-                rank = block_rank if start == 0 else rank
-                kept += got
+            if members is None:
+                yield (first - start) % n, buf
+            else:
+                got, rank = gather_levels(buf, (first - start) % n, n, members, kept)
+                yield rank, kept[:got]
     check_span(ends, total)
-    if members is None:
-        return EventStream(times, first, n, total, seed=seed)
-    return EventStream(times, rank, len(members), total, seed=seed)
+
+
+def read_events_binary(path, levels=None) -> EventStream:
+    """Read a binary stream file; with ``levels``, the stream of those levels
+    alone, as ``EventStream.select`` cuts it from the whole file.
+
+    The file is read and checked block by block (``_binary_blocks``), so a
+    selected read holds the selected events and two blocks, never the whole
+    stream.
+    """
+    blocks = _binary_blocks(path, levels)
+    n_levels, seed, total, count = next(blocks)
+    times = np.empty(count)
+    first, at = None, 0
+    for label, block in blocks:
+        first = label if first is None else first
+        times[at:at + len(block)] = block
+        at += len(block)
+    return EventStream(times, first, n_levels, total, seed=seed)
+
+
+def read_event_blocks(path, levels=None) -> tuple[float, Iterator[tuple[int, np.ndarray]]]:
+    """(T, blocks) of a stream file of either format cut to ``levels``, as
+    ``EventStream.select`` cuts it: ``blocks`` yields (label of the first
+    event, times) of the kept ring, in time order.
+
+    A binary file's header is checked here and its body as the blocks are
+    drawn, the span after the last one, so drawing every block raises what
+    ``read_events_binary`` raises, in the same order, while holding two read
+    blocks; each block is valid until the next is drawn. A text file is
+    read whole, and its stream is the one block.
+    """
+    if _is_binary(path):
+        blocks = _binary_blocks(path, levels)
+        return next(blocks)[2], blocks
+    stream = read_events_text(path, levels)
+    return stream.total_duration, iter([(stream.first_label, stream.times)])

@@ -1,5 +1,8 @@
 import hashlib
+import os
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,13 +19,16 @@ from circascade import (
     SubsetSpec,
     block_bootstrap_stderr,
     correlate,
+    correlate_blocks,
     correlate_subset,
     g2_equal,
     g2_equal_pair,
+    read_event_blocks,
     simulate,
+    write_events_binary,
     write_trace_csv,
 )
-from circascade import cli
+from circascade import cli, stochastic
 from circascade.estimator import _pair_counts
 from oracles import pair_histogram_bruteforce
 
@@ -318,6 +324,91 @@ def test_pairs_inside_the_window_but_outside_the_bins_are_dropped():
                     _pair_counts(src, dst, cfg, m == k),
                     pair_histogram_bruteforce(src, dst, 0.1, 11, m == k),
                 )
+
+
+def _split(times, first, n, cuts):
+    """times of an n-level ring whose first event has label first, as
+    blocks (label of the first event, times) cut at the sorted cuts."""
+    edges = [0, *cuts, len(times)]
+    return [((first - a) % n, times[a:b]) for a, b in zip(edges, edges[1:])]
+
+
+def _outcome(call):
+    """The bits of call()'s trace, or its empty-channel message."""
+    try:
+        trace = call()
+    except InsufficientSamples as exc:
+        return str(exc)
+    return trace.values.tobytes(), trace.stderr.tobytes(), trace.pair, trace.subset
+
+
+@given(
+    n=st.integers(1, 6),
+    n_events=st.integers(1, 300),
+    on_grid=st.booleans(),
+    bin_width=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+    n_side=st.integers(1, 40),
+    first=st.integers(0, 5),
+    read_block=st.sampled_from([1, 7, 64, stochastic._READ_BLOCK]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_streamed_counts_equal_the_whole_stream_and_the_bruteforce(
+    n, n_events, on_grid, bin_width, n_side, first, read_block, data
+):
+    # a window of up to 40 bins holds up to ~40 events, so with read blocks
+    # of 1 or 7 events, or cut anywhere, it spans many blocks
+    rng = np.random.default_rng(n_events)
+    if on_grid:
+        times = np.cumsum(rng.integers(1, 4, n_events)) * bin_width
+    else:
+        times = np.cumsum(rng.exponential(bin_width, n_events)) + rng.uniform(-50, 50)
+    tau_max = n_side * bin_width
+    t_total = max(float(times[-1] - times[0]), 10 * tau_max) + 1.0
+    stream = EventStream(times, first % n, n, t_total)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n_events), max_size=8), label="cuts"))
+    subset = tuple(sorted(data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="subset")))
+    cfg = HistogramConfig(bin_width, tau_max)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(stochastic, "_READ_BLOCK", read_block):
+        path = os.path.join(tmp, "events")
+        write_events_binary(stream, path)
+
+        def streamed(levels, pair):
+            total, blocks = read_event_blocks(path, levels)
+            return correlate_blocks(blocks, len(levels), total, cfg, pair, levels)
+
+        for m in range(n):
+            for k in range(n):
+                whole = _outcome(lambda: correlate(
+                    stream, HistogramConfig(bin_width, tau_max, channels=(m, k))))
+                levels = sorted({m, k})
+                pair = (levels.index(m), levels.index(k))
+                assert _outcome(lambda: streamed(levels, pair)) == whole, (m, k)
+                assert _outcome(lambda: correlate_blocks(
+                    _split(times, first % n, n, cuts), n, t_total, cfg, (m, k))) == whole
+                if isinstance(whole, str):
+                    continue
+                src, dst = stream.channels[m], stream.channels[k]
+                np.testing.assert_array_equal(
+                    _counts_of(streamed(levels, pair), len(src) / t_total,
+                               len(dst) / t_total, cfg),
+                    pair_histogram_bruteforce(src, dst, bin_width, n_side, m == k),
+                )
+
+        whole = _outcome(lambda: correlate_subset(stream, SubsetSpec(subset), cfg))
+        chosen = stream.select(subset)
+        assert _outcome(lambda: streamed(list(subset), None)) == whole
+        assert _outcome(lambda: correlate_blocks(
+            _split(chosen.times, chosen.first_label, len(subset), cuts),
+            len(subset), t_total, cfg, None, subset)) == whole
+        if not isinstance(whole, str):
+            rate = chosen.n_events / t_total
+            np.testing.assert_array_equal(
+                _counts_of(streamed(list(subset), None), rate, rate, cfg),
+                pair_histogram_bruteforce(chosen.times, chosen.times, bin_width, n_side, True),
+            )
 
 
 # sha256 of outputs recorded before the pair counts became a lag sweep

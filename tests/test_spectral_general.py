@@ -16,9 +16,11 @@ from circascade import (
     CascadeSpec,
     ConfigInvalid,
     EventStream,
+    HistogramConfig,
     OscillationRegime,
     SubsetSpec,
     bundle_peak,
+    correlate_blocks,
     cs_check,
     decompose,
     discontinuity,
@@ -45,6 +47,7 @@ from circascade import (
     zeta_value,
 )
 from circascade.model import NumericalFailure
+from circascade import spectral_general
 from circascade.spectral_general import _expm, characteristic_residuals
 
 from oracles import (
@@ -226,6 +229,26 @@ def test_g2_general_stiff_spread_is_checked_or_raises():
         return
     rng = np.random.default_rng(3)
     assert _oracle_gap(spec, 2, 1, taus, values, rng) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [163, 1163])
+def test_g2_general_stiff_spread_passes_the_row_sum_guard(seed):
+    # N = 160, rates over 10^+-3: row sums drift by about 3e-15, inside the
+    # guard's 2 N eps per step (4.3e-11 over these 600 steps)
+    spec, taus = _spread_case(160, 3, seed=seed)
+    values = g2_general(spec, 2, 1, taus)
+    assert np.all(np.isfinite(values)) and np.all(values >= 0)
+    assert _oracle_gap(spec, 2, 1, taus, values, np.random.default_rng(seed)) <= 1e-8
+
+
+@pytest.mark.parametrize("n, decades", [(8, 1), (160, 3)])
+def test_a_propagation_off_by_1e_8_raises(monkeypatch, n, decades):
+    # every step matrix's columns then sum to 1 + 1e-8
+    spec, taus = _spread_case(n, decades, seed=163)
+    exact = spectral_general._expm
+    monkeypatch.setattr(spectral_general, "_expm", lambda a: exact(a) * (1 + 1e-8))
+    with pytest.raises(NumericalFailure, match="do not sum to 1"):
+        g2_general(spec, 2, 1, taus)
 
 
 def test_propagate_identity_at_zero():
@@ -585,6 +608,11 @@ RING_CALLS = {
     "g2_phenomenological": (lambda *g: g2_phenomenological(0.9, *g, 0.5), (1.0, 2.0)),
     "find_peaks": (lambda n, g: find_peaks(n, g, 1, 2), (6, 1.0)),
     "find_peaks_cross": (lambda n, g: find_peaks_cross(n, g, 2), (6, 1.0)),
+    "correlate_blocks": (
+        lambda n: correlate_blocks([(0, np.arange(1.0, 60.0))], n, 100.0,
+                                   HistogramConfig(0.5, 2.0)),
+        (6,),
+    ),
 }
 
 # each route swaps one argument of its valid call for one bad value

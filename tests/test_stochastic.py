@@ -162,15 +162,18 @@ def test_buffer_growth_never_changes_the_stream(monkeypatch, stop):
     assert np.array_equal(grown.times, expected.times)
 
 
-def _peak_per_stream_byte(call, n_events: int) -> float:
-    """Peak traced bytes of call() over the 8 bytes per event of its stream."""
+def _traced_peak(call) -> tuple:
+    """(call(), peak traced bytes of the call)."""
     tracemalloc.start()
     try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (8 * n_events)
+
+
+def _peak_per_stream_byte(call, n_events: int) -> float:
+    """Peak traced bytes of call() over the 8 bytes per event of its stream."""
+    return _traced_peak(call)[1] / (8 * n_events)
 
 
 def test_simulate_holds_one_copy_of_the_stream():
@@ -228,32 +231,31 @@ def test_simulate_without_events_exits_5_and_leaves_no_file(tmp_path, capsys):
 
 
 def test_cli_simulate_holds_well_under_one_copy_of_the_stream(tmp_path):
-    # measured 0.44 of the stream's bytes: one chunk of 2^19 draws and the
-    # temporaries made from it (1.59 when simulate returned the whole stream)
-    n_events = 4_000_000
-    argv = ["simulate", "--n", "6", "--events", str(n_events), "--seed", "3",
-            "--out", str(tmp_path / "run.events")]
-    assert _peak_per_stream_byte(lambda: cli.main(argv), n_events) <= 0.5
+    # every chunk is drawn into one buffer of at most stochastic._CHUNK draws
+    # and written as drawn, so the peak does not grow with the event count:
+    # measured the buffer plus 0.53 MB (the collision check's bool array of a
+    # chunk)
+    for n_events in (1_000_000, 4_000_000):
+        argv = ["simulate", "--n", "6", "--events", str(n_events), "--seed", "3",
+                "--out", str(tmp_path / "run.events")]
+        code, peak = _traced_peak(lambda: cli.main(argv))
+        assert code == 0 and peak <= 8 * stochastic._CHUNK + (1 << 20), n_events
 
 
 def test_cli_pair_correlate_holds_one_channel_and_one_read_block(tmp_path):
     # a read block is stochastic._READ_BLOCK = 2^17 timestamps, 1 MiB; the
-    # peak was measured 136 kB above channel plus block, from the order
-    # check's 64 kB blocks and the command's own objects
-    n_events = 4_000_000
-    stream = EventStream(np.arange(1.0, n_events + 1), 2, 6, n_events + 1.0)
-    path = tmp_path / "run.events"
-    write_events_binary(stream, path)
-    argv = ["correlate", "--in", str(path), "--pair", "1,1", "--bin", "0.5",
-            "--taumax", "30", "--out", str(tmp_path / "pair.csv")]
-    tracemalloc.start()
-    try:
-        assert cli.main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    one_channel = 8 * stream.counts[1]
-    assert peak <= one_channel + 8 * stochastic._READ_BLOCK + (1 << 18)
+    # pair counts carry only the events within the window of the last one, so
+    # the peak is the read block, its gathered levels and the sweep's
+    # temporaries, whatever the event count: measured 2.13 MB at most
+    bound = 2 * 8 * stochastic._READ_BLOCK + (1 << 19)
+    for n_events in (1_000_000, 4_000_000):
+        path = tmp_path / "run.events"
+        write_events_binary(EventStream(np.arange(1.0, n_events + 1), 2, 6, n_events + 1.0), path)
+        for selection in (("--pair", "1,1"), ("--subset", "1,2")):
+            argv = ["correlate", "--in", str(path), *selection, "--bin", "0.5",
+                    "--taumax", "30", "--out", str(tmp_path / "g.csv")]
+            code, peak = _traced_peak(lambda: cli.main(argv))
+            assert code == 0 and peak <= bound, (n_events, selection)
 
 
 @settings(max_examples=60, deadline=None)
