@@ -11,11 +11,12 @@ across sides. Pairs are counted by a lag sweep: within one ring, the
 pairs at a fixed lag are one contiguous slice difference of the two
 channels, so each lag costs a vectorized pass and no pair index is stored.
 
-The sweep takes its ring as time-ordered blocks (``correlate_blocks``) and
-carries from one block to the next only the events within the window of
-its end, so a stream read from a file block by block is counted as it is
-read. ``correlate`` and ``correlate_subset`` pass an in-memory stream as
-one block; every count equals that of the whole stream.
+The sweep takes its ring as time-ordered blocks (``correlate_blocks``),
+joins each block to the events within the window of the ones before and
+counts the joined run in two sweeps, so a stream read from a file is
+counted as it is read. ``correlate`` and ``correlate_subset`` pass an
+in-memory stream as one block, which is not copied; every count equals
+that of the whole stream.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .model import (
 # rows of src per sweep block: a block's slices of src, dst and the window
 # bound stay in a core's L2 cache across its lags
 _SWEEP_BLOCK = 16_384
-_NO_EVENTS = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -85,41 +85,29 @@ def _pair_counts(
     return hist
 
 
-def _add_pairs(
-    hist: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    off: int,
-    same_channel: bool,
-    cfg: HistogramConfig,
-    src_old: np.ndarray = _NO_EVENTS,
-    dst_old: np.ndarray = _NO_EVENTS,
-) -> None:
+def _add_pairs(hist: np.ndarray, src: np.ndarray, dst: np.ndarray, off: int,
+               same_channel: bool, cfg: HistogramConfig, old=(0, 0)) -> None:
     """Add to hist the dst - src differences inside [-W, W), W = n_side *
-    delta, of the runs src_old + src and dst_old + dst, joined end to end,
-    except the pairs whose events are both old.
+    delta, of the runs src and dst, except the pairs of two old events: the
+    first ``old`` = (rows of src, rows of dst) of each run.
 
     The pair (i, j) counts when fl(src[i] - W) <= dst[j] < fl(src[i] + W),
     in bin floor((dst[j] - src[i]) / delta) + n_side if that lies in
     [0, 2 n_side); with ``same_channel`` an event is not paired with itself.
 
-    Precondition: the joined runs are channels of one ring with strictly
+    Precondition: the runs are channels of one ring with strictly
     increasing times, or slices of such channels, or one run with itself;
-    with ``same_channel``, every src event is also in dst. Then joined dst
-    event i + off is the first at or after joined src event i, and the pairs
-    at lag k >= 0 are the slice differences dst[i + off + k] - src[i]
-    (checked against the upper bound) and dst[i + off - 1 - k] - src[i]
-    (checked against the lower one). Old events precede new ones, so an old
-    src event pairs with new dst events upwards only, and a new one with old
-    dst events downwards only.
+    with ``same_channel``, every src event is also in dst. Then dst event
+    i + off is the first at or after src event i, and the pairs at lag
+    k >= 0 are the slice differences dst[i + off + k] - src[i] (checked
+    against the upper bound) and dst[i + off - 1 - k] - src[i] (checked
+    against the lower one). Old events precede new ones, so each pair is
+    counted once by two sweeps: every src row against the new dst events
+    going up, and the new src rows against every dst event going down.
     """
-    n_src, n_dst = len(src_old), len(dst_old)
-    up = off + same_channel - n_dst  # in dst, the lag-0 upper partner of joined src 0
-    down = off - 1                   # in dst_old, the lag-0 lower partner of joined src 0
-    _lag_sweep(src_old, dst, up, 1, cfg, hist)
-    _lag_sweep(src, dst, up + n_src, 1, cfg, hist)
-    _lag_sweep(src, dst, down + n_src - n_dst, -1, cfg, hist)
-    _lag_sweep(src, dst_old, down + n_src, -1, cfg, hist)
+    n_src, n_dst = old
+    _lag_sweep(src, dst[n_dst:], off + same_channel - n_dst, 1, cfg, hist)
+    _lag_sweep(src[n_src:], dst, off - 1 + n_src, -1, cfg, hist)
 
 
 def _lag_sweep(src, dst, shift, step, cfg, hist) -> None:
@@ -143,24 +131,17 @@ def _lag_sweep(src, dst, shift, step, cfg, hist) -> None:
             lo, hi = max(start, -lag), min(stop, len(dst) - lag)
             if lo >= hi:
                 break
-            other, rows = dst[lo + lag:hi + lag], src[lo:hi]
-            if step > 0:
-                inside = other < bound[lo - start:hi - start]
-                if not inside.any():
-                    break
-                # dst >= src going up, so truncation is the floor
-                q = np.subtract(other, rows)
-                q /= width
-                bins = q[inside].astype(np.intp)
-                hist[n_side:] += np.bincount(bins, minlength=n_side)[:n_side]
+            other, rows, edges = dst[lo + lag:hi + lag], src[lo:hi], bound[lo - start:hi - start]
+            inside = other < edges if step > 0 else other >= edges
+            if not inside.any():
+                break
+            q = np.subtract(other, rows) if step > 0 else np.subtract(rows, other)
+            q /= width
+            if step > 0:  # dst >= src going up, so truncation is the floor
+                hist[n_side:] += np.bincount(q[inside].astype(np.intp), minlength=n_side)[:n_side]
             else:
-                inside = other >= bound[lo - start:hi - start]
-                if not inside.any():
-                    break
                 # r = ceil((src - dst) / delta) = -floor((dst - src) / delta)
                 # exactly, so bin n_side - r; r > n_side falls below bin 0
-                q = np.subtract(rows, other)
-                q /= width
                 bins = np.ceil(q[inside]).astype(np.intp)
                 hist[:n_side + 1] += np.bincount(bins, minlength=n_side + 1)[n_side::-1]
             lag += step
@@ -173,18 +154,18 @@ def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig) -> tuple[np.n
     each other for None. Returns (histogram, label of the first event,
     events).
 
-    A pair is counted with the block of its later event; the earlier one
-    is in that block or in the tail carried from the blocks before. The
-    tail is every event within W of the last stamp, and one rounding more:
-    an earlier event cannot pair with a later one, since a later event
-    exceeds the last stamp. So the pairs need the window's events, not the
-    stream's, and the counts equal those of the whole stream in one block.
+    Each block is joined to the tail carried from the blocks before (a copy
+    only when there is one), and ``_add_pairs`` counts the run with the
+    tail as its old events, so a pair is counted with the block of its
+    later event. The new tail is the run's events within W of its last
+    stamp, and one rounding more, since a later event exceeds that stamp;
+    so the counts equal those of the whole stream in one block.
     """
     window = cfg.n_side * cfg.bin_width
     period = 1 if pair is None else n_levels
     m, n = pair or (0, 0)
     hist = np.zeros(2 * cfg.n_side, dtype=np.int64)
-    tail, tail_label = _NO_EVENTS, 0
+    tail, tail_label = np.empty(0), 0
     first, events = 0, 0
     for label, times in blocks:
         if len(times) == 0:
@@ -192,24 +173,13 @@ def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig) -> tuple[np.n
         if events == 0:
             first = label
         events += len(times)
-        held = tail_label if len(tail) else label  # label of the first event held
-        _add_pairs(
-            hist,
-            times[(label - m) % period::period],
-            times[(label - n) % period::period],
-            int((held - m) % period > (held - n) % period),
-            m == n,
-            cfg,
-            tail[(tail_label - m) % period::period],
-            tail[(tail_label - n) % period::period],
-        )
-        edge = np.nextafter(times[-1] - window, -np.inf)
-        cut = int(np.searchsorted(times, edge))
-        if cut:
-            tail, tail_label = times[cut:].copy(), (label - cut) % n_levels
-        else:  # the window reaches back past this block
-            cut = int(np.searchsorted(tail, edge))
-            tail, tail_label = np.concatenate((tail[cut:], times)), (held - cut) % n_levels
+        if len(tail):
+            times, label = np.concatenate((tail, times)), tail_label
+        a, b = (label - m) % period, (label - n) % period  # run offsets of src and dst
+        old = (level_count(len(tail), label, period, m), level_count(len(tail), label, period, n))
+        _add_pairs(hist, times[a::period], times[b::period], int(a > b), m == n, cfg, old)
+        cut = int(np.searchsorted(times, np.nextafter(times[-1] - window, -np.inf)))
+        tail, tail_label = times[cut:].copy(), (label - cut) % n_levels
     return hist, first, events
 
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 EQUAL_RATE_RTOL = 1e-12
-_ORDER_BLOCK = 1 << 16  # timestamps compared per step of check_order
+_ORDER_BLOCK = 1 << 16  # timestamps compared per step of first_unordered
 
 
 class CascadeError(Exception):
@@ -138,14 +138,24 @@ def check_delays(tau, signed: bool = True) -> np.ndarray:
     return taus
 
 
+def first_unordered(times: np.ndarray, start: int = 1) -> int:
+    """Index of the first timestamp at or after ``start`` >= 1 not above the
+    one before it (NaN is not), else len(times). Comparing ``_ORDER_BLOCK``
+    timestamps per step keeps the temporaries small for any length."""
+    for lo in range(start, len(times), _ORDER_BLOCK):
+        block = times[lo - 1:lo + _ORDER_BLOCK]
+        rises = block[1:] > block[:-1]
+        if not rises.all():
+            return lo + int(rises.argmin())
+    return len(times)
+
+
 def check_order(times: np.ndarray, previous: float | None = None) -> None:
     """The order rule of a stream: raise StreamInvariantViolation unless
-    ``times`` strictly increase and, when ``previous`` is given, start above
-    it. NaN fails. The comparison runs block by block with overlapping
-    seams, so its temporaries stay a few kB however long ``times`` is."""
+    ``times`` strictly increase (``first_unordered``) and, when
+    ``previous`` is given, start above it. NaN fails."""
     first_ok = previous is None or len(times) == 0 or times[0] > previous
-    blocks = (times[start - 1:start + _ORDER_BLOCK] for start in range(1, len(times), _ORDER_BLOCK))
-    if not (first_ok and all(np.all(block[1:] > block[:-1]) for block in blocks)):
+    if not (first_ok and first_unordered(times) == len(times)):
         raise StreamInvariantViolation("simultaneous or out-of-order events")
 
 

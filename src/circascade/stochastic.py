@@ -12,13 +12,14 @@ seed), so one seed gives one stream whatever the chunk size.
 The text format stores one '<timestamp> <label>' line per event and its
 reader rebuilds the ring with ``EventStream.from_labels``, which rejects
 labels that do not cycle. The binary format stores the ring itself: a
-header with the first label, then the raw f64 times. ``simulate_to_binary``
-writes that file chunk by chunk as the stamps are drawn, and
-``read_events_binary`` reads it block by block, optionally keeping only
-some levels, so neither holds more of the stream than it returns.
-``read_event_blocks`` hands out those blocks as they are read, for a
-consumer that holds none of the stream, such as
-``estimator.correlate_blocks``; a text file is still read whole.
+header with the first label, then the raw f64 times. One writer,
+``_write_binary``, writes it block by block, header last, and renames it
+into place when complete (``simulate_to_binary`` as the chunks are drawn,
+``write_events_binary`` from a stream); ``read_events_binary`` reads it
+block by block, optionally keeping only some levels, and one collector,
+``_join``, gathers those blocks or ``simulate``'s chunks into one array.
+``read_event_blocks`` hands out the blocks as they are read, for a
+consumer such as ``estimator.correlate_blocks``; a text file is read whole.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .model import (
+    _ORDER_BLOCK,
     CascadeSpec,
     ConfigInvalid,
     EventStream,
@@ -40,6 +43,7 @@ from .model import (
     check_index,
     check_order,
     check_span,
+    first_unordered,
     gather_levels,
     level_count,
     ring_subset,
@@ -88,16 +92,6 @@ class SimConfig:
             )
 
 
-def _rng_for(cfg: SimConfig) -> np.random.Generator:
-    key = np.array([cfg.seed, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _capacity(config: SimConfig, expected: int) -> int:
-    """Initial length of the stamp buffer, which doubles when a run outgrows it."""
-    return expected if config.total_events is None else config.total_events
-
-
 def _expected_draws(config: SimConfig) -> int:
     """Draws a run is expected to take, with a four-sigma margin."""
     event_rate = config.spec.n_levels / config.spec.cycle_time
@@ -121,7 +115,7 @@ def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
     spec = config.spec
     n = spec.n_levels
     rates = np.asarray(spec.rates, dtype=float)
-    rng = _rng_for(config)
+    rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64)))
 
     if config.initial_level is None:
         start = int(rng.choice(n, p=steady_state(spec)))
@@ -194,23 +188,12 @@ def simulate(config: SimConfig) -> EventStream:
     """Run one trajectory and return its event stream.
 
     Bit-identical output for identical config. Kept stamps go straight
-    into one preallocated buffer, so the returned stream is the only
+    into one buffer (``_join``), so the returned stream is the only
     full-length copy. Timestamps are strictly increasing by construction
     (coincident rounding collisions are nudged by one ulp).
     """
-    times = np.empty(_capacity(config, _expected_draws(config)))
-    first_label = 0     # level of the first recorded visit
-    recorded = 0
-    for label, kept in _kept_chunks(config):
-        if recorded == 0:
-            first_label = label
-        if recorded + len(kept) > len(times):
-            grown = np.empty(max(2 * len(times), recorded + len(kept)))
-            grown[:recorded] = times[:recorded]
-            times = grown
-        times[recorded:recorded + len(kept)] = kept
-        recorded += len(kept)
-    times = times[:recorded]
+    first_label, times = _join(_kept_chunks(config),
+                               config.total_events or _expected_draws(config))
     total = float(times[-1] if config.duration is None else config.duration)
     return EventStream(times, first_label, config.spec.n_levels, total,
                        seed=config.seed, spec=config.spec)
@@ -220,48 +203,45 @@ def simulate_to_binary(config: SimConfig, path) -> None:
     """Run one trajectory and write it in the binary format as it is drawn.
 
     The file has the bytes of ``write_events_binary(simulate(config),
-    path)``, but only one chunk of stamps is held at a time. The header,
-    which needs the count and the last stamp, is written last. The file is
-    built under a sibling temporary name and renamed onto ``path`` when it
-    is complete, so a failed run leaves no file.
-    """
-    partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(partial, "wb") as fh:
-            fh.write(bytes(len(_BINARY_MAGIC) + _BINARY_HEADER.size))
-            first_label, count, last = 0, 0, 0.0
-            for label, kept in _kept_chunks(config):
-                if count == 0:
-                    first_label = label
-                fh.write(kept.astype("<f8", copy=False))
-                count += len(kept)
-                last = float(kept[-1])
-            total = last if config.duration is None else float(config.duration)
-            fh.seek(0)
-            fh.write(_BINARY_MAGIC + _BINARY_HEADER.pack(
-                config.spec.n_levels, first_label, config.seed, total, count))
-        os.replace(partial, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(partial)
+    path)``, but only one chunk of stamps is held at a time; a failed run
+    leaves no file."""
+    _write_binary(path, config.spec.n_levels, config.seed, _kept_chunks(config), config.duration)
+
+
+def _join(blocks, size: int) -> tuple[int | None, np.ndarray]:
+    """(label of the first block, even an empty one, and the times of all
+    blocks end to end) of blocks (label of the first event, times), copied
+    into one buffer of ``size`` timestamps that doubles when outgrown."""
+    times, first, at = np.empty(size), None, 0
+    for label, block in blocks:
+        first = label if first is None else first
+        if at + len(block) > len(times):
+            grown = np.empty(max(2 * len(times), at + len(block)))
+            grown[:at] = times[:at]
+            times = grown
+        times[at:at + len(block)] = block
+        at += len(block)
+    return first, times[:at]
 
 
 def _nudge_collisions(times: np.ndarray, previous: float) -> None:
     """Raise, in place, every stamp not above its predecessor (``previous``
     before the first one) to one ulp above it.
 
-    Such rounding collisions are extremely rare. The result equals that of
-    one sequential pass, so nudging a stream chunk by chunk, each chunk
-    against the last stamp of the one before, gives the same stamps as
-    nudging it whole.
+    Such rounding collisions are extremely rare: ``first_unordered`` finds
+    them, and ``_ORDER_BLOCK`` stamps from each are settled at a time. The
+    result is that of one sequential pass, so nudging a stream chunk by
+    chunk, each against the last stamp before it, equals nudging it whole.
     """
     if times[0] <= previous:
         times[0] = np.nextafter(previous, np.inf)
-    while True:
-        bad = np.flatnonzero(times[1:] <= times[:-1])
-        if len(bad) == 0:
-            break
-        times[bad + 1] = np.nextafter(times[bad], np.inf)
+    at = first_unordered(times)
+    while at < len(times):
+        # each pass settles the next stamp of every run of collisions
+        block = times[at - 1:at + _ORDER_BLOCK]
+        while len(bad := np.flatnonzero(block[1:] <= block[:-1])):
+            block[bad + 1] = np.nextafter(block[bad], np.inf)
+        at = first_unordered(times, at + _ORDER_BLOCK)
 
 
 def _dwell_segments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +340,9 @@ def read_events_text(path, levels=None) -> EventStream:
     with open(path, errors="replace") as fh:  # undecodable bytes fail below
         n, seed, total = _text_header(fh)
         try:
-            data = np.loadtxt(fh, ndmin=2)
+            with warnings.catch_warnings():  # an empty body is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, ndmin=2)
         except ValueError as exc:
             raise StreamInvariantViolation(f"malformed event line: {exc}") from None
     if data.size == 0:
@@ -380,15 +362,35 @@ def write_events_binary(stream: EventStream, path) -> None:
 
     Layout: magic 'CEV2', then the ``<IIQdQ`` header (u32 N, u32 first
     label, u64 seed, f64 T, u64 count), then the ring's count f64
-    timestamps. The labels follow from the first one, so any N fits.
+    timestamps. The labels follow from the first one, so any N fits. A
+    failed write leaves no file.
     """
-    seed = stream.seed if stream.seed is not None else 0
-    header = _BINARY_HEADER.pack(
-        stream.n_levels, stream.first_label, seed, stream.total_duration, stream.n_events
-    )
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC + header)
-        fh.write(np.ascontiguousarray(stream.times, dtype="<f8"))
+    _write_binary(path, stream.n_levels, stream.seed or 0,
+                  [(stream.first_label, stream.times)], stream.total_duration)
+
+
+def _write_binary(path, n_levels: int, seed: int, blocks, duration: float | None) -> None:
+    """Write the binary file of a ring fed as blocks (label of the first
+    event, times): first label that of the first block, T ``duration`` or
+    the last stamp when None. The header, which needs the count, goes in
+    last, into a sibling temporary file renamed onto ``path`` when it is
+    complete, so a failed write leaves no file."""
+    partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(bytes(len(_BINARY_MAGIC) + _BINARY_HEADER.size))
+            first, count = None, 0
+            for label, times in blocks:
+                first = label if first is None else first
+                fh.write(np.ascontiguousarray(times, dtype="<f8"))
+                count += len(times)
+            total = float(times[-1]) if duration is None else float(duration)
+            fh.seek(0)
+            fh.write(_BINARY_MAGIC + _BINARY_HEADER.pack(n_levels, first, seed, total, count))
+        os.replace(partial, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
 
 
 def _binary_header(fh) -> tuple[int, int, int, float, int]:
@@ -419,11 +421,9 @@ def _is_binary(path) -> bool:
 
 
 def stream_levels(path) -> int:
-    """The level count N in the header of a stream file of either format.
-
-    A damaged header, or a binary body of the wrong size, raises the error
-    the file's reader raises first.
-    """
+    """The level count N in the header of a stream file of either format;
+    a damaged header, or a binary body of the wrong size, raises the error
+    the file's reader raises first."""
     if _is_binary(path):
         with open(path, "rb") as fh:
             return _binary_header(fh)[0]
@@ -474,20 +474,13 @@ def _binary_blocks(path, levels=None):
 
 def read_events_binary(path, levels=None) -> EventStream:
     """Read a binary stream file; with ``levels``, the stream of those levels
-    alone, as ``EventStream.select`` cuts it from the whole file.
-
-    The file is read and checked block by block (``_binary_blocks``), so a
-    selected read holds the selected events and two blocks, never the whole
-    stream.
+    alone, as ``EventStream.select`` cuts it from the whole file. The file
+    is read and checked block by block (``_binary_blocks``), so a selected
+    read holds the selected events and two blocks, never the whole stream.
     """
     blocks = _binary_blocks(path, levels)
     n_levels, seed, total, count = next(blocks)
-    times = np.empty(count)
-    first, at = None, 0
-    for label, block in blocks:
-        first = label if first is None else first
-        times[at:at + len(block)] = block
-        at += len(block)
+    first, times = _join(blocks, count)
     return EventStream(times, first, n_levels, total, seed=seed)
 
 

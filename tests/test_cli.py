@@ -469,6 +469,15 @@ def test_correlate_empty_channel_exit_5(tmp_path):
     assert cp.returncode == 5
 
 
+def test_correlate_of_a_text_file_without_events_prints_one_error_line(tmp_path, capsys):
+    path = tmp_path / "empty.events"
+    path.write_text("# cascade-events v1 N=3 seed=0 T=10\n")
+    argv = ["correlate", "--in", str(path), "--pair", "1,1", "--bin", "0.05", "--taumax", "1",
+            "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == "error: event stream file has no events\n"
+
+
 def test_peaks_report(tmp_path):
     out = tmp_path / "peaks.json"
     csv = tmp_path / "peaks.csv"

@@ -155,7 +155,8 @@ def test_buffer_growth_never_changes_the_stream(monkeypatch, stop):
     # from a one-element buffer the stamps outgrow it on every chunk
     config = SimConfig(SPEC124, seed=12, **stop)
     expected = simulate(config)
-    monkeypatch.setattr(stochastic, "_capacity", lambda config, expected: 1)
+    join = stochastic._join
+    monkeypatch.setattr(stochastic, "_join", lambda blocks, size: join(blocks, 1))
     grown = simulate(config)
     assert grown.first_label == expected.first_label
     assert grown.total_duration == expected.total_duration
@@ -230,16 +231,29 @@ def test_simulate_without_events_exits_5_and_leaves_no_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_binary_write_keeps_the_old_file_and_leaves_no_other(tmp_path):
+    path = tmp_path / "run.events"
+    write_events_binary(EventStream(np.array([1.0, 2.0]), 0, 2, 3.0), path)
+    before = path.read_bytes()
+    # times that cannot become f64 fail after the file is opened
+    broken = mock.Mock(n_levels=2, first_label=0, seed=None, total_duration=3.0, n_events=1,
+                       times=np.array(["x"], dtype=object))
+    with pytest.raises(ValueError):
+        write_events_binary(broken, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_cli_simulate_holds_well_under_one_copy_of_the_stream(tmp_path):
     # every chunk is drawn into one buffer of at most stochastic._CHUNK draws
-    # and written as drawn, so the peak does not grow with the event count:
-    # measured the buffer plus 0.53 MB (the collision check's bool array of a
-    # chunk)
+    # and written as drawn, and the collision check scans it in blocks, so
+    # the peak does not grow with the event count: measured the buffer plus
+    # 0.25 MB
     for n_events in (1_000_000, 4_000_000):
         argv = ["simulate", "--n", "6", "--events", str(n_events), "--seed", "3",
                 "--out", str(tmp_path / "run.events")]
         code, peak = _traced_peak(lambda: cli.main(argv))
-        assert code == 0 and peak <= 8 * stochastic._CHUNK + (1 << 20), n_events
+        assert code == 0 and peak <= 8 * stochastic._CHUNK + (1 << 19), n_events
 
 
 def test_cli_pair_correlate_holds_one_channel_and_one_read_block(tmp_path):
