@@ -33,9 +33,9 @@ import numpy as np
 from . import __version__
 from .analysis import cs_check, find_peaks, find_peaks_cross
 from .analytic_equal import g2_equal_pair, g2_subset
-# correlate streams its file through correlate_blocks, so correlate,
-# correlate_subset and read_events_binary are not called here;
-# perfbench/tracer.py still wraps them by these names
+# correlate streams its whole file through correlate_blocks, which selects
+# the channels, so correlate, correlate_subset and read_events_binary are
+# not called here; perfbench/tracer.py still wraps them by these names
 from .estimator import (
     HistogramConfig,
     correlate,
@@ -61,7 +61,6 @@ from .stochastic import (
     read_events_binary,
     simulate,
     simulate_to_binary,
-    stream_levels,
     write_events_binary,
     write_events_text,
 )
@@ -270,30 +269,24 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_correlate(args) -> None:
-    path = getattr(args, "in")
+    n_levels, total, blocks = read_event_blocks(getattr(args, "in"))
+    pair = subset = None
     try:
-        n_levels = stream_levels(path)
         # the checks run in the order they ran when the whole file was read
         if args.subset:
             subset = _parse_subset(args.subset)
             cfg = HistogramConfig(args.bin, args.taumax)
             subset.check_against(n_levels)
-            wanted = subset.members
         else:
             if not args.pair:
                 raise ConfigInvalid("give --pair or --subset")
-            wanted = _parse_pair(args.pair, n_levels)
+            pair = _parse_pair(args.pair, n_levels)
             cfg = HistogramConfig(args.bin, args.taumax)
     except ConfigInvalid:
-        for _ in read_event_blocks(path)[1]:  # a damaged file is reported first
+        for _ in blocks:  # a damaged file is reported first
             pass
         raise
-    # read only the wanted levels, block by block: they form a smaller ring,
-    # in which level wanted[i] is channel levels.index(wanted[i])
-    levels = sorted(set(wanted))
-    total, blocks = read_event_blocks(path, levels)
-    pair = None if args.subset else tuple(levels.index(level) for level in wanted)
-    write_trace_csv(correlate_blocks(blocks, len(levels), total, cfg, pair, levels), args.out)
+    write_trace_csv(correlate_blocks(blocks, n_levels, total, cfg, pair, subset), args.out)
 
 
 def cmd_peaks(args) -> None:

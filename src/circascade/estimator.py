@@ -14,9 +14,11 @@ channels, so each lag costs a vectorized pass and no pair index is stored.
 The sweep takes its ring as time-ordered blocks (``correlate_blocks``),
 joins each block to the events within the window of the ones before and
 counts the joined run in two sweeps, so a stream read from a file is
-counted as it is read. ``correlate`` and ``correlate_subset`` pass an
-in-memory stream as one block, which is not copied; every count equals
-that of the whole stream.
+counted as it is read. ``correlate_blocks`` is also the one place that
+selects channels: it gathers the levels of the pair or subset out of each
+block into a smaller ring before the sweep. ``correlate`` and
+``correlate_subset`` pass an in-memory stream as one block; every count
+equals that of the whole stream.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ class HistogramConfig:
         if not self.bin_width <= self.tau_max < np.inf:
             raise ConfigInvalid(
                 f"tau_max must be finite and >= bin_width, got {self.tau_max!r}"
+            )
+        # the 2 n_side int64 counts must fit an array, below 2^63 bytes
+        ratio = float(self.tau_max) / float(self.bin_width)
+        if not ratio < 2.0**59:
+            raise ConfigInvalid(
+                f"tau_max / bin_width = {ratio:g} bins per side, more than an array holds (2**59)"
             )
 
     @property
@@ -147,6 +155,31 @@ def _lag_sweep(src, dst, shift, step, cfg, hist) -> None:
             lag += step
 
 
+def _gathered(blocks, n_levels: int, members):
+    """Blocks (label of the first event, times) of the ring of the sorted
+    distinct levels ``members`` of a ring of ``n_levels`` levels fed as
+    such blocks; level members[i] is level i of the smaller ring.
+
+    Every cycle of a one-way ring visits each level once, in descending
+    order, so the events at any subset of its levels form a one-way ring.
+    Event i of a block carries label ``(label - i) % N``; within each
+    period of N events the members occur in the order of their offsets
+    ``(label - l) % N``, so each member's strided channel fills every
+    |S|-th slot of the output, one strided assignment per member. Every
+    block is gathered into one reused buffer, valid until the next is drawn.
+    """
+    out = np.empty(0)
+    for label, times in blocks:
+        offsets = [(label - level) % n_levels for level in members]
+        order = sorted(range(len(members)), key=offsets.__getitem__)
+        count = sum(len(range(o, len(times), n_levels)) for o in offsets)
+        if count > len(out):
+            out = np.empty(count)
+        for slot, rank in enumerate(order):
+            out[slot:count:len(members)] = times[offsets[rank]::n_levels]
+        yield order[0], out[:count]
+
+
 def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig) -> tuple[np.ndarray, int, int]:
     """Pair histogram of a ring of ``n_levels`` levels fed as consecutive
     blocks (label of the first event, times) in time order: of channel m
@@ -230,41 +263,51 @@ def correlate_blocks(
     total_duration: float,
     cfg: HistogramConfig,
     pair: tuple[int, int] | None = None,
-    levels=None,
+    subset: SubsetSpec | None = None,
     spec=None,
 ) -> CorrelationTrace:
     """Coincidence-histogram estimate of g2 from a ring of ``n_levels``
     levels and window ``total_duration``, fed as consecutive blocks (label
     of the first event, times) in time order: of the channel pair ``pair``
-    = (m, n), or with None of the merged emission of all its levels.
+    = (m, n), or of the merged emission of the levels ``subset`` (all
+    levels when both are None).
 
-    The counts hold only the events within the window of the latest block,
-    so a stream read block by block is never held whole. ``levels`` names
-    the ring's levels in the stream it was cut from (by default the ring's
-    own); the trace's pair or subset and the empty-channel message use
-    those names. The blocks are drawn to the end even when the window is
-    too long, so a reader that checks a file as it goes reports a damaged
-    file first.
+    The levels of the pair or subset are gathered out of each block into
+    a smaller ring (``_gathered``) unless they are the whole ring, and the
+    counts hold only the events within the window of the latest block, so
+    a stream read block by block is never held whole. The blocks are drawn
+    to the end even when the window is too long, so a reader that checks a
+    file as it goes reports a damaged file first.
     """
     n_levels = check_levels(n_levels)
-    if pair is not None:
+    if pair is None:
+        if not isinstance(subset, SubsetSpec):
+            subset = SubsetSpec(tuple(range(n_levels) if subset is None else subset))
+        subset.check_against(n_levels)
+        wanted = subset.members
+    elif subset is None:
         pair = _channel_pair(pair, n_levels, "pair")
-    levels = tuple(range(n_levels) if levels is None else levels)
+        wanted = tuple(sorted(set(pair)))
+    else:
+        raise ConfigInvalid("give a pair or a subset, not both")
     try:
         _check_window(total_duration, cfg)
     except ConfigInvalid:
         for _ in blocks:  # a damaged stream is reported first
             pass
         raise
-    hist, first, events = _ring_pairs(blocks, n_levels, pair, cfg)
-    for channel in range(n_levels) if pair is None else pair:
-        if level_count(events, first, n_levels, channel) == 0:
-            raise InsufficientSamples(f"channel {levels[channel]} has no events")
+    if len(wanted) < n_levels:
+        blocks = _gathered(blocks, n_levels, wanted)
+    ranks = None if pair is None else tuple(wanted.index(c) for c in pair)
+    hist, first, events = _ring_pairs(blocks, len(wanted), ranks, cfg)
+    for rank in range(len(wanted)) if pair is None else ranks:
+        if level_count(events, first, len(wanted), rank) == 0:
+            raise InsufficientSamples(f"channel {wanted[rank]} has no events")
     if pair is None:
-        rates, provenance = (events / total_duration,) * 2, {"subset": SubsetSpec(levels)}
+        rates, provenance = (events / total_duration,) * 2, {"subset": subset}
     else:
-        rates = [level_count(events, first, n_levels, c) / total_duration for c in pair]
-        provenance = {"pair": tuple(levels[c] for c in pair)}
+        rates = [level_count(events, first, len(wanted), r) / total_duration for r in ranks]
+        provenance = {"pair": pair}
     return _normalized_trace(hist, *rates, total_duration, cfg, spec=spec, **provenance)
 
 
@@ -283,15 +326,8 @@ def correlate_subset(
     With equal channel rates this equals the (1/n_S^2) double sum of the
     pairwise estimates by construction, since the merged rate is n_S r.
     """
-    if not isinstance(subset, SubsetSpec):
-        subset = SubsetSpec(tuple(subset))
-    subset.check_against(stream.n_levels)
-    # the subset's events in time order; a subset of the whole ring is the
-    # stream itself, with no interleaved copy
-    merged = stream.select(subset.members)
-    return correlate_blocks([(merged.first_label, merged.times)], merged.n_levels,
-                            stream.total_duration, cfg, levels=subset.members,
-                            spec=stream.spec)
+    return correlate_blocks([(stream.first_label, stream.times)], stream.n_levels,
+                            stream.total_duration, cfg, subset=subset, spec=stream.spec)
 
 
 def block_bootstrap_stderr(

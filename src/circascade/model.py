@@ -169,39 +169,10 @@ def check_span(ends, total_duration: float) -> None:
         raise StreamInvariantViolation("timestamps span more than total_duration")
 
 
-def ring_subset(levels, n_levels: int) -> tuple[int, ...] | None:
-    """``levels`` as sorted distinct levels of an N-level ring, or None when
-    they are the whole ring; ConfigInvalid for an empty, repeated or
-    out-of-range selection."""
-    subset = SubsetSpec(tuple(levels))
-    subset.check_against(n_levels)
-    return None if subset.n_s == n_levels else subset.members
-
-
 def level_count(n_events: int, first_label: int, n_levels: int, level: int) -> int:
     """Events at ``level`` among the ``n_events`` events of a ring segment
     whose first event carries ``first_label``."""
     return (n_events - (first_label - level) % n_levels + n_levels - 1) // n_levels
-
-
-def gather_levels(times, first_label: int, n_levels: int, members, out) -> tuple[int, int]:
-    """Copy the events of a ring segment at the levels ``members`` into the
-    head of ``out``, in time order; return (events copied, rank in
-    ``members`` of the first one).
-
-    Event i of ``times`` carries label ``(first_label - i) % N``.
-    ``members`` are sorted distinct levels. Within each period of N events
-    the members occur in the order of their offsets ``(first_label - l) %
-    N``, so each member's strided channel fills every |S|-th slot of the
-    output; the copy takes one strided assignment per member.
-    """
-    offsets = [(first_label - level) % n_levels for level in members]
-    order = sorted(range(len(members)), key=offsets.__getitem__)
-    count = sum(len(range(o, len(times), n_levels)) for o in offsets)
-    head = out[:count]
-    for slot, rank in enumerate(order):
-        head[slot::len(members)] = times[offsets[rank]::n_levels]
-    return count, order[0]
 
 
 @dataclass(frozen=True)
@@ -382,8 +353,9 @@ class EventStream:
     Label cycling, per-channel count balance and strict order (checked on
     construction, NaN failing) hold for every stream;
     ``from_labels`` builds a stream from outside (times, labels) input and
-    rejects labels that do not cycle, and ``select`` cuts a stream to some
-    of its levels. ``times`` is stored read-only.
+    rejects labels that do not cycle. A stream is always a whole ring: the
+    estimator (``correlate_blocks``) picks the channels it correlates.
+    ``times`` is stored read-only.
 
     ``total_duration`` is the length of the observation window; timestamps
     may start at any origin inside a window of that length. ``spec`` and
@@ -451,23 +423,6 @@ class EventStream:
         """Globally time-ordered (timestamps, labels)."""
         labels = (self.first_label - np.arange(len(self.times))) % self.n_levels
         return self.times, labels
-
-    def select(self, levels) -> "EventStream":
-        """The stream of the events at ``levels``, each level renumbered by
-        its rank among them.
-
-        Every cycle of a one-way ring visits each level once, in descending
-        order, so the events at any subset S of the levels form a one-way
-        ring of |S| levels. ``levels`` are distinct levels of this ring
-        (ConfigInvalid otherwise); the whole ring returns this stream.
-        """
-        members = ring_subset(levels, self.n_levels)
-        if members is None:
-            return self
-        counts = self.counts
-        times = np.empty(sum(counts[level] for level in members))
-        _, first = gather_levels(self.times, self.first_label, self.n_levels, members, times)
-        return EventStream(times, first, len(members), self.total_duration, seed=self.seed)
 
     def check(self) -> None:
         """Raise StreamInvariantViolation if the stream is empty or outruns its window."""

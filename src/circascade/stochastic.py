@@ -16,10 +16,11 @@ header with the first label, then the raw f64 times. One writer,
 ``_write_binary``, writes it block by block, header last, and renames it
 into place when complete (``simulate_to_binary`` as the chunks are drawn,
 ``write_events_binary`` from a stream); ``read_events_binary`` reads it
-block by block, optionally keeping only some levels, and one collector,
-``_join``, gathers those blocks or ``simulate``'s chunks into one array.
-``read_event_blocks`` hands out the blocks as they are read, for a
-consumer such as ``estimator.correlate_blocks``; a text file is read whole.
+block by block, and one collector, ``_join``, gathers those blocks or
+``simulate``'s chunks into one array. ``read_event_blocks`` hands out the
+blocks as they are read, for a consumer such as
+``estimator.correlate_blocks``; a text file is read whole. Every reader
+returns the whole ring: the estimator picks the channels it correlates.
 """
 
 from __future__ import annotations
@@ -39,14 +40,12 @@ from .model import (
     ConfigInvalid,
     EventStream,
     InsufficientSamples,
+    NumericalFailure,
     StreamInvariantViolation,
     check_index,
     check_order,
     check_span,
     first_unordered,
-    gather_levels,
-    level_count,
-    ring_subset,
     steady_state,
 )
 
@@ -110,6 +109,7 @@ def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
     against the last stamp yielded before, so they continue one strictly
     increasing stream. Every chunk is drawn into one reused buffer, so the
     stamps are valid until the next chunk is drawn. Raises
+    NumericalFailure when a kept stamp is not finite, and
     InsufficientSamples when nothing is recorded.
     """
     spec = config.spec
@@ -146,13 +146,14 @@ def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
         dwells = rng.standard_exponential(out=buf[:chunk])
         rolled = pattern[visit % n:visit % n + period]
         whole = chunk - chunk % period
-        rows = dwells[:whole].reshape(-1, period)
-        rows /= rolled
-        dwells[whole:] /= rolled[:chunk - whole]
-        chunk_sum = float(dwells.sum())
-        stamps = np.cumsum(dwells, out=dwells)
-        stamps -= comp
-        stamps += base
+        with np.errstate(over="ignore", invalid="ignore"):  # stamps past float64 raise below
+            rows = dwells[:whole].reshape(-1, period)
+            rows /= rolled
+            dwells[whole:] /= rolled[:chunk - whole]
+            chunk_sum = float(dwells.sum())
+            stamps = np.cumsum(dwells, out=dwells)
+            stamps -= comp
+            stamps += base
 
         # compensated accumulation of the chunk total
         y = chunk_sum - comp
@@ -170,6 +171,10 @@ def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
         )
         if hi > lo:
             kept = stamps[lo:hi]
+            # stamps only grow, and an overflow leaves inf or NaN to the end
+            if not np.isfinite(kept[-1]):
+                raise NumericalFailure(
+                    f"event times overflow float64 (rates down to {min(spec.rates):g})")
             kept -= config.burn_in
             _nudge_collisions(kept, last)
             last = float(kept[-1])
@@ -334,9 +339,8 @@ def _text_header(fh) -> tuple[int, int, float]:
         raise StreamInvariantViolation(f"bad event stream header: {header!r}") from None
 
 
-def read_events_text(path, levels=None) -> EventStream:
-    """Read a text stream file; with ``levels``, the stream of those levels
-    alone, as ``EventStream.select`` cuts it from the whole file."""
+def read_events_text(path) -> EventStream:
+    """Read a text stream file."""
     with open(path, errors="replace") as fh:  # undecodable bytes fail below
         n, seed, total = _text_header(fh)
         try:
@@ -354,7 +358,7 @@ def read_events_text(path, levels=None) -> EventStream:
         raise StreamInvariantViolation("event labels must be whole numbers")
     stream = EventStream.from_labels(data[:, 0], labels.astype(np.int64), n, total, seed=seed)
     stream.check()
-    return stream if levels is None else stream.select(levels)
+    return stream
 
 
 def write_events_binary(stream: EventStream, path) -> None:
@@ -420,40 +424,21 @@ def _is_binary(path) -> bool:
         return fh.read(3) == _BINARY_MAGIC[:3]
 
 
-def stream_levels(path) -> int:
-    """The level count N in the header of a stream file of either format;
-    a damaged header, or a binary body of the wrong size, raises the error
-    the file's reader raises first."""
-    if _is_binary(path):
-        with open(path, "rb") as fh:
-            return _binary_header(fh)[0]
-    with open(path, errors="replace") as fh:
-        return _text_header(fh)[0]
-
-
-def _binary_blocks(path, levels=None):
-    """Generator over a binary stream file cut to ``levels`` (all when
-    None): first (levels kept, seed, T, events kept), then, block by block,
-    (label of the first event, times) of the kept ring.
+def _binary_blocks(path):
+    """Generator over a binary stream file: first (N, seed, T, count),
+    then, block by block, (label of the first event, times).
 
     The body is read ``_READ_BLOCK`` timestamps at a time into one reused
-    buffer, and the kept levels of each block are gathered into another, so
-    a block is valid until the next is drawn. Every rule is checked on the
-    whole file, whatever it keeps: the header, the body size, N, the first
-    label and T before the first item, strict order across block seams as
-    the blocks are read, and at least one event and the span after the last.
+    buffer, so a block is valid until the next is drawn. The header, the
+    body size, N, the first label and T are checked before the first item,
+    strict order across block seams as the blocks are read, and at least
+    one event and the span after the last.
     """
     with open(path, "rb") as fh:
         n, first, seed, total, count = _binary_header(fh)
         EventStream(np.empty(0), first, n, total)  # N, first label and T, before the body
-        members = None if levels is None else ring_subset(levels, n)
+        yield n, seed, total, count
         block = np.empty(min(count, _READ_BLOCK), "<f8")
-        if members is None:
-            yield n, seed, total, count
-        else:
-            yield (len(members), seed, total,
-                   sum(level_count(count, first, n, level) for level in members))
-            kept = np.empty(min(len(block), len(members) * -(-len(block) // n)))
         ends = []   # first and last timestamp read
         for start in range(0, count, _READ_BLOCK):
             buf = block[:min(_READ_BLOCK, count - start)]
@@ -464,39 +449,32 @@ def _binary_blocks(path, levels=None):
                 )
             check_order(buf, ends[-1] if ends else None)
             ends = [ends[0] if ends else buf[0], buf[-1]]
-            if members is None:
-                yield (first - start) % n, buf
-            else:
-                got, rank = gather_levels(buf, (first - start) % n, n, members, kept)
-                yield rank, kept[:got]
+            yield (first - start) % n, buf
     check_span(ends, total)
 
 
-def read_events_binary(path, levels=None) -> EventStream:
-    """Read a binary stream file; with ``levels``, the stream of those levels
-    alone, as ``EventStream.select`` cuts it from the whole file. The file
-    is read and checked block by block (``_binary_blocks``), so a selected
-    read holds the selected events and two blocks, never the whole stream.
-    """
-    blocks = _binary_blocks(path, levels)
+def read_events_binary(path) -> EventStream:
+    """Read a binary stream file, checking it block by block
+    (``_binary_blocks``) as it is copied into one array."""
+    blocks = _binary_blocks(path)
     n_levels, seed, total, count = next(blocks)
     first, times = _join(blocks, count)
     return EventStream(times, first, n_levels, total, seed=seed)
 
 
-def read_event_blocks(path, levels=None) -> tuple[float, Iterator[tuple[int, np.ndarray]]]:
-    """(T, blocks) of a stream file of either format cut to ``levels``, as
-    ``EventStream.select`` cuts it: ``blocks`` yields (label of the first
-    event, times) of the kept ring, in time order.
+def read_event_blocks(path) -> tuple[int, float, Iterator[tuple[int, np.ndarray]]]:
+    """(N, T, blocks) of a stream file of either format: ``blocks`` yields
+    (label of the first event, times) of its ring, in time order.
 
     A binary file's header is checked here and its body as the blocks are
     drawn, the span after the last one, so drawing every block raises what
-    ``read_events_binary`` raises, in the same order, while holding two read
-    blocks; each block is valid until the next is drawn. A text file is
+    ``read_events_binary`` raises, in the same order, while holding one read
+    block; each block is valid until the next is drawn. A text file is
     read whole, and its stream is the one block.
     """
     if _is_binary(path):
-        blocks = _binary_blocks(path, levels)
-        return next(blocks)[2], blocks
-    stream = read_events_text(path, levels)
-    return stream.total_duration, iter([(stream.first_label, stream.times)])
+        blocks = _binary_blocks(path)
+        n_levels, _, total, _ = next(blocks)
+        return n_levels, total, blocks
+    stream = read_events_text(path)
+    return stream.n_levels, stream.total_duration, iter([(stream.first_label, stream.times)])

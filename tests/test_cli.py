@@ -193,6 +193,20 @@ def test_malformed_flag_exits_2_naming_the_flag(tmp_path, flag, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bin_width, tau_max", [("1e-300", "1e10"), ("1e-300", "1e5")],
+                         ids=["infinite ratio", "ratio 1e305"])
+def test_correlate_with_more_bins_than_an_array_holds_exits_2(tmp_path, bin_width, tau_max):
+    # T is long enough that the window check passes
+    path = tmp_path / "run.events"
+    write_events_binary(EventStream(np.arange(1.0, 13.0), 2, 3, 1e12), path)
+    out = tmp_path / "g.csv"
+    cp = run_cli("correlate", "--in", path, "--pair", "1,1", "--bin", bin_width,
+                 "--taumax", tau_max, "--out", out)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stderr.startswith("error: tau_max / bin_width") and cp.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "error, code",
     [(ConfigInvalid, 2), (NumericalFailure, 3), (StreamInvariantViolation, 4),

@@ -29,7 +29,7 @@ from circascade import (
     write_trace_csv,
 )
 from circascade import cli, stochastic
-from circascade.estimator import _pair_counts
+from circascade.estimator import _gathered, _pair_counts
 from oracles import pair_histogram_bruteforce
 
 
@@ -44,6 +44,10 @@ def test_config_validation():
         HistogramConfig(0.0, 1.0)
     with pytest.raises(ConfigInvalid):
         HistogramConfig(0.5, 0.2)
+    # bin counts that no int64 array can hold: an infinite ratio and 1e305
+    for bin_width, tau_max in ((1e-300, 1e10), (1e-300, 1e5)):
+        with pytest.raises(ConfigInvalid, match="bins per side"):
+            HistogramConfig(bin_width, tau_max)
     stream = make_stream(events=2000)
     with pytest.raises(ConfigInvalid):
         correlate(stream, HistogramConfig(0.5, stream.total_duration / 2, channels=(1, 1)))
@@ -51,6 +55,25 @@ def test_config_validation():
         correlate(stream, HistogramConfig(0.5, 5.0))  # channels missing
     with pytest.raises(ConfigInvalid):
         correlate(stream, HistogramConfig(0.5, 5.0, channels=(0, 7)))
+    with pytest.raises(ConfigInvalid, match="not both"):
+        correlate_blocks([(0, stream.times)], 6, stream.total_duration, HistogramConfig(0.5, 5.0),
+                         pair=(1, 1), subset=(1, 2))
+
+
+def test_a_subset_of_the_whole_ring_is_counted_without_a_gather():
+    stream = EventStream(np.arange(1.0, 13.0), 1, 4, 200.0)
+    cfg = HistogramConfig(0.5, 2.0)
+    expected = correlate_blocks([(1, stream.times)], 4, 200.0, cfg)
+    with mock.patch("circascade.estimator._gathered", side_effect=AssertionError):
+        trace = correlate_subset(stream, SubsetSpec((3, 0, 2, 1)), cfg)
+    assert trace.values.tobytes() == expected.values.tobytes()
+
+
+@pytest.mark.parametrize("levels", [[], [1, 1], [4], [-1], [0.5]])
+def test_correlate_blocks_rejects_a_subset_outside_the_ring(levels):
+    with pytest.raises(ConfigInvalid):
+        correlate_blocks([(1, np.arange(1.0, 13.0))], 4, 200.0, HistogramConfig(0.5, 2.0),
+                         subset=levels)
 
 
 @pytest.mark.parametrize(
@@ -375,40 +398,61 @@ def test_streamed_counts_equal_the_whole_stream_and_the_bruteforce(
         path = os.path.join(tmp, "events")
         write_events_binary(stream, path)
 
-        def streamed(levels, pair):
-            total, blocks = read_event_blocks(path, levels)
-            return correlate_blocks(blocks, len(levels), total, cfg, pair, levels)
+        def streamed(**selection):
+            n_levels, total, blocks = read_event_blocks(path)
+            return correlate_blocks(blocks, n_levels, total, cfg, **selection)
 
         for m in range(n):
             for k in range(n):
                 whole = _outcome(lambda: correlate(
                     stream, HistogramConfig(bin_width, tau_max, channels=(m, k))))
-                levels = sorted({m, k})
-                pair = (levels.index(m), levels.index(k))
-                assert _outcome(lambda: streamed(levels, pair)) == whole, (m, k)
+                assert _outcome(lambda: streamed(pair=(m, k))) == whole, (m, k)
                 assert _outcome(lambda: correlate_blocks(
                     _split(times, first % n, n, cuts), n, t_total, cfg, (m, k))) == whole
                 if isinstance(whole, str):
                     continue
                 src, dst = stream.channels[m], stream.channels[k]
                 np.testing.assert_array_equal(
-                    _counts_of(streamed(levels, pair), len(src) / t_total,
+                    _counts_of(streamed(pair=(m, k)), len(src) / t_total,
                                len(dst) / t_total, cfg),
                     pair_histogram_bruteforce(src, dst, bin_width, n_side, m == k),
                 )
 
         whole = _outcome(lambda: correlate_subset(stream, SubsetSpec(subset), cfg))
-        chosen = stream.select(subset)
-        assert _outcome(lambda: streamed(list(subset), None)) == whole
+        merged, labels = stream.merged()
+        chosen = merged[np.isin(labels, subset)]
+        assert _outcome(lambda: streamed(subset=subset)) == whole
         assert _outcome(lambda: correlate_blocks(
-            _split(chosen.times, chosen.first_label, len(subset), cuts),
-            len(subset), t_total, cfg, None, subset)) == whole
+            _split(times, first % n, n, cuts), n, t_total, cfg, subset=subset)) == whole
         if not isinstance(whole, str):
-            rate = chosen.n_events / t_total
+            rate = len(chosen) / t_total
             np.testing.assert_array_equal(
-                _counts_of(streamed(list(subset), None), rate, rate, cfg),
-                pair_histogram_bruteforce(chosen.times, chosen.times, bin_width, n_side, True),
+                _counts_of(streamed(subset=subset), rate, rate, cfg),
+                pair_histogram_bruteforce(chosen, chosen, bin_width, n_side, True),
             )
+
+
+@given(st.integers(1, 60), st.data())
+@settings(max_examples=100, deadline=None)
+def test_gathered_levels_are_the_labelled_events_as_a_ring_of_their_ranks(n, data):
+    first = data.draw(st.integers(0, n - 1), label="first")
+    events = data.draw(st.integers(0, 4 * n + 10), label="events")
+    levels = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="levels")
+    cuts = sorted(data.draw(st.lists(st.integers(0, events), max_size=4), label="cuts"))
+    stream = EventStream(np.arange(1.0, events + 1), first, n, events + 1.0)
+    times, labels = stream.merged()
+    members = sorted(levels)
+    keep = np.isin(labels, members)
+    expected = EventStream.from_labels(
+        times[keep], np.searchsorted(members, labels[keep]), len(members), events + 1.0)
+    # each gathered block is valid until the next is drawn, so keep copies
+    got = [(rank, block.copy())
+           for rank, block in _gathered(_split(times, first, n, cuts), n, members)]
+    np.testing.assert_array_equal(np.concatenate([b for _, b in got]), expected.times)
+    for (rank, block), at in zip(got, np.cumsum([0] + [len(b) for _, b in got])):
+        if len(block):
+            assert rank == (expected.first_label - at) % len(members)
 
 
 # sha256 of outputs recorded before the pair counts became a lag sweep

@@ -312,34 +312,3 @@ def test_building_a_stream_allocates_under_2_percent_of_its_bytes():
     finally:
         tracemalloc.stop()
     assert peak < 0.02 * times.nbytes
-
-
-@given(st.integers(1, 60), st.data())
-@settings(max_examples=100, deadline=None)
-def test_select_keeps_the_events_of_its_levels_as_a_ring_of_their_ranks(n, data):
-    first = data.draw(st.integers(0, n - 1), label="first")
-    events = data.draw(st.integers(0, 4 * n + 10), label="events")
-    levels = data.draw(
-        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="levels")
-    stream = EventStream(np.arange(1.0, events + 1), first, n, events + 1.0, seed=4)
-    times, labels = stream.merged()
-    members = sorted(levels)
-    keep = np.isin(labels, members)
-    expected = EventStream.from_labels(
-        times[keep], np.searchsorted(members, labels[keep]), len(members), events + 1.0)
-    got = stream.select(levels)
-    assert (got.n_levels, got.total_duration, got.seed) == (len(members), events + 1.0, 4)
-    np.testing.assert_array_equal(got.times, expected.times)
-    if keep.any():
-        assert got.first_label == expected.first_label
-
-
-def test_select_of_the_whole_ring_is_the_stream_itself():
-    stream = EventStream(np.arange(1.0, 13.0), 1, 4, 20.0)
-    assert stream.select([3, 0, 2, 1]) is stream
-
-
-@pytest.mark.parametrize("levels", [[], [1, 1], [4], [-1], [0.5]])
-def test_select_rejects_levels_outside_the_ring(levels):
-    with pytest.raises(ConfigInvalid):
-        EventStream(np.arange(1.0, 13.0), 1, 4, 20.0).select(levels)

@@ -1,8 +1,9 @@
 """The benchmark harness runs its smoke passes and reports correct.
 
 The traced passes wrap functions by name: `montecarlo` guards the
-`EventStream.check` and `EventStream.merged` hooks, and `figures` is the
-only workload whose traced pass enters `cli.grid_map`.
+`EventStream.check` and `EventStream.merged` hooks, `figures` is the
+only workload whose traced pass enters `cli.grid_map`, and `spectral`
+runs the `g2_general`, `g2_three_level` and `decompose` hooks.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["montecarlo", "figures"])
+@pytest.mark.parametrize("workload", ["montecarlo", "figures", "spectral"])
 def test_smoke_run_is_correct(workload):
     cp = subprocess.run(
         [sys.executable, "perfbench/run.py", "--smoke", "--workload", workload],

@@ -16,12 +16,16 @@ from circascade import (
     CascadeSpec,
     ConfigInvalid,
     EventStream,
+    HistogramConfig,
     InsufficientSamples,
+    NumericalFailure,
     SimConfig,
     StreamInvariantViolation,
+    correlate_blocks,
     dwell_samples,
     occupancy_block_estimates,
     occupancy_estimate,
+    read_event_blocks,
     read_events_binary,
     read_events_text,
     simulate,
@@ -231,6 +235,26 @@ def test_simulate_without_events_exits_5_and_leaves_no_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# rates inside the domain whose dwell times overflow float64
+OVERFLOWING = CascadeSpec(2, (1e-306, 1.0))
+
+
+def test_a_run_whose_times_overflow_raises():
+    with pytest.raises(NumericalFailure, match="overflow"):
+        simulate(SimConfig(OVERFLOWING, seed=1, total_events=2000))
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_simulate_whose_times_overflow_exits_3_and_leaves_no_file(tmp_path, capsys, fmt):
+    rates = tmp_path / "rates.json"
+    rates.write_text(OVERFLOWING.to_json())
+    argv = ["simulate", "--rates", str(rates), "--events", "2000", "--seed", "1",
+            "--format", fmt, "--out", str(tmp_path / "run.events")]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: event times overflow")
+    assert list(tmp_path.iterdir()) == [rates]
+
+
 def test_failed_binary_write_keeps_the_old_file_and_leaves_no_other(tmp_path):
     path = tmp_path / "run.events"
     write_events_binary(EventStream(np.array([1.0, 2.0]), 0, 2, 3.0), path)
@@ -274,11 +298,9 @@ def test_cli_pair_correlate_holds_one_channel_and_one_read_block(tmp_path):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 200), data=st.data())
-def test_selected_reads_equal_a_full_read_then_the_same_gather(n, data):
+def test_event_blocks_of_either_format_are_the_whole_read_in_order(n, data):
     events = data.draw(st.integers(1, 3 * n + 40), label="events")
     first = data.draw(st.integers(0, n - 1), label="first")
-    levels = data.draw(
-        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="levels")
     block = data.draw(st.sampled_from([1, 7, 64, stochastic._READ_BLOCK]), label="block")
     times = np.cumsum(np.random.default_rng(events).uniform(0.5, 1.5, events))
     stream = EventStream(times, first, n, float(times[-1]) + 1.0, seed=5)
@@ -288,11 +310,21 @@ def test_selected_reads_equal_a_full_read_then_the_same_gather(n, data):
         for write, read in ((write_events_binary, read_events_binary),
                             (write_events_text, read_events_text)):
             write(stream, path)
-            full = read(path).select(levels)
-            part = read(path, levels)
-            assert (part.n_levels, part.first_label, part.total_duration, part.seed) == (
-                full.n_levels, full.first_label, full.total_duration, full.seed)
-            assert np.array_equal(part.times, full.times)
+            full = read(path)
+            n_levels, total, blocks = read_event_blocks(path)
+            assert (n_levels, total) == (full.n_levels, full.total_duration)
+            at = 0
+            for label, part in blocks:
+                assert label == (full.first_label - at) % n
+                assert np.array_equal(part, full.times[at:at + len(part)])
+                at += len(part)
+            assert at == full.n_events
+
+
+def _correlate_file(path, **selection):
+    """The estimator's trace of a pair or subset of a stream file, read block by block."""
+    n_levels, total, blocks = read_event_blocks(path)
+    return correlate_blocks(blocks, n_levels, total, HistogramConfig(0.5, 1.0), **selection)
 
 
 def test_selected_read_checks_order_across_block_seams(tmp_path, monkeypatch):
@@ -306,7 +338,7 @@ def test_selected_read_checks_order_across_block_seams(tmp_path, monkeypatch):
             path.write_bytes(b"CEV2" + struct.pack("<IIQdQ", 3, 0, 0, 20.0, 12)
                              + broken.tobytes())
             with pytest.raises(StreamInvariantViolation, match="out-of-order"):
-                read_events_binary(path, [1])
+                _correlate_file(path, pair=(1, 1))
 
 
 def test_selected_read_validates_the_whole_file(tmp_path):
@@ -314,10 +346,11 @@ def test_selected_read_validates_the_whole_file(tmp_path):
     # empty channel, and a span past T fails whatever the selection
     path = tmp_path / "events.bin"
     write_events_binary(EventStream(np.array([1.0]), 2, 3, 10.0), path)
-    assert read_events_binary(path, [1]).n_events == 0
+    with pytest.raises(InsufficientSamples, match="channel 1 has no events"):
+        _correlate_file(path, pair=(1, 1))
     write_events_binary(EventStream(np.array([1.0, 2.0, 30.0]), 2, 3, 10.0), path)
     with pytest.raises(StreamInvariantViolation, match="span"):
-        read_events_binary(path, [1])
+        _correlate_file(path, pair=(1, 1))
 
 
 def test_text_writer_formats_block_by_block(tmp_path):
@@ -459,7 +492,12 @@ def test_text_fractional_labels_rejected(tmp_path):
         read_events_text(path)
 
 
-SELECTIONS = [None, [1], [2, 0]]
+# a whole read, then the estimator's pair and subset of the file read block by block
+SELECTIONS = [None, {"pair": (1, 1)}, {"subset": (2, 0)}]
+
+
+def _read_selected(read, path, selection):
+    return read(path) if selection is None else _correlate_file(path, **selection)
 
 
 @pytest.mark.parametrize("kept_bytes", [20, 100], ids=["header", "records"])
@@ -467,9 +505,9 @@ def test_truncated_binary_rejected(tmp_path, kept_bytes):
     path = tmp_path / "events.bin"
     write_events_binary(simulate(SimConfig(SPEC124, seed=8, total_events=50)), path)
     path.write_bytes(path.read_bytes()[:kept_bytes])
-    for levels in SELECTIONS:
+    for selection in SELECTIONS:
         with pytest.raises(StreamInvariantViolation):
-            read_events_binary(path, levels)
+            _read_selected(read_events_binary, path, selection)
 
 
 def test_binary_without_levels_or_events_rejected(tmp_path):
@@ -504,9 +542,9 @@ def test_damaged_binary_rejected(tmp_path, damage):
     path = tmp_path / "events.bin"
     write_events_binary(simulate(SimConfig(SPEC124, seed=8, total_events=50)), path)
     path.write_bytes(damage(path.read_bytes()))
-    for levels in SELECTIONS:
+    for selection in SELECTIONS:
         with pytest.raises(StreamInvariantViolation):
-            read_events_binary(path, levels)
+            _read_selected(read_events_binary, path, selection)
 
 
 def test_binary_round_trips_rings_beyond_u16_labels(tmp_path):
@@ -542,8 +580,8 @@ def test_damaged_stream_files_raise_only_cascade_errors(tmp_path, write, read):
     write(simulate(SimConfig(SPEC124, seed=8, total_events=12)), path)
     for damaged in _damaged_copies(path.read_bytes()):
         path.write_bytes(damaged)
-        for levels in SELECTIONS:
+        for selection in SELECTIONS:
             try:
-                read(path, levels)
+                _read_selected(read, path, selection)
             except CascadeError:
                 pass
