@@ -18,7 +18,8 @@ counted as it is read. ``correlate_blocks`` is also the one place that
 selects channels: it gathers the levels of the pair or subset out of each
 block into a smaller ring before the sweep. ``correlate`` and
 ``correlate_subset`` pass an in-memory stream as one block; every count
-equals that of the whole stream.
+equals that of the whole stream. ``block_bootstrap_stderr`` counts in the
+same pass, with each pair keyed by the time segment of its source event.
 """
 
 from __future__ import annotations
@@ -82,19 +83,8 @@ def _bin_centers(cfg: HistogramConfig) -> np.ndarray:
     return (k + 0.5) * cfg.bin_width
 
 
-def _pair_counts(
-    src: np.ndarray, dst: np.ndarray, cfg: HistogramConfig, same_channel: bool
-) -> np.ndarray:
-    """Histogram of the dst - src differences of two time-ordered runs; see
-    ``_add_pairs``, whose precondition holds for the first dst at or after
-    src[0]."""
-    hist = np.zeros(2 * cfg.n_side, dtype=np.int64)
-    _add_pairs(hist, src, dst, int(np.searchsorted(dst, src[0])), same_channel, cfg)
-    return hist
-
-
 def _add_pairs(hist: np.ndarray, src: np.ndarray, dst: np.ndarray, off: int,
-               same_channel: bool, cfg: HistogramConfig, old=(0, 0)) -> None:
+               same_channel: bool, cfg: HistogramConfig, old=(0, 0), cuts=None) -> None:
     """Add to hist the dst - src differences inside [-W, W), W = n_side *
     delta, of the runs src and dst, except the pairs of two old events: the
     first ``old`` = (rows of src, rows of dst) of each run.
@@ -112,10 +102,15 @@ def _add_pairs(hist: np.ndarray, src: np.ndarray, dst: np.ndarray, off: int,
     against the lower one). Old events precede new ones, so each pair is
     counted once by two sweeps: every src row against the new dst events
     going up, and the new src rows against every dst event going down.
+
+    With ``cuts``, sorted src rows, row s of hist takes the pairs whose src
+    row lies in [cuts[s], cuts[s + 1]); other src rows are dropped.
     """
     n_src, n_dst = old
-    _lag_sweep(src, dst[n_dst:], off + same_channel - n_dst, 1, cfg, hist)
-    _lag_sweep(src[n_src:], dst, off - 1 + n_src, -1, cfg, hist)
+    for row, lo, hi in [(hist, 0, len(src))] if cuts is None else zip(hist, cuts, cuts[1:]):
+        new = max(lo, n_src)
+        _lag_sweep(src[lo:hi], dst[n_dst:], off + same_channel - n_dst + lo, 1, cfg, row)
+        _lag_sweep(src[new:hi], dst, off - 1 + new, -1, cfg, row)
 
 
 def _lag_sweep(src, dst, shift, step, cfg, hist) -> None:
@@ -180,12 +175,12 @@ def _gathered(blocks, n_levels: int, members):
         yield order[0], out[:count]
 
 
-def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig) -> tuple[np.ndarray, int, int]:
+def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig, edges=None):
     """Pair histogram of a ring of ``n_levels`` levels fed as consecutive
     blocks (label of the first event, times) in time order: of channel m
     against channel n for ``pair`` = (m, n), or of all its events against
-    each other for None. Returns (histogram, label of the first event,
-    events).
+    each other for None. Returns (histogram, sources, label of the first
+    event, events).
 
     Each block is joined to the tail carried from the blocks before (a copy
     only when there is one), and ``_add_pairs`` counts the run with the
@@ -193,13 +188,20 @@ def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig) -> tuple[np.n
     later event. The new tail is the run's events within W of its last
     stamp, and one rounding more, since a later event exceeds that stamp;
     so the counts equal those of the whole stream in one block.
+
+    With sorted time ``edges``, the histogram has one row per segment
+    [edges[s], edges[s + 1]), of the pairs whose source event lies in it,
+    and ``sources`` counts the source events of each; sources outside the
+    edges are dropped. Without edges, ``sources`` is None.
     """
     window = cfg.n_side * cfg.bin_width
     period = 1 if pair is None else n_levels
     m, n = pair or (0, 0)
-    hist = np.zeros(2 * cfg.n_side, dtype=np.int64)
+    sources = None if edges is None else np.zeros(len(edges) - 1, dtype=np.int64)
+    hist = np.zeros((2 * cfg.n_side,) if edges is None else (len(edges) - 1, 2 * cfg.n_side),
+                    dtype=np.int64)
     tail, tail_label = np.empty(0), 0
-    first, events = 0, 0
+    first, events, cuts = 0, 0, None
     for label, times in blocks:
         if len(times) == 0:
             continue
@@ -210,33 +212,21 @@ def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig) -> tuple[np.n
             times, label = np.concatenate((tail, times)), tail_label
         a, b = (label - m) % period, (label - n) % period  # run offsets of src and dst
         old = (level_count(len(tail), label, period, m), level_count(len(tail), label, period, n))
-        _add_pairs(hist, times[a::period], times[b::period], int(a > b), m == n, cfg, old)
+        src = times[a::period]
+        if edges is not None:
+            cuts = np.searchsorted(src, edges)
+            sources += np.diff(np.maximum(cuts, old[0]))  # the new sources only
+            cuts = cuts.tolist()
+        _add_pairs(hist, src, times[b::period], int(a > b), m == n, cfg, old, cuts)
         cut = int(np.searchsorted(times, np.nextafter(times[-1] - window, -np.inf)))
         tail, tail_label = times[cut:].copy(), (label - cut) % n_levels
-    return hist, first, events
+    return hist, sources, first, events
 
 
-def _normalized_trace(
-    counts: np.ndarray,
-    rate_src: float,
-    rate_dst: float,
-    t_total: float,
-    cfg: HistogramConfig,
-    **provenance,
-) -> CorrelationTrace:
-    centers = _bin_centers(cfg)
-    denom = rate_src * rate_dst * (t_total - np.abs(centers)) * cfg.bin_width
-    values = counts / denom
-    stderr = np.sqrt(np.maximum(counts, 1)) / denom
-    return CorrelationTrace(
-        tau=centers,
-        values=values,
-        stderr=stderr,
-        source="estimated",
-        bin_width=cfg.bin_width,
-        total_time=t_total,
-        **provenance,
-    )
+def _expected_pairs(rate_src, rate_dst, t_total, cfg: HistogramConfig):
+    """Pairs per bin of two independent channels, r_m r_n (T - |tau_b|)
+    delta: the normalization of every estimate."""
+    return rate_src * rate_dst * (t_total - np.abs(_bin_centers(cfg))) * cfg.bin_width
 
 
 def _channel_pair(channels, n_levels: int, name: str = "cfg.channels") -> tuple[int, int]:
@@ -276,39 +266,48 @@ def correlate_blocks(
     a smaller ring (``_gathered``) unless they are the whole ring, and the
     counts hold only the events within the window of the latest block, so
     a stream read block by block is never held whole. The blocks are drawn
-    to the end even when the window is too long, so a reader that checks a
+    to the end even when an argument is invalid, so a reader that checks a
     file as it goes reports a damaged file first.
     """
-    n_levels = check_levels(n_levels)
-    if pair is None:
-        if not isinstance(subset, SubsetSpec):
-            subset = SubsetSpec(tuple(range(n_levels) if subset is None else subset))
-        subset.check_against(n_levels)
-        wanted = subset.members
-    elif subset is None:
-        pair = _channel_pair(pair, n_levels, "pair")
-        wanted = tuple(sorted(set(pair)))
-    else:
-        raise ConfigInvalid("give a pair or a subset, not both")
     try:
+        n_levels = check_levels(n_levels)
+        if pair is None:
+            if not isinstance(subset, SubsetSpec):
+                subset = SubsetSpec(tuple(range(n_levels) if subset is None else subset))
+            subset.check_against(n_levels)
+            wanted = subset.members
+        elif subset is None:
+            pair = _channel_pair(pair, n_levels, "pair")
+            wanted = tuple(sorted(set(pair)))
+        else:
+            raise ConfigInvalid("give a pair or a subset, not both")
         _check_window(total_duration, cfg)
     except ConfigInvalid:
         for _ in blocks:  # a damaged stream is reported first
             pass
         raise
+    hist, _, n_src, n_dst = _selected_pairs(blocks, n_levels, wanted, pair, cfg)
+    denom = _expected_pairs(n_src / total_duration, n_dst / total_duration, total_duration, cfg)
+    provenance = {"subset": subset} if pair is None else {"pair": pair}
+    return CorrelationTrace(tau=_bin_centers(cfg), values=hist / denom, source="estimated",
+                            stderr=np.sqrt(np.maximum(hist, 1)) / denom, bin_width=cfg.bin_width,
+                            total_time=total_duration, spec=spec, **provenance)
+
+
+def _selected_pairs(blocks, n_levels: int, wanted, pair, cfg: HistogramConfig, edges=None):
+    """``_ring_pairs`` of the sorted levels ``wanted`` of a ring fed as
+    blocks, of their pair ``pair`` or of all of them for None: (histogram,
+    sources, events of the source and of the destination channel). An
+    empty channel raises InsufficientSamples, naming its level."""
     if len(wanted) < n_levels:
         blocks = _gathered(blocks, n_levels, wanted)
-    ranks = None if pair is None else tuple(wanted.index(c) for c in pair)
-    hist, first, events = _ring_pairs(blocks, len(wanted), ranks, cfg)
-    for rank in range(len(wanted)) if pair is None else ranks:
-        if level_count(events, first, len(wanted), rank) == 0:
-            raise InsufficientSamples(f"channel {wanted[rank]} has no events")
-    if pair is None:
-        rates, provenance = (events / total_duration,) * 2, {"subset": subset}
-    else:
-        rates = [level_count(events, first, len(wanted), r) / total_duration for r in ranks]
-        provenance = {"pair": pair}
-    return _normalized_trace(hist, *rates, total_duration, cfg, spec=spec, **provenance)
+    ranks = range(len(wanted)) if pair is None else [wanted.index(c) for c in pair]
+    hist, sources, first, events = _ring_pairs(
+        blocks, len(wanted), None if pair is None else ranks, cfg, edges)
+    counts = [level_count(events, first, len(wanted), r) for r in ranks]
+    if 0 in counts:
+        raise InsufficientSamples(f"channel {wanted[ranks[counts.index(0)]]} has no events")
+    return hist, sources, *(counts if pair else (events, events))
 
 
 def correlate(stream: EventStream, cfg: HistogramConfig) -> CorrelationTrace:
@@ -337,52 +336,34 @@ def block_bootstrap_stderr(
     n_boot: int = 200,
     seed: int = 0,
 ) -> np.ndarray:
-    """Block-bootstrap refinement of the per-bin errors.
+    """Block-bootstrap refinement of the per-bin errors of ``correlate``.
 
-    Splits the window into n_blocks time chunks (each correlated on its
-    own), resamples blocks with replacement and returns the standard
-    deviation of the resampled estimates per bin. Accounts for correlated
-    counts that the plain sqrt(count) error ignores.
+    Splits the window into n_blocks equal time segments, counts the pairs
+    of each segment's source events in the pass ``correlate`` makes
+    (``_ring_pairs`` with the segment edges), resamples n_blocks segments
+    with replacement n_boot times (both integers >= 2) and returns the
+    standard deviation of the resampled estimates per bin. Accounts for
+    correlated counts that the plain sqrt(count) error ignores.
     """
     m, n = _channel_pair(cfg.channels, stream.n_levels)
+    n_blocks, n_boot = check_index("n_blocks", n_blocks), check_index("n_boot", n_boot)
+    if min(n_blocks, n_boot) < 2:
+        raise ConfigInvalid(f"n_blocks and n_boot must be >= 2, got {n_blocks} and {n_boot}")
     _check_window(stream.total_duration, cfg)
-    t0 = float(stream.times[0])
+    t0 = float(stream.times[0]) if stream.n_events else 0.0
     edges = np.linspace(t0, t0 + stream.total_duration, n_blocks + 1)
-    src_all, dst_all = stream.channels[m], stream.channels[n]
-    if len(src_all) == 0 or len(dst_all) == 0:
-        raise InsufficientSamples("cannot bootstrap an empty channel")
-
-    window = cfg.n_side * cfg.bin_width
-    block_counts = np.zeros((n_blocks, 2 * cfg.n_side), dtype=np.int64)
-    block_src = np.zeros(n_blocks)
-    block_dur = np.diff(edges)
-    # src_all is sorted: block b holds the events in [edges[b], edges[b + 1])
-    cuts = np.searchsorted(src_all, edges)
-    for b in range(n_blocks):
-        src = src_all[cuts[b]:cuts[b + 1]]
-        if len(src) == 0:
-            continue
-        lo = np.searchsorted(dst_all, src[0] - window)
-        hi = np.searchsorted(dst_all, src[-1] + window)
-        block_counts[b] = _pair_counts(
-            src, dst_all[lo:hi], cfg, same_channel=(m == n)
-        )
-        block_src[b] = len(src)
-
+    block_counts, block_src, _, n_dst = _selected_pairs(
+        [(stream.first_label, stream.times)], stream.n_levels, sorted({m, n}), (m, n), cfg, edges)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    rate_dst = len(dst_all) / stream.total_duration
-    centers = _bin_centers(cfg)
+    rate_dst = n_dst / stream.total_duration
+    block_dur = np.diff(edges)
     est = np.empty((n_boot, 2 * cfg.n_side))
     for i in range(n_boot):
         pick = rng.integers(0, n_blocks, n_blocks)
-        counts = block_counts[pick].sum(axis=0)
-        t_tot = block_dur[pick].sum()
-        n_src = block_src[pick].sum()
-        if n_src == 0:
-            est[i] = np.nan
-            continue
-        denom = (n_src / t_tot) * rate_dst * (t_tot - np.abs(centers)) * cfg.bin_width
-        est[i] = counts / denom
+        n_src, t_tot = block_src[pick].sum(), block_dur[pick].sum()
+        # a resample without sources has no rate, and no estimate
+        est[i] = np.nan if n_src == 0 else block_counts[pick].sum(axis=0) / _expected_pairs(
+            n_src / t_tot, rate_dst, t_tot, cfg)
     return np.nanstd(est, axis=0)
 
 

@@ -169,6 +169,19 @@ def check_span(ends, total_duration: float) -> None:
         raise StreamInvariantViolation("timestamps span more than total_duration")
 
 
+def check_labels(labels: np.ndarray, n_levels: int, previous=None, at: int = 0) -> None:
+    """The label rule of a ring: raise StreamInvariantViolation unless every
+    label lies in [0, N) and each is one below the one before it mod N,
+    ``previous`` before the first when given. ``at``, the merged index of
+    the first label, places a break in the message."""
+    if len(labels) and not (labels.min() >= 0 and labels.max() < n_levels):
+        raise StreamInvariantViolation("event label outside [0, N)")
+    steps = np.diff(labels, prepend=labels[:1] + 1 if previous is None else previous)
+    bad = np.flatnonzero((steps != -1) & (steps != n_levels - 1))
+    if len(bad):
+        raise StreamInvariantViolation(f"label cycling broken at merged index {at + bad[0]}")
+
+
 def level_count(n_events: int, first_label: int, n_levels: int, level: int) -> int:
     """Events at ``level`` among the ``n_events`` events of a ring segment
     whose first event carries ``first_label``."""
@@ -395,20 +408,9 @@ class EventStream:
         n = check_index("n_levels", n_levels)
         if labels.shape != np.shape(times):
             raise StreamInvariantViolation("times and labels differ in length")
-        if len(labels) and not (labels.min() >= 0 and labels.max() < n):
-            raise StreamInvariantViolation("event label outside [0, N)")
-        steps = np.diff(labels.astype(np.int64, copy=False))
-        bad = np.flatnonzero((steps != -1) & (steps != n - 1))
-        if len(bad):
-            raise StreamInvariantViolation(f"label cycling broken at merged index {bad[0] + 1}")
+        check_labels(labels.astype(np.int64, copy=False), n)
         first = int(labels[0]) if len(labels) else 0
         return cls(times, first, n, total_duration, seed=seed, spec=spec)
-
-    @property
-    def channels(self) -> tuple[np.ndarray, ...]:
-        """Per-transition timestamps: strided views into ``times``."""
-        n = self.n_levels
-        return tuple(self.times[(self.first_label - l) % n :: n] for l in range(n))
 
     @property
     def counts(self) -> tuple[int, ...]:

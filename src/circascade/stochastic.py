@@ -9,24 +9,27 @@ exactly an ``EventStream`` ring. Sampling is vectorized in chunks drawn
 into one reused buffer; the RNG is counter-based (Philox keyed by the
 seed), so one seed gives one stream whatever the chunk size.
 
-The text format stores one '<timestamp> <label>' line per event and its
-reader rebuilds the ring with ``EventStream.from_labels``, which rejects
-labels that do not cycle. The binary format stores the ring itself: a
-header with the first label, then the raw f64 times. One writer,
+The text format stores one '<timestamp> <label>' line per event, and
+its reader checks the labels with ``check_labels``, which rejects labels
+that do not cycle. The binary format stores the ring itself: a header
+with the first label, then the raw f64 times. One writer,
 ``_write_binary``, writes it block by block, header last, and renames it
 into place when complete (``simulate_to_binary`` as the chunks are drawn,
-``write_events_binary`` from a stream); ``read_events_binary`` reads it
-block by block, and one collector, ``_join``, gathers those blocks or
-``simulate``'s chunks into one array. ``read_event_blocks`` hands out the
-blocks as they are read, for a consumer such as
-``estimator.correlate_blocks``; a text file is read whole. Every reader
-returns the whole ring: the estimator picks the channels it correlates.
+``write_events_binary`` from a stream). Both formats are read block by
+block, ``_READ_BLOCK`` timestamps or lines at a time (``_binary_blocks``,
+``_text_blocks``), with the same order checks across block seams; one
+collector, ``_join``, gathers those blocks or ``simulate``'s chunks into
+one array for ``read_events_binary`` and ``read_events_text``, and
+``read_event_blocks`` hands out the blocks as they are read, for a
+consumer such as ``estimator.correlate_blocks``. Every reader returns the
+whole ring: the estimator picks the channels it correlates.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import re
 import struct
 import warnings
 from dataclasses import dataclass
@@ -43,6 +46,7 @@ from .model import (
     NumericalFailure,
     StreamInvariantViolation,
     check_index,
+    check_labels,
     check_order,
     check_span,
     first_unordered,
@@ -52,7 +56,7 @@ from .model import (
 _CHUNK = 1 << 19
 _RATE_ROW = 1 << 12  # draws divided by their rates per row of the rate pattern
 _TEXT_BLOCK = 1 << 12  # lines formatted per write
-_READ_BLOCK = 1 << 17  # timestamps (1 MiB) read per step of read_events_binary
+_READ_BLOCK = 1 << 17  # timestamps (1 MiB) or event lines read per step of a reader
 _BINARY_MAGIC = b"CEV2"
 _BINARY_HEADER = struct.Struct("<IIQdQ")  # N, first label, seed, T, count
 
@@ -327,38 +331,63 @@ def write_events_text(stream: EventStream, path) -> None:
             fh.write("\n")
 
 
-def _text_header(fh) -> tuple[int, int, float]:
-    """(N, seed, T) from the header line of an open text stream file."""
-    header = fh.readline().strip()
-    fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
-    if not header.startswith("# cascade-events v1"):
-        raise StreamInvariantViolation(f"bad event stream header: {header!r}")
-    try:
-        return int(fields["N"]), int(fields["seed"]), float(fields["T"])
-    except (KeyError, ValueError):
-        raise StreamInvariantViolation(f"bad event stream header: {header!r}") from None
+def _text_blocks(path):
+    """Generator over a text stream file: first (N, seed, T), then, block
+    by block, (label of the first event, times).
+
+    Each step parses the next ``_READ_BLOCK`` event lines (``np.loadtxt``
+    with ``max_rows`` consumes just those lines). The checks run in the
+    order of one whole parse: the header, the lines, their labels (whole
+    numbers in [0, N) that cycle, across block seams too), N, the first
+    label and T after the first block, strict order across seams, and the
+    span after the last. A malformed line is named by its row among all.
+    """
+    with open(path, errors="replace") as fh:  # undecodable bytes fail below
+        header = fh.readline().strip()
+        fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
+        try:
+            n, seed, total = int(fields["N"]), int(fields["seed"]), float(fields["T"])
+        except (KeyError, ValueError):
+            n = None
+        if n is None or not header.startswith("# cascade-events v1"):
+            raise StreamInvariantViolation(f"bad event stream header: {header!r}")
+        yield n, seed, total
+        ends, rows, label = [], 0, None
+        while True:
+            try:
+                with warnings.catch_warnings():  # an empty body or line is reported below
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data|Input line", UserWarning)
+                    data = np.loadtxt(fh, ndmin=2, max_rows=_READ_BLOCK)
+            except ValueError as exc:
+                message = re.sub(r"(?<=at row )\d+", lambda row: str(int(row[0]) + rows), str(exc))
+                raise StreamInvariantViolation(f"malformed event line: {message}") from None
+            if data.size == 0:
+                if rows:
+                    break
+                raise StreamInvariantViolation("event stream file has no events")
+            if data.shape[1] != 2:
+                raise StreamInvariantViolation("event lines must read '<timestamp> <label>'")
+            times, labels = data[:, 0], data[:, 1]
+            if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
+                raise StreamInvariantViolation("event labels must be whole numbers")
+            check_labels(labels, n, label, rows)
+            if label is None:
+                EventStream(np.empty(0), int(labels[0]), n, total)  # N, first label and T
+            check_order(times, ends[-1] if ends else None)
+            ends = [ends[0] if ends else times[0], times[-1]]
+            yield int(labels[0]), times
+            rows, label = rows + len(times), labels[-1]
+    check_span(ends, total)
 
 
 def read_events_text(path) -> EventStream:
-    """Read a text stream file."""
-    with open(path, errors="replace") as fh:  # undecodable bytes fail below
-        n, seed, total = _text_header(fh)
-        try:
-            with warnings.catch_warnings():  # an empty body is reported below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(fh, ndmin=2)
-        except ValueError as exc:
-            raise StreamInvariantViolation(f"malformed event line: {exc}") from None
-    if data.size == 0:
-        raise StreamInvariantViolation("event stream file has no events")
-    if data.shape[1] != 2:
-        raise StreamInvariantViolation("event lines must read '<timestamp> <label>'")
-    labels = data[:, 1]
-    if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
-        raise StreamInvariantViolation("event labels must be whole numbers")
-    stream = EventStream.from_labels(data[:, 0], labels.astype(np.int64), n, total, seed=seed)
-    stream.check()
-    return stream
+    """Read a text stream file, checking it block by block
+    (``_text_blocks``) as it is copied into one array."""
+    blocks = _text_blocks(path)
+    n_levels, seed, total = next(blocks)
+    first, times = _join(blocks, _READ_BLOCK)
+    return EventStream(times, first, n_levels, total, seed=seed)
 
 
 def write_events_binary(stream: EventStream, path) -> None:
@@ -397,33 +426,6 @@ def _write_binary(path, n_levels: int, seed: int, blocks, duration: float | None
             os.remove(partial)
 
 
-def _binary_header(fh) -> tuple[int, int, int, float, int]:
-    """(N, first label, seed, T, count) of an open binary stream file, read
-    up to its body, whose size is checked against the count."""
-    magic = fh.read(4)
-    if magic != _BINARY_MAGIC:
-        raise StreamInvariantViolation(f"bad magic {magic!r} in binary stream")
-    head = fh.read(_BINARY_HEADER.size)
-    if len(head) < _BINARY_HEADER.size:
-        raise StreamInvariantViolation("binary stream header is truncated")
-    n, first, seed, total, count = _BINARY_HEADER.unpack(head)
-    # size the body from the file before allocating, so a damaged count
-    # cannot ask for a huge buffer
-    size = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size != 8 * count:
-        raise StreamInvariantViolation(
-            f"binary stream body is {size} bytes, not {count} f64 timestamps"
-        )
-    return n, first, seed, total, count
-
-
-def _is_binary(path) -> bool:
-    """Whether a stream file is binary: any CEV magic, which the binary
-    reader then checks and names."""
-    with open(path, "rb") as fh:
-        return fh.read(3) == _BINARY_MAGIC[:3]
-
-
 def _binary_blocks(path):
     """Generator over a binary stream file: first (N, seed, T, count),
     then, block by block, (label of the first event, times).
@@ -435,7 +437,19 @@ def _binary_blocks(path):
     one event and the span after the last.
     """
     with open(path, "rb") as fh:
-        n, first, seed, total, count = _binary_header(fh)
+        magic = fh.read(4)
+        if magic != _BINARY_MAGIC:
+            raise StreamInvariantViolation(f"bad magic {magic!r} in binary stream")
+        head = fh.read(_BINARY_HEADER.size)
+        if len(head) < _BINARY_HEADER.size:
+            raise StreamInvariantViolation("binary stream header is truncated")
+        n, first, seed, total, count = _BINARY_HEADER.unpack(head)
+        # size the body from the file before allocating, so a damaged count
+        # cannot ask for a huge buffer
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 8 * count:
+            raise StreamInvariantViolation(
+                f"binary stream body is {size} bytes, not {count} f64 timestamps")
         EventStream(np.empty(0), first, n, total)  # N, first label and T, before the body
         yield n, seed, total, count
         block = np.empty(min(count, _READ_BLOCK), "<f8")
@@ -466,15 +480,14 @@ def read_event_blocks(path) -> tuple[int, float, Iterator[tuple[int, np.ndarray]
     """(N, T, blocks) of a stream file of either format: ``blocks`` yields
     (label of the first event, times) of its ring, in time order.
 
-    A binary file's header is checked here and its body as the blocks are
-    drawn, the span after the last one, so drawing every block raises what
-    ``read_events_binary`` raises, in the same order, while holding one read
-    block; each block is valid until the next is drawn. A text file is
-    read whole, and its stream is the one block.
+    The header is checked here and the body as the blocks are drawn, the
+    span after the last one, so drawing every block raises what
+    ``read_events_binary`` or ``read_events_text`` raises, in the same
+    order, while holding one read block; each block is valid until the
+    next is drawn.
     """
-    if _is_binary(path):
-        blocks = _binary_blocks(path)
-        n_levels, _, total, _ = next(blocks)
-        return n_levels, total, blocks
-    stream = read_events_text(path)
-    return stream.n_levels, stream.total_duration, iter([(stream.first_label, stream.times)])
+    with open(path, "rb") as fh:  # any CEV magic is binary: its reader checks and names it
+        binary = fh.read(3) == _BINARY_MAGIC[:3]
+    blocks = _binary_blocks(path) if binary else _text_blocks(path)
+    n_levels, _, total = next(blocks)[:3]
+    return n_levels, total, blocks

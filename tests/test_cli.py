@@ -320,8 +320,8 @@ def test_simulate_correlate_pipeline_matches_in_memory(tmp_path):
 
     # the file must round-trip through the reader identically too
     again = read_events_text(stream_path)
-    for ca, cb in zip(stream.channels, again.channels):
-        assert np.array_equal(ca, cb)
+    assert again.first_label == stream.first_label
+    assert np.array_equal(again.times, stream.times)
 
 
 def test_correlate_subset_flag(tmp_path):

@@ -29,8 +29,22 @@ from circascade import (
     write_trace_csv,
 )
 from circascade import cli, stochastic
-from circascade.estimator import _gathered, _pair_counts
+from circascade.estimator import _add_pairs, _gathered, _ring_pairs
 from oracles import pair_histogram_bruteforce
+
+
+def _channel(stream, level):
+    """The events of one level of a stream: a strided view of its ring."""
+    return stream.times[(stream.first_label - level) % stream.n_levels::stream.n_levels]
+
+
+def _pair_counts(src, dst, cfg, same_channel):
+    """Histogram of the dst - src differences of two time-ordered runs, by
+    ``_add_pairs``, whose precondition holds for the first dst at or after
+    src[0]."""
+    hist = np.zeros(2 * cfg.n_side, dtype=np.int64)
+    _add_pairs(hist, src, dst, int(np.searchsorted(dst, src[0])), same_channel, cfg)
+    return hist
 
 
 def make_stream(n=6, gamma=1.0, events=200_000, seed=0):
@@ -91,10 +105,16 @@ def test_bootstrap_rejects_out_of_range_pair():
 
 
 def test_empty_channel_rejected():
-    # fewer events than levels: channel 0 never fires
+    # fewer events than levels: channel 0 never fires; the bootstrap names
+    # it as the estimator does, and a stream without events too
     stream = EventStream.from_labels([0.5, 1.5], [2, 1], 3, 100.0)
-    with pytest.raises(InsufficientSamples, match="channel 0 has no events"):
-        correlate(stream, HistogramConfig(0.1, 1.0, channels=(0, 1)))
+    cfg = HistogramConfig(0.1, 1.0, channels=(0, 1))
+    for call in (correlate, block_bootstrap_stderr):
+        with pytest.raises(InsufficientSamples, match="channel 0 has no events"):
+            call(stream, cfg)
+    with pytest.raises(InsufficientSamples, match="channel 1 has no events"):
+        block_bootstrap_stderr(EventStream(np.empty(0), 0, 3, 100.0),
+                               HistogramConfig(0.1, 1.0, channels=(1, 1)))
 
 
 def test_subset_of_a_short_stream_rejects_its_empty_channel():
@@ -147,13 +167,13 @@ def test_subset_equals_weighted_pairwise_sum():
     cfg = HistogramConfig(0.25, 6.0)
     sub = correlate_subset(stream, SubsetSpec(members), cfg)
     t_total = stream.total_duration
-    r_merged = sum(len(stream.channels[i]) for i in members) / t_total
+    r_merged = sum(len(_channel(stream, i)) for i in members) / t_total
     acc = np.zeros_like(sub.values)
     for i in members:
         for j in members:
             pair = correlate(stream, HistogramConfig(0.25, 6.0, channels=(i, j)))
-            r_i = len(stream.channels[i]) / t_total
-            r_j = len(stream.channels[j]) / t_total
+            r_i = len(_channel(stream, i)) / t_total
+            r_j = len(_channel(stream, j)) / t_total
             acc += pair.values * (r_i * r_j)
     np.testing.assert_allclose(acc / r_merged ** 2, sub.values, rtol=1e-12)
 
@@ -299,7 +319,7 @@ def test_pair_counts_match_the_bruteforce_oracle(
             expect = pair_histogram_bruteforce(channel[m], channel[k], bin_width, n_side, m == k)
             if len(channel[m]):
                 hist_cfg = HistogramConfig(bin_width, tau_max)
-                got = _pair_counts(stream.channels[m], stream.channels[k], hist_cfg, m == k)
+                got = _pair_counts(_channel(stream, m), _channel(stream, k), hist_cfg, m == k)
                 np.testing.assert_array_equal(got, expect)
             if len(channel[m]) and len(channel[k]):
                 cfg = HistogramConfig(bin_width, tau_max, channels=(m, k))
@@ -324,7 +344,7 @@ def test_pair_counts_of_channel_slices_match_the_oracle():
     stream = make_stream(n=4, events=4000, seed=21)
     cfg = HistogramConfig(0.25, 3.0)
     for m, k in ((1, 1), (2, 0), (0, 3)):
-        src, dst = stream.channels[m][200:500], stream.channels[k][190:520]
+        src, dst = _channel(stream, m)[200:500], _channel(stream, k)[190:520]
         np.testing.assert_array_equal(
             _pair_counts(src, dst, cfg, m == k),
             pair_histogram_bruteforce(src, dst, 0.25, cfg.n_side, m == k),
@@ -342,7 +362,7 @@ def test_pairs_inside_the_window_but_outside_the_bins_are_dropped():
         stream = EventStream(np.arange(1, 120) * 0.1, 0, n, 100.0)
         for m in range(n):
             for k in range(n):
-                src, dst = stream.channels[m], stream.channels[k]
+                src, dst = _channel(stream, m), _channel(stream, k)
                 np.testing.assert_array_equal(
                     _pair_counts(src, dst, cfg, m == k),
                     pair_histogram_bruteforce(src, dst, 0.1, 11, m == k),
@@ -411,7 +431,7 @@ def test_streamed_counts_equal_the_whole_stream_and_the_bruteforce(
                     _split(times, first % n, n, cuts), n, t_total, cfg, (m, k))) == whole
                 if isinstance(whole, str):
                     continue
-                src, dst = stream.channels[m], stream.channels[k]
+                src, dst = _channel(stream, m), _channel(stream, k)
                 np.testing.assert_array_equal(
                     _counts_of(streamed(pair=(m, k)), len(src) / t_total,
                                len(dst) / t_total, cfg),
@@ -453,6 +473,31 @@ def test_gathered_levels_are_the_labelled_events_as_a_ring_of_their_ranks(n, dat
     for (rank, block), at in zip(got, np.cumsum([0] + [len(b) for _, b in got])):
         if len(block):
             assert rank == (expected.first_label - at) % len(members)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_segment_rows_split_the_ring_histogram_by_source_time(block):
+    # the bootstrap's block counts: every pair counted once, in the row of
+    # its source event's segment, whatever blocks the ring is fed in
+    stream = make_stream(n=4, events=1500, seed=23)
+    times, first = stream.times, stream.first_label
+    cfg = HistogramConfig(0.25, 3.0)
+    # sources before the first edge and past the last one are dropped
+    edges = np.linspace(times[20], times[20] + 0.8 * (times[-1] - times[20]), 9)
+    blocks = _split(times, first, 4, range(block, len(times), block))
+    for pair in ((1, 1), (2, 0), (0, 3), None):
+        rows, sources, _, _ = _ring_pairs(blocks, 4, pair, cfg, edges)
+        whole, no_sources, _, _ = _ring_pairs([(first, times)], 4, pair, cfg)
+        assert no_sources is None
+        src, dst = (times, times) if pair is None else (_channel(stream, c) for c in pair)
+        same = pair is None or pair[0] == pair[1]
+        cuts = np.searchsorted(src, edges)
+        np.testing.assert_array_equal(sources, np.diff(cuts))
+        dropped = _pair_counts(src[:cuts[0]], dst, cfg, same) + _pair_counts(
+            src[cuts[-1]:], dst, cfg, same)
+        np.testing.assert_array_equal(rows.sum(axis=0), whole - dropped)
+        for row, lo, hi in zip(rows, cuts, cuts[1:]):
+            np.testing.assert_array_equal(row, _pair_counts(src[lo:hi], dst, cfg, same))
 
 
 # sha256 of outputs recorded before the pair counts became a lag sweep
@@ -504,6 +549,11 @@ def _bootstrap_bits(m, n):
     return block_bootstrap_stderr(STREAM4, cfg, n_blocks=4, n_boot=10).tobytes()
 
 
+def _bootstrap_count_bits(n_blocks, n_boot):
+    cfg = HistogramConfig(0.5, 2.0, channels=(1, 3))
+    return block_bootstrap_stderr(STREAM4, cfg, n_blocks, n_boot).tobytes()
+
+
 def _simulate_bits(level):
     config = SimConfig(CascadeSpec.equal(3), seed=1, total_events=30, initial_level=level)
     stream = simulate(config)
@@ -515,6 +565,7 @@ def _simulate_bits(level):
 CHANNEL_INDEX_CALLS = {
     "correlate": (_correlate_bits, (2, 1)),
     "block_bootstrap_stderr": (_bootstrap_bits, (1, 3)),
+    "block_bootstrap_stderr counts": (_bootstrap_count_bits, (4, 10)),
     "simulate": (_simulate_bits, (1,)),
 }
 
@@ -532,3 +583,13 @@ def test_a_non_integer_channel_index_raises(name, bad):
     for i in range(len(args)):
         with pytest.raises(ConfigInvalid, match="must be an integer"):
             call(*args[:i], bad, *args[i + 1:])
+
+
+@pytest.mark.parametrize("small", (0, -2, 1))
+@pytest.mark.parametrize("at", (0, 1), ids=("n_blocks", "n_boot"))
+def test_bootstrap_counts_below_two_raise(at, small):
+    # 0 gave NaN, -2 a bare ValueError and 1 errors of zero or of rounding
+    counts = [4, 10]
+    counts[at] = small
+    with pytest.raises(ConfigInvalid, match="n_blocks and n_boot must be >= 2"):
+        _bootstrap_count_bits(*counts)

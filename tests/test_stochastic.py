@@ -110,8 +110,7 @@ def test_channel_rates_match_cycle_current():
 def test_determinism_bit_identical(tmp_path):
     cfg = SimConfig(SPEC124, seed=99, total_events=50_000)
     a, b = simulate(cfg), simulate(cfg)
-    for ca, cb in zip(a.channels, b.channels):
-        assert np.array_equal(ca, cb)
+    assert a.first_label == b.first_label and np.array_equal(a.times, b.times)
     pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
     write_events_binary(a, pa)
     write_events_binary(b, pb)
@@ -296,6 +295,24 @@ def test_cli_pair_correlate_holds_one_channel_and_one_read_block(tmp_path):
             assert code == 0 and peak <= bound, (n_events, selection)
 
 
+def test_cli_text_correlate_holds_one_parsed_block(tmp_path):
+    # the text reader parses stochastic._READ_BLOCK = 2^17 lines at a time
+    # into 2 MiB of (time, label) rows and checks their labels and order;
+    # the counts carry only the events within the window of the last block,
+    # so the peak is a parsed block, its checks' temporaries and the sweep's,
+    # whatever the event count: measured 6.75 MB at most. Tracing slows
+    # loadtxt about 20-fold (some 5 s per 10^6 lines), hence the sizes.
+    bound = 8 * 8 * stochastic._READ_BLOCK
+    for n_events in (250_000, 1_000_000):
+        path = tmp_path / "run.txt"
+        write_events_text(EventStream(np.arange(1.0, n_events + 1), 2, 6, n_events + 1.0), path)
+        for selection in (("--pair", "1,1"), ("--subset", "1,2")):
+            argv = ["correlate", "--in", str(path), *selection, "--bin", "0.5",
+                    "--taumax", "30", "--out", str(tmp_path / "g.csv")]
+            code, peak = _traced_peak(lambda: cli.main(argv))
+            assert code == 0 and peak <= bound, (n_events, selection)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 200), data=st.data())
 def test_event_blocks_of_either_format_are_the_whole_read_in_order(n, data):
@@ -341,6 +358,26 @@ def test_selected_read_checks_order_across_block_seams(tmp_path, monkeypatch):
                 _correlate_file(path, pair=(1, 1))
 
 
+def test_text_blocks_name_a_damaged_line_as_one_whole_parse_does(tmp_path, monkeypatch):
+    # a label that breaks the cycle, a tie and a malformed line, each at a
+    # seam of blocks of 4 lines and inside a block: parsed block by block,
+    # the file raises the message that one block of all its lines raises
+    lines = [f"{t} {label}\n" for t, label in zip(range(1, 13), (2 - np.arange(12)) % 3)]
+    path = tmp_path / "events.txt"
+    for at in (4, 6, 8):
+        for bad in (f"{at + 1} {(3 - at) % 3}\n", f"{at} {(2 - at) % 3}\n", "x 0\n"):
+            path.write_text("# cascade-events v1 N=3 seed=0 T=20\n"
+                            + "".join(lines[:at] + [bad] + lines[at + 1:]))
+            with pytest.raises(StreamInvariantViolation) as whole:
+                read_events_text(path)
+            with monkeypatch.context() as patch:
+                patch.setattr(stochastic, "_READ_BLOCK", 4)
+                for selection in SELECTIONS:
+                    with pytest.raises(StreamInvariantViolation) as blocked:
+                        _read_selected(read_events_text, path, selection)
+                    assert str(blocked.value) == str(whole.value), (at, bad, selection)
+
+
 def test_selected_read_validates_the_whole_file(tmp_path):
     # level 1 has no event, but the file has one: not "no events" but an
     # empty channel, and a span past T fails whatever the selection
@@ -370,7 +407,7 @@ def test_different_seed_different_stream():
     base = SimConfig(SPEC124, seed=99, total_events=1000)
     other = SimConfig(SPEC124, seed=100, total_events=1000)
     a, b = simulate(base), simulate(other)
-    assert not np.array_equal(a.channels[0][:50], b.channels[0][:50])
+    assert not np.array_equal(a.times[:50], b.times[:50])
 
 
 def test_burn_in_shifts_origin():
@@ -458,8 +495,8 @@ def test_text_round_trip(tmp_path):
     assert header.startswith("# cascade-events v1 N=3 seed=8 T=")
     again = read_events_text(path)
     assert again.total_duration == stream.total_duration
-    for ca, cb in zip(stream.channels, again.channels):
-        assert np.array_equal(ca, cb)
+    assert again.first_label == stream.first_label
+    assert np.array_equal(again.times, stream.times)
 
 
 def test_binary_round_trip(tmp_path):
@@ -468,8 +505,8 @@ def test_binary_round_trip(tmp_path):
     write_events_binary(stream, path)
     again = read_events_binary(path)
     assert again.total_duration == stream.total_duration
-    for ca, cb in zip(stream.channels, again.channels):
-        assert np.array_equal(ca, cb)  # bit-exact
+    assert again.first_label == stream.first_label
+    assert np.array_equal(again.times, stream.times)  # bit-exact
 
     # and the round trip re-serializes to identical bytes
     path2 = tmp_path / "events2.bin"
@@ -580,6 +617,55 @@ def test_damaged_stream_files_raise_only_cascade_errors(tmp_path, write, read):
     write(simulate(SimConfig(SPEC124, seed=8, total_events=12)), path)
     for damaged in _damaged_copies(path.read_bytes()):
         path.write_bytes(damaged)
+        for selection in SELECTIONS:
+            try:
+                _read_selected(read, path, selection)
+            except CascadeError:
+                pass
+
+
+@st.composite
+def _damaged_stream_files(draw):
+    """(writer, bytes) of a stream file on SPEC124's ring: a valid file of
+    up to 40 events, or its header and arbitrary bytes, and then a run of
+    arbitrary bytes written over or spliced in anywhere, header included."""
+    write = draw(st.sampled_from([write_events_binary, write_events_text]))
+    events = draw(st.integers(1, 40))
+    times = np.cumsum(np.random.default_rng(events).uniform(0.5, 1.5, events))
+    stream = EventStream(times, draw(st.integers(0, 2)), 3, float(times[-1]) + 10.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events")
+        write(stream, path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    if draw(st.booleans()):
+        body = draw(st.binary(max_size=400)
+                    | st.text(" \t\n#.+-0123456789aefin", max_size=400).map(str.encode))
+        if write is write_events_binary:  # with a count that fits, the body reaches the blocks
+            body = body[:len(body) // 8 * 8]
+            data = data[:28] + struct.pack("<Q", len(body) // 8) + body
+        else:
+            data = data[:data.index(b"\n") + 1] + body
+    at = draw(st.integers(0, len(data)))
+    junk = draw(st.binary(max_size=24))
+    # writing over keeps a binary body's size, so the damage reaches its blocks
+    end = at + len(junk) if draw(st.booleans()) else draw(st.integers(at, len(data)))
+    return write, data[:at] + junk + data[end:]
+
+
+# numpy warns about an empty event block and about inf - inf on its way to
+# the error the reader raises
+@pytest.mark.filterwarnings("ignore:loadtxt", "ignore:invalid value")
+@settings(max_examples=300, deadline=None)
+@given(damaged=_damaged_stream_files(), block=st.sampled_from([1, 4, 64]))
+def test_arbitrary_bytes_raise_only_cascade_errors_at_any_block_seam(damaged, block):
+    write, data = damaged
+    read = read_events_binary if write is write_events_binary else read_events_text
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(stochastic, "_READ_BLOCK", block):
+        path = os.path.join(tmp, "events")
+        with open(path, "wb") as fh:
+            fh.write(data)
         for selection in SELECTIONS:
             try:
                 _read_selected(read, path, selection)
