@@ -196,7 +196,7 @@ def g2_subset(n_levels: int, subset: SubsetSpec, gamma: float, tau) -> float | n
     """
     n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
     if not isinstance(subset, SubsetSpec):
-        subset = SubsetSpec(tuple(subset))
+        subset = SubsetSpec(subset)
     subset.check_against(n_levels)
     members = np.asarray(subset.members)
     classes = (members[None, :] - members[:, None] + 1) % n_levels

@@ -127,18 +127,13 @@ def _parse_pair(text: str, n_levels: int) -> tuple[int, int]:
 
 
 def _parse_subset(text: str) -> SubsetSpec:
-    return SubsetSpec(tuple(_parse_numbers("--subset", text, "i,j,...", int)))
-
-
-def _parse_range(text: str) -> tuple[float, float]:
-    lo, hi = _parse_numbers("--tau", text, "lo:hi")
-    if hi <= lo:
-        raise ConfigInvalid(f"--tau range must have hi > lo, got {text!r}")
-    return lo, hi
+    return SubsetSpec(_parse_numbers("--subset", text, "i,j,...", int))
 
 
 def _tau_grid(args) -> np.ndarray:
-    lo, hi = _parse_range(args.tau or "-10:10")
+    lo, hi = _parse_numbers("--tau", args.tau or "-10:10", "lo:hi")
+    if hi <= lo:
+        raise ConfigInvalid(f"--tau range must have hi > lo, got {args.tau!r}")
     steps = args.steps if args.steps is not None else 1000
     if steps < 1:
         raise ConfigInvalid("--steps must be >= 1")
@@ -171,21 +166,8 @@ def _apply_preset(args) -> None:
             f"preset {args.preset!r} belongs to the {preset['command']!r} command"
         )
     for key, value in preset.items():
-        if key == "command":
-            continue
-        if getattr(args, key, None) in (None, False):
+        if key != "command" and getattr(args, key, None) in (None, False):
             setattr(args, key, value)
-
-
-def _spec_from_file(path: str) -> CascadeSpec:
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return CascadeSpec.from_json(text)
-    except ConfigInvalid as exc:  # a ValueError too: re-raise it first
-        raise ConfigInvalid(f"--rates: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigInvalid(f"--rates file {path!r} is not a valid spec: {exc}")
 
 
 @contextlib.contextmanager
@@ -197,15 +179,34 @@ def _naming(flags: str):
         raise ConfigInvalid(f"{flags}: {exc}") from None
 
 
-def _spec_from_flags(args) -> CascadeSpec:
-    if args.n is None:
+def _spec(args, n_levels=None, n_flag: str = "--n") -> CascadeSpec:
+    """The ring of the first ring flags a subcommand has and was given:
+    --rates-inline, --rates (a JSON file), or ``n_levels`` (default --n)
+    from ``n_flag`` with --gamma; ConfigInvalid names the flags at fault."""
+    if getattr(args, "rates_inline", None):
+        rates = _parse_numbers("--rates-inline", args.rates_inline, "r0,r1,...")
+        with _naming("--rates-inline"):
+            return CascadeSpec(len(rates), rates)
+    if getattr(args, "rates", None):
+        with open(args.rates) as fh:
+            text = fh.read()
+        try:
+            return CascadeSpec.from_json(text)
+        except ConfigInvalid as exc:  # a ValueError too: re-raise it first
+            raise ConfigInvalid(f"--rates: {exc}")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigInvalid(f"--rates file {args.rates!r} is not a valid spec: {exc}")
+    if not hasattr(args, "n"):
+        raise ConfigInvalid("--rates (JSON file) or --rates-inline is required")
+    n_levels = args.n if n_levels is None else n_levels
+    if n_levels is None:
         raise ConfigInvalid("--n is required")
-    with _naming("--n/--gamma"):
-        return CascadeSpec.equal(args.n, args.gamma)
+    with _naming(f"{n_flag}/--gamma"):
+        return CascadeSpec.equal(n_levels, args.gamma)
 
 
 def cmd_analytic(args) -> None:
-    _spec_from_flags(args)
+    _spec(args)
     taus = _tau_grid(args)
     chosen = [x for x in (args.pair, args.k, args.subset) if x is not None]
     if len(chosen) != 1:
@@ -224,14 +225,7 @@ def cmd_analytic(args) -> None:
 
 
 def cmd_general(args) -> None:
-    if args.rates_inline:
-        rates = tuple(_parse_numbers("--rates-inline", args.rates_inline, "r0,r1,..."))
-        with _naming("--rates-inline"):
-            spec = CascadeSpec(len(rates), rates)
-    elif args.rates:
-        spec = _spec_from_file(args.rates)
-    else:
-        raise ConfigInvalid("--rates (JSON file) or --rates-inline is required")
+    spec = _spec(args)
     m, n = _parse_pair(args.pair or "1,1", spec.n_levels)
     taus = _tau_grid(args)
     # one call: the stepped propagation must not restart at chunk boundaries
@@ -240,28 +234,18 @@ def cmd_general(args) -> None:
         closed = g2_three_level(*spec.rates, m, n, taus)
         gap = float(np.abs(closed - values).max())
         if gap > 1e-6:
-            raise NumericalFailure(
-                f"internal consistency failure: closed form vs propagation "
-                f"disagree by {gap:.3e}"
-            )
+            raise NumericalFailure("internal consistency failure: closed form vs "
+                                   f"propagation disagree by {gap:.3e}")
     trace = CorrelationTrace(tau=taus, values=values, source="spectral", spec=spec)
     write_trace_csv(trace, args.out)
 
 
 def cmd_simulate(args) -> None:
-    if args.rates:
-        spec = _spec_from_file(args.rates)
-    else:
-        spec = _spec_from_flags(args)
+    spec = _spec(args)
     events = _parse_numbers("--events", args.events, "count")[0] if args.events else None
-    config = SimConfig(
-        spec=spec,
-        seed=args.seed,
-        duration=args.duration,
-        total_events=None if events is None else int(events),
-        initial_level=args.initial,
-        burn_in=args.burn_in,
-    )
+    config = SimConfig(spec=spec, seed=args.seed, duration=args.duration,
+                       total_events=None if events is None else int(events),
+                       initial_level=args.initial, burn_in=args.burn_in)
     if args.format == "text":
         write_events_text(simulate(config), args.out)
     else:
@@ -275,13 +259,11 @@ def cmd_correlate(args) -> None:
         # the checks run in the order they ran when the whole file was read
         if args.subset:
             subset = _parse_subset(args.subset)
-            cfg = HistogramConfig(args.bin, args.taumax)
-            subset.check_against(n_levels)
+        elif not args.pair:
+            raise ConfigInvalid("give --pair or --subset")
         else:
-            if not args.pair:
-                raise ConfigInvalid("give --pair or --subset")
             pair = _parse_pair(args.pair, n_levels)
-            cfg = HistogramConfig(args.bin, args.taumax)
+        cfg = HistogramConfig(args.bin, args.taumax)
     except ConfigInvalid:
         for _ in blocks:  # a damaged file is reported first
             pass
@@ -299,17 +281,13 @@ def cmd_peaks(args) -> None:
         lo, hi = _parse_numbers("--scan", args.scan, "lo:hi", int)
         if hi < lo:
             raise ConfigInvalid(f"--scan range must have hi >= lo, got {args.scan!r}")
-        with _naming("--scan/--gamma"):
-            CascadeSpec.equal(lo, args.gamma)
+        _spec(args, lo, "--scan")
         rows = ["kind,n_levels,order,tau,g2"]
         for n in range(lo, hi + 1):
             for kind, n_orders in (("auto", orders), ("cross", cross_orders)):
                 try:
-                    report = (
-                        find_peaks(n, args.gamma, args.k, n_orders)
-                        if kind == "auto"
-                        else find_peaks_cross(n, args.gamma, n_orders)
-                    )
+                    report = (find_peaks(n, args.gamma, args.k, n_orders) if kind == "auto"
+                              else find_peaks_cross(n, args.gamma, n_orders))
                 except InsufficientSamples:  # no maxima at this N
                     continue
                 rows += [
@@ -319,25 +297,18 @@ def cmd_peaks(args) -> None:
         with open(args.out, "w") as fh:
             fh.write("\n".join(rows) + "\n")
     else:
-        _spec_from_flags(args)
-        report = (
-            find_peaks_cross(args.n, args.gamma, orders)
-            if args.cross
-            else find_peaks(args.n, args.gamma, args.k, orders)
-        )
+        _spec(args)
+        report = (find_peaks_cross(args.n, args.gamma, orders) if args.cross
+                  else find_peaks(args.n, args.gamma, args.k, orders))
         with open(args.out, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+            fh.write(report.to_json() + "\n")
         if args.csv:
             with open(args.csv, "w") as fh:
                 fh.write(report.to_csv())
 
 
 def cmd_cscheck(args) -> None:
-    if args.rates:
-        spec = _spec_from_file(args.rates)
-    else:
-        spec = _spec_from_flags(args)
+    spec = _spec(args)
     m, n = _parse_pair(args.pair, spec.n_levels)
     lo, hi, count = _parse_numbers("--tau-samples", args.tau_samples, "lo:hi:count")
     if count < 1 or count != int(count):
@@ -345,8 +316,7 @@ def cmd_cscheck(args) -> None:
     taus = np.linspace(lo, hi, int(count))
     report = cs_check(spec, m, n, taus)
     with open(args.out, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+        fh.write(report.to_json() + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,53 +327,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analytic", help="equal-rate closed-form trace to CSV")
-    p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=_finite_float, default=1.0)
+    def flags():
+        return argparse.ArgumentParser(add_help=False)
+
+    # the flags several subcommands share are declared once, in parents
+    # placed before (ring, rates) or after (out) each one's own flags
+    ring, rates, out = flags(), flags(), flags()
+    ring.add_argument("--n", type=int)
+    ring.add_argument("--gamma", type=_finite_float, default=1.0)
+    rates.add_argument("--rates", help="JSON file {n_levels, rates}")
+    out.add_argument("--out")
+
+    def command(name, summary, func, *parents):
+        sub.add_parser(name, help=summary, parents=[*parents, out]).set_defaults(func=func)
+
+    p = flags()
     p.add_argument("--pair", help="transition pair m,n")
     p.add_argument("--k", type=int, help="trace class instead of a pair")
     p.add_argument("--subset", help="comma-separated transition subset")
     p.add_argument("--tau", help="range lo:hi (default -10:10)")
     p.add_argument("--steps", type=int)
     p.add_argument("--preset", help="|".join(k for k in PRESETS if PRESETS[k]["command"] == "analytic"))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_analytic)
+    command("analytic", "equal-rate closed-form trace to CSV", cmd_analytic, ring, p)
 
-    p = sub.add_parser("general", help="arbitrary-rate spectral trace to CSV")
-    p.add_argument("--rates", help="JSON file {n_levels, rates}")
+    p = flags()
     p.add_argument("--rates-inline", dest="rates_inline", help="comma-separated rates")
     p.add_argument("--pair")
     p.add_argument("--tau")
     p.add_argument("--steps", type=int)
     p.add_argument("--preset", help="fig5|fig5dashed")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_general)
+    command("general", "arbitrary-rate spectral trace to CSV", cmd_general, rates, p)
 
-    p = sub.add_parser("simulate", help="run one trajectory, write event stream")
-    p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=_finite_float, default=1.0)
-    p.add_argument("--rates", help="JSON file {n_levels, rates}")
+    p = flags()
     p.add_argument("--events", help="stop after this many events")
     p.add_argument("--duration", type=_finite_float, help="stop after this much time")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", dest="burn_in", type=_finite_float, default=0.0)
     p.add_argument("--initial", type=int, help="initial level (default: stationary draw)")
     p.add_argument("--format", choices=("binary", "text"), default="binary")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
+    command("simulate", "run one trajectory, write event stream", cmd_simulate, ring, rates, p)
 
-    p = sub.add_parser("correlate", help="coincidence histogram from an event stream")
+    p = flags()
     p.add_argument("--in", dest="in", required=True, help="event stream file")
     p.add_argument("--pair")
     p.add_argument("--subset")
     p.add_argument("--bin", type=_finite_float, required=True)
     p.add_argument("--taumax", type=_finite_float, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_correlate)
+    command("correlate", "coincidence histogram from an event stream", cmd_correlate, p)
 
-    p = sub.add_parser("peaks", help="oscillation peak report (JSON, optional CSV)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=_finite_float, default=1.0)
+    p = flags()
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--orders", type=int, help="peak count (default 3)")
     p.add_argument("--cross", action="store_true", help="opposite-transition trace")
@@ -411,18 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", help="N range lo:hi (one CSV row per peak)")
     p.add_argument("--preset", help="fig2")
     p.add_argument("--csv", help="also write order,tau,g2 CSV here")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_peaks)
+    command("peaks", "oscillation peak report (JSON, optional CSV)", cmd_peaks, ring, p)
 
-    p = sub.add_parser("cscheck", help="Cauchy-Schwarz violation report (JSON)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=_finite_float, default=1.0)
-    p.add_argument("--rates", help="JSON file {n_levels, rates}")
+    p = flags()
     p.add_argument("--pair", required=True)
     p.add_argument("--tau-samples", dest="tau_samples", default="0.01:0.1:10",
                    help="lo:hi:count sample grid")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_cscheck)
+    command("cscheck", "Cauchy-Schwarz violation report (JSON)", cmd_cscheck, ring, rates, p)
 
     return parser
 
@@ -433,14 +400,9 @@ _RANGE_FLAGS = {"--tau", "--tau-samples", "--scan"}
 def _join_range_flags(argv: list[str]) -> list[str]:
     """Fold '--tau -8:8' into '--tau=-8:8' so argparse accepts the value."""
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in _RANGE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] in _RANGE_FLAGS and tok.startswith("-"):
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
     return out

@@ -37,6 +37,7 @@ from .model import (
     check_index,
     check_levels,
     level_count,
+    philox,
 )
 
 # rows of src per sweep block: a block's slices of src, dst and the window
@@ -273,7 +274,7 @@ def correlate_blocks(
         n_levels = check_levels(n_levels)
         if pair is None:
             if not isinstance(subset, SubsetSpec):
-                subset = SubsetSpec(tuple(range(n_levels) if subset is None else subset))
+                subset = SubsetSpec(range(n_levels) if subset is None else subset)
             subset.check_against(n_levels)
             wanted = subset.members
         elif subset is None:
@@ -341,20 +342,21 @@ def block_bootstrap_stderr(
     Splits the window into n_blocks equal time segments, counts the pairs
     of each segment's source events in the pass ``correlate`` makes
     (``_ring_pairs`` with the segment edges), resamples n_blocks segments
-    with replacement n_boot times (both integers >= 2) and returns the
-    standard deviation of the resampled estimates per bin. Accounts for
-    correlated counts that the plain sqrt(count) error ignores.
+    with replacement n_boot times (both integers >= 2), drawn by
+    ``philox(seed)``, and returns the standard deviation of the resampled
+    estimates per bin. Accounts for correlated counts that the plain
+    sqrt(count) error ignores.
     """
     m, n = _channel_pair(cfg.channels, stream.n_levels)
     n_blocks, n_boot = check_index("n_blocks", n_blocks), check_index("n_boot", n_boot)
     if min(n_blocks, n_boot) < 2:
         raise ConfigInvalid(f"n_blocks and n_boot must be >= 2, got {n_blocks} and {n_boot}")
     _check_window(stream.total_duration, cfg)
+    rng = philox(seed)
     t0 = float(stream.times[0]) if stream.n_events else 0.0
     edges = np.linspace(t0, t0 + stream.total_duration, n_blocks + 1)
     block_counts, block_src, _, n_dst = _selected_pairs(
         [(stream.first_label, stream.times)], stream.n_levels, sorted({m, n}), (m, n), cfg, edges)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     rate_dst = n_dst / stream.total_duration
     block_dur = np.diff(edges)
     est = np.empty((n_boot, 2 * cfg.n_side))

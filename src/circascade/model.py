@@ -34,17 +34,16 @@ disagree), ``StreamInvariantViolation`` (4, a malformed event stream) and
 rule lives here once: a level count is an integer >= 1 (``check_levels``),
 a rate is a finite number > 0 (``check_rate``) and a class, pair, level or
 order index is an integer (``check_index``; a bool, float or string is
-not); anything else raises ``ConfigInvalid``. A ``CascadeSpec`` applies
-the first two through ``validate`` when it is built, so every spec that
-exists is valid and no function that takes one checks it again. The
-raw-argument entry points apply them to their own arguments:
-``g2_equal``, ``g2_equal_pair``, ``g2_subset``, ``root_of_unity``,
-``small_tau_leading``, ``bundle_peak``, ``trace_index``, ``g2_two_level``,
-``g2_three_level``, ``zeta_value``, ``oscillation_condition``,
-``g2_limit_low_pump``, ``g2_limit_high_pump``, ``g2_phenomenological``,
-``find_peaks`` and ``find_peaks_cross``. Those and ``propagate``,
-``g2_general``, ``cs_check``, ``SubsetSpec`` and ``EventStream`` apply the
-index rule to their indices.
+not), and a level of an N-level ring one in [0, N) (``check_level``);
+anything else raises ``ConfigInvalid``. A ``CascadeSpec`` applies
+the first two when it is built (``validate`` reruns them), so every spec
+that exists is valid and no function that takes one checks it again.
+Every raw-argument entry point applies them to its own arguments, and the
+index rule to its indices. The other rules on outside input live here
+too: the seed rule (``check_seed``, applied by ``philox`` and
+``SimConfig``), the header rule of a ring, in memory or on disk
+(``check_header``, applied by ``EventStream`` and both stream readers)
+and the subset rule (``SubsetSpec``).
 """
 
 from __future__ import annotations
@@ -106,6 +105,14 @@ def check_index(name: str, value) -> int:
     raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
 
 
+def check_level(name: str, value, n_levels: int) -> int:
+    """The level rule: ``value`` as an int when it is an integer in [0, N)."""
+    level = check_index(name, value)
+    if not 0 <= level < n_levels:
+        raise ConfigInvalid(f"{name} {level} outside [0, {n_levels})")
+    return level
+
+
 def check_levels(n_levels) -> int:
     """The level-count rule: ``n_levels`` as an int when it is an integer >= 1."""
     n = check_index("n_levels", n_levels)
@@ -126,6 +133,35 @@ def check_rate(name: str, value) -> float:
     if rate <= 0:
         raise ConfigInvalid(f"{name} = {rate!r} must be > 0")
     return rate
+
+
+def check_seed(seed, error=ConfigInvalid) -> int:
+    """The seed rule: ``seed`` as an int when it is an integer in [0, 2**64),
+    Philox's key range; outside it ``error``, a non-integer ConfigInvalid."""
+    seed = check_index("seed", seed)
+    if not 0 <= seed < 1 << 64:
+        raise error(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
+def philox(seed) -> np.random.Generator:
+    """The counter-based generator keyed by ``[seed, 0]`` (``check_seed``)."""
+    return np.random.Generator(np.random.Philox(key=np.array([check_seed(seed), 0], np.uint64)))
+
+
+def check_header(n_levels, total, seed=None, first_label=0) -> tuple:
+    """The header rule of a ring: (N, seed, first label) as ints when N is
+    in [1, 2**32) (u32), the first label in [0, N), the seed None or valid
+    and the window ``total`` finite and > 0; a non-integer raises
+    ConfigInvalid, any other violation StreamInvariantViolation."""
+    first, n = check_index("first_label", first_label), check_index("n_levels", n_levels)
+    if not 1 <= n < 1 << 32:
+        raise StreamInvariantViolation(f"N = {n} outside [1, 2**32)")
+    if not 0 <= first < n:
+        raise StreamInvariantViolation(f"first label {first} outside [0, N)")
+    if not 0 < total < math.inf:  # NaN fails too
+        raise StreamInvariantViolation(f"total_duration must be finite and > 0, got {total!r}")
+    return n, None if seed is None else check_seed(seed, StreamInvariantViolation), first
 
 
 def check_delays(tau, signed: bool = True) -> np.ndarray:
@@ -194,26 +230,27 @@ class CascadeSpec:
 
     ``rates[0]`` is the reload rate; ``rates[j]`` for j >= 1 the relaxation
     rate out of level j. Rates carry units of inverse time. Construction
-    applies ``validate``, so every spec that exists lies in the domain.
+    applies the domain rule, so every spec that exists lies in the domain.
     """
 
     n_levels: int
     rates: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_levels", check_index("n_levels", self.n_levels))
+        n = check_index("n_levels", self.n_levels)
         try:
             rates = tuple(self.rates)
         except TypeError:
             raise ConfigInvalid(f"rates must be a sequence, got {self.rates!r}") from None
-        object.__setattr__(
-            self, "rates", tuple(check_rate(f"rates[{j}]", r) for j, r in enumerate(rates))
-        )
-        validate(self)
+        rates = tuple(check_rate(f"rates[{j}]", r) for j, r in enumerate(rates))
+        if check_levels(n) != len(rates):
+            raise ConfigInvalid(f"expected {n} rates, got {len(rates)}")
+        object.__setattr__(self, "n_levels", n)
+        object.__setattr__(self, "rates", rates)
 
     @classmethod
     def equal(cls, n_levels: int, gamma: float = 1.0) -> "CascadeSpec":
-        return cls(n_levels, (float(gamma),) * check_index("n_levels", n_levels))
+        return cls(n_levels, (gamma,) * check_index("n_levels", n_levels))
 
     @property
     def max_rate(self) -> float:
@@ -246,12 +283,9 @@ class CascadeSpec:
 
 
 def validate(spec: CascadeSpec) -> None:
-    """Raise the first violated CascadeSpec invariant; return None when valid."""
-    n = check_levels(spec.n_levels)
-    if len(spec.rates) != n:
-        raise ConfigInvalid(f"expected {n} rates, got {len(spec.rates)}")
-    for j, r in enumerate(spec.rates):
-        check_rate(f"rates[{j}]", r)
+    """Raise the first violated CascadeSpec invariant, None when valid; it
+    reruns construction's checks, so only a spec altered since can fail."""
+    CascadeSpec(spec.n_levels, spec.rates)
 
 
 def steady_state(spec: CascadeSpec) -> np.ndarray:
@@ -289,12 +323,15 @@ def signed_delay(right, m: int, n: int, tau) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class SubsetSpec:
-    """A non-empty set of transition labels detected jointly."""
+    """A non-empty set of transition labels detected jointly, from any iterable."""
 
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(sorted(check_index("subset member", i) for i in self.members))
+        try:
+            members = tuple(sorted(check_index("subset member", i) for i in self.members))
+        except TypeError:
+            raise ConfigInvalid(f"subset must be iterable, got {self.members!r}") from None
         if not members:
             raise ConfigInvalid("subset must contain at least one transition")
         if len(set(members)) != len(members):
@@ -307,8 +344,7 @@ class SubsetSpec:
 
     def check_against(self, n_levels: int) -> None:
         for i in self.members:
-            if not 0 <= i < n_levels:
-                raise ConfigInvalid(f"subset member {i} outside [0, {n_levels})")
+            check_level("subset member", i, n_levels)
 
 
 @dataclass(frozen=True)
@@ -363,8 +399,9 @@ class EventStream:
     so a trajectory is its strictly increasing ``times`` plus the label of
     the first event: event i carries label ``(first_label - i) % N``, and
     channel l is the strided view ``times[(first_label - l) % N :: N]``.
-    Label cycling, per-channel count balance and strict order (checked on
-    construction, NaN failing) hold for every stream;
+    Label cycling, per-channel count balance, the header rule
+    (``check_header``) and strict order (checked on construction, NaN
+    failing) hold for every stream;
     ``from_labels`` builds a stream from outside (times, labels) input and
     rejects labels that do not cycle. A stream is always a whole ring: the
     estimator (``correlate_blocks``) picks the channels it correlates.
@@ -386,14 +423,11 @@ class EventStream:
         times = np.asarray(self.times, dtype=float).view()
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "first_label", check_index("first_label", self.first_label))
-        object.__setattr__(self, "n_levels", check_index("n_levels", self.n_levels))
-        if times.ndim != 1 or not 0 <= self.first_label < self.n_levels:
-            raise StreamInvariantViolation("need 1-d times and a first label in [0, N)")
-        if not 0 < self.total_duration < math.inf:  # NaN fails too
-            raise StreamInvariantViolation(
-                f"total_duration must be finite and > 0, got {self.total_duration!r}"
-            )
+        header = check_header(self.n_levels, self.total_duration, self.seed, self.first_label)
+        for name, value in zip(("n_levels", "seed", "first_label"), header):
+            object.__setattr__(self, name, value)
+        if times.ndim != 1:
+            raise StreamInvariantViolation("need 1-d times")
         check_order(times)
 
     @classmethod

@@ -37,6 +37,7 @@ from .model import (
     NumericalFailure,
     check_delays,
     check_index,
+    check_level,
     check_rate,
     signed_delay,
     steady_state,
@@ -196,9 +197,7 @@ def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> 
     gap. Each step multiplies a nonnegative vector by a nonnegative
     matrix, so the relative accuracy of every entry survives the steps."""
     n = spec.n_levels
-    initial_level = check_index("initial_level", initial_level)
-    if not 0 <= initial_level < n:
-        raise ConfigInvalid(f"initial_level {initial_level} outside [0, {n})")
+    initial_level = check_level("initial_level", initial_level, n)
     taus = check_delays(taus, signed=False)
     q = generator_matrix(spec)
     order = np.argsort(taus, kind="stable")

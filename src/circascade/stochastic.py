@@ -6,8 +6,8 @@ a trajectory is fully described by its dwell times: visit i sits in level
 labeled with the source level at the jump. The simulator therefore keeps
 only the jump times and the level of the first recorded visit, which is
 exactly an ``EventStream`` ring. Sampling is vectorized in chunks drawn
-into one reused buffer; the RNG is counter-based (Philox keyed by the
-seed), so one seed gives one stream whatever the chunk size.
+into one reused buffer; the RNG is counter-based (``model.philox``, keyed
+by the seed), so one seed gives one stream whatever the chunk size.
 
 The text format stores one '<timestamp> <label>' line per event, and
 its reader checks the labels with ``check_labels``, which rejects labels
@@ -17,7 +17,8 @@ with the first label, then the raw f64 times. One writer,
 into place when complete (``simulate_to_binary`` as the chunks are drawn,
 ``write_events_binary`` from a stream). Both formats are read block by
 block, ``_READ_BLOCK`` timestamps or lines at a time (``_binary_blocks``,
-``_text_blocks``), with the same order checks across block seams; one
+``_text_blocks``), each checking its header by ``check_header``;
+``_checked`` checks either's order across block seams and its span. One
 collector, ``_join``, gathers those blocks or ``simulate``'s chunks into
 one array for ``read_events_binary`` and ``read_events_text``, and
 ``read_event_blocks`` hands out the blocks as they are read, for a
@@ -45,11 +46,14 @@ from .model import (
     InsufficientSamples,
     NumericalFailure,
     StreamInvariantViolation,
-    check_index,
+    check_header,
     check_labels,
+    check_level,
     check_order,
+    check_seed,
     check_span,
     first_unordered,
+    philox,
     steady_state,
 )
 
@@ -87,12 +91,9 @@ class SimConfig:
             raise ConfigInvalid("total_events must be >= 1")
         if not 0 <= self.burn_in < np.inf:
             raise ConfigInvalid(f"burn_in must be finite and >= 0, got {self.burn_in!r}")
-        if self.initial_level is not None and not (
-            0 <= check_index("initial_level", self.initial_level) < self.spec.n_levels
-        ):
-            raise ConfigInvalid(
-                f"initial_level {self.initial_level} outside [0, {self.spec.n_levels})"
-            )
+        if self.initial_level is not None:
+            check_level("initial_level", self.initial_level, self.spec.n_levels)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def _expected_draws(config: SimConfig) -> int:
@@ -119,7 +120,7 @@ def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
     spec = config.spec
     n = spec.n_levels
     rates = np.asarray(spec.rates, dtype=float)
-    rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64)))
+    rng = philox(config.seed)
 
     if config.initial_level is None:
         start = int(rng.choice(n, p=steady_state(spec)))
@@ -301,9 +302,7 @@ def occupancy_block_estimates(stream: EventStream, n_blocks: int = 100) -> np.nd
 
 def dwell_samples(stream: EventStream, level: int) -> np.ndarray:
     """Uncensored dwell times in one level (gaps preceding its departures)."""
-    n, level = stream.n_levels, check_index("level", level)
-    if not 0 <= level < n:
-        raise ConfigInvalid(f"level {level} outside [0, {n})")
+    n, level = stream.n_levels, check_level("level", level, stream.n_levels)
     # gap j ends event j + 1, whose label is level when j = first - level - 1 mod N
     return np.diff(stream.times)[(stream.first_label - level - 1) % n :: n]
 
@@ -315,10 +314,9 @@ def dwell_samples(stream: EventStream, level: int) -> np.ndarray:
 def write_events_text(stream: EventStream, path) -> None:
     """Plain-text format: header line, then '<timestamp> <label>' per event."""
     times, n = stream.times, stream.n_levels
-    seed = stream.seed if stream.seed is not None else 0
     with open(path, "w") as fh:
         fh.write(
-            f"# cascade-events v1 N={stream.n_levels} seed={seed} "
+            f"# cascade-events v1 N={stream.n_levels} seed={stream.seed or 0} "
             f"T={stream.total_duration:.17g}\n"
         )
         for start in range(0, len(times), _TEXT_BLOCK):
@@ -335,12 +333,11 @@ def _text_blocks(path):
     """Generator over a text stream file: first (N, seed, T), then, block
     by block, (label of the first event, times).
 
-    Each step parses the next ``_READ_BLOCK`` event lines (``np.loadtxt``
-    with ``max_rows`` consumes just those lines). The checks run in the
-    order of one whole parse: the header, the lines, their labels (whole
-    numbers in [0, N) that cycle, across block seams too), N, the first
-    label and T after the first block, strict order across seams, and the
-    span after the last. A malformed line is named by its row among all.
+    The header and its values (``check_header``) are checked first. Each
+    step then parses the next ``_READ_BLOCK`` event lines (``np.loadtxt``
+    with ``max_rows`` consumes just those lines) and checks the lines and
+    their labels, whole numbers in [0, N) that cycle, across block seams
+    too. A malformed line is named by its row among all.
     """
     with open(path, errors="replace") as fh:  # undecodable bytes fail below
         header = fh.readline().strip()
@@ -351,8 +348,8 @@ def _text_blocks(path):
             n = None
         if n is None or not header.startswith("# cascade-events v1"):
             raise StreamInvariantViolation(f"bad event stream header: {header!r}")
-        yield n, seed, total
-        ends, rows, label = [], 0, None
+        yield *check_header(n, total, seed)[:2], total
+        rows, label = 0, None
         while True:
             try:
                 with warnings.catch_warnings():  # an empty body or line is reported below
@@ -364,7 +361,7 @@ def _text_blocks(path):
                 raise StreamInvariantViolation(f"malformed event line: {message}") from None
             if data.size == 0:
                 if rows:
-                    break
+                    return
                 raise StreamInvariantViolation("event stream file has no events")
             if data.shape[1] != 2:
                 raise StreamInvariantViolation("event lines must read '<timestamp> <label>'")
@@ -372,22 +369,35 @@ def _text_blocks(path):
             if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
                 raise StreamInvariantViolation("event labels must be whole numbers")
             check_labels(labels, n, label, rows)
-            if label is None:
-                EventStream(np.empty(0), int(labels[0]), n, total)  # N, first label and T
-            check_order(times, ends[-1] if ends else None)
-            ends = [ends[0] if ends else times[0], times[-1]]
             yield int(labels[0]), times
             rows, label = rows + len(times), labels[-1]
-    check_span(ends, total)
+
+
+def _checked(blocks):
+    """A reader's header (N, seed, T[, count]) and blocks (label of the
+    first event, times), checked as they pass for strict order across
+    block seams and, after the last, for their span against T."""
+    header = next(blocks)
+    yield header
+    ends = []  # first and last timestamp read
+    for label, times in blocks:
+        check_order(times, ends[-1] if ends else None)
+        ends = [ends[0] if ends else times[0], times[-1]]
+        yield label, times
+    check_span(ends, header[2])
+
+
+def _read_whole(blocks) -> EventStream:
+    """The stream of a reader's blocks, checked as they are joined."""
+    blocks = _checked(blocks)
+    n_levels, seed, total, *count = next(blocks)
+    first, times = _join(blocks, count[0] if count else _READ_BLOCK)
+    return EventStream(times, first, n_levels, total, seed=seed)
 
 
 def read_events_text(path) -> EventStream:
-    """Read a text stream file, checking it block by block
-    (``_text_blocks``) as it is copied into one array."""
-    blocks = _text_blocks(path)
-    n_levels, seed, total = next(blocks)
-    first, times = _join(blocks, _READ_BLOCK)
-    return EventStream(times, first, n_levels, total, seed=seed)
+    """Read a text stream file (``_text_blocks``)."""
+    return _read_whole(_text_blocks(path))
 
 
 def write_events_binary(stream: EventStream, path) -> None:
@@ -395,8 +405,8 @@ def write_events_binary(stream: EventStream, path) -> None:
 
     Layout: magic 'CEV2', then the ``<IIQdQ`` header (u32 N, u32 first
     label, u64 seed, f64 T, u64 count), then the ring's count f64
-    timestamps. The labels follow from the first one, so any N fits. A
-    failed write leaves no file.
+    timestamps; the labels follow from the first. Every stream's N and seed
+    fit (``check_header``). A failed write leaves no file.
     """
     _write_binary(path, stream.n_levels, stream.seed or 0,
                   [(stream.first_label, stream.times)], stream.total_duration)
@@ -432,9 +442,8 @@ def _binary_blocks(path):
 
     The body is read ``_READ_BLOCK`` timestamps at a time into one reused
     buffer, so a block is valid until the next is drawn. The header, the
-    body size, N, the first label and T are checked before the first item,
-    strict order across block seams as the blocks are read, and at least
-    one event and the span after the last.
+    body size and the header's values (``check_header``) are checked
+    before the first item.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -450,10 +459,9 @@ def _binary_blocks(path):
         if size != 8 * count:
             raise StreamInvariantViolation(
                 f"binary stream body is {size} bytes, not {count} f64 timestamps")
-        EventStream(np.empty(0), first, n, total)  # N, first label and T, before the body
+        check_header(n, total, seed, first)
         yield n, seed, total, count
         block = np.empty(min(count, _READ_BLOCK), "<f8")
-        ends = []   # first and last timestamp read
         for start in range(0, count, _READ_BLOCK):
             buf = block[:min(_READ_BLOCK, count - start)]
             got = fh.readinto(buf)
@@ -461,19 +469,12 @@ def _binary_blocks(path):
                 raise StreamInvariantViolation(
                     f"binary stream body is {8 * start + got} bytes, not {count} f64 timestamps"
                 )
-            check_order(buf, ends[-1] if ends else None)
-            ends = [ends[0] if ends else buf[0], buf[-1]]
             yield (first - start) % n, buf
-    check_span(ends, total)
 
 
 def read_events_binary(path) -> EventStream:
-    """Read a binary stream file, checking it block by block
-    (``_binary_blocks``) as it is copied into one array."""
-    blocks = _binary_blocks(path)
-    n_levels, seed, total, count = next(blocks)
-    first, times = _join(blocks, count)
-    return EventStream(times, first, n_levels, total, seed=seed)
+    """Read a binary stream file (``_binary_blocks``)."""
+    return _read_whole(_binary_blocks(path))
 
 
 def read_event_blocks(path) -> tuple[int, float, Iterator[tuple[int, np.ndarray]]]:
@@ -488,6 +489,6 @@ def read_event_blocks(path) -> tuple[int, float, Iterator[tuple[int, np.ndarray]
     """
     with open(path, "rb") as fh:  # any CEV magic is binary: its reader checks and names it
         binary = fh.read(3) == _BINARY_MAGIC[:3]
-    blocks = _binary_blocks(path) if binary else _text_blocks(path)
+    blocks = _checked(_binary_blocks(path) if binary else _text_blocks(path))
     n_levels, _, total = next(blocks)[:3]
     return n_levels, total, blocks

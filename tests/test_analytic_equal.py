@@ -146,6 +146,12 @@ def test_subset_empty_rejected():
         g2_subset(10, (), 1.0, 0.0)
 
 
+def test_subset_that_is_not_iterable_rejected():
+    with pytest.raises(ConfigInvalid, match="subset must be iterable"):
+        g2_subset(6, 3, 1.0, 0.5)
+    assert g2_subset(6, [1, 2], 1.0, 0.5) == g2_subset(6, SubsetSpec((1, 2)), 1.0, 0.5)
+
+
 def test_bundle_peak_values():
     assert bundle_peak(50, 2) == pytest.approx(12.5)
     assert bundle_peak(50, 1) == 0.0

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -191,6 +192,154 @@ def test_malformed_flag_exits_2_naming_the_flag(tmp_path, flag, args):
     assert cp.returncode == 2, cp.stderr
     assert flag in cp.stderr
     assert not out.exists()
+
+
+# files named by --rates in RING_FLAG_ERRORS, written to the working directory
+RATES_FILES = {
+    "broken.json": "{not json",
+    "nokey.json": '{"rates": [1.0, 2.0]}',
+    "negative.json": '{"n_levels": 3, "rates": [1.0, -1.0, 2.0]}',
+    "short.json": '{"n_levels": 3, "rates": [1.0, 2.0]}',
+    "zero.json": '{"n_levels": 0, "rates": []}',
+}
+
+USAGE = {
+    "analytic": "usage: circascade analytic [-h] [--n N] [--gamma GAMMA] [--pair PAIR] [--k K]\n"
+                "                           [--subset SUBSET] [--tau TAU] [--steps STEPS]\n"
+                "                           [--preset PRESET] [--out OUT]\n",
+    "simulate": "usage: circascade simulate [-h] [--n N] [--gamma GAMMA] [--rates RATES]\n"
+                "                           [--events EVENTS] [--duration DURATION]\n"
+                "                           [--seed SEED] [--burn-in BURN_IN]\n"
+                "                           [--initial INITIAL] [--format {binary,text}]\n"
+                "                           [--out OUT]\n",
+    "peaks": "usage: circascade peaks [-h] [--n N] [--gamma GAMMA] [--k K] [--orders ORDERS]\n"
+             "                        [--cross] [--cross-orders CROSS_ORDERS] [--scan SCAN]\n"
+             "                        [--preset PRESET] [--csv CSV] [--out OUT]\n",
+    "cscheck": "usage: circascade cscheck [-h] [--n N] [--gamma GAMMA] [--rates RATES] --pair\n"
+               "                          PAIR [--tau-samples TAU_SAMPLES] [--out OUT]\n",
+    "main": "usage: circascade [-h] [--version]\n"
+            "                  {analytic,general,simulate,correlate,peaks,cscheck} ...\n",
+}
+NOT_A_SPEC = "is not a valid spec: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+
+# exit code and stderr of each way to give a subcommand a bad ring, recorded
+# while each subcommand still resolved its ring flags itself (80 columns)
+RING_FLAG_ERRORS = [
+    (["analytic", "--k", "1"], 2, "error: --n is required\n"),
+    (["analytic", "--n", "0", "--k", "1"], 2, "error: --n/--gamma: n_levels must be >= 1, got 0\n"),
+    (["analytic", "--n", "6", "--gamma", "nan", "--k", "1"], 2, USAGE["analytic"]
+     + "circascade analytic: error: argument --gamma: expected a finite number, got 'nan'\n"),
+    (["analytic", "--n", "6", "--gamma", "0", "--k", "1"], 2,
+     "error: --n/--gamma: rates[0] = 0.0 must be > 0\n"),
+    (["analytic", "--n", "x", "--k", "1"], 2, USAGE["analytic"]
+     + "circascade analytic: error: argument --n: invalid int value: 'x'\n"),
+    (["general", "--pair", "1,1"], 2, "error: --rates (JSON file) or --rates-inline is required\n"),
+    (["general", "--rates", "broken.json"], 2, f"error: --rates file 'broken.json' {NOT_A_SPEC}\n"),
+    (["general", "--rates", "nokey.json"], 2,
+     "error: --rates file 'nokey.json' is not a valid spec: 'n_levels'\n"),
+    (["general", "--rates", "negative.json"], 2, "error: --rates: rates[1] = -1.0 must be > 0\n"),
+    (["general", "--rates", "short.json"], 2, "error: --rates: expected 3 rates, got 2\n"),
+    (["general", "--rates", "zero.json"], 2, "error: --rates: n_levels must be >= 1, got 0\n"),
+    (["general", "--rates", "missing.json"], 4,
+     "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+    (["general", "--rates-inline", "1,x"], 2,
+     "error: --rates-inline expects 'r0,r1,...' with finite numbers, got '1,x'\n"),
+    (["general", "--rates-inline", "1,-1"], 2, "error: --rates-inline: rates[1] = -1.0 must be > 0\n"),
+    (["general", "--rates-inline", "1,x", "--rates", "broken.json"], 2,
+     "error: --rates-inline expects 'r0,r1,...' with finite numbers, got '1,x'\n"),
+    (["general", "--rates-inline", "1,2", "--rates", "broken.json", "--pair", "5,5"], 2,
+     "error: --pair '5,5' has an index outside [0, 2)\n"),
+    (["general", "--n", "3"], 2,
+     USAGE["main"] + "circascade: error: unrecognized arguments: --n 3\n"),
+    (["simulate", "--events", "10"], 2, "error: --n is required\n"),
+    (["simulate", "--n", "0", "--events", "10"], 2,
+     "error: --n/--gamma: n_levels must be >= 1, got 0\n"),
+    (["simulate", "--n", "3", "--gamma", "inf", "--events", "10"], 2, USAGE["simulate"]
+     + "circascade simulate: error: argument --gamma: expected a finite number, got 'inf'\n"),
+    (["simulate", "--n", "3", "--gamma", "-1", "--events", "10"], 2,
+     "error: --n/--gamma: rates[0] = -1.0 must be > 0\n"),
+    (["simulate", "--rates", "broken.json", "--events", "10"], 2,
+     f"error: --rates file 'broken.json' {NOT_A_SPEC}\n"),
+    (["simulate", "--n", "3", "--rates", "negative.json", "--events", "10"], 2,
+     "error: --rates: rates[1] = -1.0 must be > 0\n"),
+    (["simulate", "--rates", "missing.json", "--events", "10"], 4,
+     "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+    (["peaks"], 2, "error: --n is required\n"),
+    (["peaks", "--n", "0"], 2, "error: --n/--gamma: n_levels must be >= 1, got 0\n"),
+    (["peaks", "--n", "6", "--gamma", "-inf"], 2, USAGE["peaks"]
+     + "circascade peaks: error: argument --gamma: expected one argument\n"),
+    (["peaks", "--n", "6", "--gamma", "0"], 2, "error: --n/--gamma: rates[0] = 0.0 must be > 0\n"),
+    (["peaks", "--scan", "3:5", "--gamma", "0"], 2,
+     "error: --scan/--gamma: rates[0] = 0.0 must be > 0\n"),
+    (["peaks", "--scan", "3:5", "--gamma", "nan"], 2, USAGE["peaks"]
+     + "circascade peaks: error: argument --gamma: expected a finite number, got 'nan'\n"),
+    (["peaks", "--scan", "0:3"], 2, "error: --scan/--gamma: n_levels must be >= 1, got 0\n"),
+    (["peaks", "--scan", "3:5", "--gamma", "-2", "--n", "4"], 2,
+     "error: --scan/--gamma: rates[0] = -2.0 must be > 0\n"),
+    (["cscheck", "--pair", "1,1"], 2, "error: --n is required\n"),
+    (["cscheck", "--n", "0", "--pair", "1,1"], 2,
+     "error: --n/--gamma: n_levels must be >= 1, got 0\n"),
+    (["cscheck", "--n", "6", "--gamma", "nan", "--pair", "1,1"], 2, USAGE["cscheck"]
+     + "circascade cscheck: error: argument --gamma: expected a finite number, got 'nan'\n"),
+    (["cscheck", "--n", "6", "--gamma", "0", "--pair", "1,1"], 2,
+     "error: --n/--gamma: rates[0] = 0.0 must be > 0\n"),
+    (["cscheck", "--rates", "broken.json", "--pair", "1,1"], 2,
+     f"error: --rates file 'broken.json' {NOT_A_SPEC}\n"),
+    (["cscheck", "--rates", "short.json", "--pair", "1,1"], 2,
+     "error: --rates: expected 3 rates, got 2\n"),
+    (["cscheck", "--n", "6", "--rates", "negative.json", "--pair", "1,1"], 2,
+     "error: --rates: rates[1] = -1.0 must be > 0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stderr", RING_FLAG_ERRORS,
+                         ids=[" ".join(argv) for argv, _, _ in RING_FLAG_ERRORS])
+def test_ring_flag_errors_keep_their_exit_code_and_message(tmp_path, monkeypatch, capsys,
+                                                           argv, code, stderr):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, text in RATES_FILES.items():
+        (tmp_path / name).write_text(text)
+    try:
+        got = cli.main([*argv, "--out", "x.out"])
+    except SystemExit as exc:  # argparse's own errors
+        got = exc.code
+    assert (got, capsys.readouterr().err) == (code, stderr)
+    assert not list(tmp_path.glob("x.out*"))
+
+
+# each subcommand's option strings, in order, as they were before the
+# shared flags moved into parent parsers
+OPTION_STRINGS = {
+    "analytic": ["-h", "--help", "--n", "--gamma", "--pair", "--k", "--subset", "--tau",
+                 "--steps", "--preset", "--out"],
+    "general": ["-h", "--help", "--rates", "--rates-inline", "--pair", "--tau", "--steps",
+                "--preset", "--out"],
+    "simulate": ["-h", "--help", "--n", "--gamma", "--rates", "--events", "--duration",
+                 "--seed", "--burn-in", "--initial", "--format", "--out"],
+    "correlate": ["-h", "--help", "--in", "--pair", "--subset", "--bin", "--taumax", "--out"],
+    "peaks": ["-h", "--help", "--n", "--gamma", "--k", "--orders", "--cross", "--cross-orders",
+              "--scan", "--preset", "--csv", "--out"],
+    "cscheck": ["-h", "--help", "--n", "--gamma", "--rates", "--pair", "--tau-samples", "--out"],
+}
+
+
+def test_each_subcommand_keeps_its_option_strings():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: [s for action in parser._actions for s in action.option_strings]
+           for name, parser in sub.choices.items()}
+    assert got == OPTION_STRINGS
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_with_a_seed_outside_u64_exits_2_and_leaves_no_file(tmp_path, capsys, seed, fmt):
+    argv = ["simulate", "--n", "3", "--events", "10", "--seed", seed, "--format", fmt,
+            "--out", str(tmp_path / "run.events")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("bin_width, tau_max", [("1e-300", "1e10"), ("1e-300", "1e5")],

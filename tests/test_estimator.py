@@ -83,7 +83,7 @@ def test_a_subset_of_the_whole_ring_is_counted_without_a_gather():
     assert trace.values.tobytes() == expected.values.tobytes()
 
 
-@pytest.mark.parametrize("levels", [[], [1, 1], [4], [-1], [0.5]])
+@pytest.mark.parametrize("levels", [[], [1, 1], [4], [-1], [0.5], 3, 2.5])
 def test_correlate_blocks_rejects_a_subset_outside_the_ring(levels):
     with pytest.raises(ConfigInvalid):
         correlate_blocks([(1, np.arange(1.0, 13.0))], 4, 200.0, HistogramConfig(0.5, 2.0),

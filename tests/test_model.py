@@ -168,6 +168,19 @@ def test_subset_spec_validation():
         SubsetSpec((0, 7)).check_against(6)
 
 
+@pytest.mark.parametrize("members", [[2, 0], range(0, 3, 2), {0, 2}, np.array([2, 0]),
+                                     (m for m in (2, 0))],
+                         ids=["list", "range", "set", "array", "generator"])
+def test_subset_spec_takes_any_iterable(members):
+    assert SubsetSpec(members).members == (0, 2)
+
+
+@pytest.mark.parametrize("members", [3, 2.5, None], ids=["int", "float", "None"])
+def test_subset_spec_rejects_what_is_not_iterable(members):
+    with pytest.raises(ConfigInvalid, match="subset must be iterable"):
+        SubsetSpec(members)
+
+
 def test_event_stream_accepts_valid_cycle():
     # labels must step down cyclically: 2, 1, 0, 2, 1, 0, ...
     stream = EventStream.from_labels(

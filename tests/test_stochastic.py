@@ -21,6 +21,7 @@ from circascade import (
     NumericalFailure,
     SimConfig,
     StreamInvariantViolation,
+    block_bootstrap_stderr,
     correlate_blocks,
     dwell_samples,
     occupancy_block_estimates,
@@ -52,6 +53,28 @@ def test_invalid_configs_rejected():
         simulate(SimConfig(spec, seed=1, duration=1.0, burn_in=-0.1))
     with pytest.raises(ConfigInvalid):
         simulate(SimConfig(spec, seed=1, duration=1.0, initial_level=3))
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, r"seed must be in \[0, 2\*\*64\), got -1"),
+    (2**64, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
+    (1.5, "seed must be an integer"),
+    (True, "seed must be an integer"),
+])
+def test_a_seed_outside_the_philox_key_range_is_rejected(seed, message):
+    stream = EventStream(np.arange(1.0, 41.0), 2, 3, 40.0)
+    with pytest.raises(ConfigInvalid, match=message):
+        SimConfig(SPEC124, seed=seed, total_events=10)
+    with pytest.raises(ConfigInvalid, match=message):
+        block_bootstrap_stderr(stream, HistogramConfig(0.5, 2.0, channels=(1, 1)), seed=seed)
+
+
+def test_the_largest_seed_runs_and_is_kept_in_both_formats(tmp_path):
+    stream = simulate(SimConfig(SPEC124, seed=2**64 - 1, total_events=10))
+    for write, read in ((write_events_binary, read_events_binary),
+                        (write_events_text, read_events_text)):
+        write(stream, tmp_path / "run.events")
+        assert read(tmp_path / "run.events").seed == 2**64 - 1
 
 
 @pytest.mark.parametrize(
@@ -585,13 +608,61 @@ def test_damaged_binary_rejected(tmp_path, damage):
 
 
 def test_binary_round_trips_rings_beyond_u16_labels(tmp_path):
-    # the ring stores no per-event label, so any N fits the binary format
+    # the ring stores no per-event label, so any N below 2**32 fits the binary format
     stream = EventStream(np.arange(1.0, 101.0), 69_990, 70_000, 200.0, seed=3)
     path = tmp_path / "big.events"
     write_events_binary(stream, path)
     again = read_events_binary(path)
     assert (again.n_levels, again.first_label, again.seed) == (70_000, 69_990, 3)
     assert np.array_equal(again.times, stream.times)
+
+
+@pytest.mark.parametrize("header, message", [
+    ({"n_levels": 2**32}, r"N = 4294967296 outside \[1, 2\*\*32\)"),
+    ({"n_levels": 0}, r"N = 0 outside \[1, 2\*\*32\)"),
+    ({"seed": -1}, r"seed must be in \[0, 2\*\*64\)"),
+    ({"seed": 2**64}, r"seed must be in \[0, 2\*\*64\)"),
+    ({"first_label": 3}, r"first label 3 outside \[0, N\)"),
+    ({"total_duration": np.nan}, "total_duration must be finite"),
+])
+def test_a_stream_header_outside_the_binary_format_is_rejected(header, message):
+    fields = {"first_label": 0, "n_levels": 3, "total_duration": 10.0, "seed": None, **header}
+    with pytest.raises(StreamInvariantViolation, match=message):
+        EventStream(np.array([1.0, 2.0]), **fields)
+
+
+@pytest.mark.parametrize("n_levels, seed", [(2**32, 0), (3, 2**64), (3, -1)])
+def test_a_header_the_binary_format_cannot_hold_leaves_no_file(tmp_path, n_levels, seed):
+    # no EventStream holds such a header (above); a stand-in that does
+    # fails when the header is packed, after the body, and leaves no file
+    path = tmp_path / "run.events"
+    broken = mock.Mock(n_levels=n_levels, first_label=0, seed=seed, total_duration=3.0,
+                       times=np.array([1.0, 2.0]))
+    with pytest.raises(struct.error):
+        write_events_binary(broken, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fields, message", [
+    ("N=99999999999999999999 seed=0 T=10", r"N = 99999999999999999999 outside \[1, 2\*\*32\)"),
+    ("N=4294967296 seed=0 T=10", r"N = 4294967296 outside \[1, 2\*\*32\)"),
+    (f"N={10**400} seed=0 T=10", r"outside \[1, 2\*\*32\)"),
+    ("N=3 seed=-1 T=10", r"seed must be in \[0, 2\*\*64\), got -1"),
+    ("N=3 seed=18446744073709551616 T=10", r"seed must be in \[0, 2\*\*64\)"),
+    ("N=3 seed=0 T=nan", "total_duration must be finite"),
+], ids=["N 1e20", "N 2**32", "N 1e400", "seed -1", "seed 2**64", "T nan"])
+def test_a_text_header_outside_the_binary_format_exits_4(tmp_path, capsys, fields, message):
+    path = tmp_path / "run.txt"
+    path.write_text(f"# cascade-events v1 {fields}\n0.5 2\n0.9 1\n1.4 0\n")
+    for selection in SELECTIONS:
+        with pytest.raises(StreamInvariantViolation, match=message):
+            _read_selected(read_events_text, path, selection)
+    out = tmp_path / "run.bin"
+    argv = ["correlate", "--in", str(path), "--pair", "1,1", "--bin", "0.1", "--taumax", "0.2",
+            "--out", str(out)]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def _damaged_copies(data: bytes):
@@ -671,3 +742,57 @@ def test_arbitrary_bytes_raise_only_cascade_errors_at_any_block_seam(damaged, bl
                 _read_selected(read, path, selection)
             except CascadeError:
                 pass
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+# integers of any size, the u32 and u64 limits and past them included
+_INTEGERS = st.one_of(st.integers(-2**70, 2**70), st.sampled_from(
+    [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, -1, 10**30, 10**400]))
+
+
+@st.composite
+def _stream_files(draw):
+    """The bytes of a stream file: a valid header of either format, or a
+    random one, then the valid body or arbitrary bytes."""
+    binary = draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events")
+        (write_events_binary if binary else write_events_text)(
+            EventStream(np.arange(1.0, 4.0), 2, 3, 10.0, seed=1), path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    cut = 36 if binary else data.index(b"\n") + 1
+    header, body = data[:cut], data[cut:]
+    if draw(st.booleans()):  # a random header
+        if binary:
+            n, first = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+            seed, total = draw(st.integers(0, 2**64 - 1)), draw(_FLOATS)
+            count = draw(st.integers(0, 2**64 - 1))
+            header = b"CEV2" + struct.pack("<IIQdQ", n, first, seed, total, count)
+        else:
+            n, seed, total = draw(_INTEGERS), draw(_INTEGERS), draw(_FLOATS)
+            header = f"# cascade-events v1 N={n} seed={seed} T={total!r}\n".encode()
+    body = draw(st.just(body) | st.binary(max_size=200)
+                | st.text(" \t\n#.+-0123456789aefin", max_size=200).map(str.encode))
+    if binary and draw(st.booleans()):  # a count that fits the body reaches the blocks
+        body = body[:len(body) // 8 * 8]
+        header = header[:28] + struct.pack("<Q", len(body) // 8)
+    return header + body
+
+
+# numpy warns about an empty event block and about inf - inf on its way to
+# the error the reader raises
+@pytest.mark.filterwarnings("ignore:loadtxt", "ignore:invalid value")
+@settings(max_examples=300, deadline=None)
+@given(data=_stream_files(), block=st.sampled_from([1, 4, 64]))
+def test_drained_blocks_of_any_header_and_bytes_raise_only_cascade_errors(data, block):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(stochastic, "_READ_BLOCK", block):
+        path = os.path.join(tmp, "events")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            for _ in read_event_blocks(path)[2]:
+                pass
+        except CascadeError:
+            pass
