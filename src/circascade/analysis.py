@@ -18,6 +18,7 @@ from .model import (
     InsufficientSamples,
     check_index,
     check_levels,
+    check_number,
     check_rate,
 )
 from .spectral_general import g2_general, g2_three_level
@@ -124,22 +125,28 @@ def _grid_brackets(n_levels: int, k: int, gamma: float) -> Iterator[tuple[float,
             return
 
 
-def _scan_peaks(
-    n_levels: int, k: int, gamma: float, max_order: int
-) -> list[tuple[float, float]]:
+def _peak_report(
+    n_levels: int, gamma: float, classes: list[int], max_order: int, kind: str, missing: str
+) -> PeakReport:
+    """The first max_order maxima of each class's trace, keeping the larger
+    peak of each order (the first class's on a tie) over the classes, each
+    scanned once; InsufficientSamples(missing) when one class has none."""
     if check_index("max_order", max_order) < 1:
         raise ConfigInvalid(f"max_order must be >= 1, got {max_order}")
-    brackets = []
-    for bracket in _grid_brackets(n_levels, k, gamma):
-        brackets.append(bracket)
-        if len(brackets) == max_order:
-            break
-    if not brackets:
-        return []
-    f = lambda t: g2_equal(n_levels, k, gamma, t)
-    a, b = np.array(brackets).T
-    taus = _golden_refine(f, a, b, PEAK_REFINE_TOL / gamma)
-    return list(zip(taus.tolist(), f(taus).tolist()))
+    sides = []
+    for k in dict.fromkeys(classes):
+        # zip stops at the range's end before it asks the scan for more
+        found = [b for _, b in zip(range(max_order), _grid_brackets(n_levels, k, gamma))]
+        if found:
+            f = lambda t: g2_equal(n_levels, k, gamma, t)
+            taus = _golden_refine(f, *np.array(found).T, PEAK_REFINE_TOL / gamma)
+            found = list(zip(taus.tolist(), f(taus).tolist()))
+        sides.append(found)
+    if not all(sides):
+        raise InsufficientSamples(missing)
+    best = (max(tvs, key=lambda tv: tv[1]) for tvs in zip(*sides))
+    peaks = tuple(Peak(order=q, tau=t, magnitude=v) for q, (t, v) in enumerate(best, 1))
+    return PeakReport(peaks, n_levels, classes[0], gamma, kind=kind)
 
 
 def find_peaks(n_levels: int, gamma: float, k: int, max_order: int) -> PeakReport:
@@ -153,13 +160,8 @@ def find_peaks(n_levels: int, gamma: float, k: int, max_order: int) -> PeakRepor
     """
     n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
     k = check_index("k", k)
-    found = _scan_peaks(n_levels, k % n_levels, gamma, max_order)
-    if not found:
-        raise InsufficientSamples(f"no oscillation maxima for N={n_levels}, k={k}")
-    peaks = tuple(
-        Peak(order=q + 1, tau=t, magnitude=v) for q, (t, v) in enumerate(found)
-    )
-    return PeakReport(peaks, n_levels, k % n_levels, gamma, kind="auto")
+    return _peak_report(n_levels, gamma, [k % n_levels], max_order, "auto",
+                        f"no oscillation maxima for N={n_levels}, k={k}")
 
 
 def find_peaks_cross(n_levels: int, gamma: float, max_order: int) -> PeakReport:
@@ -170,19 +172,9 @@ def find_peaks_cross(n_levels: int, gamma: float, max_order: int) -> PeakReport:
     larger peak of each order is reported.
     """
     n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
-    k = (n_levels + 3) // 2
-    k_mirror = (2 - k) % n_levels
-    sides = [_scan_peaks(n_levels, k % n_levels, gamma, max_order)]
-    if k_mirror != k % n_levels:
-        sides.append(_scan_peaks(n_levels, k_mirror, gamma, max_order))
-    n_orders = min(len(s) for s in sides)
-    if n_orders == 0:
-        raise InsufficientSamples(f"no cross-trace maxima for N={n_levels}")
-    peaks = []
-    for q in range(min(n_orders, max_order)):
-        t, v = max((side[q] for side in sides), key=lambda tv: tv[1])
-        peaks.append(Peak(order=q + 1, tau=t, magnitude=v))
-    return PeakReport(tuple(peaks), n_levels, k % n_levels, gamma, kind="cross")
+    k = (n_levels + 3) // 2 % n_levels
+    return _peak_report(n_levels, gamma, [k, (2 - k) % n_levels], max_order, "cross",
+                        f"no cross-trace maxima for N={n_levels}")
 
 
 @dataclass(frozen=True)
@@ -246,22 +238,15 @@ def cs_check(spec: CascadeSpec, m: int, n: int, tau_samples: Sequence[float]) ->
         raise ConfigInvalid("Cauchy-Schwarz check needs two distinct transitions")
     g = _pair_evaluator(spec)
     lhs = g(n, n, 0.0) * g(m, m, 0.0)
-    samples = []
-    max_ratio: float | None = None
-    infinite = False
-    for tau in tau_samples:
-        rhs = g(n, m, float(tau)) ** 2
-        if lhs > 0:
-            violated = rhs > lhs + 1e-12
-            if violated:
-                ratio = rhs / lhs
-                max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)
-        else:
-            violated = rhs > 0.0
-            if violated:
-                infinite = True
-        samples.append(ViolationSample(float(tau), rhs, violated))
-    return ViolationReport((m, n), lhs, tuple(samples), infinite, max_ratio)
+    # one route call per sample, squared as a Python float: numpy's ** 2
+    # can differ by an ulp, and no sample may depend on the others
+    taus = [check_number("tau", tau) for tau in tau_samples]
+    rhs = np.array([g(n, m, tau) ** 2 for tau in taus], dtype=float)
+    positive = lhs > 0
+    violated = rhs > (lhs + 1e-12 if positive else 0.0)
+    max_ratio = float((rhs[violated] / lhs).max()) if positive and violated.any() else None
+    samples = tuple(map(ViolationSample, taus, rhs.tolist(), violated.tolist()))
+    return ViolationReport((m, n), lhs, samples, not positive and bool(violated.any()), max_ratio)
 
 
 def discontinuity(spec: CascadeSpec, m: int, n: int) -> tuple[float, float, float]:

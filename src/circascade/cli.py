@@ -290,10 +290,7 @@ def cmd_peaks(args) -> None:
                               else find_peaks_cross(n, args.gamma, n_orders))
                 except InsufficientSamples:  # no maxima at this N
                     continue
-                rows += [
-                    f"{kind},{n},{p.order},{p.tau:.17g},{p.magnitude:.17g}"
-                    for p in report.peaks
-                ]
+                rows += [f"{kind},{n},{row}" for row in report.to_csv().splitlines()[1:]]
         with open(args.out, "w") as fh:
             fh.write("\n".join(rows) + "\n")
     else:

@@ -36,6 +36,7 @@ from .model import (
     SubsetSpec,
     check_index,
     check_levels,
+    check_number,
     level_count,
     philox,
 )
@@ -59,16 +60,18 @@ class HistogramConfig:
     channels: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not 0 < self.bin_width < np.inf:  # NaN fails too
+        bin_width = check_number("bin_width", self.bin_width)
+        if not 0 < bin_width < np.inf:  # NaN fails too
             raise ConfigInvalid(
                 f"bin_width must be finite and > 0, got {self.bin_width!r}"
             )
-        if not self.bin_width <= self.tau_max < np.inf:
+        tau_max = check_number("tau_max", self.tau_max)
+        if not bin_width <= tau_max < np.inf:
             raise ConfigInvalid(
                 f"tau_max must be finite and >= bin_width, got {self.tau_max!r}"
             )
         # the 2 n_side int64 counts must fit an array, below 2^63 bytes
-        ratio = float(self.tau_max) / float(self.bin_width)
+        ratio = tau_max / bin_width
         if not ratio < 2.0**59:
             raise ConfigInvalid(
                 f"tau_max / bin_width = {ratio:g} bins per side, more than an array holds (2**59)"

@@ -121,13 +121,22 @@ def check_levels(n_levels) -> int:
     return n
 
 
+def check_number(name: str, value) -> float:
+    """The number rule: ``value`` as a float when it is a real number (a
+    string is not, even one that parses); otherwise ConfigInvalid naming
+    ``name``."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigInvalid(f"{name} = {value!r} is not a number")
+
+
 def check_rate(name: str, value) -> float:
-    """The rate rule: ``value`` as a float when it is finite and > 0;
-    otherwise ConfigInvalid naming ``name``."""
-    try:
-        rate = float(value)
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"{name} = {value!r} is not a number") from None
+    """The rate rule: ``value`` as a float (``check_number``) when it is
+    finite and > 0; otherwise ConfigInvalid naming ``name``."""
+    rate = check_number(name, value)
     if not math.isfinite(rate):
         raise ConfigInvalid(f"{name} = {rate!r} is not finite")
     if rate <= 0:
@@ -152,14 +161,15 @@ def philox(seed) -> np.random.Generator:
 def check_header(n_levels, total, seed=None, first_label=0) -> tuple:
     """The header rule of a ring: (N, seed, first label) as ints when N is
     in [1, 2**32) (u32), the first label in [0, N), the seed None or valid
-    and the window ``total`` finite and > 0; a non-integer raises
-    ConfigInvalid, any other violation StreamInvariantViolation."""
+    and the window ``total`` finite and > 0; a non-integer or, for
+    ``total``, a non-number (``check_number``) raises ConfigInvalid, any
+    other violation StreamInvariantViolation."""
     first, n = check_index("first_label", first_label), check_index("n_levels", n_levels)
     if not 1 <= n < 1 << 32:
         raise StreamInvariantViolation(f"N = {n} outside [1, 2**32)")
     if not 0 <= first < n:
         raise StreamInvariantViolation(f"first label {first} outside [0, N)")
-    if not 0 < total < math.inf:  # NaN fails too
+    if not 0 < check_number("total_duration", total) < math.inf:  # NaN fails too
         raise StreamInvariantViolation(f"total_duration must be finite and > 0, got {total!r}")
     return n, None if seed is None else check_seed(seed, StreamInvariantViolation), first
 

@@ -38,6 +38,7 @@ from .model import (
     check_delays,
     check_index,
     check_level,
+    check_number,
     check_rate,
     signed_delay,
     steady_state,
@@ -391,7 +392,7 @@ def g2_phenomenological(p: float, gamma1: float, gamma2: float, tau) -> float | 
     1 + (1-p)(g2/g1) exp(g2 tau) for tau < 0 and 1 + p (g2/g1) exp(-g2 tau)
     for tau >= 0, where p is the probability of good time ordering.
     """
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= check_number("p", p) <= 1.0:
         raise ConfigInvalid("p must be in [0, 1]")
     gamma1, gamma2 = check_rate("gamma1", gamma1), check_rate("gamma2", gamma2)
     ratio = gamma2 / gamma1

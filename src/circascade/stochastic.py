@@ -47,8 +47,10 @@ from .model import (
     NumericalFailure,
     StreamInvariantViolation,
     check_header,
+    check_index,
     check_labels,
     check_level,
+    check_number,
     check_order,
     check_seed,
     check_span,
@@ -85,11 +87,11 @@ class SimConfig:
     def __post_init__(self):
         if (self.duration is None) == (self.total_events is None):
             raise ConfigInvalid("set exactly one of duration or total_events")
-        if self.duration is not None and not 0 < self.duration < np.inf:  # NaN fails too
+        if self.duration is not None and not 0 < check_number("duration", self.duration) < np.inf:
             raise ConfigInvalid(f"duration must be finite and > 0, got {self.duration!r}")
-        if self.total_events is not None and self.total_events < 1:
+        if self.total_events is not None and check_index("total_events", self.total_events) < 1:
             raise ConfigInvalid("total_events must be >= 1")
-        if not 0 <= self.burn_in < np.inf:
+        if not 0 <= check_number("burn_in", self.burn_in) < np.inf:  # NaN fails too
             raise ConfigInvalid(f"burn_in must be finite and >= 0, got {self.burn_in!r}")
         if self.initial_level is not None:
             check_level("initial_level", self.initial_level, self.spec.n_levels)

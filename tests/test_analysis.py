@@ -43,6 +43,10 @@ def test_n50_seventh_and_eighth_peaks():
 def test_no_peaks_for_two_level():
     with pytest.raises(InsufficientSamples, match="no oscillation maxima for N=2"):
         find_peaks(2, 1.0, 1, 1)
+    # the message names the class as given, not reduced mod N
+    with pytest.raises(InsufficientSamples) as info:
+        find_peaks(2, 1.0, 7, 3)
+    assert str(info.value) == "no oscillation maxima for N=2, k=7"
 
 
 @pytest.mark.parametrize("max_order", [0, -1])
@@ -223,6 +227,40 @@ def test_cs_check_equal_rates_always_violated():
     assert report.infinite_ratio
     assert report.max_ratio is None
     assert report.all_violated
+
+
+# two of this ring's samples square to one ulp apart under numpy's ** 2
+RING5 = CascadeSpec(5, tuple(10.0 ** np.random.default_rng(9).uniform(-2, 2, 5)))
+
+
+@pytest.mark.parametrize("spec", [CascadeSpec.equal(6), UNBALANCED, RING5],
+                         ids=["equal6", "fig5", "ring5"])
+def test_cs_check_squares_each_sample_alone(spec):
+    """Every rhs is the route's value at that tau alone, squared as a
+    Python float, bit for bit; the flags and the ratio follow from it."""
+    route = analysis._pair_evaluator(spec)
+    taus = np.linspace(0.005, 0.3, 9)
+    for m in range(spec.n_levels):
+        for n in range(spec.n_levels):
+            if m == n:
+                continue
+            report = cs_check(spec, m, n, taus)
+            assert report.lhs == route(n, n, 0.0) * route(m, m, 0.0)
+            assert [s.tau for s in report.samples] == taus.tolist()
+            for sample in report.samples:
+                alone = cs_check(spec, m, n, [sample.tau]).samples[0]
+                assert sample.rhs == route(n, m, sample.tau) ** 2 == alone.rhs
+                assert sample.violated == alone.violated
+            rhs = [s.rhs for s in report.samples]
+            if report.lhs > 0:
+                over = [r / report.lhs for r in rhs if r > report.lhs + 1e-12]
+                assert not report.infinite_ratio
+                assert report.max_ratio == (max(over) if over else None)
+            else:
+                assert report.infinite_ratio == any(r > 0.0 for r in rhs)
+                assert report.max_ratio is None
+            assert [s.violated for s in report.samples] == [
+                r > (report.lhs + 1e-12 if report.lhs > 0 else 0.0) for r in rhs]
 
 
 def test_cs_check_rejects_degenerate_pair():

@@ -11,8 +11,13 @@ from circascade import (
     CascadeSpec,
     ConfigInvalid,
     EventStream,
+    HistogramConfig,
+    SimConfig,
     StreamInvariantViolation,
     SubsetSpec,
+    cs_check,
+    g2_phenomenological,
+    simulate,
     trace_index,
     validate,
 )
@@ -142,6 +147,38 @@ def test_check_rate_rejects_a_non_number():
     with pytest.raises(ConfigInvalid, match=r"gamma = 'fast' is not a number"):
         check_rate("gamma", "fast")
     assert check_rate("gamma", np.float32(0.5)) == 0.5
+
+
+# settings that are not numbers, or not integers where a count is due; each
+# used to end in a bare TypeError or ValueError from a comparison or numpy
+RING3 = CascadeSpec.equal(3)
+NOT_NUMBERS = {
+    "stream window 'x'": (lambda: EventStream(np.array([1.0]), 0, 3, "x"),
+                          "total_duration = 'x' is not a number"),
+    "stream window None": (lambda: EventStream(np.array([1.0]), 0, 3, None),
+                           "total_duration = None is not a number"),
+    "total_events 1.5": (lambda: simulate(SimConfig(RING3, seed=1, total_events=1.5)),
+                         "total_events must be an integer, got 1.5"),
+    "total_events True": (lambda: simulate(SimConfig(RING3, seed=1, total_events=True)),
+                          "total_events must be an integer, got True"),
+    "duration '5'": (lambda: SimConfig(RING3, seed=1, duration="5"),
+                     "duration = '5' is not a number"),
+    "burn_in '1'": (lambda: SimConfig(RING3, seed=1, duration=5, burn_in="1"),
+                    "burn_in = '1' is not a number"),
+    "bin_width '0.1'": (lambda: HistogramConfig("0.1", 1.0), "bin_width = '0.1' is not a number"),
+    "tau_max None": (lambda: HistogramConfig(0.1, None), "tau_max = None is not a number"),
+    "p '0.5'": (lambda: g2_phenomenological("0.5", 1.0, 1.0, 0.1), "p = '0.5' is not a number"),
+    "tau sample 'a'": (lambda: cs_check(CascadeSpec.equal(6), 1, 2, [0.1, "a"]),
+                       "tau = 'a' is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_NUMBERS)
+def test_settings_that_are_not_numbers_are_config_invalid(case):
+    call, message = NOT_NUMBERS[case]
+    with pytest.raises(ConfigInvalid) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_equal_rate_predicate():

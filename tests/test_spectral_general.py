@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import circascade
@@ -882,3 +882,30 @@ def test_oracles_import_nothing_from_the_package():
     assert imported and not any(
         name.split(".")[0] in ("circascade", "") for name in imported
     ), imported
+
+
+# the three-level closed form is accurate to about eps / p_ss[r] absolute
+# (its docstring), so it may dip that far below 0; c states the margin
+THREE_LEVEL_ABS_C = 8
+RATES_3 = st.tuples(*[st.floats(-3, 3).map(lambda e: 10.0**e)] * 3)
+SIGNED_TAU = st.one_of(
+    st.sampled_from([0.0, 1e-12, -1e-12]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-12, 3)),
+)
+
+
+@given(RATES_3, st.integers(0, 2), st.integers(0, 2), SIGNED_TAU)
+@example((1.0, 1.1, 0.025), 1, 1, 1.5885651294280526e-09)  # fig5 rates: -eps, not clamped
+@settings(max_examples=300, deadline=None)
+def test_small_ring_routes_are_finite_and_nonnegative(rates, m, n, tau):
+    two = float(g2_two_level(rates[0], rates[1], m % 2, n % 2, tau))
+    general = float(g2_general(CascadeSpec(3, rates), m, n, tau))
+    closed = float(g2_three_level(*rates, m, n, tau))
+    assert math.isfinite(two) and two >= 0
+    assert math.isfinite(general) and general >= 0
+    # g_{m,n}(tau) reads level (n + 1) % 3, and mirrors g_{n,m}(-tau) below 0
+    read = (n + 1) % 3 if tau >= 0 else (m + 1) % 3
+    p_read = steady_state(CascadeSpec(3, rates))[read]
+    assert math.isfinite(closed)
+    assert closed >= -THREE_LEVEL_ABS_C * np.finfo(float).eps / p_read
+
