@@ -202,7 +202,7 @@ def g2_subset(n_levels: int, subset: SubsetSpec, gamma: float, tau) -> float | n
     classes = (members[None, :] - members[:, None] + 1) % n_levels
     counts = np.bincount(classes.ravel(), minlength=n_levels)
 
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    taus = check_delays(tau)
     acc = np.zeros_like(taus)
     for k in np.flatnonzero(counts):
         # the pair (0, k - 1) is of class k; its mirror is class (2 - k) mod N
@@ -214,6 +214,6 @@ def g2_subset(n_levels: int, subset: SubsetSpec, gamma: float, tau) -> float | n
 def bundle_peak(n_levels: int, n_s: int) -> float:
     """Central superbunching value N (n_S - 1) / n_S^2 of a contiguous bundle."""
     n_levels, n_s = check_levels(n_levels), check_index("n_s", n_s)
-    if n_s < 1:
-        raise ConfigInvalid("bundle size must be >= 1")
+    if not 1 <= n_s <= n_levels:
+        raise ConfigInvalid(f"bundle size n_s = {n_s} outside [1, {n_levels}]")
     return n_levels * (n_s - 1) / n_s ** 2

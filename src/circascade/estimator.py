@@ -14,12 +14,13 @@ channels, so each lag costs a vectorized pass and no pair index is stored.
 The sweep takes its ring as time-ordered blocks (``correlate_blocks``),
 joins each block to the events within the window of the ones before and
 counts the joined run in two sweeps, so a stream read from a file is
-counted as it is read. ``correlate_blocks`` is also the one place that
-selects channels: it gathers the levels of the pair or subset out of each
-block into a smaller ring before the sweep. ``correlate`` and
-``correlate_subset`` pass an in-memory stream as one block; every count
-equals that of the whole stream. ``block_bootstrap_stderr`` counts in the
-same pass, with each pair keyed by the time segment of its source event.
+counted as it is read. Every estimate takes its pair or subset as an
+argument, and ``_counted`` is the one place that checks and gathers its
+levels out of each block into a smaller ring before the sweep.
+``correlate`` and ``correlate_subset`` pass an in-memory stream as one
+block; every count equals that of the whole stream.
+``block_bootstrap_stderr`` counts in the same pass, with each pair keyed
+by the time segment of its source event.
 """
 
 from __future__ import annotations
@@ -48,16 +49,12 @@ _SWEEP_BLOCK = 16_384
 
 @dataclass(frozen=True)
 class HistogramConfig:
-    """Bin width, window half-length and the channel pair (m, n) to correlate.
-
-    correlate_subset() and correlate_blocks() take their subset or pair as
-    an argument and ignore ``channels``; tau_max is truncated down to a
-    whole number of bins.
-    """
+    """Bin width and window half-length of a coincidence histogram; tau_max
+    is truncated down to a whole number of bins. The channels are not part
+    of it: each estimator entry takes its pair or subset as an argument."""
 
     bin_width: float
     tau_max: float
-    channels: tuple[int, int] | None = None
 
     def __post_init__(self):
         bin_width = check_number("bin_width", self.bin_width)
@@ -233,22 +230,55 @@ def _expected_pairs(rate_src, rate_dst, t_total, cfg: HistogramConfig):
     return rate_src * rate_dst * (t_total - np.abs(_bin_centers(cfg))) * cfg.bin_width
 
 
-def _channel_pair(channels, n_levels: int, name: str = "cfg.channels") -> tuple[int, int]:
-    """``channels`` as a pair (m, n) of levels of an N-level ring."""
-    if not (isinstance(channels, tuple) and len(channels) == 2):
-        raise ConfigInvalid(f"{name} must be a pair (m, n)")
-    m, n = (check_index("channel", c) for c in channels)
+def _channel_pair(pair, n_levels: int) -> tuple[int, int]:
+    """``pair`` as a pair (m, n) of levels of an N-level ring."""
+    if not (isinstance(pair, tuple) and len(pair) == 2):
+        raise ConfigInvalid(f"pair must be a pair (m, n), got {pair!r}")
+    m, n = (check_index("channel", c) for c in pair)
     if not (0 <= m < n_levels and 0 <= n < n_levels):
         raise ConfigInvalid(f"channel pair {(m, n)} outside [0, {n_levels})")
     return m, n
 
 
-def _check_window(total_duration: float, cfg: HistogramConfig) -> None:
-    if cfg.tau_max > total_duration / 10:
-        raise ConfigInvalid(
-            f"tau_max {cfg.tau_max} exceeds total_duration/10 = "
-            f"{total_duration / 10}"
-        )
+def _counted(blocks, n_levels: int, total_duration: float, cfg: HistogramConfig,
+             pair, subset, edges=None):
+    """The checks and counts of every estimate, of the pair ``pair`` = (m,
+    n) or, for None, the merged levels ``subset`` (all for None) of a ring
+    fed as blocks: (provenance, ``_ring_pairs``'s histogram and sources for
+    ``edges``, events of the source and of the destination channel). The
+    levels are gathered out of each block (``_gathered``) unless they are
+    the whole ring. On an invalid argument the blocks are drawn to the end
+    first, so a reader that checks a file as it goes reports a damaged file
+    first. An empty channel raises InsufficientSamples."""
+    try:
+        n_levels = check_levels(n_levels)
+        if pair is None:
+            if not isinstance(subset, SubsetSpec):
+                subset = SubsetSpec(range(n_levels) if subset is None else subset)
+            subset.check_against(n_levels)
+            wanted = subset.members
+        elif subset is None:
+            pair = _channel_pair(pair, n_levels)
+            wanted = sorted(set(pair))
+        else:
+            raise ConfigInvalid("give a pair or a subset, not both")
+        if cfg.tau_max > total_duration / 10:
+            raise ConfigInvalid(
+                f"tau_max {cfg.tau_max} exceeds total_duration/10 = {total_duration / 10}")
+    except ConfigInvalid:
+        for _ in blocks:  # a damaged stream is reported first
+            pass
+        raise
+    if len(wanted) < n_levels:
+        blocks = _gathered(blocks, n_levels, wanted)
+    ranks = range(len(wanted)) if pair is None else [wanted.index(c) for c in pair]
+    hist, sources, first, events = _ring_pairs(
+        blocks, len(wanted), None if pair is None else ranks, cfg, edges)
+    counts = [level_count(events, first, len(wanted), r) for r in ranks]
+    if 0 in counts:
+        raise InsufficientSamples(f"channel {wanted[ranks[counts.index(0)]]} has no events")
+    provenance = {"subset": subset} if pair is None else {"pair": pair}
+    return provenance, hist, sources, *(counts if pair else (events, events))
 
 
 def correlate_blocks(
@@ -266,59 +296,23 @@ def correlate_blocks(
     = (m, n), or of the merged emission of the levels ``subset`` (all
     levels when both are None).
 
-    The levels of the pair or subset are gathered out of each block into
-    a smaller ring (``_gathered``) unless they are the whole ring, and the
-    counts hold only the events within the window of the latest block, so
-    a stream read block by block is never held whole. The blocks are drawn
-    to the end even when an argument is invalid, so a reader that checks a
-    file as it goes reports a damaged file first.
+    The counts (``_counted``) hold only the events within the window of
+    the latest block, so a stream read block by block is never held whole.
     """
-    try:
-        n_levels = check_levels(n_levels)
-        if pair is None:
-            if not isinstance(subset, SubsetSpec):
-                subset = SubsetSpec(range(n_levels) if subset is None else subset)
-            subset.check_against(n_levels)
-            wanted = subset.members
-        elif subset is None:
-            pair = _channel_pair(pair, n_levels, "pair")
-            wanted = tuple(sorted(set(pair)))
-        else:
-            raise ConfigInvalid("give a pair or a subset, not both")
-        _check_window(total_duration, cfg)
-    except ConfigInvalid:
-        for _ in blocks:  # a damaged stream is reported first
-            pass
-        raise
-    hist, _, n_src, n_dst = _selected_pairs(blocks, n_levels, wanted, pair, cfg)
+    provenance, hist, _, n_src, n_dst = _counted(
+        blocks, n_levels, total_duration, cfg, pair, subset)
     denom = _expected_pairs(n_src / total_duration, n_dst / total_duration, total_duration, cfg)
-    provenance = {"subset": subset} if pair is None else {"pair": pair}
     return CorrelationTrace(tau=_bin_centers(cfg), values=hist / denom, source="estimated",
                             stderr=np.sqrt(np.maximum(hist, 1)) / denom, bin_width=cfg.bin_width,
                             total_time=total_duration, spec=spec, **provenance)
 
 
-def _selected_pairs(blocks, n_levels: int, wanted, pair, cfg: HistogramConfig, edges=None):
-    """``_ring_pairs`` of the sorted levels ``wanted`` of a ring fed as
-    blocks, of their pair ``pair`` or of all of them for None: (histogram,
-    sources, events of the source and of the destination channel). An
-    empty channel raises InsufficientSamples, naming its level."""
-    if len(wanted) < n_levels:
-        blocks = _gathered(blocks, n_levels, wanted)
-    ranks = range(len(wanted)) if pair is None else [wanted.index(c) for c in pair]
-    hist, sources, first, events = _ring_pairs(
-        blocks, len(wanted), None if pair is None else ranks, cfg, edges)
-    counts = [level_count(events, first, len(wanted), r) for r in ranks]
-    if 0 in counts:
-        raise InsufficientSamples(f"channel {wanted[ranks[counts.index(0)]]} has no events")
-    return hist, sources, *(counts if pair else (events, events))
-
-
-def correlate(stream: EventStream, cfg: HistogramConfig) -> CorrelationTrace:
-    """Coincidence-histogram estimate of g2 for the channel pair in cfg."""
+def correlate(
+    stream: EventStream, pair: tuple[int, int], cfg: HistogramConfig
+) -> CorrelationTrace:
+    """Coincidence-histogram estimate of g2 for the channel pair (m, n)."""
     return correlate_blocks([(stream.first_label, stream.times)], stream.n_levels,
-                            stream.total_duration, cfg,
-                            _channel_pair(cfg.channels, stream.n_levels), spec=stream.spec)
+                            stream.total_duration, cfg, pair, spec=stream.spec)
 
 
 def correlate_subset(
@@ -335,6 +329,7 @@ def correlate_subset(
 
 def block_bootstrap_stderr(
     stream: EventStream,
+    pair: tuple[int, int],
     cfg: HistogramConfig,
     n_blocks: int = 20,
     n_boot: int = 200,
@@ -344,22 +339,21 @@ def block_bootstrap_stderr(
 
     Splits the window into n_blocks equal time segments, counts the pairs
     of each segment's source events in the pass ``correlate`` makes
-    (``_ring_pairs`` with the segment edges), resamples n_blocks segments
+    (``_counted`` with the segment edges), resamples n_blocks segments
     with replacement n_boot times (both integers >= 2), drawn by
     ``philox(seed)``, and returns the standard deviation of the resampled
     estimates per bin. Accounts for correlated counts that the plain
     sqrt(count) error ignores.
     """
-    m, n = _channel_pair(cfg.channels, stream.n_levels)
     n_blocks, n_boot = check_index("n_blocks", n_blocks), check_index("n_boot", n_boot)
     if min(n_blocks, n_boot) < 2:
         raise ConfigInvalid(f"n_blocks and n_boot must be >= 2, got {n_blocks} and {n_boot}")
-    _check_window(stream.total_duration, cfg)
     rng = philox(seed)
     t0 = float(stream.times[0]) if stream.n_events else 0.0
     edges = np.linspace(t0, t0 + stream.total_duration, n_blocks + 1)
-    block_counts, block_src, _, n_dst = _selected_pairs(
-        [(stream.first_label, stream.times)], stream.n_levels, sorted({m, n}), (m, n), cfg, edges)
+    _, block_counts, block_src, _, n_dst = _counted(
+        [(stream.first_label, stream.times)], stream.n_levels, stream.total_duration, cfg,
+        pair, None, edges)
     rate_dst = n_dst / stream.total_duration
     block_dur = np.diff(edges)
     est = np.empty((n_boot, 2 * cfg.n_side))

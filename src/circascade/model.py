@@ -21,10 +21,10 @@ Conventions (used everywhere in this package):
 * An ``EventStream``'s times strictly increase: its constructor checks
   this with ``check_order``, so no tied or unordered stream, read or built,
   reaches the estimator.
-* A delay must be finite. ``check_delays`` rejects NaN and +-inf with
-  ``ConfigInvalid``: ``signed_delay`` applies it to every signed-delay
-  trace, and ``g2_equal``, ``small_tau_leading`` and ``propagate``, which
-  take tau >= 0 only, apply it with ``signed=False``.
+* A delay must be a finite number. ``check_delays`` rejects a string, a
+  non-number, NaN and +-inf with ``ConfigInvalid``: ``signed_delay`` applies
+  it to every signed-delay trace, and ``g2_equal``, ``small_tau_leading``
+  and ``propagate``, which take tau >= 0 only, apply it with ``signed=False``.
 
 Errors: every failure is a ``CascadeError`` of one of four kinds, each
 carrying the CLI exit status in ``exit_code``: ``ConfigInvalid`` (2, input
@@ -123,12 +123,12 @@ def check_levels(n_levels) -> int:
 
 def check_number(name: str, value) -> float:
     """The number rule: ``value`` as a float when it is a real number (a
-    string is not, even one that parses); otherwise ConfigInvalid naming
-    ``name``."""
+    string is not, even one that parses, nor an int past the float range);
+    otherwise ConfigInvalid naming ``name``."""
     if not isinstance(value, (str, bytes)):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ConfigInvalid(f"{name} = {value!r} is not a number")
 
@@ -175,9 +175,13 @@ def check_header(n_levels, total, seed=None, first_label=0) -> tuple:
 
 
 def check_delays(tau, signed: bool = True) -> np.ndarray:
-    """The delay rule: ``tau`` as a 1-d float array when every delay is
-    finite, and also >= 0 unless ``signed``; otherwise ConfigInvalid."""
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    """The delay rule: ``tau`` as a 1-d float array when every delay is a
+    number (a bool, integer or real dtype; a string is not) that is finite,
+    and also >= 0 unless ``signed``; otherwise ConfigInvalid."""
+    try:
+        taus = np.atleast_1d(tau).astype(float, casting="same_kind", copy=False)
+    except (TypeError, ValueError):  # a string, an object, complex or ragged
+        raise ConfigInvalid(f"tau = {tau!r} is not a number") from None
     ok = np.abs(taus) < np.inf if signed else (taus >= 0) & (taus < np.inf)
     if not ok.all():  # NaN fails too
         raise ConfigInvalid("tau must be finite" if signed else "tau must be finite and >= 0")

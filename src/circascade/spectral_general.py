@@ -215,7 +215,7 @@ def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> 
 
 def propagate(spec: CascadeSpec, initial_level: int, tau: float) -> np.ndarray:
     """Occupation probabilities after time tau from one level: expm(Q tau)[:, s]."""
-    return _propagate_grid(spec, initial_level, np.atleast_1d(float(tau)))[0]
+    return _propagate_grid(spec, initial_level, check_number("tau", tau))[0]
 
 
 def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:

@@ -134,7 +134,7 @@ def test_criterion_07_oscillation_condition():
 
 def _mc_check(spec, analytic_fn, seed):
     stream = simulate(SimConfig(spec, seed=seed, total_events=10_000_000))
-    trace = correlate(stream, HistogramConfig(0.05, 15.0, channels=(1, 1)))
+    trace = correlate(stream, (1, 1), HistogramConfig(0.05, 15.0))
     expected = analytic_fn(trace.tau)
     pulls = np.abs(trace.values - expected) / trace.stderr
     frac = float(np.mean(pulls < 3.0))

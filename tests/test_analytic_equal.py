@@ -156,6 +156,11 @@ def test_bundle_peak_values():
     assert bundle_peak(50, 2) == pytest.approx(12.5)
     assert bundle_peak(50, 1) == 0.0
     assert bundle_peak(12, 3) == pytest.approx(12 * 2 / 9)
+    # a bundle holds at most the N transitions of the ring
+    assert bundle_peak(3, 3) == pytest.approx(3 * 2 / 9)
+    for n_s in (0, 4, 7):
+        with pytest.raises(ConfigInvalid, match=rf"bundle size n_s = {n_s} outside \[1, 3\]"):
+            bundle_peak(3, n_s)
 
 
 def test_bundle_peak_matches_contiguous_subset():

@@ -462,7 +462,7 @@ def test_simulate_correlate_pipeline_matches_in_memory(tmp_path):
 
     spec = CascadeSpec.equal(6, 1.0)
     stream = simulate(SimConfig(spec, seed=42, total_events=50000))
-    trace = correlate(stream, HistogramConfig(0.25, 10.0, channels=(1, 1)))
+    trace = correlate(stream, (1, 1), HistogramConfig(0.25, 10.0))
     data = load_csv(trace_path)
     np.testing.assert_array_equal(data[:, 0], trace.tau)
     np.testing.assert_array_equal(data[:, 1], trace.values)  # bit-exact round trip
@@ -579,7 +579,7 @@ def test_correlate_of_selected_levels_equals_the_in_memory_trace(tmp_path, ring6
     assert cli.main(argv) == 0
     indices = tuple(int(i) for i in value.split(","))
     if flag == "--pair":
-        trace = correlate(stream, HistogramConfig(0.1, 8.0, channels=indices))
+        trace = correlate(stream, indices, HistogramConfig(0.1, 8.0))
     else:
         trace = correlate_subset(stream, SubsetSpec(indices), HistogramConfig(0.1, 8.0))
     write_trace_csv(trace, expected)

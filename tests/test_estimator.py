@@ -64,11 +64,9 @@ def test_config_validation():
             HistogramConfig(bin_width, tau_max)
     stream = make_stream(events=2000)
     with pytest.raises(ConfigInvalid):
-        correlate(stream, HistogramConfig(0.5, stream.total_duration / 2, channels=(1, 1)))
+        correlate(stream, (1, 1), HistogramConfig(0.5, stream.total_duration / 2))
     with pytest.raises(ConfigInvalid):
-        correlate(stream, HistogramConfig(0.5, 5.0))  # channels missing
-    with pytest.raises(ConfigInvalid):
-        correlate(stream, HistogramConfig(0.5, 5.0, channels=(0, 7)))
+        correlate(stream, (0, 7), HistogramConfig(0.5, 5.0))
     with pytest.raises(ConfigInvalid, match="not both"):
         correlate_blocks([(0, stream.times)], 6, stream.total_duration, HistogramConfig(0.5, 5.0),
                          pair=(1, 1), subset=(1, 2))
@@ -98,23 +96,36 @@ def test_non_finite_bins_rejected(bin_width, tau_max):
         HistogramConfig(bin_width, tau_max)
 
 
-def test_bootstrap_rejects_out_of_range_pair():
+BAD_PAIRS = [
+    ((0, 5), "channel pair (0, 5) outside [0, 3)"),
+    ((1.5, 1), "channel must be an integer, got 1.5"),
+    ((True, 1), "channel must be an integer, got True"),
+    ([1, 1], "pair must be a pair (m, n), got [1, 1]"),
+    ((1,), "pair must be a pair (m, n), got (1,)"),
+]
+
+
+@pytest.mark.parametrize("pair, message", BAD_PAIRS, ids=[repr(p) for p, _ in BAD_PAIRS])
+@pytest.mark.parametrize("estimate", [correlate, block_bootstrap_stderr],
+                         ids=lambda f: f.__name__)
+def test_bootstrap_rejects_out_of_range_pair(estimate, pair, message):
+    # both estimators apply the one pair rule, with the same message
     stream = make_stream(n=3, events=3000)
-    with pytest.raises(ConfigInvalid, match=r"channel pair \(0, 5\) outside \[0, 3\)"):
-        block_bootstrap_stderr(stream, HistogramConfig(0.1, 1.0, channels=(0, 5)))
+    with pytest.raises(ConfigInvalid) as info:
+        estimate(stream, pair, HistogramConfig(0.1, 1.0))
+    assert str(info.value) == message
 
 
 def test_empty_channel_rejected():
     # fewer events than levels: channel 0 never fires; the bootstrap names
     # it as the estimator does, and a stream without events too
     stream = EventStream.from_labels([0.5, 1.5], [2, 1], 3, 100.0)
-    cfg = HistogramConfig(0.1, 1.0, channels=(0, 1))
+    cfg = HistogramConfig(0.1, 1.0)
     for call in (correlate, block_bootstrap_stderr):
         with pytest.raises(InsufficientSamples, match="channel 0 has no events"):
-            call(stream, cfg)
+            call(stream, (0, 1), cfg)
     with pytest.raises(InsufficientSamples, match="channel 1 has no events"):
-        block_bootstrap_stderr(EventStream(np.empty(0), 0, 3, 100.0),
-                               HistogramConfig(0.1, 1.0, channels=(1, 1)))
+        block_bootstrap_stderr(EventStream(np.empty(0), 0, 3, 100.0), (1, 1), cfg)
 
 
 def test_subset_of_a_short_stream_rejects_its_empty_channel():
@@ -127,7 +138,7 @@ def test_poisson_stream_is_flat():
     stream = simulate(
         SimConfig(CascadeSpec(1, (1.0,)), seed=13, total_events=400_000)
     )
-    trace = correlate(stream, HistogramConfig(0.5, 20.0, channels=(0, 0)))
+    trace = correlate(stream, (0, 0), HistogramConfig(0.5, 20.0))
     pulls = (trace.values - 1.0) / trace.stderr
     assert np.all(np.abs(pulls) < 3.5)
     assert np.mean(np.abs(pulls) < 3.0) >= 0.99
@@ -135,7 +146,7 @@ def test_poisson_stream_is_flat():
 
 def test_autocorrelation_matches_analytic_within_3sigma():
     stream = make_stream(n=6, events=1_000_000, seed=5)
-    trace = correlate(stream, HistogramConfig(0.1, 12.0, channels=(1, 1)))
+    trace = correlate(stream, (1, 1), HistogramConfig(0.1, 12.0))
     analytic = g2_equal_pair(6, 1, 1, 1.0, trace.tau)
     pulls = (trace.values - analytic) / trace.stderr
     assert np.mean(np.abs(pulls) < 3.0) >= 0.99
@@ -143,10 +154,9 @@ def test_autocorrelation_matches_analytic_within_3sigma():
 
 def test_time_reversal_is_exact():
     stream = make_stream(n=4, events=60_000, seed=9)
-    cfg_mn = HistogramConfig(0.2, 6.0, channels=(2, 1))
-    cfg_nm = HistogramConfig(0.2, 6.0, channels=(1, 2))
-    fwd = correlate(stream, cfg_mn)
-    rev = correlate(stream, cfg_nm)
+    cfg = HistogramConfig(0.2, 6.0)
+    fwd = correlate(stream, (2, 1), cfg)
+    rev = correlate(stream, (1, 2), cfg)
     np.testing.assert_array_equal(fwd.values, rev.values[::-1])
     np.testing.assert_array_equal(fwd.tau, -rev.tau[::-1])
 
@@ -155,7 +165,7 @@ def test_subset_of_one_equals_autocorrelation():
     stream = make_stream(n=5, events=60_000, seed=2)
     cfg = HistogramConfig(0.2, 8.0)
     sub = correlate_subset(stream, SubsetSpec((3,)), cfg)
-    auto = correlate(stream, HistogramConfig(0.2, 8.0, channels=(3, 3)))
+    auto = correlate(stream, (3, 3), cfg)
     np.testing.assert_array_equal(sub.values, auto.values)
 
 
@@ -171,7 +181,7 @@ def test_subset_equals_weighted_pairwise_sum():
     acc = np.zeros_like(sub.values)
     for i in members:
         for j in members:
-            pair = correlate(stream, HistogramConfig(0.25, 6.0, channels=(i, j)))
+            pair = correlate(stream, (i, j), cfg)
             r_i = len(_channel(stream, i)) / t_total
             r_j = len(_channel(stream, j)) / t_total
             acc += pair.values * (r_i * r_j)
@@ -180,7 +190,7 @@ def test_subset_equals_weighted_pairwise_sum():
 
 def test_normalization_sanity_far_tail():
     stream = make_stream(n=3, events=400_000, seed=6)
-    trace = correlate(stream, HistogramConfig(0.5, 40.0, channels=(1, 1)))
+    trace = correlate(stream, (1, 1), HistogramConfig(0.5, 40.0))
     tail = np.abs(trace.tau) > 30.0
     pulls = (trace.values[tail] - 1.0) / trace.stderr[tail]
     assert np.mean(np.abs(pulls) < 3.0) >= 0.95
@@ -197,23 +207,23 @@ def test_global_time_shift_invariance():
         seed=stream.seed,
         spec=stream.spec,
     )
-    cfg = HistogramConfig(0.2, 5.0, channels=(1, 2))
-    a = correlate(stream, cfg)
-    b = correlate(shifted, cfg)
+    cfg = HistogramConfig(0.2, 5.0)
+    a = correlate(stream, (1, 2), cfg)
+    b = correlate(shifted, (1, 2), cfg)
     np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
 
 
 def test_bias_bound_over_seeds():
     n, gamma, n_seeds = 5, 1.0, 30
-    cfg = HistogramConfig(0.1, 8.0, channels=(1, 1))
+    cfg = HistogramConfig(0.1, 8.0)
     traces = []
     for seed in range(n_seeds):
         stream = make_stream(n=n, events=150_000, seed=seed)
-        traces.append(correlate(stream, cfg).values)
+        traces.append(correlate(stream, (1, 1), cfg).values)
     traces = np.array(traces)
     mean = traces.mean(axis=0)
     sem = traces.std(axis=0, ddof=1) / np.sqrt(n_seeds)
-    tau = correlate(make_stream(n=n, events=2000, seed=0), HistogramConfig(0.1, 8.0, channels=(1, 1))).tau
+    tau = correlate(make_stream(n=n, events=2000, seed=0), (1, 1), cfg).tau
     analytic = g2_equal_pair(n, 1, 1, gamma, tau)
     slope = np.gradient(analytic, tau)
     bound = np.maximum(3 * sem, 0.5 * np.abs(slope) * cfg.bin_width)
@@ -253,16 +263,16 @@ def test_random_subset_keeps_temporal_gap_n50():
 
 def test_first_oscillation_peak_resolved():
     stream = make_stream(n=6, events=2_000_000, seed=15)
-    trace = correlate(stream, HistogramConfig(0.05, 15.0, channels=(1, 1)))
+    trace = correlate(stream, (1, 1), HistogramConfig(0.05, 15.0))
     window = (trace.tau > 4.0) & (trace.tau < 8.0)
     assert trace.values[window].max() > 1.05
 
 
 def test_block_bootstrap_stderr_is_consistent():
     stream = make_stream(n=3, events=200_000, seed=3)
-    cfg = HistogramConfig(0.5, 10.0, channels=(1, 1))
-    trace = correlate(stream, cfg)
-    boot = block_bootstrap_stderr(stream, cfg, n_blocks=20, n_boot=100, seed=1)
+    cfg = HistogramConfig(0.5, 10.0)
+    trace = correlate(stream, (1, 1), cfg)
+    boot = block_bootstrap_stderr(stream, (1, 1), cfg, n_blocks=20, n_boot=100, seed=1)
     ratio = boot / trace.stderr
     # same order of magnitude; bootstrap sees the count correlations
     assert np.median(ratio) == pytest.approx(1.0, abs=0.5)
@@ -270,7 +280,7 @@ def test_block_bootstrap_stderr_is_consistent():
 
 def test_trace_csv_format(tmp_path):
     stream = make_stream(n=3, events=20_000, seed=1)
-    trace = correlate(stream, HistogramConfig(0.5, 5.0, channels=(0, 1)))
+    trace = correlate(stream, (0, 1), HistogramConfig(0.5, 5.0))
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().splitlines()
@@ -322,10 +332,9 @@ def test_pair_counts_match_the_bruteforce_oracle(
                 got = _pair_counts(_channel(stream, m), _channel(stream, k), hist_cfg, m == k)
                 np.testing.assert_array_equal(got, expect)
             if len(channel[m]) and len(channel[k]):
-                cfg = HistogramConfig(bin_width, tau_max, channels=(m, k))
-                trace = correlate(stream, cfg)
+                trace = correlate(stream, (m, k), hist_cfg)
                 rates = len(channel[m]) / t_total, len(channel[k]) / t_total
-                np.testing.assert_array_equal(_counts_of(trace, *rates, cfg), expect)
+                np.testing.assert_array_equal(_counts_of(trace, *rates, hist_cfg), expect)
 
     members = tuple(sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False)))
     if all(len(channel[i]) for i in members):
@@ -424,8 +433,7 @@ def test_streamed_counts_equal_the_whole_stream_and_the_bruteforce(
 
         for m in range(n):
             for k in range(n):
-                whole = _outcome(lambda: correlate(
-                    stream, HistogramConfig(bin_width, tau_max, channels=(m, k))))
+                whole = _outcome(lambda: correlate(stream, (m, k), cfg))
                 assert _outcome(lambda: streamed(pair=(m, k))) == whole, (m, k)
                 assert _outcome(lambda: correlate_blocks(
                     _split(times, first % n, n, cuts), n, t_total, cfg, (m, k))) == whole
@@ -530,28 +538,28 @@ def test_correlate_csvs_keep_their_frozen_bytes(tmp_path):
 
 def test_block_bootstrap_keeps_its_frozen_bytes():
     stream = simulate(SimConfig(CascadeSpec.equal(4), seed=3, total_events=100_000))
-    for channels, digest in FROZEN_BOOTSTRAP.items():
-        cfg = HistogramConfig(0.25, 5.0, channels=channels)
-        boot = block_bootstrap_stderr(stream, cfg, n_blocks=16, n_boot=50, seed=1)
-        assert _sha256(boot.tobytes()) == digest, channels
+    cfg = HistogramConfig(0.25, 5.0)
+    for pair, digest in FROZEN_BOOTSTRAP.items():
+        boot = block_bootstrap_stderr(stream, pair, cfg, n_blocks=16, n_boot=50, seed=1)
+        assert _sha256(boot.tobytes()) == digest, pair
 
 
 STREAM4 = EventStream(np.arange(1.0, 41.0), 0, 4, 45.0)
 
 
 def _correlate_bits(m, n):
-    trace = correlate(STREAM4, HistogramConfig(0.5, 2.0, channels=(m, n)))
+    trace = correlate(STREAM4, (m, n), HistogramConfig(0.5, 2.0))
     return trace.values.tobytes(), repr(trace.pair)
 
 
 def _bootstrap_bits(m, n):
-    cfg = HistogramConfig(0.5, 2.0, channels=(m, n))
-    return block_bootstrap_stderr(STREAM4, cfg, n_blocks=4, n_boot=10).tobytes()
+    return block_bootstrap_stderr(STREAM4, (m, n), HistogramConfig(0.5, 2.0),
+                                  n_blocks=4, n_boot=10).tobytes()
 
 
 def _bootstrap_count_bits(n_blocks, n_boot):
-    cfg = HistogramConfig(0.5, 2.0, channels=(1, 3))
-    return block_bootstrap_stderr(STREAM4, cfg, n_blocks, n_boot).tobytes()
+    return block_bootstrap_stderr(STREAM4, (1, 3), HistogramConfig(0.5, 2.0),
+                                  n_blocks, n_boot).tobytes()
 
 
 def _simulate_bits(level):

@@ -16,8 +16,14 @@ from circascade import (
     StreamInvariantViolation,
     SubsetSpec,
     cs_check,
+    g2_equal_pair,
+    g2_general,
     g2_phenomenological,
+    g2_subset,
+    g2_three_level,
+    propagate,
     simulate,
+    small_tau_leading,
     trace_index,
     validate,
 )
@@ -170,6 +176,24 @@ NOT_NUMBERS = {
     "p '0.5'": (lambda: g2_phenomenological("0.5", 1.0, 1.0, 0.1), "p = '0.5' is not a number"),
     "tau sample 'a'": (lambda: cs_check(CascadeSpec.equal(6), 1, 2, [0.1, "a"]),
                        "tau = 'a' is not a number"),
+    # every g2 route applies the same rule to its delays, through check_delays
+    "g2_equal_pair tau 'a'": (lambda: g2_equal_pair(6, 1, 1, 1.0, "a"),
+                              "tau = 'a' is not a number"),
+    "g2_equal_pair tau '0.5'": (lambda: g2_equal_pair(6, 1, 1, 1.0, "0.5"),
+                                "tau = '0.5' is not a number"),
+    "g2_equal_pair tau None": (lambda: g2_equal_pair(6, 1, 1, 1.0, None),
+                               "tau = None is not a number"),
+    "g2_general tau 'a'": (lambda: g2_general(RING3, 1, 1, "a"), "tau = 'a' is not a number"),
+    "g2_three_level tau 'a'": (lambda: g2_three_level(1.0, 2.0, 4.0, 1, 1, "a"),
+                               "tau = 'a' is not a number"),
+    "g2_subset tau 'a'": (lambda: g2_subset(6, SubsetSpec((1, 2)), 1.0, "a"),
+                          "tau = 'a' is not a number"),
+    "small_tau_leading tau 'a'": (lambda: small_tau_leading(6, 2, 1.0, "a"),
+                                  "tau = 'a' is not a number"),
+    "propagate tau None": (lambda: propagate(RING3, 1, None), "tau = None is not a number"),
+    "propagate tau '0.5'": (lambda: propagate(RING3, 1, "0.5"), "tau = '0.5' is not a number"),
+    "propagate tau 2**1024": (lambda: propagate(RING3, 1, 2**1024),
+                              f"tau = {2**1024} is not a number"),
 }
 
 

@@ -66,7 +66,7 @@ def test_a_seed_outside_the_philox_key_range_is_rejected(seed, message):
     with pytest.raises(ConfigInvalid, match=message):
         SimConfig(SPEC124, seed=seed, total_events=10)
     with pytest.raises(ConfigInvalid, match=message):
-        block_bootstrap_stderr(stream, HistogramConfig(0.5, 2.0, channels=(1, 1)), seed=seed)
+        block_bootstrap_stderr(stream, (1, 1), HistogramConfig(0.5, 2.0), seed=seed)
 
 
 def test_the_largest_seed_runs_and_is_kept_in_both_formats(tmp_path):
