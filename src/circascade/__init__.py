@@ -52,7 +52,7 @@ from .stochastic import (
     read_events_binary,
     read_events_text,
     simulate,
-    simulate_to_binary,
+    simulate_to_file,
     time_weighted_occupancy,
     write_events_binary,
     write_events_text,

@@ -172,18 +172,27 @@ def small_tau_leading(n_levels: int, k: int, gamma: float, tau) -> float | np.nd
 
     k < N: N (gamma tau)^(N-k) / (N-k)!   (rise of the suppressed classes)
     k = N: N exp(-gamma tau)              (decay of the contiguous class)
+
+    Where the direct form leaves the float range it is taken in log space;
+    a value past that range raises NumericalFailure.
     """
     n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
     k = check_index("k", k)
     if not 1 <= k <= n_levels:
         raise ConfigInvalid(f"k must be in [1, {n_levels}], got {k}")
     taus = check_delays(tau, signed=False)
-    x = gamma * taus
-    if k == n_levels:
-        out = n_levels * np.exp(-x)
-    else:
-        p = n_levels - k
-        out = n_levels * x ** p / math.factorial(p)
+    with np.errstate(over="ignore", divide="ignore"):  # an inf is raised below; log(0) is -inf
+        x = gamma * taus
+        if k == n_levels:
+            out = n_levels * np.exp(-x)
+        else:
+            p = n_levels - k  # (N-k)! fits a float up to 170!
+            out = n_levels * x ** p / math.factorial(p) if p <= 170 else np.full_like(x, np.inf)
+            big = ~np.isfinite(out)
+            out[big] = np.exp(math.log(n_levels) + p * np.log(x[big]) - math.lgamma(p + 1))
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure(
+            f"small_tau_leading exceeds the float64 range at N = {n_levels}, k = {k}")
     return out if np.ndim(tau) else float(out[0])
 
 

@@ -33,9 +33,10 @@ import numpy as np
 from . import __version__
 from .analysis import cs_check, find_peaks, find_peaks_cross
 from .analytic_equal import g2_equal_pair, g2_subset
-# correlate streams its whole file through correlate_blocks, which selects
-# the channels, so correlate, correlate_subset and read_events_binary are
-# not called here; perfbench/tracer.py still wraps them by these names
+# correlate streams its file through correlate_blocks and simulate writes
+# either format through simulate_to_file, so correlate, correlate_subset,
+# read_events_binary, simulate and write_events_binary (below) are not
+# called here; perfbench/tracer.py still wraps them by these names
 from .estimator import (
     HistogramConfig,
     correlate,
@@ -53,16 +54,13 @@ from .model import (
     SubsetSpec,
 )
 from .spectral_general import g2_general, g2_three_level
-# the binary path writes through simulate_to_binary, so write_events_binary
-# is not called here; perfbench/tracer.py still wraps it by this name
 from .stochastic import (
     SimConfig,
     read_event_blocks,
     read_events_binary,
     simulate,
-    simulate_to_binary,
+    simulate_to_file,
     write_events_binary,
-    write_events_text,
 )
 
 # figure-reproduction presets: every pinned parameter set lives here
@@ -97,9 +95,10 @@ def grid_map(fn, taus: np.ndarray) -> np.ndarray:
 
 
 def _parse_numbers(flag: str, text: str, form: str, kind=float) -> list:
-    """Split a flag value shaped like `form` ('m,n', 'lo:hi', 'i,j,...')
-    and convert each field by `kind`; a wrong field count (unless `form`
-    ends in '...') or a malformed or non-finite field raises ConfigInvalid."""
+    """Split a flag value shaped like `form` ('m,n', 'lo:hi', 'i,j,...',
+    'lo:hi:count') and convert each field by `kind`; a wrong field count
+    (unless `form` ends in '...'), a malformed or non-finite field, or a
+    last field 'count' that is not a whole number >= 1 raises ConfigInvalid."""
     sep = "," if "," in form else ":"
     try:
         values = [kind(x) for x in text.split(sep)]
@@ -108,6 +107,8 @@ def _parse_numbers(flag: str, text: str, form: str, kind=float) -> list:
     count_ok = form.endswith("...") or len(values) == form.count(sep) + 1
     if not (values and count_ok and all(abs(v) < np.inf for v in values)):
         raise ConfigInvalid(f"{flag} expects '{form}' with finite numbers, got {text!r}")
+    if form.endswith("count") and not (values[-1] >= 1 and values[-1] == int(values[-1])):
+        raise ConfigInvalid(f"{flag} count must be a positive integer, got {values[-1]!r}")
     return values
 
 
@@ -246,10 +247,7 @@ def cmd_simulate(args) -> None:
     config = SimConfig(spec=spec, seed=args.seed, duration=args.duration,
                        total_events=None if events is None else int(events),
                        initial_level=args.initial, burn_in=args.burn_in)
-    if args.format == "text":
-        write_events_text(simulate(config), args.out)
-    else:
-        simulate_to_binary(config, args.out)
+    simulate_to_file(config, args.out, args.format)
 
 
 def cmd_correlate(args) -> None:
@@ -308,8 +306,6 @@ def cmd_cscheck(args) -> None:
     spec = _spec(args)
     m, n = _parse_pair(args.pair, spec.n_levels)
     lo, hi, count = _parse_numbers("--tau-samples", args.tau_samples, "lo:hi:count")
-    if count < 1 or count != int(count):
-        raise ConfigInvalid(f"--tau-samples count must be a positive integer, got {count!r}")
     taus = np.linspace(lo, hi, int(count))
     report = cs_check(spec, m, n, taus)
     with open(args.out, "w") as fh:

@@ -7,20 +7,19 @@ labeled with the source level at the jump. The simulator therefore keeps
 only the jump times and the level of the first recorded visit, which is
 exactly an ``EventStream`` ring. Sampling is vectorized in chunks drawn
 into one reused buffer; the RNG is counter-based (``model.philox``, keyed
-by the seed), so one seed gives one stream whatever the chunk size.
+by the seed), so one seed draws the same dwell times whatever the chunk size.
 
-The text format stores one '<timestamp> <label>' line per event, and
-its reader checks the labels with ``check_labels``, which rejects labels
-that do not cycle. The binary format stores the ring itself: a header
-with the first label, then the raw f64 times. One writer,
-``_write_binary``, writes it block by block, header last, and renames it
-into place when complete (``simulate_to_binary`` as the chunks are drawn,
-``write_events_binary`` from a stream). Both formats are read block by
-block, ``_READ_BLOCK`` timestamps or lines at a time (``_binary_blocks``,
-``_text_blocks``), each checking its header by ``check_header``;
-``_checked`` checks either's order across block seams and its span. One
-collector, ``_join``, gathers those blocks or ``simulate``'s chunks into
-one array for ``read_events_binary`` and ``read_events_text``, and
+A stream file is text, a header and then one '<timestamp> <label>' line
+per event, or binary, a header with the first label and then the raw f64
+times. One writer, ``_write_stream``, writes either from blocks (label of
+the first event, times) into a temporary file renamed into place when
+complete: ``simulate_to_file`` as the chunks are drawn, ``write_events_*``
+from a stream. Both formats are read block by block, ``_READ_BLOCK``
+timestamps or lines at a time (``_binary_blocks``, ``_text_blocks``),
+each checking its header (``check_header``), the text labels by
+``check_labels``; ``_checked`` checks either's order across block seams
+and its span. One collector, ``_join``, gathers those blocks or
+``simulate``'s chunks into one array for ``read_events_*``, and
 ``read_event_blocks`` hands out the blocks as they are read, for a
 consumer such as ``estimator.correlate_blocks``. Every reader returns the
 whole ring: the estimator picks the channels it correlates.
@@ -211,13 +210,14 @@ def simulate(config: SimConfig) -> EventStream:
                        seed=config.seed, spec=config.spec)
 
 
-def simulate_to_binary(config: SimConfig, path) -> None:
-    """Run one trajectory and write it in the binary format as it is drawn.
-
-    The file has the bytes of ``write_events_binary(simulate(config),
-    path)``, but only one chunk of stamps is held at a time; a failed run
-    leaves no file."""
-    _write_binary(path, config.spec.n_levels, config.seed, _kept_chunks(config), config.duration)
+def simulate_to_file(config: SimConfig, path, fmt: str) -> None:
+    """Run one trajectory and write it, in ``fmt`` "binary" or "text", as it
+    is drawn: the bytes of ``write_events_<fmt>(simulate(config), path)``,
+    holding one chunk. A text ``total_events`` run is drawn twice, first for T."""
+    total = config.duration
+    if total is None and fmt == "text":  # stamps only grow: T is the largest last one
+        total = max(times[-1] for _, times in _kept_chunks(config))
+    _write_stream(path, fmt, config.spec.n_levels, config.seed, _kept_chunks(config), total)
 
 
 def _join(blocks, size: int) -> tuple[int | None, np.ndarray]:
@@ -315,20 +315,8 @@ def dwell_samples(stream: EventStream, level: int) -> np.ndarray:
 
 def write_events_text(stream: EventStream, path) -> None:
     """Plain-text format: header line, then '<timestamp> <label>' per event."""
-    times, n = stream.times, stream.n_levels
-    with open(path, "w") as fh:
-        fh.write(
-            f"# cascade-events v1 N={stream.n_levels} seed={stream.seed or 0} "
-            f"T={stream.total_duration:.17g}\n"
-        )
-        for start in range(0, len(times), _TEXT_BLOCK):
-            stop = min(start + _TEXT_BLOCK, len(times))
-            labels = (stream.first_label - np.arange(start, stop)) % n
-            fh.write("".join(
-                f"{t:.17g} {l}\n" for t, l in zip(times[start:stop].tolist(), labels.tolist())
-            ))
-        if len(times) == 0:
-            fh.write("\n")
+    _write_stream(path, "text", stream.n_levels, stream.seed or 0,
+                  [(stream.first_label, stream.times)], stream.total_duration)
 
 
 def _text_blocks(path):
@@ -408,30 +396,45 @@ def write_events_binary(stream: EventStream, path) -> None:
     Layout: magic 'CEV2', then the ``<IIQdQ`` header (u32 N, u32 first
     label, u64 seed, f64 T, u64 count), then the ring's count f64
     timestamps; the labels follow from the first. Every stream's N and seed
-    fit (``check_header``). A failed write leaves no file.
+    fit (``check_header``). A failed write keeps the old file, or none.
     """
-    _write_binary(path, stream.n_levels, stream.seed or 0,
+    _write_stream(path, "binary", stream.n_levels, stream.seed or 0,
                   [(stream.first_label, stream.times)], stream.total_duration)
 
 
-def _write_binary(path, n_levels: int, seed: int, blocks, duration: float | None) -> None:
-    """Write the binary file of a ring fed as blocks (label of the first
-    event, times): first label that of the first block, T ``duration`` or
-    the last stamp when None. The header, which needs the count, goes in
-    last, into a sibling temporary file renamed onto ``path`` when it is
-    complete, so a failed write leaves no file."""
+def _write_stream(path, fmt: str, n_levels: int, seed: int, blocks, duration) -> None:
+    """Write the ``fmt`` ("binary" or "text") file of a ring fed as blocks
+    (label of the first event, times), T ``duration`` or, in binary, the
+    last stamp when None: text ``_TEXT_BLOCK`` lines at a time, the binary
+    header last, into a sibling temporary file renamed onto ``path`` when
+    complete, so a failed write leaves the old file, or none, and no other."""
+    if fmt not in ("binary", "text"):
+        raise ConfigInvalid(f"stream format must be 'binary' or 'text', got {fmt!r}")
+    binary = fmt == "binary"
     partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(partial, "wb") as fh:
-            fh.write(bytes(len(_BINARY_MAGIC) + _BINARY_HEADER.size))
+            fh.write(bytes(len(_BINARY_MAGIC) + _BINARY_HEADER.size) if binary else
+                     f"# cascade-events v1 N={n_levels} seed={seed} "
+                     f"T={float(duration):.17g}\n".encode())
             first, count = None, 0
             for label, times in blocks:
                 first = label if first is None else first
-                fh.write(np.ascontiguousarray(times, dtype="<f8"))
                 count += len(times)
-            total = float(times[-1]) if duration is None else float(duration)
-            fh.seek(0)
-            fh.write(_BINARY_MAGIC + _BINARY_HEADER.pack(n_levels, first, seed, total, count))
+                if binary:
+                    fh.write(np.ascontiguousarray(times, dtype="<f8"))
+                else:
+                    for start in range(0, len(times), _TEXT_BLOCK):
+                        part = times[start:start + _TEXT_BLOCK].tolist()
+                        labels = (label - np.arange(start, start + len(part))) % n_levels
+                        fh.write("".join(
+                            f"{t:.17g} {l}\n" for t, l in zip(part, labels.tolist())).encode())
+            if binary:
+                total = float(times[-1] if duration is None else duration)
+                fh.seek(0)
+                fh.write(_BINARY_MAGIC + _BINARY_HEADER.pack(n_levels, first, seed, total, count))
+            elif count == 0:
+                fh.write(b"\n")
         os.replace(partial, path)
     finally:
         with contextlib.suppress(FileNotFoundError):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,35 @@ def test_small_tau_leading_examples():
     assert small_tau_leading(2, 1, 1.0, 0.01) == pytest.approx(0.02)
     # compare against the exact rise of the N=2 antibunching dip
     assert g2_equal(2, 1, 1.0, 0.01) == pytest.approx(1 - math.exp(-0.02), abs=1e-12)
+
+
+@pytest.mark.parametrize("n_levels, k, tau", [
+    (200, 1, 0.5),     # (N-k)! past the float range: the value underflows to 0
+    (150, 1, 1000.0),  # x^(N-k) past it: the value is about 4e188
+    (200, 1, 500.0),
+    (400, 3, 300.0),
+])
+def test_small_tau_leading_past_the_direct_form_is_taken_in_log_space(n_levels, k, tau):
+    p = n_levels - k
+    exact = float(n_levels * mpmath.mpf(tau) ** p / mpmath.factorial(p))
+    assert small_tau_leading(n_levels, k, 1.0, tau) == pytest.approx(exact, rel=1e-11, abs=0)
+
+
+def test_small_tau_leading_keeps_the_direct_form_where_it_fits():
+    taus = np.array([0.0, 1.0, 10.0, 1000.0])
+    got = small_tau_leading(150, 1, 1.0, taus)
+    assert np.array_equal(got[:3], 150 * taus[:3] ** 149 / math.factorial(149))
+    assert got[3] == small_tau_leading(150, 1, 1.0, 1000.0)
+
+
+def test_small_tau_leading_past_the_float_range_raises():
+    with pytest.raises(NumericalFailure, match="float64 range"):
+        small_tau_leading(150, 1, 1.0, 1e6)
+    with pytest.raises(NumericalFailure, match="float64 range"):
+        small_tau_leading(400, 1, 1.0, np.array([0.5, 1e4]))
+    with pytest.raises(NumericalFailure, match="float64 range"):
+        small_tau_leading(6, 2, 1e300, 1e300)  # gamma tau itself overflows
+    assert small_tau_leading(6, 6, 1e300, 1e300) == 0.0
 
 
 def test_small_tau_leading_rejects_bad_class():

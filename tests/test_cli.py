@@ -144,6 +144,12 @@ def test_malformed_flag_values_exit_2(tmp_path):
                    "--out", tmp_path / "d.events").returncode == 2
 
 
+def test_simulate_events_in_float_notation_records_that_many(tmp_path):
+    out = tmp_path / "run.events"
+    assert cli.main(["simulate", "--n", "3", "--events", "2.5e3", "--out", str(out)]) == 0
+    assert read_events_binary(out).n_events == 2500
+
+
 NEGATIVE_RATE_SPEC = os.path.join(os.path.dirname(__file__), "data", "negative_rate.json")
 
 MALFORMED_FLAGS = [
@@ -157,6 +163,8 @@ MALFORMED_FLAGS = [
     ("--rates-inline", ["general", "--rates-inline", "1,x,2", "--pair", "1,1"]),
     ("--events", ["simulate", "--n", 3, "--events", "many"]),
     ("--events", ["simulate", "--n", 3, "--events", "inf"]),
+    ("--events", ["simulate", "--n", 3, "--events", "1.5"]),
+    ("--events", ["simulate", "--n", 3, "--events", "0"]),
     ("--tau", ["analytic", "--n", 6, "--k", 1, "--tau", "nan:1"]),
     ("--tau", ["analytic", "--n", 6, "--k", 1, "--tau", "0:inf"]),
     ("--n", ["cscheck", "--pair", "3,1"]),

@@ -30,6 +30,7 @@ from circascade import (
     read_events_binary,
     read_events_text,
     simulate,
+    simulate_to_file,
     time_weighted_occupancy,
     write_events_binary,
     write_events_text,
@@ -249,6 +250,53 @@ def test_streamed_binary_file_equals_the_written_stream(tmp_path, name):
     assert out.read_bytes() == (tmp_path / "ref.events").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["total_events", "burn_in", "nudged_duration"])
+def test_streamed_text_file_equals_the_written_stream(tmp_path, name):
+    config = STREAMED[name]
+    out = tmp_path / "cli.txt"
+    argv = _simulate_argv(config, tmp_path / "rates.json", out) + ["--format", "text"]
+    assert cli.main(argv) == 0
+    write_events_text(simulate(config), tmp_path / "ref.txt")
+    assert out.read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_a_file_streamed_across_many_chunk_seams_equals_the_written_stream(n, data):
+    spec = CascadeSpec(n, [10.0 ** data.draw(st.floats(-2, 2)) for _ in range(n)])
+    stop = data.draw(st.one_of(
+        st.builds(lambda events: {"total_events": events}, st.integers(1, 2000)),
+        st.builds(lambda cycles: {"duration": cycles * spec.cycle_time}, st.floats(0.01, 300)),
+    ), label="stop")
+    config = SimConfig(spec, seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+                       burn_in=data.draw(st.floats(0, 5), label="burn_in") * spec.cycle_time,
+                       initial_level=data.draw(st.none() | st.integers(0, n - 1)), **stop)
+    # with 64-draw chunks every run crosses chunk seams; the stamps' rounding
+    # depends on where the seams fall, so both sides draw the same chunks
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(stochastic, "_CHUNK", 64):
+        try:
+            stream = simulate(config)
+        except InsufficientSamples:
+            stream = None
+        for fmt, write in (("binary", write_events_binary), ("text", write_events_text)):
+            streamed, written = os.path.join(tmp, fmt), os.path.join(tmp, f"{fmt}.ref")
+            if stream is None:
+                with pytest.raises(InsufficientSamples):
+                    simulate_to_file(config, streamed, fmt)
+                assert os.listdir(tmp) == []
+                continue
+            simulate_to_file(config, streamed, fmt)
+            write(stream, written)
+            with open(streamed, "rb") as a, open(written, "rb") as b:
+                assert a.read() == b.read(), fmt
+
+
+def test_simulate_to_file_rejects_an_unknown_format(tmp_path):
+    with pytest.raises(ConfigInvalid, match="'binary' or 'text', got 'csv'"):
+        simulate_to_file(SimConfig(SPEC124, seed=1, total_events=10), tmp_path / "run", "csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_without_events_exits_5_and_leaves_no_file(tmp_path, capsys):
     out = tmp_path / "none.events"
     argv = ["simulate", "--n", "3", "--gamma", "1e-9", "--duration", "1e-6", "--out", str(out)]
@@ -277,15 +325,18 @@ def test_simulate_whose_times_overflow_exits_3_and_leaves_no_file(tmp_path, caps
     assert list(tmp_path.iterdir()) == [rates]
 
 
-def test_failed_binary_write_keeps_the_old_file_and_leaves_no_other(tmp_path):
+@pytest.mark.parametrize("write", [write_events_binary, write_events_text],
+                         ids=["binary", "text"])
+def test_failed_binary_write_keeps_the_old_file_and_leaves_no_other(tmp_path, write):
     path = tmp_path / "run.events"
-    write_events_binary(EventStream(np.array([1.0, 2.0]), 0, 2, 3.0), path)
+    write(EventStream(np.array([1.0, 2.0]), 0, 2, 3.0), path)
     before = path.read_bytes()
-    # times that cannot become f64 fail after the file is opened
+    # times that cannot become f64 or be formatted as one fail after the
+    # file is opened
     broken = mock.Mock(n_levels=2, first_label=0, seed=None, total_duration=3.0, n_events=1,
                        times=np.array(["x"], dtype=object))
     with pytest.raises(ValueError):
-        write_events_binary(broken, path)
+        write(broken, path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
@@ -300,6 +351,19 @@ def test_cli_simulate_holds_well_under_one_copy_of_the_stream(tmp_path):
                 "--out", str(tmp_path / "run.events")]
         code, peak = _traced_peak(lambda: cli.main(argv))
         assert code == 0 and peak <= 8 * stochastic._CHUNK + (1 << 19), n_events
+
+
+def test_cli_text_simulate_holds_well_under_one_copy_of_the_stream(tmp_path, monkeypatch):
+    # as above, with 2^15-draw chunks so that runs cross many seams while
+    # traced; formatting 2^12 lines at a time adds well under 1 MiB. A
+    # first untraced run loads what the command imports on first use
+    monkeypatch.setattr(stochastic, "_CHUNK", 1 << 15)
+    argv = ["simulate", "--n", "6", "--seed", "3", "--format", "text",
+            "--out", str(tmp_path / "run.txt"), "--events"]
+    assert cli.main(argv + ["10"]) == 0
+    for n_events in (100_000, 400_000):
+        code, peak = _traced_peak(lambda: cli.main(argv + [str(n_events)]))
+        assert code == 0 and peak <= 8 * stochastic._CHUNK + (1 << 20), n_events
 
 
 def test_cli_pair_correlate_holds_one_channel_and_one_read_block(tmp_path):
