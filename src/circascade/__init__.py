@@ -17,20 +17,17 @@ from .model import (
     SubsetSpec,
     steady_state,
     trace_index,
-    validate,
 )
 from .analytic_equal import (
     bundle_peak,
     g2_equal,
     g2_equal_pair,
     g2_subset,
-    root_of_unity,
     small_tau_leading,
 )
 from .spectral_general import (
     OscillationRegime,
     SpectralDecomposition,
-    ZetaValue,
     decompose,
     g2_general,
     g2_limit_high_pump,
@@ -41,19 +38,14 @@ from .spectral_general import (
     generator_matrix,
     oscillation_condition,
     propagate,
-    zeta_value,
 )
 from .stochastic import (
     SimConfig,
-    dwell_samples,
-    occupancy_block_estimates,
-    occupancy_estimate,
     read_event_blocks,
     read_events_binary,
     read_events_text,
     simulate,
     simulate_to_file,
-    time_weighted_occupancy,
     write_events_binary,
     write_events_text,
 )

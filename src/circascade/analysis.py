@@ -16,6 +16,7 @@ from .model import (
     CascadeSpec,
     ConfigInvalid,
     InsufficientSamples,
+    NumericalFailure,
     check_index,
     check_levels,
     check_number,
@@ -52,9 +53,6 @@ class PeakReport:
             raise ConfigInvalid("peak locations must be increasing")
         if any(p.magnitude <= 1.0 for p in self.peaks):
             raise ConfigInvalid("peaks are excursions above the Poisson level")
-
-    def magnitudes(self) -> list[float]:
-        return [p.magnitude for p in self.peaks]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -232,7 +230,8 @@ def _pair_evaluator(spec: CascadeSpec) -> Callable[[int, int, float], float]:
 
 
 def cs_check(spec: CascadeSpec, m: int, n: int, tau_samples: Sequence[float]) -> ViolationReport:
-    """Report where g_nm(tau)^2 exceeds the classical bound g_nn(0) g_mm(0)."""
+    """Report where g_nm(tau)^2 exceeds the classical bound g_nn(0) g_mm(0);
+    a side past the float range raises NumericalFailure."""
     m, n = check_index("m", m), check_index("n", n)
     if m == n:
         raise ConfigInvalid("Cauchy-Schwarz check needs two distinct transitions")
@@ -241,7 +240,12 @@ def cs_check(spec: CascadeSpec, m: int, n: int, tau_samples: Sequence[float]) ->
     # one route call per sample, squared as a Python float: numpy's ** 2
     # can differ by an ulp, and no sample may depend on the others
     taus = [check_number("tau", tau) for tau in tau_samples]
-    rhs = np.array([g(n, m, tau) ** 2 for tau in taus], dtype=float)
+    try:
+        rhs = np.array([g(n, m, tau) ** 2 for tau in taus], dtype=float)
+    except OverflowError:  # a square past the float range
+        lhs = math.inf
+    if not math.isfinite(lhs):
+        raise NumericalFailure("a Cauchy-Schwarz term lies past the float64 range")
     positive = lhs > 0
     violated = rhs > (lhs + 1e-12 if positive else 0.0)
     max_ratio = float((rhs[violated] / lhs).max()) if positive and violated.any() else None

@@ -34,7 +34,6 @@ to cancellation.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
@@ -63,11 +62,6 @@ _BLOCK = 1 << 16
 _EPS = float(np.finfo(float).eps)
 
 
-def root_of_unity(n_levels: int) -> complex:
-    """exp(2 i pi / N), the primitive N-th root of unity."""
-    return cmath.exp(2j * math.pi / check_levels(n_levels))
-
-
 @functools.lru_cache(maxsize=64)
 def _mode_pairs(n_levels: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d_j, sin theta_j, class-k phase) of the pairs j = 1 .. floor((N-1)/2)."""
@@ -87,7 +81,8 @@ def _mode_sum(n_levels: int, k: int, x: np.ndarray) -> np.ndarray:
     decay, freq, phase = _mode_pairs(n_levels, k)
     out = np.ones_like(x)
     if n_levels % 2 == 0:
-        out += (-1) ** k * np.exp(-2 * x)
+        with np.errstate(over="ignore"):  # -2 x past the float range decays to 0
+            out += (-1) ** k * np.exp(-2 * x)
     kept = np.searchsorted(decay, MODE_CUT / x, side="right")
     order = np.argsort(kept, kind="stable")
     # order[ends[m - 1]:ends[m]] are the points that keep m pairs
@@ -137,7 +132,8 @@ def g2_equal(n_levels: int, k: int, gamma: float, tau) -> float | np.ndarray:
     if n_levels == 1:
         out = np.ones_like(taus)
     else:
-        x = gamma * taus
+        with np.errstate(over="ignore"):  # gamma tau past the float range: every mode decayed
+            x = gamma * taus
         out = np.empty_like(x)
         small = x < SERIES_SWITCH
         if small.any():

@@ -36,14 +36,20 @@ a rate is a finite number > 0 (``check_rate``) and a class, pair, level or
 order index is an integer (``check_index``; a bool, float or string is
 not), and a level of an N-level ring one in [0, N) (``check_level``);
 anything else raises ``ConfigInvalid``. A ``CascadeSpec`` applies
-the first two when it is built (``validate`` reruns them), so every spec
-that exists is valid and no function that takes one checks it again.
+the first two when it is built, so every spec that exists is valid and no
+function that takes one checks it again.
 Every raw-argument entry point applies them to its own arguments, and the
 index rule to its indices. The other rules on outside input live here
 too: the seed rule (``check_seed``, applied by ``philox`` and
 ``SimConfig``), the header rule of a ring, in memory or on disk
 (``check_header``, applied by ``EventStream`` and both stream readers)
 and the subset rule (``SubsetSpec``).
+
+Float range: rates anywhere in [1e-300, 1e300] and any finite delay
+give finite values or a ``CascadeError``, never NaN, inf or a numpy
+warning. A value whose true size lies past the float64 range raises
+``NumericalFailure``; ``signed_delay`` applies that rule to every
+signed-delay trace.
 """
 
 from __future__ import annotations
@@ -271,18 +277,9 @@ class CascadeSpec:
         return max(self.rates)
 
     @property
-    def mean_rate(self) -> float:
-        return sum(self.rates) / len(self.rates)
-
-    @property
     def cycle_time(self) -> float:
         """Mean time for the excitation to go once around the ring."""
         return sum(1.0 / r for r in self.rates)
-
-    @property
-    def cycle_current(self) -> float:
-        """Steady-state event rate per channel (flux balance)."""
-        return 1.0 / self.cycle_time
 
     def is_equal_rate(self) -> bool:
         return (self.max_rate - min(self.rates)) <= EQUAL_RATE_RTOL * self.max_rate
@@ -296,15 +293,18 @@ class CascadeSpec:
         return cls(data["n_levels"], tuple(data["rates"]))
 
 
-def validate(spec: CascadeSpec) -> None:
-    """Raise the first violated CascadeSpec invariant, None when valid; it
-    reruns construction's checks, so only a spec altered since can fail."""
-    CascadeSpec(spec.n_levels, spec.rates)
+def flux_weights(rates) -> np.ndarray:
+    """The reciprocals 1 / rates, to which the stationary occupations are
+    proportional (flux balance), in units of the power of two at the
+    slowest rate: an exact rescaling under which none overflows; a weight
+    below the float range is 0."""
+    with np.errstate(over="ignore"):  # a rate 2**1024 times the slowest weighs 0
+        return 1.0 / np.ldexp(rates, -math.frexp(min(rates))[1])
 
 
 def steady_state(spec: CascadeSpec) -> np.ndarray:
-    """Stationary occupation: p[l] proportional to 1/rates[l] (flux balance)."""
-    w = 1.0 / np.asarray(spec.rates, dtype=float)
+    """Stationary occupation: p[l] proportional to 1/rates[l] (``flux_weights``)."""
+    w = flux_weights(spec.rates)
     return w / w.sum()
 
 
@@ -323,15 +323,19 @@ def signed_delay(right, m: int, n: int, tau) -> float | np.ndarray:
     Delays tau >= 0 (-0.0 included) take ``right(m, n, tau)``; negative
     delays take the swapped pair, ``right(n, m, -tau)``. Each branch is
     called at most once, on its points in grid order; scalar tau returns
-    a float. A NaN or infinite delay raises ConfigInvalid.
+    a float. A NaN or infinite delay raises ConfigInvalid, and a value
+    that is not finite, past the float range, NumericalFailure.
     """
     taus = check_delays(tau)
     out = np.empty_like(taus)
     pos = taus >= 0
-    if pos.any():
-        out[pos] = right(m, n, taus[pos])
-    if not pos.all():
-        out[~pos] = right(n, m, -taus[~pos])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        if pos.any():
+            out[pos] = right(m, n, taus[pos])
+        if not pos.all():
+            out[~pos] = right(n, m, -taus[~pos])
+    if not np.isfinite(out).all():
+        raise NumericalFailure("g2 value past the float64 range")
     return out if np.ndim(tau) else float(out[0])
 
 

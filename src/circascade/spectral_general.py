@@ -23,7 +23,6 @@ for every N.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
@@ -40,6 +39,7 @@ from .model import (
     check_level,
     check_number,
     check_rate,
+    flux_weights,
     signed_delay,
     steady_state,
 )
@@ -203,7 +203,8 @@ def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> 
     q = generator_matrix(spec)
     order = np.argsort(taus, kind="stable")
     gaps = np.diff(taus[order], prepend=0.0).tolist()
-    steps = {gap: _expm(q * gap) for gap in set(gaps) if gap}
+    with np.errstate(over="ignore"):  # an overflowed step is all NaN and raises below
+        steps = {gap: _expm(q * gap) for gap in set(gaps) if gap}
     p = np.eye(n)[initial_level]
     out = np.empty((len(taus), n))
     for row, gap in zip(order, gaps):
@@ -225,6 +226,8 @@ def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
     trace is p(level (n+1) % N at tau | level m % N at 0) / p_ss[(n+1) % N];
     negative delays mirror the swapped pair; tau = 0 is the right limit.
     Rounding depends on the whole stepped array: pass a grid in one call.
+    A read level whose occupation is 0, below the float range, raises
+    NumericalFailure.
     """
     nlev = spec.n_levels
     m, n = check_index("m", m), check_index("n", n)
@@ -232,9 +235,28 @@ def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
 
     def right(a, b, s):
         read = (b + 1) % nlev
+        _check_occupation(pss[read], read)
         return _propagate_grid(spec, a, s)[:, read] / pss[read]
 
     return signed_delay(right, m % nlev, n % nlev, tau)
+
+
+def _check_occupation(p: float, level: int) -> None:
+    """Raise NumericalFailure unless the stationary occupation ``p`` of the
+    read ``level``, the divisor of its g2, is finite and > 0."""
+    if not 0 < p < math.inf:
+        raise NumericalFailure(f"occupation {float(p):g} of level {level} is outside float64")
+
+
+def _times_decay(ratio: float, log_ratio: float, rate: float, s: np.ndarray) -> np.ndarray:
+    """ratio exp(-rate s) on an array of s >= 0, as exp(log_ratio - rate s)
+    where the direct product is not finite (a ratio past the float range,
+    or inf times 0); a term still past the range is inf, which
+    ``signed_delay`` raises."""
+    out = ratio * np.exp(-rate * s)
+    big = ~np.isfinite(out)
+    out[big] = np.exp(log_ratio - rate * s[big])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +273,14 @@ def g2_two_level(gamma0: float, gamma1: float, m: int, n: int, tau) -> float | n
     """
     gamma0, gamma1 = _rates(gamma0, gamma1)
     m, n = check_index("m", m), check_index("n", n)
+    total, log_ratio = gamma0 + gamma1, math.log(gamma1) - math.log(gamma0)
 
     def right(a, b, s):
-        decay = np.exp(-(gamma0 + gamma1) * s)
         if a == b:
-            return 1.0 - decay
-        return 1.0 + (gamma1 / gamma0 if a == 1 else gamma0 / gamma1) * decay
+            return 1.0 - np.exp(-total * s)
+        if a == 1:
+            return 1.0 + _times_decay(gamma1 / gamma0, log_ratio, total, s)
+        return 1.0 + _times_decay(gamma0 / gamma1, -log_ratio, total, s)
 
     return signed_delay(right, m % 2, n % 2, tau)
 
@@ -265,21 +289,15 @@ def g2_two_level(gamma0: float, gamma1: float, m: int, n: int, tau) -> float | n
 # N = 3 closed forms
 
 
-@dataclass(frozen=True)
-class ZetaValue:
-    """Discriminant of the three-level decay pair: zeta^2 and its root."""
-
-    zeta_squared: float
-    zeta: complex
-
-
-def zeta_value(gamma0: float, gamma1: float, gamma2: float) -> ZetaValue:
-    gamma0, gamma1, gamma2 = _rates(gamma0, gamma1, gamma2)
-    z2 = (
-        gamma0 ** 2 + gamma1 ** 2 + gamma2 ** 2
-        - 2 * (gamma0 * gamma1 + gamma0 * gamma2 + gamma1 * gamma2)
-    )
-    return ZetaValue(z2, cmath.sqrt(complex(z2)))
+def _zeta_squared(*rates: float) -> tuple[float, tuple[float, ...], int]:
+    """(zeta^2, rates) of three rates in units of 2^e, and e, where 2^e is
+    the power of two at the largest rate: every rate lies below 1 in these
+    units, so no square overflows, and the rescaling is exact unless a
+    rate goes subnormal. zeta^2 = g0^2 + g1^2 + g2^2 - 2 (g0 g1 + g0 g2 +
+    g1 g2), summed in the order given."""
+    e = math.frexp(max(rates))[1]
+    g0, g1, g2 = (math.ldexp(r, -e) for r in rates)
+    return g0 ** 2 + g1 ** 2 + g2 ** 2 - 2 * (g0 * g1 + g0 * g2 + g1 * g2), (g0, g1, g2), e
 
 
 def g2_three_level(
@@ -301,6 +319,12 @@ def g2_three_level(
     Negative delays mirror the swapped pair, g_{m,n}(tau) = g_{n,m}(-tau);
     tau = 0 evaluates the right limit.
 
+    Rates and delays are taken in units of the power of two at the
+    fastest rate (``_zeta_squared``), p_ss[r] from ``flux_weights``: exact
+    rescalings, so no square or reciprocal overflows. A slowest rate more
+    than 2^1022 below the fastest is subnormal in those units and loses
+    digits; a p_ss[r] of 0 raises NumericalFailure.
+
     The form is accurate to about eps / p_ss[r] absolute, not relative to
     g. When r is the one fast level and tau has outlived the fast mode,
     the bracket cancels to O(p_ss[r]): at rates (0.001, 1000, 0.001),
@@ -309,25 +333,30 @@ def g2_three_level(
     """
     rates = _rates(gamma0, gamma1, gamma2)
     m, n = check_index("m", m), check_index("n", n)
-    lo, mid, hi = sorted(rates)
+    z2, (lo, mid, hi), e = _zeta_squared(*sorted(rates))
+    units = [math.ldexp(r, -e) for r in rates]
     total = lo + mid + hi
-    z2 = zeta_value(lo, mid, hi).zeta_squared
-    inverse_sum = 1.0 / lo + 1.0 / mid + 1.0 / hi
+    weights = flux_weights(rates).tolist()
+    inverse_sum = sum(sorted(weights, reverse=True))  # 1/lo + 1/mid + 1/hi
 
     def right(a, b, s):
         r = (b + 1) % 3
-        p = 1.0 / rates[r] / inverse_sum
+        p = weights[r] / inverse_sum
+        _check_occupation(p, r)
         c0 = (a == r) - p
-        d = -rates[a] if r == a else rates[a] if r == (a - 1) % 3 else 0.0
+        d = -units[a] if r == a else units[a] if r == (a - 1) % 3 else 0.0
         v = d + c0 * total / 2
+        s = np.ldexp(s, e)
         if z2 <= 0:
             w = math.sqrt(-z2) / 2
-            f = np.exp(-total / 2 * s) * (c0 * np.cos(w * s) + v * s * np.sinc(w * s / math.pi))
+            decay = np.exp(-total / 2 * s)
+            f = decay * (c0 * np.cos(w * s) + v * s * np.sinc(w * s / math.pi))
+            f[decay == 0] = 0.0  # decayed: the bracket is NaN at s = inf
         else:
             h = math.sqrt(z2) / 2
             slow = (lo * mid + lo * hi + mid * hi) / (total / 2 + h)  # S/2 - h, no cancellation
-            e = np.expm1(-2 * h * s)
-            f = np.exp(-slow * s) * (c0 * (1 + e / 2) - v * e / (2 * h))
+            em1 = np.expm1(-2 * h * s)
+            f = np.exp(-slow * s) * (c0 * (1 + em1 / 2) - v * em1 / (2 * h))
         return 1.0 + f / p
 
     return signed_delay(right, m % 3, n % 3, tau)
@@ -345,10 +374,8 @@ def oscillation_condition(gamma0: float, gamma1: float, gamma2: float) -> Oscill
     zeta^2 < 0 (equivalently (sqrt(g0)-sqrt(g1))^2 < g2 < (sqrt(g0)+sqrt(g1))^2)
     gives oscillations; the condition is symmetric in all rate permutations.
     """
-    gamma0, gamma1, gamma2 = _rates(gamma0, gamma1, gamma2)
-    z2 = zeta_value(gamma0, gamma1, gamma2).zeta_squared
-    scale = max(gamma0, gamma1, gamma2) ** 2
-    if abs(z2) <= 1e-12 * scale:
+    z2, units, _ = _zeta_squared(*_rates(gamma0, gamma1, gamma2))
+    if abs(z2) <= 1e-12 * max(units) ** 2:
         return OscillationRegime.BOUNDARY
     return OscillationRegime.OSCILLATORY if z2 < 0 else OscillationRegime.OVERDAMPED
 
@@ -360,10 +387,11 @@ def g2_limit_low_pump(gamma0: float, gamma1: float, gamma2: float, tau) -> float
     for tau >= 0.
     """
     gamma0, gamma1, gamma2 = _rates(gamma0, gamma1, gamma2)
+    log_ratio = math.log(gamma2) - math.log(gamma0)
 
     def right(a, b, s):
         if (a, b) == (2, 1):
-            return 1.0 + (gamma2 / gamma0) * np.exp(-gamma2 * s)
+            return 1.0 + _times_decay(gamma2 / gamma0, log_ratio, gamma2, s)
         return 1.0 - np.exp(-gamma1 * s)
 
     return signed_delay(right, 2, 1, tau)
@@ -376,12 +404,14 @@ def g2_limit_high_pump(gamma0: float, gamma1: float, gamma2: float, tau) -> floa
     tau >= 0: 1 + (g2/g1) exp(-(g1+g2) tau).
     """
     gamma0, gamma1, gamma2 = _rates(gamma0, gamma1, gamma2)
+    total, log_ratio = gamma1 + gamma2, math.log(gamma1) - math.log(gamma2)
+    log_sum = math.log(total) - math.log(gamma2)  # of 1 + gamma1 / gamma2
 
     def right(a, b, s):
-        decay = np.exp(-(gamma1 + gamma2) * s)
         if (a, b) == (2, 1):
-            return 1.0 + (gamma2 / gamma1) * decay
-        return 1.0 + (gamma1 / gamma2) * decay - (1.0 + gamma1 / gamma2) * np.exp(-gamma0 * s)
+            return 1.0 + _times_decay(gamma2 / gamma1, -log_ratio, total, s)
+        return (1.0 + _times_decay(gamma1 / gamma2, log_ratio, total, s)
+                - _times_decay(1.0 + gamma1 / gamma2, log_sum, gamma0, s))
 
     return signed_delay(right, 2, 1, tau)
 
@@ -395,9 +425,10 @@ def g2_phenomenological(p: float, gamma1: float, gamma2: float, tau) -> float | 
     if not 0.0 <= check_number("p", p) <= 1.0:
         raise ConfigInvalid("p must be in [0, 1]")
     gamma1, gamma2 = check_rate("gamma1", gamma1), check_rate("gamma2", gamma2)
-    ratio = gamma2 / gamma1
-    # pair (1, 0) is the good order, its mirror (0, 1) the reversed one
-    return signed_delay(
-        lambda a, b, s: 1.0 + (p if a == 1 else 1.0 - p) * ratio * np.exp(-gamma2 * s),
-        1, 0, tau,
-    )
+    ratio, log_ratio = gamma2 / gamma1, math.log(gamma2) - math.log(gamma1)
+
+    def right(a, b, s):
+        weight = p if a == 1 else 1.0 - p  # pair (1, 0) is the good order, (0, 1) its mirror
+        return 1.0 + _times_decay(weight * ratio, np.log(weight) + log_ratio, gamma2, s)
+
+    return signed_delay(right, 1, 0, tau)

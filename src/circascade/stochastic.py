@@ -256,59 +256,6 @@ def _nudge_collisions(times: np.ndarray, previous: float) -> None:
         at = first_unordered(times, at + _ORDER_BLOCK)
 
 
-def _dwell_segments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
-    """(durations, levels) of every occupation segment, censored ends included.
-
-    Segment i is the dwell that event i ends (the window end cuts off the
-    last one), so its level is the label of event i on the ring.
-    """
-    times = stream.times
-    tail_end = max(float(stream.total_duration), float(times[-1]))
-    durations = np.diff(np.concatenate(([0.0], times, [tail_end])))
-    levels = (stream.first_label - np.arange(len(times) + 1)) % stream.n_levels
-    return durations, levels
-
-
-def time_weighted_occupancy(stream: EventStream) -> np.ndarray:
-    """Fraction of the observation time spent in each level."""
-    if min(stream.counts) == 0:
-        missing = [l for l, c in enumerate(stream.counts) if c == 0]
-        raise InsufficientSamples(f"levels never visited: channels {missing} empty")
-    durations, levels = _dwell_segments(stream)
-    totals = np.bincount(levels, weights=durations, minlength=stream.n_levels)
-    return totals / totals.sum()
-
-
-def occupancy_estimate(config: SimConfig) -> np.ndarray:
-    """Simulate one trajectory and return its time-weighted occupancy."""
-    return time_weighted_occupancy(simulate(config))
-
-
-def occupancy_block_estimates(stream: EventStream, n_blocks: int = 100) -> np.ndarray:
-    """Per-block occupancy estimates over contiguous cycle blocks.
-
-    Rows are blocks; the row standard deviation / sqrt(n_blocks) is the
-    batch-means standard error of the occupancy estimate.
-    """
-    durations, levels = _dwell_segments(stream)
-    n = stream.n_levels
-    usable = (len(durations) // n_blocks) * n_blocks
-    if usable < n_blocks * n:
-        raise InsufficientSamples("too few events for the requested block count")
-    block = np.repeat(np.arange(n_blocks), usable // n_blocks)
-    occ = np.bincount(
-        block * n + levels[:usable], weights=durations[:usable], minlength=n_blocks * n
-    ).reshape(n_blocks, n)
-    return occ / occ.sum(axis=1, keepdims=True)
-
-
-def dwell_samples(stream: EventStream, level: int) -> np.ndarray:
-    """Uncensored dwell times in one level (gaps preceding its departures)."""
-    n, level = stream.n_levels, check_level("level", level, stream.n_levels)
-    # gap j ends event j + 1, whose label is level when j = first - level - 1 mod N
-    return np.diff(stream.times)[(stream.first_label - level - 1) % n :: n]
-
-
 # ---------------------------------------------------------------------------
 # Event stream file formats
 

@@ -3,6 +3,8 @@
 Everything here is built from first principles (dense matrix exponential,
 60-digit mpmath exponentials and series, brute-force double sums) and
 deliberately avoids the package's own spectral or closed-form code paths.
+The occupancy and dwell checks of the simulator take a ring as plain
+(times, first label, N, T): event i carries label (first - i) mod N.
 """
 
 import functools
@@ -178,3 +180,41 @@ def golden_section_max(f, a, b, tol):
             d = a + invphi * (b - a)
             fd = f(d)
     return (a + b) / 2
+
+
+def dwell_segments(times, first_label, n_levels, total):
+    """(durations, levels) of every occupation segment of a ring, censored
+    ends included: segment i is the dwell that event i ends (the window
+    end T cuts off the last one), so its level is the label of event i."""
+    times = np.asarray(times, dtype=float)
+    tail_end = max(float(total), float(times[-1]))
+    durations = np.diff(np.concatenate(([0.0], times, [tail_end])))
+    levels = (first_label - np.arange(len(times) + 1)) % n_levels
+    return durations, levels
+
+
+def time_weighted_occupancy(times, first_label, n_levels, total):
+    """Fraction of the window spent in each level; ValueError when a level
+    never emits."""
+    durations, levels = dwell_segments(times, first_label, n_levels, total)
+    empty = np.flatnonzero(np.bincount(levels[:-1], minlength=n_levels) == 0)
+    if len(empty):
+        raise ValueError(f"levels never visited: channels {empty.tolist()} empty")
+    totals = np.bincount(levels, weights=durations, minlength=n_levels)
+    return totals / totals.sum()
+
+
+def occupancy_block_estimates(times, first_label, n_levels, total, n_blocks=100):
+    """Occupancy of each of n_blocks contiguous runs of segments, one row
+    per block: the row standard deviation / sqrt(n_blocks) is the
+    batch-means standard error of the occupancy."""
+    durations, levels = dwell_segments(times, first_label, n_levels, total)
+    usable = (len(durations) // n_blocks) * n_blocks
+    if usable < n_blocks * n_levels:
+        raise ValueError("too few events for the requested block count")
+    block = np.repeat(np.arange(n_blocks), usable // n_blocks)
+    occ = np.bincount(
+        block * n_levels + levels[:usable], weights=durations[:usable],
+        minlength=n_blocks * n_levels,
+    ).reshape(n_blocks, n_levels)
+    return occ / occ.sum(axis=1, keepdims=True)

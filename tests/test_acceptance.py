@@ -27,12 +27,13 @@ from circascade import (
     g2_general,
     g2_three_level,
     g2_subset,
-    occupancy_block_estimates,
     oscillation_condition,
     simulate,
     small_tau_leading,
-    time_weighted_occupancy,
+    steady_state,
 )
+
+from oracles import occupancy_block_estimates, time_weighted_occupancy
 
 
 def report(num, text):
@@ -138,11 +139,10 @@ def _mc_check(spec, analytic_fn, seed):
     expected = analytic_fn(trace.tau)
     pulls = np.abs(trace.values - expected) / trace.stderr
     frac = float(np.mean(pulls < 3.0))
-    occ = time_weighted_occupancy(stream)
-    blocks = occupancy_block_estimates(stream, n_blocks=100)
+    ring = stream.times, stream.first_label, stream.n_levels, stream.total_duration
+    occ = time_weighted_occupancy(*ring)
+    blocks = occupancy_block_estimates(*ring, n_blocks=100)
     sem = blocks.std(axis=0, ddof=1) / np.sqrt(100)
-    from circascade import steady_state
-
     occ_ok = bool(np.all(np.abs(occ - steady_state(spec)) <= 3 * sem))
     return frac, occ_ok
 

@@ -14,7 +14,6 @@ from circascade import (
     g2_equal,
     g2_equal_pair,
     g2_subset,
-    root_of_unity,
     small_tau_leading,
     trace_index,
 )
@@ -26,13 +25,6 @@ from oracles import g2_pair_expm, g2_subset_bruteforce
 # frozen expected value, computed with the dense matrix-exponential oracle:
 # g2 of the autocorrelation class at N=3, gamma=1, tau=1
 G2_N3_K1_TAU1 = 0.5610435474298092
-
-
-def test_root_of_unity_properties():
-    for n in range(1, 20):
-        z = root_of_unity(n)
-        assert abs(abs(z) - 1) < 1e-12
-        assert abs(z ** n - 1) < 1e-12
 
 
 def test_maximum_antibunching_at_zero():

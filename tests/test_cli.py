@@ -740,3 +740,27 @@ def test_manifest_records_parameters(tmp_path):
     assert manifest["parameters"]["n"] == 4
     assert manifest["outputs"] == [str(out)]
     assert "duration_seconds" in manifest
+
+
+# rates and a gamma at the edge of the float range: each of these once
+# ended in a traceback (an OverflowError, or NaN occupations) or a warning
+FLOAT_RANGE_RUNS = {
+    "squares": ("general", "--rates-inline", "1e308,1e308,1", "--pair", "1,1"),
+    "occupation": ("general", "--rates-inline", "1e-300,1,1e300", "--pair", "1,1",
+                   "--tau", "0:1", "--steps", 4),
+    "cscheck": ("cscheck", "--rates", "{rates}", "--pair", "2,1"),
+    "simulate": ("simulate", "--rates", "{tiny}", "--events", 10),
+    "gamma": ("analytic", "--n", 6, "--k", 1, "--gamma", "1e308"),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_RANGE_RUNS)
+def test_the_float_range_exits_without_a_traceback(tmp_path, name):
+    files = {"rates": [1e308, 1e308, 1.0], "tiny": [5e-324, 1.0]}
+    for key, rates in files.items():
+        (tmp_path / key).write_text(json.dumps({"n_levels": len(rates), "rates": rates}))
+    args = [str(a).format(rates=tmp_path / "rates", tiny=tmp_path / "tiny")
+            for a in FLOAT_RANGE_RUNS[name]]
+    cp = run_cli(*args, "--out", tmp_path / "out")
+    assert cp.returncode in (0, 3) and "Traceback" not in cp.stderr, cp.stderr
+    assert cp.returncode == 3 or cp.stderr == ""

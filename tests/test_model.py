@@ -25,41 +25,40 @@ from circascade import (
     simulate,
     small_tau_leading,
     trace_index,
-    validate,
 )
 from circascade import model
 from circascade.model import check_order, check_rate
 
 
 def test_validate_canonical_spec():
-    validate(CascadeSpec(3, (1.0, 1.0, 1.0)))  # no exception
+    assert CascadeSpec(3, (1.0, 1.0, 1.0)).rates == (1.0, 1.0, 1.0)
 
 
 def test_validate_zero_levels():
     with pytest.raises(ConfigInvalid, match="n_levels must be >= 1"):
-        validate(CascadeSpec(0, ()))
+        CascadeSpec(0, ())
 
 
 def test_validate_negative_rate():
     with pytest.raises(ConfigInvalid, match=r"rates\[1\] = -0.5 must be > 0"):
-        validate(CascadeSpec(2, (1.0, -0.5)))
+        CascadeSpec(2, (1.0, -0.5))
 
 
 def test_validate_zero_rate():
     with pytest.raises(ConfigInvalid, match=r"rates\[1\] = 0.0 must be > 0"):
-        validate(CascadeSpec(2, (1.0, 0.0)))
+        CascadeSpec(2, (1.0, 0.0))
 
 
 def test_validate_nonfinite_rate():
     with pytest.raises(ConfigInvalid, match=r"rates\[1\] = inf is not finite"):
-        validate(CascadeSpec(2, (1.0, float("inf"))))
+        CascadeSpec(2, (1.0, float("inf")))
     with pytest.raises(ConfigInvalid, match=r"rates\[0\] = nan is not finite"):
-        validate(CascadeSpec(2, (float("nan"), 1.0)))
+        CascadeSpec(2, (float("nan"), 1.0))
 
 
 def test_validate_length_mismatch():
     with pytest.raises(ConfigInvalid, match="expected 3 rates, got 2"):
-        validate(CascadeSpec(3, (1.0, 2.0)))
+        CascadeSpec(3, (1.0, 2.0))
 
 
 def test_one_error_class_per_exit_code():
@@ -103,7 +102,7 @@ def test_validate_accepts_iff_invariants_hold(n, rates):
         and all(np.isfinite(r) and r > 0 for r in rates)
     )
     if should_pass:
-        validate(CascadeSpec(n, tuple(rates)))
+        CascadeSpec(n, tuple(rates))
     else:
         with pytest.raises(ConfigInvalid):
             CascadeSpec(n, tuple(rates))
@@ -145,7 +144,6 @@ def test_spec_rejects_rates_that_are_not_a_sequence():
 
 def test_spec_accepts_a_numpy_integer_level_count():
     spec = CascadeSpec(np.int64(3), (1.0, 2.0, 3.0))
-    validate(spec)
     assert json.loads(spec.to_json())["n_levels"] == 3
 
 
@@ -214,7 +212,7 @@ def test_equal_rate_predicate():
 
 def test_cycle_current_matches_harmonic_sum():
     spec = CascadeSpec(3, (1.0, 2.0, 4.0))
-    assert spec.cycle_current == pytest.approx(4.0 / 7.0)
+    assert 1.0 / spec.cycle_time == pytest.approx(4.0 / 7.0)
 
 
 def test_subset_spec_validation():

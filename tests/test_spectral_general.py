@@ -13,18 +13,19 @@ from hypothesis import strategies as st
 
 import circascade
 from circascade import (
+    CascadeError,
     CascadeSpec,
     ConfigInvalid,
     EventStream,
     HistogramConfig,
     OscillationRegime,
+    SimConfig,
     SubsetSpec,
     bundle_peak,
     correlate_blocks,
     cs_check,
     decompose,
     discontinuity,
-    dwell_samples,
     find_peaks,
     find_peaks_cross,
     g2_equal,
@@ -39,16 +40,14 @@ from circascade import (
     generator_matrix,
     oscillation_condition,
     propagate,
-    root_of_unity,
+    simulate,
     small_tau_leading,
     steady_state,
     trace_index,
-    validate,
-    zeta_value,
 )
 from circascade.model import NumericalFailure
 from circascade import spectral_general
-from circascade.spectral_general import _expm, characteristic_residuals
+from circascade.spectral_general import _expm, _zeta_squared, characteristic_residuals
 
 from oracles import (
     expm,
@@ -290,7 +289,7 @@ def test_propagate_simplex_preservation():
     rng = np.random.default_rng(4)
     for _ in range(15):
         spec = random_spec(rng)
-        tau = rng.uniform(0, 20) / spec.mean_rate
+        tau = rng.uniform(0, 20) * spec.n_levels / sum(spec.rates)
         p = propagate(spec, int(rng.integers(spec.n_levels)), tau)
         assert np.all(p >= 0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -595,13 +594,11 @@ RING_CALLS = {
     "g2_equal": (lambda n, g: g2_equal(n, 1, g, 0.5), (6, 1.0)),
     "g2_equal_pair": (lambda n, g: g2_equal_pair(n, 2, 1, g, 0.5), (6, 1.0)),
     "g2_subset": (lambda n, g: g2_subset(n, SubsetSpec((1, 2)), g, 0.5), (6, 1.0)),
-    "root_of_unity": (root_of_unity, (6,)),
     "small_tau_leading": (lambda n, g: small_tau_leading(n, 2, g, 0.5), (6, 1.0)),
     "bundle_peak": (lambda n: bundle_peak(n, 2), (6,)),
     "trace_index": (lambda n: trace_index(2, 1, n), (6,)),
     "g2_two_level": (lambda a, b: g2_two_level(a, b, 1, 0, 0.5), (1.0, 2.0)),
     "g2_three_level": (lambda *g: g2_three_level(*g, 2, 1, 0.5), UNBALANCED),
-    "zeta_value": (zeta_value, UNBALANCED),
     "oscillation_condition": (oscillation_condition, UNBALANCED),
     "g2_limit_low_pump": (lambda *g: g2_limit_low_pump(*g, 0.5), UNBALANCED),
     "g2_limit_high_pump": (lambda *g: g2_limit_high_pump(*g, 0.5), UNBALANCED),
@@ -625,7 +622,6 @@ BAD_RING_ROUTES = {
 
 # entry points that take a CascadeSpec: a bad rate raises when the spec is built
 SPEC_ROUTES = {
-    "validate": validate,
     "generator_matrix": generator_matrix,
     "steady_state": steady_state,
     "decompose": decompose,
@@ -671,7 +667,6 @@ def test_every_ring_entry_point_applies_the_domain_rule():
 
 
 BAD_INDICES = (1.5, True, "1")
-STREAM3 = EventStream(np.arange(1.0, 7.0), 0, 3, 10.0)
 
 # every public function that takes a class, pair, level or order index:
 # (its valid call as a function of the indices, the indices, the result of
@@ -683,9 +678,9 @@ INDEX_CALLS = {
     "bundle_peak": (lambda n_s: bundle_peak(6, n_s), (2,), 1.5),
     "trace_index": (lambda m, n: trace_index(m, n, 6), (2, 1), 0),
     "g2_subset": (lambda i, j: g2_subset(6, (i, j), 1.0, 0.5), (1, 2), 0.9126588461404932),
-    "find_peaks": (lambda k, order: find_peaks(6, 1.0, k, order).magnitudes()[-1], (1, 2),
+    "find_peaks": (lambda k, order: find_peaks(6, 1.0, k, order).peaks[-1].magnitude, (1, 2),
                    1.0030306184479763),
-    "find_peaks_cross": (lambda order: find_peaks_cross(6, 1.0, order).magnitudes()[-1], (2,),
+    "find_peaks_cross": (lambda order: find_peaks_cross(6, 1.0, order).peaks[-1].magnitude, (2,),
                          1.018586742614836),
     "g2_two_level": (lambda m, n: g2_two_level(1.0, 2.0, m, n, 0.5), (1, 0), 1.4462603202968596),
     "g2_three_level": (lambda m, n: g2_three_level(*UNBALANCED, m, n, 0.5), (2, 1),
@@ -698,7 +693,6 @@ INDEX_CALLS = {
                  8.187307531050577e-07),
     "discontinuity": (lambda m, n: discontinuity(CascadeSpec(3, UNBALANCED), m, n)[2], (2, 1),
                       1.0477272727272726),
-    "dwell_samples": (lambda level: dwell_samples(STREAM3, level).tolist(), (1,), [1.0, 1.0]),
 }
 INDEX_PARAMETERS = {"m", "n", "k", "n_s", "level", "initial_level", "max_order"}
 
@@ -797,11 +791,13 @@ def test_three_level_spread_and_near_boundary_rates_match_propagation():
 
 
 def test_zeta_value():
-    zv = zeta_value(1.0, 1.0, 4.0)
-    assert zv.zeta_squared == pytest.approx(0.0, abs=1e-14)
-    zv = zeta_value(1.0, 1.0, 1.0)
-    assert zv.zeta_squared == pytest.approx(-3.0)
-    assert zv.zeta.imag == pytest.approx(math.sqrt(3))
+    # zeta^2 in units of the power of two at the fastest rate (4 = 2^3 / 2)
+    assert _zeta_squared(1.0, 1.0, 4.0) == (0.0, (0.125, 0.125, 0.5), 3)
+    assert _zeta_squared(1.0, 1.0, 1.0) == (-0.75, (0.5, 0.5, 0.5), 1)
+    # 1e308 squared overflows outside these units; inside, zeta^2 is the
+    # tiny -4 g0 g2 up to the rounding of the squares, eps g0^2
+    z2, (g0, _, _), e = _zeta_squared(1e308, 1e308, 1.0)
+    assert e == 1024 and abs(z2) <= np.finfo(float).eps * g0 ** 2
 
 
 def test_oscillation_condition_examples():
@@ -909,3 +905,65 @@ def test_small_ring_routes_are_finite_and_nonnegative(rates, m, n, tau):
     assert math.isfinite(closed)
     assert closed >= -THREE_LEVEL_ABS_C * np.finfo(float).eps / p_read
 
+
+
+# every public route and steady_state as a function of four rates, a level
+# count N in [1, 4], a signed delay and two indices in [0, 4): a ring route
+# takes the first N rates, an equal-rate route N and the first rate, and a
+# delay >= 0 route the delay's magnitude; each returns its numbers
+def _spec(rates, nlev):
+    return CascadeSpec(nlev, rates[:nlev])
+
+
+FLOAT_RANGE_ROUTES = {
+    "steady_state": lambda r, nlev, t, m, n: steady_state(_spec(r, nlev)),
+    "propagate": lambda r, nlev, t, m, n: propagate(_spec(r, nlev), m % nlev, abs(t)),
+    "g2_general": lambda r, nlev, t, m, n: g2_general(_spec(r, nlev), m, n, [t, 0.0]),
+    "cs_check": lambda r, nlev, t, m, n: [
+        s.rhs for s in cs_check(_spec(r, nlev), m, m + 1, [t]).samples],
+    "discontinuity": lambda r, nlev, t, m, n: discontinuity(_spec(r, nlev), m, n),
+    "simulate": lambda r, nlev, t, m, n: simulate(
+        SimConfig(_spec(r, nlev), seed=m, total_events=64)).times,
+    "g2_equal": lambda r, nlev, t, m, n: g2_equal(nlev, m, r[0], abs(t)),
+    "g2_equal_pair": lambda r, nlev, t, m, n: g2_equal_pair(nlev, m, n, r[0], t),
+    "g2_subset": lambda r, nlev, t, m, n: g2_subset(nlev, range(nlev), r[0], t),
+    "small_tau_leading": lambda r, nlev, t, m, n: small_tau_leading(
+        nlev, m % nlev + 1, r[0], abs(t)),
+    "find_peaks": lambda r, nlev, t, m, n: [
+        x for p in find_peaks(nlev, r[0], m, 2).peaks for x in (p.tau, p.magnitude)],
+    "find_peaks_cross": lambda r, nlev, t, m, n: [
+        x for p in find_peaks_cross(nlev, r[0], 2).peaks for x in (p.tau, p.magnitude)],
+    "g2_two_level": lambda r, nlev, t, m, n: g2_two_level(*r[:2], m, n, t),
+    "g2_phenomenological": lambda r, nlev, t, m, n: g2_phenomenological(m / 3, *r[:2], t),
+    "g2_three_level": lambda r, nlev, t, m, n: g2_three_level(*r[:3], m, n, t),
+    "oscillation_condition": lambda r, nlev, t, m, n: [
+        oscillation_condition(*r[:3]) is not None],
+    "g2_limit_low_pump": lambda r, nlev, t, m, n: g2_limit_low_pump(*r[:3], t),
+    "g2_limit_high_pump": lambda r, nlev, t, m, n: g2_limit_high_pump(*r[:3], t),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_RANGE_ROUTES)
+@given(
+    rates=st.tuples(*[st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)] * 4),
+    nlev=st.integers(1, 4),
+    tau=st.floats(allow_nan=False, allow_infinity=False),
+    m=st.integers(0, 3),
+    n=st.integers(0, 3),
+)
+@example(rates=(1e300, 1e300, 1.0, 1.0), nlev=3, tau=0.5, m=1, n=1)  # squares past the range
+@example(rates=(1e-300, 1.0, 1e300, 1.0), nlev=3, tau=0.25, m=1, n=1)  # p_ss[2] underflows
+@example(rates=(1e-300, 1e300, 1.0, 1.0), nlev=2, tau=0.5, m=1, n=0)  # ratio past the range
+@example(rates=(1.0, 1.0, 1.0, 1.0), nlev=4, tau=1e308, m=1, n=1)  # gamma tau past the range
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_rates_and_delays_across_the_float_range_give_finite_values(name, rates, nlev, tau, m, n):
+    """Every route returns finite numbers or raises a CascadeError for rates
+    anywhere in [1e-300, 1e300] and any finite delay: no NaN, no inf, no
+    other exception and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.asarray(FLOAT_RANGE_ROUTES[name](rates, nlev, tau, m, n), dtype=float)
+        except CascadeError:
+            return
+    assert np.isfinite(values).all(), values

@@ -23,19 +23,17 @@ from circascade import (
     StreamInvariantViolation,
     block_bootstrap_stderr,
     correlate_blocks,
-    dwell_samples,
-    occupancy_block_estimates,
-    occupancy_estimate,
     read_event_blocks,
     read_events_binary,
     read_events_text,
     simulate,
     simulate_to_file,
-    time_weighted_occupancy,
     write_events_binary,
     write_events_text,
 )
 from circascade import cli, stochastic
+
+from oracles import dwell_segments, occupancy_block_estimates, time_weighted_occupancy
 
 SPEC124 = CascadeSpec(3, (1.0, 2.0, 4.0))
 
@@ -125,7 +123,7 @@ def test_event_count_stop_is_exact():
 
 def test_channel_rates_match_cycle_current():
     stream = simulate(SimConfig(SPEC124, seed=11, total_events=300_000))
-    current = SPEC124.cycle_current  # 4/7 per unit time
+    current = 1.0 / SPEC124.cycle_time  # 4/7 per unit time
     for count in stream.counts:
         expected = current * stream.total_duration
         assert abs(count - expected) < 3 * np.sqrt(expected)
@@ -506,17 +504,17 @@ def test_burn_in_shifts_origin():
     assert stream.total_duration == 500.0
 
 
-@pytest.mark.parametrize("level", [-1, 3])
-def test_dwell_samples_rejects_a_level_outside_the_ring(level):
-    stream = simulate(SimConfig(SPEC124, seed=21, total_events=100))
-    with pytest.raises(ConfigInvalid, match=f"level {level} outside"):
-        dwell_samples(stream, level)
+def _ring(stream):
+    """The plain (times, first label, N, T) that the oracles take."""
+    return stream.times, stream.first_label, stream.n_levels, stream.total_duration
 
 
 def test_dwell_marginals_pass_ks(subtests=None):
     stream = simulate(SimConfig(SPEC124, seed=21, total_events=330_000))
+    durations, levels = dwell_segments(*_ring(stream))
     for level, rate in enumerate(SPEC124.rates):
-        dwell = dwell_samples(stream, level)[:100_000]
+        # the two censored end segments are not dwells
+        dwell = durations[1:-1][levels[1:-1] == level][:100_000]
         assert len(dwell) >= 100_000
         res = stats.kstest(dwell, "expon", args=(0, 1 / rate))
         assert res.pvalue > 1e-3, f"level {level}: KS p={res.pvalue}"
@@ -524,23 +522,24 @@ def test_dwell_marginals_pass_ks(subtests=None):
 
 def test_occupancy_equal_rates():
     stream = simulate(SimConfig(CascadeSpec.equal(5, 1.0), seed=2, duration=1e6))
-    occ = time_weighted_occupancy(stream)
-    blocks = occupancy_block_estimates(stream, n_blocks=100)
+    occ = time_weighted_occupancy(*_ring(stream))
+    blocks = occupancy_block_estimates(*_ring(stream), n_blocks=100)
     sem = blocks.std(axis=0, ddof=1) / np.sqrt(100)
     assert occ.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.abs(occ - 0.2) <= 3 * sem)
 
 
 def test_occupancy_unbalanced_rates():
-    occ = occupancy_estimate(SimConfig(SPEC124, seed=4, duration=1e6))
     stream = simulate(SimConfig(SPEC124, seed=4, duration=1e6))
-    blocks = occupancy_block_estimates(stream, n_blocks=100)
+    occ = time_weighted_occupancy(*_ring(stream))
+    blocks = occupancy_block_estimates(*_ring(stream), n_blocks=100)
     sem = blocks.std(axis=0, ddof=1) / np.sqrt(100)
     np.testing.assert_array_less(np.abs(occ - [4 / 7, 2 / 7, 1 / 7]), 3 * sem)
 
 
 def test_occupancy_single_level():
-    occ = occupancy_estimate(SimConfig(CascadeSpec(1, (1.0,)), seed=1, duration=100.0))
+    stream = simulate(SimConfig(CascadeSpec(1, (1.0,)), seed=1, duration=100.0))
+    occ = time_weighted_occupancy(*_ring(stream))
     assert occ.tolist() == [1.0]
 
 
@@ -548,8 +547,8 @@ def test_occupancy_requires_all_levels_visited():
     # a 40-level ring observed for a fraction of one cycle misses levels
     spec = CascadeSpec.equal(40, 1.0)
     stream = simulate(SimConfig(spec, seed=1, total_events=5, initial_level=0))
-    with pytest.raises(InsufficientSamples):
-        time_weighted_occupancy(stream)
+    with pytest.raises(ValueError, match="levels never visited"):
+        time_weighted_occupancy(*_ring(stream))
 
 
 def test_stationary_draw_is_unbiased_without_burn_in():
