@@ -111,6 +111,8 @@ def _grid_brackets(n_levels: int, k: int, gamma: float) -> Iterator[tuple[float,
     """
     step = PEAK_GRID_STEP / gamma
     tau_flat = 0.0 if n_levels == 1 else MODE_CUT / (2 * gamma * math.sin(math.pi / n_levels) ** 2)
+    if not tau_flat + (PEAK_SCAN_WINDOW + 1) * step < math.inf:
+        raise NumericalFailure(f"gamma = {gamma!r} puts the peak scan past the float64 range")
     taus, g = np.empty(0), np.empty(0)
     for start in itertools.count(0, PEAK_SCAN_WINDOW):
         window = step + np.arange(start, start + PEAK_SCAN_WINDOW) * step

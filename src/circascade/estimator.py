@@ -19,8 +19,8 @@ argument, and ``_counted`` is the one place that checks and gathers its
 levels out of each block into a smaller ring before the sweep.
 ``correlate`` and ``correlate_subset`` pass an in-memory stream as one
 block; every count equals that of the whole stream.
-``block_bootstrap_stderr`` counts in the same pass, with each pair keyed
-by the time segment of its source event.
+Every count is kept by the time segment of its pair's source event:
+one segment, all of time, for an estimate, n for the bootstrap.
 """
 
 from __future__ import annotations
@@ -85,10 +85,12 @@ def _bin_centers(cfg: HistogramConfig) -> np.ndarray:
 
 
 def _add_pairs(hist: np.ndarray, src: np.ndarray, dst: np.ndarray, off: int,
-               same_channel: bool, cfg: HistogramConfig, old=(0, 0), cuts=None) -> None:
+               same_channel: bool, cfg: HistogramConfig, old, cuts) -> None:
     """Add to hist the dst - src differences inside [-W, W), W = n_side *
     delta, of the runs src and dst, except the pairs of two old events: the
-    first ``old`` = (rows of src, rows of dst) of each run.
+    first ``old`` = (rows of src, rows of dst) of each run. Row s of hist
+    takes the pairs whose src row lies in [cuts[s], cuts[s + 1]), for
+    sorted src rows ``cuts``; other src rows are dropped.
 
     The pair (i, j) counts when fl(src[i] - W) <= dst[j] < fl(src[i] + W),
     in bin floor((dst[j] - src[i]) / delta) + n_side if that lies in
@@ -103,12 +105,9 @@ def _add_pairs(hist: np.ndarray, src: np.ndarray, dst: np.ndarray, off: int,
     against the lower one). Old events precede new ones, so each pair is
     counted once by two sweeps: every src row against the new dst events
     going up, and the new src rows against every dst event going down.
-
-    With ``cuts``, sorted src rows, row s of hist takes the pairs whose src
-    row lies in [cuts[s], cuts[s + 1]); other src rows are dropped.
     """
     n_src, n_dst = old
-    for row, lo, hi in [(hist, 0, len(src))] if cuts is None else zip(hist, cuts, cuts[1:]):
+    for row, lo, hi in zip(hist, cuts, cuts[1:]):
         new = max(lo, n_src)
         _lag_sweep(src[lo:hi], dst[n_dst:], off + same_channel - n_dst + lo, 1, cfg, row)
         _lag_sweep(src[new:hi], dst, off - 1 + new, -1, cfg, row)
@@ -176,12 +175,15 @@ def _gathered(blocks, n_levels: int, members):
         yield order[0], out[:count]
 
 
-def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig, edges=None):
+def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig, edges):
     """Pair histogram of a ring of ``n_levels`` levels fed as consecutive
     blocks (label of the first event, times) in time order: of channel m
     against channel n for ``pair`` = (m, n), or of all its events against
-    each other for None. Returns (histogram, sources, label of the first
-    event, events).
+    each other for None, with one row per segment [edges[s], edges[s + 1])
+    of the sorted time ``edges``, of the pairs whose source event lies in
+    it. Returns (histogram, sources, label of the first event, events);
+    ``sources`` counts the source events of each segment, and sources
+    outside the edges are dropped.
 
     Each block is joined to the tail carried from the blocks before (a copy
     only when there is one), and ``_add_pairs`` counts the run with the
@@ -189,20 +191,14 @@ def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig, edges=None):
     later event. The new tail is the run's events within W of its last
     stamp, and one rounding more, since a later event exceeds that stamp;
     so the counts equal those of the whole stream in one block.
-
-    With sorted time ``edges``, the histogram has one row per segment
-    [edges[s], edges[s + 1]), of the pairs whose source event lies in it,
-    and ``sources`` counts the source events of each; sources outside the
-    edges are dropped. Without edges, ``sources`` is None.
     """
     window = cfg.n_side * cfg.bin_width
     period = 1 if pair is None else n_levels
     m, n = pair or (0, 0)
-    sources = None if edges is None else np.zeros(len(edges) - 1, dtype=np.int64)
-    hist = np.zeros((2 * cfg.n_side,) if edges is None else (len(edges) - 1, 2 * cfg.n_side),
-                    dtype=np.int64)
+    sources = np.zeros(len(edges) - 1, dtype=np.int64)
+    hist = np.zeros((len(edges) - 1, 2 * cfg.n_side), dtype=np.int64)
     tail, tail_label = np.empty(0), 0
-    first, events, cuts = 0, 0, None
+    first, events = 0, 0
     for label, times in blocks:
         if len(times) == 0:
             continue
@@ -214,11 +210,9 @@ def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig, edges=None):
         a, b = (label - m) % period, (label - n) % period  # run offsets of src and dst
         old = (level_count(len(tail), label, period, m), level_count(len(tail), label, period, n))
         src = times[a::period]
-        if edges is not None:
-            cuts = np.searchsorted(src, edges)
-            sources += np.diff(np.maximum(cuts, old[0]))  # the new sources only
-            cuts = cuts.tolist()
-        _add_pairs(hist, src, times[b::period], int(a > b), m == n, cfg, old, cuts)
+        cuts = np.searchsorted(src, edges)
+        sources += np.diff(np.maximum(cuts, old[0]))  # the new sources only
+        _add_pairs(hist, src, times[b::period], int(a > b), m == n, cfg, old, cuts.tolist())
         cut = int(np.searchsorted(times, np.nextafter(times[-1] - window, -np.inf)))
         tail, tail_label = times[cut:].copy(), (label - cut) % n_levels
     return hist, sources, first, events
@@ -241,10 +235,10 @@ def _channel_pair(pair, n_levels: int) -> tuple[int, int]:
 
 
 def _counted(blocks, n_levels: int, total_duration: float, cfg: HistogramConfig,
-             pair, subset, edges=None):
+             pair, subset, edges):
     """The checks and counts of every estimate, of the pair ``pair`` = (m,
     n) or, for None, the merged levels ``subset`` (all for None) of a ring
-    fed as blocks: (provenance, ``_ring_pairs``'s histogram and sources for
+    fed as blocks: (``_ring_pairs``'s histogram and sources for the time
     ``edges``, events of the source and of the destination channel). The
     levels are gathered out of each block (``_gathered``) unless they are
     the whole ring. On an invalid argument the blocks are drawn to the end
@@ -277,8 +271,7 @@ def _counted(blocks, n_levels: int, total_duration: float, cfg: HistogramConfig,
     counts = [level_count(events, first, len(wanted), r) for r in ranks]
     if 0 in counts:
         raise InsufficientSamples(f"channel {wanted[ranks[counts.index(0)]]} has no events")
-    provenance = {"subset": subset} if pair is None else {"pair": pair}
-    return provenance, hist, sources, *(counts if pair else (events, events))
+    return hist, sources, *(counts if pair else (events, events))
 
 
 def correlate_blocks(
@@ -288,7 +281,6 @@ def correlate_blocks(
     cfg: HistogramConfig,
     pair: tuple[int, int] | None = None,
     subset: SubsetSpec | None = None,
-    spec=None,
 ) -> CorrelationTrace:
     """Coincidence-histogram estimate of g2 from a ring of ``n_levels``
     levels and window ``total_duration``, fed as consecutive blocks (label
@@ -299,12 +291,11 @@ def correlate_blocks(
     The counts (``_counted``) hold only the events within the window of
     the latest block, so a stream read block by block is never held whole.
     """
-    provenance, hist, _, n_src, n_dst = _counted(
-        blocks, n_levels, total_duration, cfg, pair, subset)
+    (hist,), _, n_src, n_dst = _counted(
+        blocks, n_levels, total_duration, cfg, pair, subset, (-np.inf, np.inf))
     denom = _expected_pairs(n_src / total_duration, n_dst / total_duration, total_duration, cfg)
     return CorrelationTrace(tau=_bin_centers(cfg), values=hist / denom, source="estimated",
-                            stderr=np.sqrt(np.maximum(hist, 1)) / denom, bin_width=cfg.bin_width,
-                            total_time=total_duration, spec=spec, **provenance)
+                            stderr=np.sqrt(np.maximum(hist, 1)) / denom)
 
 
 def correlate(
@@ -312,7 +303,7 @@ def correlate(
 ) -> CorrelationTrace:
     """Coincidence-histogram estimate of g2 for the channel pair (m, n)."""
     return correlate_blocks([(stream.first_label, stream.times)], stream.n_levels,
-                            stream.total_duration, cfg, pair, spec=stream.spec)
+                            stream.total_duration, cfg, pair)
 
 
 def correlate_subset(
@@ -324,7 +315,7 @@ def correlate_subset(
     pairwise estimates by construction, since the merged rate is n_S r.
     """
     return correlate_blocks([(stream.first_label, stream.times)], stream.n_levels,
-                            stream.total_duration, cfg, subset=subset, spec=stream.spec)
+                            stream.total_duration, cfg, subset=subset)
 
 
 def block_bootstrap_stderr(
@@ -338,12 +329,11 @@ def block_bootstrap_stderr(
     """Block-bootstrap refinement of the per-bin errors of ``correlate``.
 
     Splits the window into n_blocks equal time segments, counts the pairs
-    of each segment's source events in the pass ``correlate`` makes
-    (``_counted`` with the segment edges), resamples n_blocks segments
-    with replacement n_boot times (both integers >= 2), drawn by
-    ``philox(seed)``, and returns the standard deviation of the resampled
-    estimates per bin. Accounts for correlated counts that the plain
-    sqrt(count) error ignores.
+    of each segment's source events in the pass ``correlate`` makes in one
+    (``_counted``), resamples n_blocks segments with replacement n_boot
+    times (both integers >= 2), drawn by ``philox(seed)``, and returns the
+    standard deviation of the resampled estimates per bin. Accounts for
+    correlated counts that the plain sqrt(count) error ignores.
     """
     n_blocks, n_boot = check_index("n_blocks", n_blocks), check_index("n_boot", n_boot)
     if min(n_blocks, n_boot) < 2:
@@ -351,7 +341,7 @@ def block_bootstrap_stderr(
     rng = philox(seed)
     t0 = float(stream.times[0]) if stream.n_events else 0.0
     edges = np.linspace(t0, t0 + stream.total_duration, n_blocks + 1)
-    _, block_counts, block_src, _, n_dst = _counted(
+    block_counts, block_src, _, n_dst = _counted(
         [(stream.first_label, stream.times)], stream.n_levels, stream.total_duration, cfg,
         pair, None, edges)
     rate_dst = n_dst / stream.total_duration

@@ -367,22 +367,16 @@ class SubsetSpec:
 
 @dataclass(frozen=True)
 class CorrelationTrace:
-    """A sampled g2(tau) trace with provenance.
+    """A sampled g2(tau) trace and the route that computed it.
 
     ``source`` is one of "analytic", "spectral", "estimated". Estimated
-    traces carry per-bin standard errors, the bin width and the total
-    observation time.
+    traces carry per-bin standard errors.
     """
 
     tau: np.ndarray
     values: np.ndarray
     source: str
-    spec: CascadeSpec | None = None
-    pair: tuple[int, int] | None = None
-    subset: SubsetSpec | None = None
     stderr: np.ndarray | None = None
-    bin_width: float | None = None
-    total_time: float | None = None
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
@@ -402,11 +396,6 @@ class CorrelationTrace:
             object.__setattr__(self, "stderr", err)
             if err.shape != tau.shape:
                 raise ConfigInvalid("stderr length must match tau grid")
-        if self.source == "estimated":
-            if not (self.bin_width and self.bin_width > 0):
-                raise ConfigInvalid("estimated traces need a positive bin width")
-            if not (self.total_time and self.total_time > 0):
-                raise ConfigInvalid("estimated traces need a positive total time")
 
 
 @dataclass(frozen=True)
@@ -426,8 +415,8 @@ class EventStream:
     ``times`` is stored read-only.
 
     ``total_duration`` is the length of the observation window; timestamps
-    may start at any origin inside a window of that length. ``spec`` and
-    ``seed`` record provenance when known.
+    may start at any origin inside a window of that length. ``seed``
+    records the seed of a simulated stream when known.
     """
 
     times: np.ndarray
@@ -435,7 +424,6 @@ class EventStream:
     n_levels: int
     total_duration: float
     seed: int | None = None
-    spec: CascadeSpec | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).view()
@@ -450,7 +438,7 @@ class EventStream:
 
     @classmethod
     def from_labels(cls, times, labels, n_levels: int, total_duration: float,
-                    seed: int | None = None, spec: CascadeSpec | None = None):
+                    seed: int | None = None):
         """Build a stream from time-ordered events labeled by source level.
 
         Raises StreamInvariantViolation unless every label lies in [0, N)
@@ -462,7 +450,7 @@ class EventStream:
             raise StreamInvariantViolation("times and labels differ in length")
         check_labels(labels.astype(np.int64, copy=False), n)
         first = int(labels[0]) if len(labels) else 0
-        return cls(times, first, n, total_duration, seed=seed, spec=spec)
+        return cls(times, first, n, total_duration, seed=seed)
 
     @property
     def counts(self) -> tuple[int, ...]:

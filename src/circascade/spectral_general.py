@@ -269,13 +269,17 @@ def g2_two_level(gamma0: float, gamma1: float, m: int, n: int, tau) -> float | n
     Autocorrelations (m == n): 1 - exp(-(g0+g1)|tau|). The cross pair
     (1, 0) starts and reads level 1: 1 + (g1/g0) exp(-(g0+g1) tau) for
     tau >= 0, and 1 + (g0/g1) exp(-(g0+g1)|tau|) for tau < 0, where it
-    mirrors (0, 1). tau = 0 is the right limit.
+    mirrors (0, 1). tau = 0 is the right limit. The rate sum and delays are
+    in units of the power of two at the faster rate: exact, and no overflow.
     """
     gamma0, gamma1 = _rates(gamma0, gamma1)
     m, n = check_index("m", m), check_index("n", n)
-    total, log_ratio = gamma0 + gamma1, math.log(gamma1) - math.log(gamma0)
+    e = math.frexp(max(gamma0, gamma1))[1]
+    total = math.ldexp(gamma0, -e) + math.ldexp(gamma1, -e)
+    log_ratio = math.log(gamma1) - math.log(gamma0)
 
     def right(a, b, s):
+        s = np.ldexp(s, e)
         if a == b:
             return 1.0 - np.exp(-total * s)
         if a == 1:
@@ -401,16 +405,21 @@ def g2_limit_high_pump(gamma0: float, gamma1: float, gamma2: float, tau) -> floa
     """High-pumping limit of the contiguous three-level cross trace.
 
     tau < 0: 1 + (g1/g2) exp((g1+g2) tau) - (1 + g1/g2) exp(g0 tau);
-    tau >= 0: 1 + (g2/g1) exp(-(g1+g2) tau).
+    tau >= 0: 1 + (g2/g1) exp(-(g1+g2) tau). The sum g1 + g2 and its delays
+    are in units of the power of two at the faster of the two (``g2_two_level``).
     """
     gamma0, gamma1, gamma2 = _rates(gamma0, gamma1, gamma2)
-    total, log_ratio = gamma1 + gamma2, math.log(gamma1) - math.log(gamma2)
-    log_sum = math.log(total) - math.log(gamma2)  # of 1 + gamma1 / gamma2
+    e = math.frexp(max(gamma1, gamma2))[1]
+    total = math.ldexp(gamma1, -e) + math.ldexp(gamma2, -e)
+    log_ratio = math.log(gamma1) - math.log(gamma2)
+    # of 1 + gamma1 / gamma2, read only where that overflows: gamma2 < 1 and the sum is finite
+    log_sum = math.log(gamma1 + gamma2) - math.log(gamma2)
 
     def right(a, b, s):
+        units = np.ldexp(s, e)
         if (a, b) == (2, 1):
-            return 1.0 + _times_decay(gamma2 / gamma1, -log_ratio, total, s)
-        return (1.0 + _times_decay(gamma1 / gamma2, log_ratio, total, s)
+            return 1.0 + _times_decay(gamma2 / gamma1, -log_ratio, total, units)
+        return (1.0 + _times_decay(gamma1 / gamma2, log_ratio, total, units)
                 - _times_decay(1.0 + gamma1 / gamma2, log_sum, gamma0, s))
 
     return signed_delay(right, 2, 1, tau)

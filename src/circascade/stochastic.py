@@ -98,13 +98,18 @@ class SimConfig:
 
 
 def _expected_draws(config: SimConfig) -> int:
-    """Draws a run is expected to take, with a four-sigma margin."""
+    """Draws a run is expected to take, with a four-sigma margin; ConfigInvalid
+    past what an array holds (2**60). No burn-in takes no draws, also at an
+    event rate past the float range (inf)."""
     event_rate = config.spec.n_levels / config.spec.cycle_time
     if config.total_events is not None:
-        est = config.burn_in * event_rate + config.total_events
+        est = (config.burn_in * event_rate if config.burn_in else 0.0) + config.total_events
     else:
         est = (config.burn_in + config.duration) * event_rate
-    return int(est + 4 * np.sqrt(est) + 16)
+    draws = est + 4 * np.sqrt(est) + 16
+    if not draws < 2.0**60:
+        raise ConfigInvalid(f"a run expected to take {draws:g} draws, more than an array holds")
+    return int(draws)
 
 
 def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
@@ -206,8 +211,7 @@ def simulate(config: SimConfig) -> EventStream:
     first_label, times = _join(_kept_chunks(config),
                                config.total_events or _expected_draws(config))
     total = float(times[-1] if config.duration is None else config.duration)
-    return EventStream(times, first_label, config.spec.n_levels, total,
-                       seed=config.seed, spec=config.spec)
+    return EventStream(times, first_label, config.spec.n_levels, total, seed=config.seed)
 
 
 def simulate_to_file(config: SimConfig, path, fmt: str) -> None:

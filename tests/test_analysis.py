@@ -10,6 +10,7 @@ from circascade import (
     CascadeSpec,
     ConfigInvalid,
     InsufficientSamples,
+    NumericalFailure,
     cs_check,
     discontinuity,
     find_peaks,
@@ -219,6 +220,15 @@ def test_huge_order_count_stops_where_the_trace_is_flat():
     assert peak < 4 * 2**20
     # an order count past the float range: the scan never converts it
     assert find_peaks(6, 1.0, 1, 10**400).peaks == bounded.peaks
+
+
+@pytest.mark.parametrize("scan", [find_peaks, lambda n, g, *_: find_peaks_cross(n, g, 2)],
+                         ids=["auto", "cross"])
+def test_a_subnormal_gamma_raises_before_the_scan(scan, monkeypatch):
+    # the grid step 0.01 / gamma is inf; it was multiplied by 0 in the scan
+    monkeypatch.setattr(analysis, "g2_equal", None)
+    with pytest.raises(NumericalFailure, match="gamma = 5e-324"):
+        scan(2, 5e-324, 1, 2)
 
 
 def test_cs_check_equal_rates_always_violated():

@@ -390,6 +390,20 @@ def test_general_three_level_mismatch_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_general_three_level_gate_scales_with_the_occupation_read(tmp_path, monkeypatch, capsys):
+    # the closed form is accurate to eps / p_ss[r]: at rates 1e-6, 1e6, 1e-6
+    # the pair (1, 0) reads p_ss[1] = 5e-13 and the routes differ by 8.6e-5,
+    # which the fixed 1e-6 gate rejected
+    out = tmp_path / "stiff.csv"
+    assert cli.main(["general", "--rates-inline", "1e-6,1e6,1e-6", "--pair", "1,0",
+                     "--tau", "0:3e6", "--steps", "200", "--out", str(out)]) == 0
+    # at the fig5 rates every p_ss[r] is above 0.02: a gap of 1e-5 still fails
+    closed_form = cli.g2_three_level
+    monkeypatch.setattr(cli, "g2_three_level", lambda *a: closed_form(*a) + 1e-5)
+    assert cli.main(["general", "--preset", "fig5", "--out", str(tmp_path / "x.csv")]) == 3
+    assert "disagree by 1.000e-05" in capsys.readouterr().err
+
+
 def test_general_three_level_trace(tmp_path):
     rates = tmp_path / "rates.json"
     rates.write_text(json.dumps({"n_levels": 3, "rates": [1.0, 1.1, 0.025]}))
@@ -751,15 +765,19 @@ FLOAT_RANGE_RUNS = {
     "cscheck": ("cscheck", "--rates", "{rates}", "--pair", "2,1"),
     "simulate": ("simulate", "--rates", "{tiny}", "--events", 10),
     "gamma": ("analytic", "--n", 6, "--k", 1, "--gamma", "1e308"),
+    # an event rate past the range, and a peak-scan step of inf
+    "event rate": ("simulate", "--rates", "{largest}", "--events", 64),
+    "peak grid": ("peaks", "--n", 2, "--gamma", "5e-324"),
 }
 
 
 @pytest.mark.parametrize("name", FLOAT_RANGE_RUNS)
 def test_the_float_range_exits_without_a_traceback(tmp_path, name):
-    files = {"rates": [1e308, 1e308, 1.0], "tiny": [5e-324, 1.0]}
+    files = {"rates": [1e308, 1e308, 1.0], "tiny": [5e-324, 1.0],
+             "largest": [1.7976931348623153e308]}
     for key, rates in files.items():
         (tmp_path / key).write_text(json.dumps({"n_levels": len(rates), "rates": rates}))
-    args = [str(a).format(rates=tmp_path / "rates", tiny=tmp_path / "tiny")
+    args = [str(a).format(**{key: tmp_path / key for key in files})
             for a in FLOAT_RANGE_RUNS[name]]
     cp = run_cli(*args, "--out", tmp_path / "out")
     assert cp.returncode in (0, 3) and "Traceback" not in cp.stderr, cp.stderr

@@ -40,11 +40,12 @@ def _channel(stream, level):
 
 def _pair_counts(src, dst, cfg, same_channel):
     """Histogram of the dst - src differences of two time-ordered runs, by
-    ``_add_pairs``, whose precondition holds for the first dst at or after
-    src[0]."""
-    hist = np.zeros(2 * cfg.n_side, dtype=np.int64)
-    _add_pairs(hist, src, dst, int(np.searchsorted(dst, src[0])), same_channel, cfg)
-    return hist
+    ``_add_pairs`` in one segment of all of src, whose precondition holds
+    for the first dst at or after src[0]."""
+    hist = np.zeros((1, 2 * cfg.n_side), dtype=np.int64)
+    _add_pairs(hist, src, dst, int(np.searchsorted(dst, src[0])), same_channel, cfg,
+               (0, 0), [0, len(src)])
+    return hist[0]
 
 
 def make_stream(n=6, gamma=1.0, events=200_000, seed=0):
@@ -205,7 +206,6 @@ def test_global_time_shift_invariance():
         stream.n_levels,
         stream.total_duration,
         seed=stream.seed,
-        spec=stream.spec,
     )
     cfg = HistogramConfig(0.2, 5.0)
     a = correlate(stream, (1, 2), cfg)
@@ -291,9 +291,9 @@ def test_trace_csv_format(tmp_path):
     assert float(cols[1]) == trace.values[0]
 
 
-def _counts_of(trace, rate_src, rate_dst, cfg):
-    """The integer counts behind an estimate: values times the normalization."""
-    t_total = trace.total_time
+def _counts_of(trace, rate_src, rate_dst, t_total, cfg):
+    """The integer counts behind an estimate of a window t_total: values
+    times the normalization."""
     denom = rate_src * rate_dst * (t_total - np.abs(trace.tau)) * cfg.bin_width
     return np.rint(trace.values * denom).astype(np.int64)
 
@@ -334,7 +334,7 @@ def test_pair_counts_match_the_bruteforce_oracle(
             if len(channel[m]) and len(channel[k]):
                 trace = correlate(stream, (m, k), hist_cfg)
                 rates = len(channel[m]) / t_total, len(channel[k]) / t_total
-                np.testing.assert_array_equal(_counts_of(trace, *rates, hist_cfg), expect)
+                np.testing.assert_array_equal(_counts_of(trace, *rates, t_total, hist_cfg), expect)
 
     members = tuple(sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False)))
     if all(len(channel[i]) for i in members):
@@ -343,7 +343,7 @@ def test_pair_counts_match_the_bruteforce_oracle(
         trace = correlate_subset(stream, SubsetSpec(members), cfg)
         rate = len(merged) / t_total
         np.testing.assert_array_equal(
-            _counts_of(trace, rate, rate, cfg),
+            _counts_of(trace, rate, rate, t_total, cfg),
             pair_histogram_bruteforce(merged, merged, bin_width, n_side, True),
         )
 
@@ -391,7 +391,7 @@ def _outcome(call):
         trace = call()
     except InsufficientSamples as exc:
         return str(exc)
-    return trace.values.tobytes(), trace.stderr.tobytes(), trace.pair, trace.subset
+    return trace.values.tobytes(), trace.stderr.tobytes()
 
 
 @given(
@@ -442,7 +442,7 @@ def test_streamed_counts_equal_the_whole_stream_and_the_bruteforce(
                 src, dst = _channel(stream, m), _channel(stream, k)
                 np.testing.assert_array_equal(
                     _counts_of(streamed(pair=(m, k)), len(src) / t_total,
-                               len(dst) / t_total, cfg),
+                               len(dst) / t_total, t_total, cfg),
                     pair_histogram_bruteforce(src, dst, bin_width, n_side, m == k),
                 )
 
@@ -455,7 +455,7 @@ def test_streamed_counts_equal_the_whole_stream_and_the_bruteforce(
         if not isinstance(whole, str):
             rate = len(chosen) / t_total
             np.testing.assert_array_equal(
-                _counts_of(streamed(subset=subset), rate, rate, cfg),
+                _counts_of(streamed(subset=subset), rate, rate, t_total, cfg),
                 pair_histogram_bruteforce(chosen, chosen, bin_width, n_side, True),
             )
 
@@ -495,11 +495,12 @@ def test_segment_rows_split_the_ring_histogram_by_source_time(block):
     blocks = _split(times, first, 4, range(block, len(times), block))
     for pair in ((1, 1), (2, 0), (0, 3), None):
         rows, sources, _, _ = _ring_pairs(blocks, 4, pair, cfg, edges)
-        whole, no_sources, _, _ = _ring_pairs([(first, times)], 4, pair, cfg)
-        assert no_sources is None
+        (whole,), (all_sources,), _, _ = _ring_pairs([(first, times)], 4, pair, cfg,
+                                                     (-np.inf, np.inf))
         src, dst = (times, times) if pair is None else (_channel(stream, c) for c in pair)
         same = pair is None or pair[0] == pair[1]
         cuts = np.searchsorted(src, edges)
+        assert all_sources == len(src)
         np.testing.assert_array_equal(sources, np.diff(cuts))
         dropped = _pair_counts(src[:cuts[0]], dst, cfg, same) + _pair_counts(
             src[cuts[-1]:], dst, cfg, same)
@@ -549,7 +550,7 @@ STREAM4 = EventStream(np.arange(1.0, 41.0), 0, 4, 45.0)
 
 def _correlate_bits(m, n):
     trace = correlate(STREAM4, (m, n), HistogramConfig(0.5, 2.0))
-    return trace.values.tobytes(), repr(trace.pair)
+    return trace.values.tobytes()
 
 
 def _bootstrap_bits(m, n):

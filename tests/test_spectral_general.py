@@ -955,6 +955,10 @@ FLOAT_RANGE_ROUTES = {
 @example(rates=(1e-300, 1.0, 1e300, 1.0), nlev=3, tau=0.25, m=1, n=1)  # p_ss[2] underflows
 @example(rates=(1e-300, 1e300, 1.0, 1.0), nlev=2, tau=0.5, m=1, n=0)  # ratio past the range
 @example(rates=(1.0, 1.0, 1.0, 1.0), nlev=4, tau=1e308, m=1, n=1)  # gamma tau past the range
+# past [1e-300, 1e300]: an event rate and rate sums that overflow, and a
+# peak-scan step of inf
+@example(rates=(1.7976931348623153e308, 1e308, 1e308, 1.0), nlev=1, tau=1.0, m=0, n=0)
+@example(rates=(5e-324, 1.0, 1.0, 1.0), nlev=2, tau=0.5, m=1, n=1)
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_rates_and_delays_across_the_float_range_give_finite_values(name, rates, nlev, tau, m, n):
     """Every route returns finite numbers or raises a CascadeError for rates
@@ -967,3 +971,35 @@ def test_rates_and_delays_across_the_float_range_give_finite_values(name, rates,
         except CascadeError:
             return
     assert np.isfinite(values).all(), values
+
+
+def test_rate_sums_past_the_float_range_give_their_values():
+    # g0 + g1 overflows, but not in units of the power of two at the fastest rate
+    assert g2_two_level(1e308, 1e308, 0, 0, [0.0, 1.0]).tolist() == [0.0, 1.0]
+    assert g2_limit_high_pump(1.0, 1e308, 1e308, [0.0, 1.0]).tolist() == [2.0, 1.0]
+
+
+@given(
+    rates=st.tuples(*[st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)] * 3),
+    s=st.one_of(st.just(0.0), st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e)),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_rate_sums_in_units_keep_the_bits_of_the_plain_forms(rates, s):
+    """The rescaling is exact: wherever the plain expression of a form is
+    finite, the form returns its bits."""
+    g0, g1, g2 = rates
+    with np.errstate(all="ignore"):
+        plain = [
+            (1.0 - np.exp(-(g0 + g1) * s), g2_two_level, (g0, g1, 0, 0, s)),
+            (1.0 + g1 / g0 * np.exp(-(g0 + g1) * s), g2_two_level, (g0, g1, 1, 0, s)),
+            (1.0 + g2 / g1 * np.exp(-(g1 + g2) * s), g2_limit_high_pump, (g0, g1, g2, s)),
+        ]
+        if s > 0:  # tau = -0.0 is the right limit
+            plain += [
+                (1.0 + g0 / g1 * np.exp(-(g0 + g1) * s), g2_two_level, (g0, g1, 1, 0, -s)),
+                (1.0 + g1 / g2 * np.exp(-(g1 + g2) * s) - (1.0 + g1 / g2) * np.exp(-g0 * s),
+                 g2_limit_high_pump, (g0, g1, g2, -s)),
+            ]
+    for value, form, args in plain:
+        if np.isfinite(value):
+            assert form(*args) == value, (form.__name__, args)

@@ -312,6 +312,16 @@ def test_a_run_whose_times_overflow_raises():
         simulate(SimConfig(OVERFLOWING, seed=1, total_events=2000))
 
 
+def test_an_event_rate_past_the_float_range_draws_or_raises_a_cascade_error():
+    # n / cycle_time is inf: with no burn-in, 0 x inf was NaN draws
+    spec = CascadeSpec(1, (1.7976931348623153e308,))
+    stream = simulate(SimConfig(spec, seed=0, total_events=64))
+    assert stream.n_events == 64 and np.isfinite(stream.times).all()
+    # 1e300 events in the window: more than an array holds
+    with pytest.raises(ConfigInvalid, match="more than an array holds"):
+        simulate(SimConfig(CascadeSpec(1, (1e300,)), seed=0, duration=1.0))
+
+
 @pytest.mark.parametrize("fmt", ["binary", "text"])
 def test_simulate_whose_times_overflow_exits_3_and_leaves_no_file(tmp_path, capsys, fmt):
     rates = tmp_path / "rates.json"
