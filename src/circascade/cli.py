@@ -14,10 +14,11 @@ Every command writes a `<out>.manifest.json` sidecar recording the full
 parameter set, output names and wall-clock duration; data outputs are
 byte-identical across reruns with the same parameters (manifest timing is
 diagnostic only). A failure prints `error: <message>` and exits with the
-`exit_code` of its `CascadeError`: 2 `ConfigInvalid` (usage/validation), 3
-`NumericalFailure` (internal consistency), 4 `StreamInvariantViolation` or
-any OSError (I/O), 5 `InsufficientSamples`. `analytic` and `general`
-evaluate their grid in one call.
+`exit_code` of its `CascadeError`: 2 `ConfigInvalid` (usage/validation,
+also a setting too large to allocate), 3 `NumericalFailure` (internal
+consistency), 4 `StreamInvariantViolation` or any OSError (I/O), 5
+`InsufficientSamples`. `analytic` and `general` evaluate their grid in one
+call.
 """
 
 from __future__ import annotations
@@ -267,11 +268,12 @@ def cmd_correlate(args) -> None:
         else:
             pair = _parse_pair(args.pair, n_levels)
         cfg = HistogramConfig(args.bin, args.taumax)
-    except ConfigInvalid:
+        trace = correlate_blocks(blocks, n_levels, total, cfg, pair, subset)
+    except (ConfigInvalid, MemoryError):  # the histogram is allocated before the first block
         for _ in blocks:  # a damaged file is reported first
             pass
         raise
-    write_trace_csv(correlate_blocks(blocks, n_levels, total, cfg, pair, subset), args.out)
+    write_trace_csv(trace, args.out)
 
 
 def cmd_peaks(args) -> None:
@@ -424,6 +426,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4  # I/O, like StreamInvariantViolation
+    except MemoryError as exc:  # numpy's _ArrayMemoryError: a setting too large to allocate
+        print(f"error: a setting asks for too much memory: {exc}", file=sys.stderr)
+        return ConfigInvalid.exit_code
 
 
 if __name__ == "__main__":

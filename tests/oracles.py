@@ -218,3 +218,54 @@ def occupancy_block_estimates(times, first_label, n_levels, total, n_blocks=100)
         minlength=n_blocks * n_levels,
     ).reshape(n_blocks, n_levels)
     return occ / occ.sum(axis=1, keepdims=True)
+
+
+def simulate_in_chunks(rates, seed, start, total_events=None, duration=None, burn_in=0.0,
+                       chunk_cap=1 << 19):
+    """(label of the first recorded event, times) of one run of a one-way
+    ring with each chunk of draws held whole: ``np.sum`` and ``np.cumsum``
+    over one array per chunk, the chunk offsets accumulated with Kahan
+    compensation, the first chunk sized from the expected draws and then
+    doubling up to ``chunk_cap``. Visit v sits in level (start - v) % N;
+    ``start`` None draws it from p proportional to 1 / rates. The stamps
+    recorded lie in (burn_in, burn_in + duration] or are the first
+    ``total_events`` past burn_in, shifted by -burn_in, and a stamp not
+    above its predecessor is raised to one ulp above it. None when nothing
+    is recorded."""
+    rates = np.asarray(rates, dtype=float)
+    n = len(rates)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
+    if start is None:
+        weights = 1.0 / rates
+        start = int(rng.choice(n, p=weights / weights.sum()))
+    event_rate = n / sum(1.0 / r for r in rates)
+    if total_events is not None:
+        est = (burn_in * event_rate if burn_in else 0.0) + total_events
+        horizon = np.inf
+    else:
+        est = (burn_in + duration) * event_rate
+        horizon = burn_in + duration
+    chunk = min(chunk_cap, max(64, int(est + 4 * np.sqrt(est) + 16)))
+    kept, visit, base, comp, count = [], 0, 0.0, 0.0, 0
+    while True:
+        visits = visit + np.arange(chunk)
+        dwells = rng.standard_exponential(chunk) / rates[(start - visits) % n]
+        stamps = np.cumsum(dwells) - comp + base
+        y = float(dwells.sum()) - comp
+        t = base + y
+        comp, base = (t - base) - y, t
+        inside = (stamps > burn_in) & (stamps <= horizon)
+        kept.append((visits[inside], stamps[inside]))
+        count += int(inside.sum())
+        visit += chunk
+        chunk = min(chunk_cap, 2 * chunk)
+        if stamps[-1] > horizon or (total_events is not None and count >= total_events):
+            break
+    visits = np.concatenate([v for v, _ in kept])[:total_events]
+    if len(visits) == 0:
+        return None
+    times = (np.concatenate([s for _, s in kept])[:total_events] - burn_in).tolist()
+    for i in range(1, len(times)):
+        if times[i] <= times[i - 1]:
+            times[i] = math.nextafter(times[i - 1], math.inf)
+    return (start - int(visits[0])) % n, np.array(times)

@@ -646,6 +646,38 @@ def test_correlate_reports_a_damaged_file_before_bad_flags(tmp_path, capsys):
     assert capsys.readouterr().err == "error: simultaneous or out-of-order events\n"
 
 
+# each asks for 146-728 TiB, an allocation that fails at once
+OVERSIZED_RUNS = {
+    "analytic": ("analytic", "--n", 6, "--pair", "1,1", "--steps", 10**14),
+    "general": ("general", "--rates-inline", "1,2,3", "--steps", 10**14),
+    "cscheck": ("cscheck", "--n", 6, "--pair", "3,1", "--tau-samples", f"0:1:{10**14}"),
+    "correlate": ("correlate", "--in", "{stream}", "--pair", "1,1", "--bin", "1e-12",
+                  "--taumax", 10),
+}
+
+
+@pytest.mark.parametrize("name", OVERSIZED_RUNS)
+def test_a_request_too_large_to_allocate_exits_2(tmp_path, name):
+    stream = tmp_path / "ring6.events"
+    write_events_binary(EventStream(np.arange(1.0, 201.0), 0, 6, 201.0), stream)
+    out = tmp_path / "out"
+    cp = run_cli(*(str(a).format(stream=stream) for a in OVERSIZED_RUNS[name]), "--out", out)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1, cp.stderr
+    assert "Traceback" not in cp.stderr and not out.exists()
+
+
+def test_correlate_reports_a_damaged_file_before_an_oversized_histogram(tmp_path, capsys):
+    # the histogram is allocated before the first block is read
+    path = tmp_path / "unordered.events"
+    path.write_bytes(b"CEV2" + struct.pack("<IIQdQ", 6, 0, 0, 100.0, 3)
+                     + np.array([1.0, 3.0, 2.0]).tobytes())
+    argv = ["correlate", "--in", str(path), "--pair", "1,1", "--bin", "1e-12", "--taumax", "10",
+            "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == "error: simultaneous or out-of-order events\n"
+
+
 def test_correlate_empty_channel_exit_5(tmp_path):
     stream_path = tmp_path / "one.events"
     stream_path.write_text("# cascade-events v1 N=3 seed=0 T=10\n1.0 2\n")
