@@ -57,6 +57,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,7 +271,10 @@ class CascadeSpec:
 
     @classmethod
     def equal(cls, n_levels: int, gamma: float = 1.0) -> "CascadeSpec":
-        return cls(n_levels, (gamma,) * check_index("n_levels", n_levels))
+        n = check_levels(n_levels)
+        if n > sys.maxsize:  # past what a tuple can index
+            raise ConfigInvalid(f"n_levels {n} is more levels than a ring can hold")
+        return cls(n, (gamma,) * n)
 
     @property
     def max_rate(self) -> float:

@@ -5,14 +5,13 @@ a trajectory is fully described by its dwell times: visit i sits in level
 (start - i) % N for an Exponential(rates[level]) time and emits an event
 labeled with the source level at the jump. The simulator therefore keeps
 only the jump times and the level of the first recorded visit, which is
-exactly an ``EventStream`` ring. Sampling is vectorized in chunks, each
-drawn as pieces (``_pieces``) into one reused buffer; the RNG is
-counter-based (``model.philox``, keyed by the seed), so one seed draws the
-same dwell times whatever the chunk size. The stamps' rounding depends on
-where the chunk seams fall, which the config fixes, and not on the pieces:
-they are nodes of numpy's pairwise summation tree over the chunk, so the
-chunk total (``_tree_sum``) and the running sums are those of the chunk
-summed whole.
+exactly an ``EventStream`` ring. Sampling is vectorized in chunks of
+exactly ``_CHUNK`` draws, counted from draw 0 whatever the config, each
+drawn into one reused buffer; the RNG is counter-based (``model.philox``,
+keyed by the seed). A stamp is its chunk's running sum on top of the
+compensated sum of the chunk totals before it, so it depends only on the
+seed, the rates, the start level and its draw index: a run is a bit-exact
+prefix of every longer run that shares them.
 
 A stream file is text, a header and then one '<timestamp> <label>' line
 per event, or binary, a header with the first label and then the raw f64
@@ -63,8 +62,7 @@ from .model import (
     steady_state,
 )
 
-_CHUNK = 1 << 19  # most draws per chunk: where its seams fall fixes the stamps' rounding
-_PIECE = 1 << 16  # most draws held at a time (512 KiB), a piece of a chunk; >= 128
+_CHUNK = 1 << 14  # draws per chunk (128 KiB), counted from draw 0: the seams of every run
 _RATE_ROW = 1 << 12  # draws divided by their rates per row of the rate pattern
 _TEXT_BLOCK = 1 << 12  # lines formatted per write
 _READ_BLOCK = 1 << 17  # timestamps (1 MiB) or event lines read per step of a reader
@@ -105,52 +103,33 @@ class SimConfig:
 
 def _expected_draws(config: SimConfig) -> int:
     """Draws a run is expected to take, with a four-sigma margin; ConfigInvalid
-    past what an array holds (2**60). No burn-in takes no draws, also at an
-    event rate past the float range (inf)."""
-    event_rate = config.spec.n_levels / config.spec.cycle_time
-    if config.total_events is not None:
-        est = (config.burn_in * event_rate if config.burn_in else 0.0) + config.total_events
-    else:
-        est = (config.burn_in + config.duration) * event_rate
+    past what an array holds (2**60). The window is divided by the cycle time
+    first, so an event rate past the float range (inf) overflows only when
+    the window is long enough to need that many draws."""
+    window = config.burn_in + (config.duration or 0.0)
+    est = config.spec.n_levels * (window / config.spec.cycle_time) + (config.total_events or 0)
     draws = est + 4 * np.sqrt(est) + 16
     if not draws < 2.0**60:
         raise ConfigInvalid(f"a run expected to take {draws:g} draws, more than an array holds")
     return int(draws)
 
 
-def _pieces(n: int) -> list[int]:
-    """Sizes, in order, of the pieces of a chunk of n draws: the nodes of
-    numpy's pairwise summation tree over it (Higham, SIAM J. Sci. Comput.
-    14(4), 1993) of at most ``_PIECE`` draws. numpy splits a node of more
-    than 128 values into n // 2 - (n // 2) % 8 and the rest."""
-    if n <= _PIECE:
-        return [n]
-    half = n // 2 - n // 2 % 8
-    return _pieces(half) + _pieces(n - half)
-
-
-def _tree_sum(n: int, sums: Iterator[float]) -> float:
-    """``np.sum`` of a chunk of n draws from the sums of its pieces
-    (``_pieces(n)``), in order: the same tree, bit for bit."""
-    if n <= _PIECE:
-        return next(sums)
-    half = n // 2 - n // 2 % 8
-    return _tree_sum(half, sums) + _tree_sum(n - half, sums)
-
-
 def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
-    """Draw one trajectory; yield, piece by piece, (label of the first
+    """Draw one trajectory; yield, chunk by chunk, (label of the first
     stamp, stamps) for every non-empty run of recorded stamps.
 
-    The stamps are final: burn-in subtracted and rounding collisions nudged
-    against the last stamp yielded before, so they continue one strictly
-    increasing stream. Every chunk is drawn as its ``_pieces`` into one
-    reused buffer, so the stamps are valid until the next piece is drawn.
-    A piece's cumulative sum continues from the pieces before it and the
-    chunk total is ``_tree_sum`` of theirs, so each stamp is that of its
-    chunk summed in one buffer. Raises NumericalFailure when a kept stamp
-    is not finite, and InsufficientSamples when nothing is recorded.
+    Every chunk holds exactly ``_CHUNK`` draws, counted from draw 0, and is
+    drawn into one reused buffer, so the stamps are valid until the next
+    chunk is drawn. A chunk's stamps are its ``np.cumsum`` on top of the
+    Kahan-compensated sum of the chunk totals before it, so a stamp depends
+    only on the seed, the rates, the start level and its draw index. They
+    are final: burn-in subtracted and rounding collisions nudged against the
+    last stamp yielded before, so they continue one strictly increasing
+    stream. Raises ConfigInvalid when the run is expected to take more draws
+    than an array holds (``_expected_draws``), NumericalFailure when a kept
+    stamp is not finite, and InsufficientSamples when nothing is recorded.
     """
+    _expected_draws(config)  # the draw bound: a run past it would draw for ever
     spec = config.spec
     n = spec.n_levels
     rates = np.asarray(spec.rates, dtype=float)
@@ -163,72 +142,58 @@ def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
 
     horizon = None if config.duration is None else config.burn_in + config.duration
 
-    # chunked sampling returns the same variates as one monolithic call, so
-    # the chunk size never changes the draws
-    chunk = min(_CHUNK, max(64, _expected_draws(config)))
-
     # visit v sits in level (start - v) % n, so the rates from visit v on
     # repeat the cycle rolled by v: rows of the pattern from its (v % n)-th
     # entry on, a whole number of periods long
     cycle = rates[(start - np.arange(n)) % n]
     period = n * max(1, _RATE_ROW // n)
     pattern = np.tile(cycle, period // n + 1)
-    buf = np.empty(0)
-    visit = 0           # visits before the current piece
+    whole = _CHUNK - _CHUNK % period
+    buf = np.empty(_CHUNK)
+    visit = 0           # visits before the current chunk
     base = 0.0          # accumulated time at the start of the current chunk
     comp = 0.0          # Kahan compensation for the chunk offsets
     recorded = 0
     last = -np.inf      # last stamp yielded
     while True:
-        if len(buf) < min(_PIECE, chunk):  # chunks double up to _CHUNK
-            buf = np.empty(min(_PIECE, chunk))
-        sums = []
-        run = 0.0       # cumulative sum of the chunk's pieces before this one
-        for size in _pieces(chunk):
-            dwells = rng.standard_exponential(out=buf[:size])
-            rolled = pattern[visit % n:visit % n + period]
-            whole = size - size % period
-            with np.errstate(over="ignore", invalid="ignore"):  # stamps past float64 raise below
-                rows = dwells[:whole].reshape(-1, period)
-                rows /= rolled
-                dwells[whole:] /= rolled[:size - whole]
-                sums.append(float(dwells.sum()))
-                dwells[0] += run
-                stamps = np.cumsum(dwells, out=dwells)
-                run = float(stamps[-1])
-                stamps -= comp
-                stamps += base
+        dwells = rng.standard_exponential(out=buf)
+        rolled = pattern[visit % n:visit % n + period]
+        with np.errstate(over="ignore", invalid="ignore"):  # stamps past float64 raise below
+            rows = dwells[:whole].reshape(-1, period)
+            rows /= rolled
+            dwells[whole:] /= rolled[:_CHUNK - whole]
+            chunk_total = float(dwells.sum())
+            stamps = np.cumsum(dwells, out=dwells)
+            stamps -= comp
+            stamps += base
 
-            # stamps never decrease within a piece, so the kept ones are a slice
-            lo = int(np.searchsorted(stamps, config.burn_in, side="right"))
-            hi = size if horizon is None else int(np.searchsorted(stamps, horizon, side="right"))
-            if config.total_events is not None:
-                hi = min(hi, lo + config.total_events - recorded)
-            done = (horizon is not None and stamps[-1] > horizon) or (
-                config.total_events is not None and recorded + hi - lo >= config.total_events
-            )
-            if hi > lo:
-                kept = stamps[lo:hi]
-                # stamps only grow, and an overflow leaves inf or NaN to the end
-                if not np.isfinite(kept[-1]):
-                    raise NumericalFailure(
-                        f"event times overflow float64 (rates down to {min(spec.rates):g})")
-                kept -= config.burn_in
-                _nudge_collisions(kept, last)
-                last = float(kept[-1])
-                yield (start - visit - lo) % n, kept
-            recorded += hi - lo
-            visit += size
-            if done:
-                break
+        # stamps never decrease within a chunk, so the kept ones are a slice
+        lo = int(np.searchsorted(stamps, config.burn_in, side="right"))
+        hi = _CHUNK if horizon is None else int(np.searchsorted(stamps, horizon, side="right"))
+        if config.total_events is not None:
+            hi = min(hi, lo + config.total_events - recorded)
+        done = (horizon is not None and stamps[-1] > horizon) or (
+            config.total_events is not None and recorded + hi - lo >= config.total_events
+        )
+        if hi > lo:
+            kept = stamps[lo:hi]
+            # stamps only grow, and an overflow leaves inf or NaN to the end
+            if not np.isfinite(kept[-1]):
+                raise NumericalFailure(
+                    f"event times overflow float64 (rates down to {min(spec.rates):g})")
+            kept -= config.burn_in
+            _nudge_collisions(kept, last)
+            last = float(kept[-1])
+            yield (start - visit - lo) % n, kept
+        recorded += hi - lo
+        visit += _CHUNK
         if done:
             break
         # compensated accumulation of the chunk total
-        y = _tree_sum(chunk, iter(sums)) - comp
+        y = chunk_total - comp
         t = base + y
         comp = (t - base) - y
         base = t
-        chunk = min(_CHUNK, 2 * chunk)
 
     if recorded == 0:
         raise InsufficientSamples("no events recorded; increase duration")
@@ -251,8 +216,8 @@ def simulate(config: SimConfig) -> EventStream:
 def simulate_to_file(config: SimConfig, path, fmt: str) -> None:
     """Run one trajectory and write it, in ``fmt`` "binary" or "text", as it
     is drawn: the bytes of ``write_events_<fmt>(simulate(config), path)``,
-    holding one piece of a chunk. A text ``total_events`` run is drawn
-    twice, first for T."""
+    holding one chunk. A text ``total_events`` run is drawn twice, first
+    for T."""
     total = config.duration
     if total is None and fmt == "text":  # stamps only grow: T is the largest last one
         total = max(times[-1] for _, times in _kept_chunks(config))

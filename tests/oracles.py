@@ -221,12 +221,11 @@ def occupancy_block_estimates(times, first_label, n_levels, total, n_blocks=100)
 
 
 def simulate_in_chunks(rates, seed, start, total_events=None, duration=None, burn_in=0.0,
-                       chunk_cap=1 << 19):
+                       chunk=1 << 14):
     """(label of the first recorded event, times) of one run of a one-way
-    ring with each chunk of draws held whole: ``np.sum`` and ``np.cumsum``
-    over one array per chunk, the chunk offsets accumulated with Kahan
-    compensation, the first chunk sized from the expected draws and then
-    doubling up to ``chunk_cap``. Visit v sits in level (start - v) % N;
+    ring with each chunk of ``chunk`` draws held whole: ``np.sum`` and
+    ``np.cumsum`` over one array per chunk, the chunk offsets accumulated
+    with Kahan compensation. Visit v sits in level (start - v) % N;
     ``start`` None draws it from p proportional to 1 / rates. The stamps
     recorded lie in (burn_in, burn_in + duration] or are the first
     ``total_events`` past burn_in, shifted by -burn_in, and a stamp not
@@ -238,14 +237,7 @@ def simulate_in_chunks(rates, seed, start, total_events=None, duration=None, bur
     if start is None:
         weights = 1.0 / rates
         start = int(rng.choice(n, p=weights / weights.sum()))
-    event_rate = n / sum(1.0 / r for r in rates)
-    if total_events is not None:
-        est = (burn_in * event_rate if burn_in else 0.0) + total_events
-        horizon = np.inf
-    else:
-        est = (burn_in + duration) * event_rate
-        horizon = burn_in + duration
-    chunk = min(chunk_cap, max(64, int(est + 4 * np.sqrt(est) + 16)))
+    horizon = np.inf if duration is None else burn_in + duration
     kept, visit, base, comp, count = [], 0, 0.0, 0.0, 0
     while True:
         visits = visit + np.arange(chunk)
@@ -258,7 +250,6 @@ def simulate_in_chunks(rates, seed, start, total_events=None, duration=None, bur
         kept.append((visits[inside], stamps[inside]))
         count += int(inside.sum())
         visit += chunk
-        chunk = min(chunk_cap, 2 * chunk)
         if stamps[-1] > horizon or (total_events is not None and count >= total_events):
             break
     visits = np.concatenate([v for v, _ in kept])[:total_events]
@@ -269,3 +260,28 @@ def simulate_in_chunks(rates, seed, start, total_events=None, duration=None, bur
         if times[i] <= times[i - 1]:
             times[i] = math.nextafter(times[i - 1], math.inf)
     return (start - int(visits[0])) % n, np.array(times)
+
+
+def exact_stamps(rates, seed, start, n_draws):
+    """The first ``n_draws`` jump times of a one-way ring started in level
+    ``start``, each the exact sum of the dwell times before it rounded once:
+    the dwells are kept as Shewchuk's nonoverlapping partials (the algorithm
+    of ``math.fsum``), which ``math.fsum`` rounds correctly."""
+    rates = np.asarray(rates, dtype=float)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
+    dwells = rng.standard_exponential(n_draws) / rates[(start - np.arange(n_draws)) % len(rates)]
+    partials, stamps = [], []
+    for x in dwells.tolist():
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        stamps.append(math.fsum(partials))
+    return np.array(stamps)

@@ -32,7 +32,7 @@ from circascade import (
 )
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, env_extra=None, cwd=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -42,6 +42,7 @@ def run_cli(*args, env_extra=None, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -350,6 +351,18 @@ def test_simulate_with_a_seed_outside_u64_exits_2_and_leaves_no_file(tmp_path, c
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--pair", "1,1"], ["simulate", "--events", "10"], ["peaks"],
+    ["cscheck", "--pair", "1,1"],
+], ids=lambda argv: argv[0])
+def test_a_level_count_past_the_index_range_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    assert cli.main([*argv, "--n", "99999999999999999999", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --n/--gamma: n_levels 99999999999999999999 "
+                                       "is more levels than a ring can hold\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bin_width, tau_max", [("1e-300", "1e10"), ("1e-300", "1e5")],
                          ids=["infinite ratio", "ratio 1e305"])
 def test_correlate_with_more_bins_than_an_array_holds_exits_2(tmp_path, bin_width, tau_max):
@@ -646,13 +659,15 @@ def test_correlate_reports_a_damaged_file_before_bad_flags(tmp_path, capsys):
     assert capsys.readouterr().err == "error: simultaneous or out-of-order events\n"
 
 
-# each asks for 146-728 TiB, an allocation that fails at once
+# each asks for 146-728 TiB, an allocation that fails at once, or for
+# 1e300 draws, which a run not bounded first would draw forever
 OVERSIZED_RUNS = {
     "analytic": ("analytic", "--n", 6, "--pair", "1,1", "--steps", 10**14),
     "general": ("general", "--rates-inline", "1,2,3", "--steps", 10**14),
     "cscheck": ("cscheck", "--n", 6, "--pair", "3,1", "--tau-samples", f"0:1:{10**14}"),
     "correlate": ("correlate", "--in", "{stream}", "--pair", "1,1", "--bin", "1e-12",
                   "--taumax", 10),
+    "simulate": ("simulate", "--n", 1, "--gamma", "1e300", "--duration", 1),
 }
 
 
@@ -661,7 +676,8 @@ def test_a_request_too_large_to_allocate_exits_2(tmp_path, name):
     stream = tmp_path / "ring6.events"
     write_events_binary(EventStream(np.arange(1.0, 201.0), 0, 6, 201.0), stream)
     out = tmp_path / "out"
-    cp = run_cli(*(str(a).format(stream=stream) for a in OVERSIZED_RUNS[name]), "--out", out)
+    cp = run_cli(*(str(a).format(stream=stream) for a in OVERSIZED_RUNS[name]), "--out", out,
+                 timeout=120)
     assert cp.returncode == 2, cp.stderr
     assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1, cp.stderr
     assert "Traceback" not in cp.stderr and not out.exists()

@@ -35,6 +35,7 @@ from circascade import cli, stochastic
 
 from oracles import (
     dwell_segments,
+    exact_stamps,
     occupancy_block_estimates,
     simulate_in_chunks,
     time_weighted_occupancy,
@@ -144,47 +145,96 @@ def test_determinism_bit_identical(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_chunking_never_changes_the_stream():
-    # a short run must be a prefix of a longer run with the same key, even
-    # though the two use different internal chunk sizes
-    short = simulate(SimConfig(SPEC124, seed=31, total_events=50))
-    long = simulate(SimConfig(SPEC124, seed=31, total_events=60_000))
-    ts, _ = short.merged()
-    tl, _ = long.merged()
-    assert np.array_equal(ts, tl[: len(ts)])
+def _random_spec(data, n):
+    return CascadeSpec(n, [10.0 ** data.draw(st.floats(-2, 2)) for _ in range(n)])
+
+
+def _random_start(data, spec):
+    """SimConfig's seed, burn-in and initial level, drawn."""
+    return dict(seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+                burn_in=data.draw(st.floats(0, 5), label="burn_in") * spec.cycle_time,
+                initial_level=data.draw(st.none() | st.integers(0, spec.n_levels - 1)))
+
+
+def _random_stop(data, spec, events, cycles):
+    """SimConfig's stop, up to ``events`` events or ``cycles`` cycle times, drawn."""
+    return data.draw(st.one_of(
+        st.builds(lambda k: {"total_events": k}, st.integers(1, events)),
+        st.builds(lambda c: {"duration": c * spec.cycle_time}, st.floats(0.01, cycles)),
+    ), label="stop")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_a_run_is_a_bit_exact_prefix_of_every_longer_run(n, data):
+    # the seams sit every _CHUNK draws from draw 0 whatever the stop, so
+    # runs that share a seed, rates, start level and burn-in share their
+    # stamps; small chunks put many seams into short runs
+    spec = _random_spec(data, n)
+    shared = _random_start(data, spec)
+    chunk = data.draw(st.sampled_from([64, 1000, stochastic._CHUNK]), label="chunk")
+    runs = []
+    with mock.patch.object(stochastic, "_CHUNK", chunk):
+        for _ in range(3):
+            try:
+                runs.append(simulate(SimConfig(spec, **shared,
+                                               **_random_stop(data, spec, 40_000, 4000))))
+            except InsufficientSamples:
+                pass
+    runs.sort(key=lambda stream: stream.n_events)
+    for short, long in zip(runs, runs[1:]):
+        assert short.first_label == long.first_label
+        assert short.times.tobytes() == long.times[:short.n_events].tobytes()
+
+
+def test_a_run_past_its_expected_draws_is_still_a_prefix():
+    # one slow level in 32 makes the event count of a window spread
+    # sqrt(32) times wider than a Poisson count, so about a third of these
+    # runs outlast the draws _expected_draws allows for them: seams placed
+    # from that estimate would fall inside them and not inside the longer run
+    spec = CascadeSpec(32, (0.01,) + (100.0,) * 31)
+    outlasting = 0
+    for seed in range(20):
+        config = SimConfig(spec, seed, duration=200 * spec.cycle_time, initial_level=0)
+        short = simulate(config)
+        long = simulate(SimConfig(spec, seed, total_events=short.n_events + 20_000,
+                                  initial_level=0))
+        outlasting += short.n_events >= stochastic._expected_draws(config)
+        assert short.times.tobytes() == long.times[:short.n_events].tobytes(), seed
+    assert outlasting > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_stamps_lie_within_their_chunk_length_of_the_exact_sums(n, data):
+    # a stamp j draws into its chunk is a running sum of j + 1 positive
+    # dwells (error <= j u x, x the stamp, u = 2^-53 < ulp / x) added to the
+    # compensated sum of the pairwise chunk totals before it (<= 34 u x:
+    # numpy's pairwise tree is at most 32 additions deep at up to 2^14
+    # draws) and rounded twice more, so it lies within j + 36 ulp of the
+    # exact sum however many chunks come before it
+    spec = _random_spec(data, n)
+    start = data.draw(st.integers(0, n - 1), label="start")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    n_events = data.draw(st.integers(1, 20_000), label="events")
+    chunk = data.draw(st.integers(64, 4096) | st.just(stochastic._CHUNK), label="chunk")
+    with mock.patch.object(stochastic, "_CHUNK", chunk):
+        times = simulate(SimConfig(spec, seed, total_events=n_events, initial_level=start)).times
+    exact = exact_stamps(spec.rates, seed, start, n_events)
+    ulps = np.abs(times - exact) / np.spacing(exact)
+    assert np.all(ulps <= np.arange(n_events) % chunk + 36), ulps.max()
 
 
 @settings(max_examples=60, deadline=None)
-@given(piece=st.integers(128, 4096), data=st.data())
-def test_pieces_of_a_chunk_rebuild_its_sums_bit_for_bit(piece, data):
-    # numpy's pairwise sum of a chunk, from the sums of its pieces
-    size = data.draw(st.integers(1, 3 << 20), label="chunk")
-    rng = np.random.default_rng(size)
-    values = np.exp(rng.uniform(-7, 7, size))  # dwells spread over six decades
-    values *= rng.standard_exponential(size)
-    with mock.patch.object(stochastic, "_PIECE", piece):
-        sizes = stochastic._pieces(size)
-        assert sum(sizes) == size and max(sizes) <= piece
-        ends = np.cumsum(sizes).tolist()
-        sums = (float(values[end - k:end].sum()) for k, end in zip(sizes, ends))
-        assert stochastic._tree_sum(size, sums) == values.sum()
-
-    # and a run drawn in pieces equals one of whole chunks; small chunks
-    # put several seams and pieces into short runs
-    n = data.draw(st.integers(1, 8), label="n")
-    spec = CascadeSpec(n, [10.0 ** data.draw(st.floats(-2, 2)) for _ in range(n)])
-    stop = data.draw(st.one_of(
-        st.builds(lambda events: {"total_events": events}, st.integers(1, 20_000)),
-        st.builds(lambda cycles: {"duration": cycles * spec.cycle_time}, st.floats(0.01, 3000)),
-    ), label="stop")
-    config = SimConfig(spec, seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
-                       burn_in=data.draw(st.floats(0, 5), label="burn_in") * spec.cycle_time,
-                       initial_level=data.draw(st.none() | st.integers(0, n - 1)), **stop)
-    cap = data.draw(st.integers(64, 1 << 14), label="chunk cap")
+@given(n=st.integers(1, 8), data=st.data())
+def test_simulate_equals_whole_chunks_summed_in_one_array(n, data):
+    # small chunks put several seams into short runs
+    spec = _random_spec(data, n)
+    config = SimConfig(spec, **_random_start(data, spec), **_random_stop(data, spec, 20_000, 3000))
+    chunk = data.draw(st.integers(64, 1 << 14), label="chunk")
     expected = simulate_in_chunks(spec.rates, config.seed, config.initial_level,
-                                  config.total_events, config.duration, config.burn_in, cap)
-    with mock.patch.object(stochastic, "_PIECE", piece), \
-            mock.patch.object(stochastic, "_CHUNK", cap):
+                                  config.total_events, config.duration, config.burn_in, chunk)
+    with mock.patch.object(stochastic, "_CHUNK", chunk):
         if expected is None:
             with pytest.raises(InsufficientSamples):
                 simulate(config)
@@ -194,13 +244,15 @@ def test_pieces_of_a_chunk_rebuild_its_sums_bit_for_bit(piece, data):
     assert stream.times.tobytes() == expected[1].tobytes()
 
 
-# sha256 of times.tobytes() recorded before simulate wrote into one buffer:
-# a 1e12:1 rate spread rounds every fast dwell away, so about half the
-# stamps collide and are nudged, in runs that cross the nudge's block edges
+# sha256 of times.tobytes(), each equal to oracles.simulate_in_chunks's
+# stream: a 1e12:1 rate spread rounds every fast dwell away, so about half
+# the stamps collide and are nudged, in runs that cross the nudge's block
+# edges. The duration run ends in its first 2^14-draw chunk, so its bytes
+# date from before simulate wrote into one buffer
 FROZEN_NUDGED = {
     "total_events": (
         SimConfig(CascadeSpec(2, (1e-12, 1e12)), seed=4, total_events=3 * 2**20 + 5),
-        "4db312706506dc80c51febc53bbc96e39deca248f570cefe5879787cc238be37",
+        "c5f473273730618acc6d799017f0746c05c679cc07c16f12700f8b91d3fe3038",
     ),
     "duration": (
         SimConfig(CascadeSpec(3, (1e-9, 1e9, 1.0)), seed=4, duration=2e12),
@@ -273,7 +325,7 @@ def _simulate_argv(config: SimConfig, rates, out) -> list[str]:
     return argv
 
 
-# every run crosses chunk seams (chunks hold at most 2^19 draws)
+# every run crosses chunk seams (chunks hold 2^14 draws)
 STREAMED = {
     "total_events": SimConfig(SPEC124, seed=8, total_events=1_300_000),
     "duration": SimConfig(SPEC124, seed=9, duration=700_000.0),
@@ -306,16 +358,9 @@ def test_streamed_text_file_equals_the_written_stream(tmp_path, name):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), data=st.data())
 def test_a_file_streamed_across_many_chunk_seams_equals_the_written_stream(n, data):
-    spec = CascadeSpec(n, [10.0 ** data.draw(st.floats(-2, 2)) for _ in range(n)])
-    stop = data.draw(st.one_of(
-        st.builds(lambda events: {"total_events": events}, st.integers(1, 2000)),
-        st.builds(lambda cycles: {"duration": cycles * spec.cycle_time}, st.floats(0.01, 300)),
-    ), label="stop")
-    config = SimConfig(spec, seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
-                       burn_in=data.draw(st.floats(0, 5), label="burn_in") * spec.cycle_time,
-                       initial_level=data.draw(st.none() | st.integers(0, n - 1)), **stop)
-    # with 64-draw chunks every run crosses chunk seams; the stamps' rounding
-    # depends on where the seams fall, so both sides draw the same chunks
+    spec = _random_spec(data, n)
+    config = SimConfig(spec, **_random_start(data, spec), **_random_stop(data, spec, 2000, 300))
+    # with 64-draw chunks every run crosses chunk seams
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(stochastic, "_CHUNK", 64):
         try:
             stream = simulate(config)
@@ -360,8 +405,9 @@ def test_a_run_whose_times_overflow_raises():
 def test_an_event_rate_past_the_float_range_draws_or_raises_a_cascade_error():
     # n / cycle_time is inf: with no burn-in, 0 x inf was NaN draws
     spec = CascadeSpec(1, (1.7976931348623153e308,))
-    stream = simulate(SimConfig(spec, seed=0, total_events=64))
-    assert stream.n_events == 64 and np.isfinite(stream.times).all()
+    for burn_in in (0.0, 1e-304):  # a burn-in of about 1.8e4 draws
+        stream = simulate(SimConfig(spec, seed=0, total_events=64, burn_in=burn_in))
+        assert stream.n_events == 64 and np.isfinite(stream.times).all()
     # 1e300 events in the window: more than an array holds
     with pytest.raises(ConfigInvalid, match="more than an array holds"):
         simulate(SimConfig(CascadeSpec(1, (1e300,)), seed=0, duration=1.0))
@@ -395,24 +441,21 @@ def test_failed_binary_write_keeps_the_old_file_and_leaves_no_other(tmp_path, wr
 
 
 def test_cli_simulate_holds_well_under_one_copy_of_the_stream(tmp_path):
-    # every chunk is drawn as pieces of at most stochastic._PIECE draws into
-    # one buffer and written as drawn, and the collision check scans it in
-    # blocks, so the peak does not grow with the event count: measured the
-    # buffer plus 0.16 MB. A first untraced run loads what the command
-    # imports on first use
+    # every chunk of stochastic._CHUNK draws is drawn into one buffer and
+    # written as drawn, and the collision check scans it in blocks, so the
+    # peak does not grow with the event count. A first untraced run loads
+    # what the command imports on first use
     argv = ["simulate", "--n", "6", "--seed", "3", "--out", str(tmp_path / "run.events"),
             "--events"]
     assert cli.main(argv + ["10"]) == 0
     for n_events in (1_000_000, 4_000_000):
         code, peak = _traced_peak(lambda: cli.main(argv + [str(n_events)]))
-        assert code == 0 and peak <= 8 * stochastic._PIECE + (1 << 18), n_events
+        assert code == 0 and peak <= 8 * stochastic._CHUNK + (1 << 18), n_events
 
 
-def test_cli_text_simulate_holds_well_under_one_copy_of_the_stream(tmp_path, monkeypatch):
-    # as above, with 2^15-draw chunks so that runs cross many seams while
-    # traced; formatting 2^12 lines at a time adds well under 1 MiB. A
+def test_cli_text_simulate_holds_well_under_one_copy_of_the_stream(tmp_path):
+    # as above; formatting 2^12 lines at a time adds well under 1 MiB. A
     # first untraced run loads what the command imports on first use
-    monkeypatch.setattr(stochastic, "_CHUNK", 1 << 15)
     argv = ["simulate", "--n", "6", "--seed", "3", "--format", "text",
             "--out", str(tmp_path / "run.txt"), "--events"]
     assert cli.main(argv + ["10"]) == 0
