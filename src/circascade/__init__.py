@@ -30,14 +30,9 @@ from .spectral_general import (
     SpectralDecomposition,
     decompose,
     g2_general,
-    g2_limit_high_pump,
-    g2_limit_low_pump,
-    g2_phenomenological,
     g2_three_level,
-    g2_two_level,
     generator_matrix,
     oscillation_condition,
-    propagate,
 )
 from .stochastic import (
     SimConfig,

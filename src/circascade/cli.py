@@ -261,6 +261,8 @@ def cmd_correlate(args) -> None:
     pair = subset = None
     try:
         # the checks run in the order they ran when the whole file was read
+        if args.pair is not None and args.subset is not None:
+            raise ConfigInvalid("give --pair or --subset, not both")
         if args.subset:
             subset = _parse_subset(args.subset)
         elif not args.pair:
@@ -283,6 +285,9 @@ def cmd_peaks(args) -> None:
         if value < 1:
             raise ConfigInvalid(f"{flag} must be >= 1, got {value}")
     if args.scan:
+        if args.csv or args.cross:
+            raise ConfigInvalid("--scan writes auto and cross rows to --out; "
+                                "it takes no --csv or --cross")
         lo, hi = _parse_numbers("--scan", args.scan, "lo:hi", int)
         if hi < lo:
             raise ConfigInvalid(f"--scan range must have hi >= lo, got {args.scan!r}")

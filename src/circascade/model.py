@@ -23,8 +23,8 @@ Conventions (used everywhere in this package):
   reaches the estimator.
 * A delay must be a finite number. ``check_delays`` rejects a string, a
   non-number, NaN and +-inf with ``ConfigInvalid``: ``signed_delay`` applies
-  it to every signed-delay trace, and ``g2_equal``, ``small_tau_leading``
-  and ``propagate``, which take tau >= 0 only, apply it with ``signed=False``.
+  it to every signed-delay trace, and ``g2_equal`` and
+  ``small_tau_leading``, which take tau >= 0 only, apply it with ``signed=False``.
 
 Errors: every failure is a ``CascadeError`` of one of four kinds, each
 carrying the CLI exit status in ``exit_code``: ``ConfigInvalid`` (2, input

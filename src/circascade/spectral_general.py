@@ -1,7 +1,7 @@
 """General-rate machinery: generator matrix, stepped-expm
-propagation, g2 for arbitrary rates, and the exact N = 2 and N = 3 closed
-forms with their limit expressions. No g2 route calls `decompose`; it
-remains a standalone eigendecomposition of the generator.
+propagation, g2 for arbitrary rates, and the exact N = 3 closed form with
+its oscillation regime. No g2 route calls `decompose`; it remains a
+standalone eigendecomposition of the generator.
 
 The N = 3 closed form is one expression for all nine pairs, fixed by the
 value and slope at tau = 0 of the read level's two decaying modes.
@@ -32,12 +32,10 @@ import numpy as np
 
 from .model import (
     CascadeSpec,
-    ConfigInvalid,
     NumericalFailure,
     check_delays,
     check_index,
     check_level,
-    check_number,
     check_rate,
     flux_weights,
     signed_delay,
@@ -214,11 +212,6 @@ def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> 
     return _clean_probabilities(out, len(gaps) - gaps.count(0.0))
 
 
-def propagate(spec: CascadeSpec, initial_level: int, tau: float) -> np.ndarray:
-    """Occupation probabilities after time tau from one level: expm(Q tau)[:, s]."""
-    return _propagate_grid(spec, initial_level, check_number("tau", tau))[0]
-
-
 def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
     """Correlation between transition pair (m, n) for arbitrary rates.
 
@@ -246,47 +239,6 @@ def _check_occupation(p: float, level: int) -> None:
     read ``level``, the divisor of its g2, is finite and > 0."""
     if not 0 < p < math.inf:
         raise NumericalFailure(f"occupation {float(p):g} of level {level} is outside float64")
-
-
-def _times_decay(ratio: float, log_ratio: float, rate: float, s: np.ndarray) -> np.ndarray:
-    """ratio exp(-rate s) on an array of s >= 0, as exp(log_ratio - rate s)
-    where the direct product is not finite (a ratio past the float range,
-    or inf times 0); a term still past the range is inf, which
-    ``signed_delay`` raises."""
-    out = ratio * np.exp(-rate * s)
-    big = ~np.isfinite(out)
-    out[big] = np.exp(log_ratio - rate * s[big])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# N = 2 closed forms
-
-
-def g2_two_level(gamma0: float, gamma1: float, m: int, n: int, tau) -> float | np.ndarray:
-    """Two-level closed forms, with arrival-labeled pairs as in g2_general.
-
-    Autocorrelations (m == n): 1 - exp(-(g0+g1)|tau|). The cross pair
-    (1, 0) starts and reads level 1: 1 + (g1/g0) exp(-(g0+g1) tau) for
-    tau >= 0, and 1 + (g0/g1) exp(-(g0+g1)|tau|) for tau < 0, where it
-    mirrors (0, 1). tau = 0 is the right limit. The rate sum and delays are
-    in units of the power of two at the faster rate: exact, and no overflow.
-    """
-    gamma0, gamma1 = _rates(gamma0, gamma1)
-    m, n = check_index("m", m), check_index("n", n)
-    e = math.frexp(max(gamma0, gamma1))[1]
-    total = math.ldexp(gamma0, -e) + math.ldexp(gamma1, -e)
-    log_ratio = math.log(gamma1) - math.log(gamma0)
-
-    def right(a, b, s):
-        s = np.ldexp(s, e)
-        if a == b:
-            return 1.0 - np.exp(-total * s)
-        if a == 1:
-            return 1.0 + _times_decay(gamma1 / gamma0, log_ratio, total, s)
-        return 1.0 + _times_decay(gamma0 / gamma1, -log_ratio, total, s)
-
-    return signed_delay(right, m % 2, n % 2, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -382,62 +334,3 @@ def oscillation_condition(gamma0: float, gamma1: float, gamma2: float) -> Oscill
     if abs(z2) <= 1e-12 * max(units) ** 2:
         return OscillationRegime.BOUNDARY
     return OscillationRegime.OSCILLATORY if z2 < 0 else OscillationRegime.OVERDAMPED
-
-
-def g2_limit_low_pump(gamma0: float, gamma1: float, gamma2: float, tau) -> float | np.ndarray:
-    """Small-excitation limit of the contiguous three-level cross trace.
-
-    1 - exp(gamma1 tau) for tau < 0; 1 + (gamma2/gamma0) exp(-gamma2 tau)
-    for tau >= 0.
-    """
-    gamma0, gamma1, gamma2 = _rates(gamma0, gamma1, gamma2)
-    log_ratio = math.log(gamma2) - math.log(gamma0)
-
-    def right(a, b, s):
-        if (a, b) == (2, 1):
-            return 1.0 + _times_decay(gamma2 / gamma0, log_ratio, gamma2, s)
-        return 1.0 - np.exp(-gamma1 * s)
-
-    return signed_delay(right, 2, 1, tau)
-
-
-def g2_limit_high_pump(gamma0: float, gamma1: float, gamma2: float, tau) -> float | np.ndarray:
-    """High-pumping limit of the contiguous three-level cross trace.
-
-    tau < 0: 1 + (g1/g2) exp((g1+g2) tau) - (1 + g1/g2) exp(g0 tau);
-    tau >= 0: 1 + (g2/g1) exp(-(g1+g2) tau). The sum g1 + g2 and its delays
-    are in units of the power of two at the faster of the two (``g2_two_level``).
-    """
-    gamma0, gamma1, gamma2 = _rates(gamma0, gamma1, gamma2)
-    e = math.frexp(max(gamma1, gamma2))[1]
-    total = math.ldexp(gamma1, -e) + math.ldexp(gamma2, -e)
-    log_ratio = math.log(gamma1) - math.log(gamma2)
-    # of 1 + gamma1 / gamma2, read only where that overflows: gamma2 < 1 and the sum is finite
-    log_sum = math.log(gamma1 + gamma2) - math.log(gamma2)
-
-    def right(a, b, s):
-        units = np.ldexp(s, e)
-        if (a, b) == (2, 1):
-            return 1.0 + _times_decay(gamma2 / gamma1, -log_ratio, total, units)
-        return (1.0 + _times_decay(gamma1 / gamma2, log_ratio, total, units)
-                - _times_decay(1.0 + gamma1 / gamma2, log_sum, gamma0, s))
-
-    return signed_delay(right, 2, 1, tau)
-
-
-def g2_phenomenological(p: float, gamma1: float, gamma2: float, tau) -> float | np.ndarray:
-    """Reference cascade model with a Poissonian heralding stream.
-
-    1 + (1-p)(g2/g1) exp(g2 tau) for tau < 0 and 1 + p (g2/g1) exp(-g2 tau)
-    for tau >= 0, where p is the probability of good time ordering.
-    """
-    if not 0.0 <= check_number("p", p) <= 1.0:
-        raise ConfigInvalid("p must be in [0, 1]")
-    gamma1, gamma2 = check_rate("gamma1", gamma1), check_rate("gamma2", gamma2)
-    ratio, log_ratio = gamma2 / gamma1, math.log(gamma2) - math.log(gamma1)
-
-    def right(a, b, s):
-        weight = p if a == 1 else 1.0 - p  # pair (1, 0) is the good order, (0, 1) its mirror
-        return 1.0 + _times_decay(weight * ratio, np.log(weight) + log_ratio, gamma2, s)
-
-    return signed_delay(right, 1, 0, tau)

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is built from first principles (dense matrix exponential,
-60-digit mpmath exponentials and series, brute-force double sums) and
-deliberately avoids the package's own spectral or closed-form code paths.
+60-digit mpmath exponentials and series, brute-force double sums, the
+two-level closed form and the three-level pump limits as plain numpy
+formulas) and deliberately avoids the package's own spectral or closed-form code paths.
 The occupancy and dwell checks of the simulator take a ring as plain
 (times, first label, N, T): event i carries label (first - i) mod N.
 """
@@ -110,6 +111,39 @@ def g2_pair_mpmath(rates, m, n, tau):
     inverse = [1 / mpmath.mpf(g) for g in rates]
     p = propagate_mpmath(rates, m % nlev, tau, 1)[0, read]
     return p * float(sum(inverse) / inverse[read])
+
+
+def g2_two_level(gamma0, gamma1, m, n, tau):
+    """Two-level pair correlation from its closed form, arrival-labeled:
+    1 - exp(-(g0 + g1)|tau|) for m == n (mod 2); the cross pair (1, 0)
+    starts and reads level 1, 1 + (g1/g0) exp(-(g0 + g1) tau) for tau >= 0,
+    and mirrors (0, 1), 1 + (g0/g1) exp(-(g0 + g1)|tau|), below 0. tau = 0,
+    -0.0 included, is the right limit."""
+    tau = np.asarray(tau, dtype=float)
+    decay = np.exp(-(gamma0 + gamma1) * np.abs(tau))
+    if m % 2 == n % 2:
+        return 1.0 - decay
+    return 1.0 + np.where((m % 2 == 1) == (tau >= 0), gamma1 / gamma0, gamma0 / gamma1) * decay
+
+
+def g2_limit_low_pump(gamma0, gamma1, gamma2, tau):
+    """Small-excitation (gamma0 -> 0) limit of the three-level pair (2, 1):
+    1 + (g2/g0) exp(-g2 tau) for tau >= 0, 1 - exp(g1 tau) below 0."""
+    tau = np.asarray(tau, dtype=float)
+    s = np.abs(tau)
+    right = 1.0 + gamma2 / gamma0 * np.exp(-gamma2 * s)
+    return np.where(tau >= 0, right, 1.0 - np.exp(-gamma1 * s))
+
+
+def g2_limit_high_pump(gamma0, gamma1, gamma2, tau):
+    """High-pumping (gamma0 -> inf) limit of the three-level pair (2, 1):
+    1 + (g2/g1) exp(-(g1 + g2) tau) for tau >= 0, and
+    1 + (g1/g2) exp((g1 + g2) tau) - (1 + g1/g2) exp(g0 tau) below 0."""
+    tau = np.asarray(tau, dtype=float)
+    s = np.abs(tau)
+    decay = np.exp(-(gamma1 + gamma2) * s)
+    left = 1.0 + gamma1 / gamma2 * decay - (1.0 + gamma1 / gamma2) * np.exp(-gamma0 * s)
+    return np.where(tau >= 0, 1.0 + gamma2 / gamma1 * decay, left)
 
 
 def g2_equal_poisson(n_levels, m, n, gamma, tau, digits=60):

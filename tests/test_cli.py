@@ -100,13 +100,12 @@ def test_general_and_propagate_do_not_load_scipy(tmp_path):
     out = tmp_path / "fig5.csv"
     code = (
         "import sys\n"
-        "from circascade import CascadeSpec, cli, propagate\n"
+        "from circascade import cli\n"
         f"assert cli.main(['general', '--preset', 'fig5', '--out', {str(out)!r}]) == 0\n"
-        "propagate(CascadeSpec(4, (0.5, 1.0, 2.0, 3.0)), 1, 0.5)\n"
         "sys.exit('scipy' in sys.modules)\n"
     )
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr or "general or propagate loaded scipy"
+    assert cp.returncode == 0, cp.stderr or "general loaded scipy"
     assert out.exists()
 
 
@@ -649,14 +648,24 @@ def test_correlate_checks_indices_against_the_file(tmp_path, capsys, ring6_file,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_correlate_with_a_pair_and_a_subset_exits_2(tmp_path, capsys, ring6_file):
+    out = tmp_path / "x.csv"
+    argv = ["correlate", "--in", str(ring6_file[1]), "--pair", "1,1", "--subset", "1,2",
+            "--bin", "0.5", "--taumax", "15", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: give --pair or --subset, not both\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_correlate_reports_a_damaged_file_before_bad_flags(tmp_path, capsys):
     path = tmp_path / "unordered.events"
     path.write_bytes(b"CEV2" + struct.pack("<IIQdQ", 6, 0, 0, 100.0, 3)
                      + np.array([1.0, 3.0, 2.0]).tobytes())
-    argv = ["correlate", "--in", str(path), "--pair", "9,1", "--bin", "0.5", "--taumax", "5",
-            "--out", str(tmp_path / "x.csv")]
-    assert cli.main(argv) == 4
-    assert capsys.readouterr().err == "error: simultaneous or out-of-order events\n"
+    for selection in (["--pair", "9,1"], ["--pair", "1,1", "--subset", "1,2"]):
+        argv = ["correlate", "--in", str(path), *selection, "--bin", "0.5", "--taumax", "5",
+                "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == "error: simultaneous or out-of-order events\n"
 
 
 # each asks for 146-728 TiB, an allocation that fails at once, or for
@@ -764,6 +773,16 @@ def test_peaks_scan(tmp_path):
     assert lines[0] == "kind,n_levels,order,tau,g2"
     kinds = {line.split(",")[0] for line in lines[1:]}
     assert kinds == {"auto", "cross"}
+
+
+@pytest.mark.parametrize("extra", [["--csv", "x.csv"], ["--cross"]])
+def test_peaks_scan_rejects_csv_and_cross(tmp_path, capsys, monkeypatch, extra):
+    # the scan writes both kinds of rows to --out, so neither flag would act
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["peaks", "--scan", "3:4", *extra, "--out", "y.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --scan writes auto and cross rows to --out; it takes no --csv or --cross\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cscheck_report(tmp_path):

@@ -18,10 +18,8 @@ from circascade import (
     cs_check,
     g2_equal_pair,
     g2_general,
-    g2_phenomenological,
     g2_subset,
     g2_three_level,
-    propagate,
     simulate,
     small_tau_leading,
     trace_index,
@@ -171,7 +169,6 @@ NOT_NUMBERS = {
                     "burn_in = '1' is not a number"),
     "bin_width '0.1'": (lambda: HistogramConfig("0.1", 1.0), "bin_width = '0.1' is not a number"),
     "tau_max None": (lambda: HistogramConfig(0.1, None), "tau_max = None is not a number"),
-    "p '0.5'": (lambda: g2_phenomenological("0.5", 1.0, 1.0, 0.1), "p = '0.5' is not a number"),
     "tau sample 'a'": (lambda: cs_check(CascadeSpec.equal(6), 1, 2, [0.1, "a"]),
                        "tau = 'a' is not a number"),
     # every g2 route applies the same rule to its delays, through check_delays
@@ -188,10 +185,6 @@ NOT_NUMBERS = {
                           "tau = 'a' is not a number"),
     "small_tau_leading tau 'a'": (lambda: small_tau_leading(6, 2, 1.0, "a"),
                                   "tau = 'a' is not a number"),
-    "propagate tau None": (lambda: propagate(RING3, 1, None), "tau = None is not a number"),
-    "propagate tau '0.5'": (lambda: propagate(RING3, 1, "0.5"), "tau = '0.5' is not a number"),
-    "propagate tau 2**1024": (lambda: propagate(RING3, 1, 2**1024),
-                              f"tau = {2**1024} is not a number"),
 }
 
 

@@ -31,15 +31,10 @@ from circascade import (
     g2_equal,
     g2_equal_pair,
     g2_general,
-    g2_limit_high_pump,
-    g2_limit_low_pump,
-    g2_phenomenological,
     g2_subset,
     g2_three_level,
-    g2_two_level,
     generator_matrix,
     oscillation_condition,
-    propagate,
     simulate,
     small_tau_leading,
     steady_state,
@@ -47,20 +42,28 @@ from circascade import (
 )
 from circascade.model import NumericalFailure
 from circascade import spectral_general
-from circascade.spectral_general import _expm, _zeta_squared, characteristic_residuals
+from circascade.spectral_general import (
+    _expm,
+    _propagate_grid,
+    _zeta_squared,
+    characteristic_residuals,
+)
 
 from oracles import (
     expm,
     g2_equal_poisson,
+    g2_limit_high_pump,
+    g2_limit_low_pump,
     g2_pair_expm,
     g2_pair_mpmath,
+    g2_two_level,
     generator_bruteforce,
     propagate_expm,
     propagate_mpmath,
     steady_state_nullspace,
 )
 
-# frozen: propagate(N=3 equal, from level 2, tau=1)[0], dense-expm verified
+# frozen: level 0 at tau = 1 from level 2 of the N = 3 equal ring, dense-expm verified
 P_N3_LEVEL0 = 0.18701451580993642
 
 UNBALANCED = (1.0, 1.1, 0.025)
@@ -253,7 +256,7 @@ def test_a_propagation_off_by_1e_8_raises(monkeypatch, n, decades):
 def test_propagate_identity_at_zero():
     spec = CascadeSpec(4, (1.0, 0.5, 2.0, 3.0))
     for level in range(4):
-        p = propagate(spec, level, 0.0)
+        p = _propagate_grid(spec, level, np.array([0.0]))[0]
         expected = np.zeros(4)
         expected[level] = 1.0
         np.testing.assert_allclose(p, expected, atol=1e-12)
@@ -262,7 +265,7 @@ def test_propagate_identity_at_zero():
 def test_propagate_ergodic_limit_equal_rates():
     spec = CascadeSpec.equal(3, 1.0)
     np.testing.assert_allclose(
-        propagate(spec, 2, 200.0), steady_state(spec), atol=1e-8
+        _propagate_grid(spec, 2, np.array([200.0]))[0], steady_state(spec), atol=1e-8
     )
 
 
@@ -275,12 +278,12 @@ def test_propagate_ergodic_limit_random_rates():
         )
         tau = 25.0 / slowest
         np.testing.assert_allclose(
-            propagate(spec, 2, tau), steady_state(spec), atol=1e-8
+            _propagate_grid(spec, 2, np.array([tau]))[0], steady_state(spec), atol=1e-8
         )
 
 
 def test_propagate_frozen_value():
-    p = propagate(CascadeSpec.equal(3, 1.0), 2, 1.0)
+    p = _propagate_grid(CascadeSpec.equal(3, 1.0), 2, np.array([1.0]))[0]
     assert p[0] == pytest.approx(P_N3_LEVEL0, abs=1e-12)
     np.testing.assert_allclose(p, propagate_expm([1, 1, 1], 2, 1.0), atol=1e-12)
 
@@ -290,7 +293,7 @@ def test_propagate_simplex_preservation():
     for _ in range(15):
         spec = random_spec(rng)
         tau = rng.uniform(0, 20) * spec.n_levels / sum(spec.rates)
-        p = propagate(spec, int(rng.integers(spec.n_levels)), tau)
+        p = _propagate_grid(spec, int(rng.integers(spec.n_levels)), np.array([tau]))[0]
         assert np.all(p >= 0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -299,7 +302,8 @@ def test_propagate_degenerate_path_matches_expm():
     spec = CascadeSpec(3, (1.0, 1.0, 4.0))
     for tau in (0.3, 1.7, 6.0):
         np.testing.assert_allclose(
-            propagate(spec, 1, tau), propagate_expm(spec.rates, 1, tau), atol=1e-10
+            _propagate_grid(spec, 1, np.array([tau]))[0], propagate_expm(spec.rates, 1, tau),
+            atol=1e-10,
         )
 
 
@@ -425,23 +429,26 @@ def test_g2_general_unbalanced_limits():
 
 
 def test_two_level_autocorrelation():
-    assert g2_two_level(1.0, 1.0, 1, 1, 0.0) == 0.0
-    assert g2_two_level(1.0, 1.0, 0, 0, 0.4) == pytest.approx(1 - math.exp(-0.8))
+    spec = CascadeSpec.equal(2, 1.0)
+    assert g2_general(spec, 1, 1, 0.0) == 0.0
+    assert g2_general(spec, 0, 0, 0.4) == pytest.approx(1 - math.exp(-0.8))
 
 
 def test_two_level_cross_examples():
     # equal rates: bunching of 2 at the origin, consistent with g2(0) = N
-    assert g2_two_level(1.0, 1.0, 1, 0, 1e-14) == pytest.approx(2.0, abs=1e-9)
+    assert g2_general(CascadeSpec.equal(2, 1.0), 1, 0, 1e-14) == pytest.approx(2.0, abs=1e-9)
     # arrival labels: (1, 0) starts and reads level 1, so the ratio is g1/g0
-    assert g2_two_level(2.0, 1.0, 1, 0, 0.3) == pytest.approx(1 + 0.5 * math.exp(-0.9))
+    assert g2_general(CascadeSpec(2, (2.0, 1.0)), 1, 0, 0.3) == pytest.approx(
+        1 + 0.5 * math.exp(-0.9))
 
 
 def test_two_level_mirror():
     # away from the tau = 0 discontinuity point the mirror identity is exact
+    spec = CascadeSpec(2, (2.0, 0.5))
     taus = np.concatenate([np.linspace(-4, -0.1, 15), np.linspace(0.1, 4, 15)])
     np.testing.assert_allclose(
-        g2_two_level(2.0, 0.5, 0, 1, taus),
-        g2_two_level(2.0, 0.5, 1, 0, -taus),
+        g2_general(spec, 0, 1, taus),
+        g2_general(spec, 1, 0, -taus),
         atol=1e-14,
     )
 
@@ -545,8 +552,6 @@ def test_negative_delay_mirrors_the_swapped_pair_bitwise(rates, data):
         lambda a, b, t: g2_equal_pair(nlev, a, b, rates[0], t),
         lambda a, b, t: g2_general(spec, a, b, t),
     ]
-    if nlev == 2:
-        routes.append(lambda a, b, t: g2_two_level(*rates, a, b, t))
     if nlev == 3:
         routes.append(lambda a, b, t: g2_three_level(*rates, a, b, t))
     for g in routes:
@@ -560,13 +565,10 @@ DELAY_ROUTES = {
     "g2_equal": lambda t: g2_equal(6, 1, 1.0, t),
     "g2_equal_pair": lambda t: g2_equal_pair(6, 2, 1, 1.0, t),
     "g2_subset": lambda t: g2_subset(6, SubsetSpec((1, 2)), 1.0, [0.5, t]),
-    "g2_two_level": lambda t: g2_two_level(1.0, 2.0, 1, 0, t),
+    # the two-level ring is g2_general at N = 2
+    "g2_two_level": lambda t: g2_general(CascadeSpec(2, (1.0, 2.0)), 1, 0, t),
     "g2_three_level": lambda t: g2_three_level(1.0, 1.1, 0.025, 2, 1, t),
-    "g2_limit_low_pump": lambda t: g2_limit_low_pump(1.0, 1.1, 0.025, t),
-    "g2_limit_high_pump": lambda t: g2_limit_high_pump(1.0, 1.1, 0.025, t),
-    "g2_phenomenological": lambda t: g2_phenomenological(0.8, 1.0, 2.0, t),
     "g2_general": lambda t: g2_general(SPEC4, 2, 1, [t, 0.5]),
-    "propagate": lambda t: propagate(SPEC4, 0, t),
     "cs_check": lambda t: cs_check(CascadeSpec.equal(6, 1.0), 3, 1, [0.1, t]),
     "small_tau_leading": lambda t: small_tau_leading(6, 2, 1.0, [0.5, t]),
 }
@@ -597,12 +599,9 @@ RING_CALLS = {
     "small_tau_leading": (lambda n, g: small_tau_leading(n, 2, g, 0.5), (6, 1.0)),
     "bundle_peak": (lambda n: bundle_peak(n, 2), (6,)),
     "trace_index": (lambda n: trace_index(2, 1, n), (6,)),
-    "g2_two_level": (lambda a, b: g2_two_level(a, b, 1, 0, 0.5), (1.0, 2.0)),
+    "g2_two_level": (lambda a, b: g2_general(CascadeSpec(2, (a, b)), 1, 0, 0.5), (1.0, 2.0)),
     "g2_three_level": (lambda *g: g2_three_level(*g, 2, 1, 0.5), UNBALANCED),
     "oscillation_condition": (oscillation_condition, UNBALANCED),
-    "g2_limit_low_pump": (lambda *g: g2_limit_low_pump(*g, 0.5), UNBALANCED),
-    "g2_limit_high_pump": (lambda *g: g2_limit_high_pump(*g, 0.5), UNBALANCED),
-    "g2_phenomenological": (lambda *g: g2_phenomenological(0.9, *g, 0.5), (1.0, 2.0)),
     "find_peaks": (lambda n, g: find_peaks(n, g, 1, 2), (6, 1.0)),
     "find_peaks_cross": (lambda n, g: find_peaks_cross(n, g, 2), (6, 1.0)),
     "correlate_blocks": (
@@ -625,7 +624,6 @@ SPEC_ROUTES = {
     "generator_matrix": generator_matrix,
     "steady_state": steady_state,
     "decompose": decompose,
-    "propagate": lambda spec: propagate(spec, 0, 0.5),
     "g2_general": lambda spec: g2_general(spec, 2, 1, 0.5),
     "discontinuity": lambda spec: discontinuity(spec, 2, 1),
     "cs_check": lambda spec: cs_check(spec, 2, 1, [0.5]),
@@ -682,13 +680,14 @@ INDEX_CALLS = {
                    1.0030306184479763),
     "find_peaks_cross": (lambda order: find_peaks_cross(6, 1.0, order).peaks[-1].magnitude, (2,),
                          1.018586742614836),
-    "g2_two_level": (lambda m, n: g2_two_level(1.0, 2.0, m, n, 0.5), (1, 0), 1.4462603202968596),
+    # g2_general at N = 2: 1 + 2 exp(-1.5) to 1 ulp (60-digit mpmath)
+    "g2_two_level": (lambda m, n: g2_general(CascadeSpec(2, (1.0, 2.0)), m, n, 0.5), (1, 0),
+                     1.4462603202968598),
     "g2_three_level": (lambda m, n: g2_three_level(*UNBALANCED, m, n, 0.5), (2, 1),
                        1.035174040832137),
     # the shifted Taylor kernel's values: 60-digit mpmath puts both within
     # 2 eps relative (1.9e-16 and 3.4e-16)
     "g2_general": (lambda m, n: g2_general(SPEC4, m, n, 0.5), (2, 1), 2.8464197325395326),
-    "propagate": (lambda level: float(propagate(SPEC4, level, 0.5)[0]), (1,), 0.34494700429686354),
     "cs_check": (lambda m, n: cs_check(CascadeSpec.equal(6), m, n, [0.1]).samples[0].rhs, (3, 1),
                  8.187307531050577e-07),
     "discontinuity": (lambda m, n: discontinuity(CascadeSpec(3, UNBALANCED), m, n)[2], (2, 1),
@@ -829,6 +828,8 @@ def test_oscillation_condition_equals_sqrt_window():
             assert g2v < lo * (1 + 1e-9) or g2v > hi * (1 - 1e-9)
 
 
+# the limit oracles keep the package's sign convention: tau = 0 is the right
+# limit, and the left branch starts at 0
 def test_low_pump_limit_values():
     assert g2_limit_low_pump(0.01, 1.0, 1.0, -1e-12) == pytest.approx(0.0, abs=1e-9)
     assert g2_limit_low_pump(0.01, 2.0, 1.0, 0.0) == pytest.approx(101.0)
@@ -856,14 +857,6 @@ def test_high_pump_limit_tracks_exact_form():
         exact = g2_three_level(g0, g1, g2v, 2, 1, tau)
         approx = g2_limit_high_pump(g0, g1, g2v, tau)
         assert abs(approx - exact) <= 0.05 * abs(exact) + 1e-3
-
-
-def test_phenomenological_model():
-    taus = np.linspace(-5, -0.01, 9)
-    np.testing.assert_allclose(g2_phenomenological(1.0, 1.0, 2.0, taus), 1.0)
-    assert g2_phenomenological(1.0, 1.0, 1.0, 0.0) == pytest.approx(2.0)
-    assert g2_phenomenological(0.5, 1.0, 2.0, 1e-14) == pytest.approx(2.0)
-    assert g2_phenomenological(0.5, 1.0, 2.0, -1e-14) == pytest.approx(2.0)
 
 
 def test_oracles_import_nothing_from_the_package():
@@ -894,10 +887,8 @@ SIGNED_TAU = st.one_of(
 @example((1.0, 1.1, 0.025), 1, 1, 1.5885651294280526e-09)  # fig5 rates: -eps, not clamped
 @settings(max_examples=300, deadline=None)
 def test_small_ring_routes_are_finite_and_nonnegative(rates, m, n, tau):
-    two = float(g2_two_level(rates[0], rates[1], m % 2, n % 2, tau))
     general = float(g2_general(CascadeSpec(3, rates), m, n, tau))
     closed = float(g2_three_level(*rates, m, n, tau))
-    assert math.isfinite(two) and two >= 0
     assert math.isfinite(general) and general >= 0
     # g_{m,n}(tau) reads level (n + 1) % 3, and mirrors g_{n,m}(-tau) below 0
     read = (n + 1) % 3 if tau >= 0 else (m + 1) % 3
@@ -917,7 +908,6 @@ def _spec(rates, nlev):
 
 FLOAT_RANGE_ROUTES = {
     "steady_state": lambda r, nlev, t, m, n: steady_state(_spec(r, nlev)),
-    "propagate": lambda r, nlev, t, m, n: propagate(_spec(r, nlev), m % nlev, abs(t)),
     "g2_general": lambda r, nlev, t, m, n: g2_general(_spec(r, nlev), m, n, [t, 0.0]),
     "cs_check": lambda r, nlev, t, m, n: [
         s.rhs for s in cs_check(_spec(r, nlev), m, m + 1, [t]).samples],
@@ -933,13 +923,10 @@ FLOAT_RANGE_ROUTES = {
         x for p in find_peaks(nlev, r[0], m, 2).peaks for x in (p.tau, p.magnitude)],
     "find_peaks_cross": lambda r, nlev, t, m, n: [
         x for p in find_peaks_cross(nlev, r[0], 2).peaks for x in (p.tau, p.magnitude)],
-    "g2_two_level": lambda r, nlev, t, m, n: g2_two_level(*r[:2], m, n, t),
-    "g2_phenomenological": lambda r, nlev, t, m, n: g2_phenomenological(m / 3, *r[:2], t),
+    "g2_two_level": lambda r, nlev, t, m, n: g2_general(_spec(r, 2), m, n, t),
     "g2_three_level": lambda r, nlev, t, m, n: g2_three_level(*r[:3], m, n, t),
     "oscillation_condition": lambda r, nlev, t, m, n: [
         oscillation_condition(*r[:3]) is not None],
-    "g2_limit_low_pump": lambda r, nlev, t, m, n: g2_limit_low_pump(*r[:3], t),
-    "g2_limit_high_pump": lambda r, nlev, t, m, n: g2_limit_high_pump(*r[:3], t),
 }
 
 
@@ -971,35 +958,3 @@ def test_rates_and_delays_across_the_float_range_give_finite_values(name, rates,
         except CascadeError:
             return
     assert np.isfinite(values).all(), values
-
-
-def test_rate_sums_past_the_float_range_give_their_values():
-    # g0 + g1 overflows, but not in units of the power of two at the fastest rate
-    assert g2_two_level(1e308, 1e308, 0, 0, [0.0, 1.0]).tolist() == [0.0, 1.0]
-    assert g2_limit_high_pump(1.0, 1e308, 1e308, [0.0, 1.0]).tolist() == [2.0, 1.0]
-
-
-@given(
-    rates=st.tuples(*[st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)] * 3),
-    s=st.one_of(st.just(0.0), st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e)),
-)
-@settings(max_examples=300, deadline=None, derandomize=True)
-def test_rate_sums_in_units_keep_the_bits_of_the_plain_forms(rates, s):
-    """The rescaling is exact: wherever the plain expression of a form is
-    finite, the form returns its bits."""
-    g0, g1, g2 = rates
-    with np.errstate(all="ignore"):
-        plain = [
-            (1.0 - np.exp(-(g0 + g1) * s), g2_two_level, (g0, g1, 0, 0, s)),
-            (1.0 + g1 / g0 * np.exp(-(g0 + g1) * s), g2_two_level, (g0, g1, 1, 0, s)),
-            (1.0 + g2 / g1 * np.exp(-(g1 + g2) * s), g2_limit_high_pump, (g0, g1, g2, s)),
-        ]
-        if s > 0:  # tau = -0.0 is the right limit
-            plain += [
-                (1.0 + g0 / g1 * np.exp(-(g0 + g1) * s), g2_two_level, (g0, g1, 1, 0, -s)),
-                (1.0 + g1 / g2 * np.exp(-(g1 + g2) * s) - (1.0 + g1 / g2) * np.exp(-g0 * s),
-                 g2_limit_high_pump, (g0, g1, g2, -s)),
-            ]
-    for value, form, args in plain:
-        if np.isfinite(value):
-            assert form(*args) == value, (form.__name__, args)
