@@ -61,6 +61,7 @@ from .analysis import (
     discontinuity,
     find_peaks,
     find_peaks_cross,
+    g2,
 )
 
 __version__ = "0.1.0"

@@ -11,12 +11,13 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .analytic_equal import MODE_CUT, g2_equal, g2_equal_pair
+from .analytic_equal import MODE_CUT, g2_equal, g2_equal_pair, g2_subset
 from .model import (
     CascadeSpec,
     ConfigInvalid,
     InsufficientSamples,
     NumericalFailure,
+    SubsetSpec,
     check_index,
     check_levels,
     check_number,
@@ -110,7 +111,8 @@ def _grid_brackets(n_levels: int, k: int, gamma: float) -> Iterator[tuple[float,
     no pair there, so g2 is exactly 1 and no maximum above 1 can follow.
     """
     step = PEAK_GRID_STEP / gamma
-    tau_flat = 0.0 if n_levels == 1 else MODE_CUT / (2 * gamma * math.sin(math.pi / n_levels) ** 2)
+    slowest = 2 * gamma * math.sin(math.pi / n_levels) ** 2  # gamma d_1, 0 if it underflows
+    tau_flat = 0.0 if n_levels == 1 else MODE_CUT / slowest if slowest else math.inf
     if not tau_flat + (PEAK_SCAN_WINDOW + 1) * step < math.inf:
         raise NumericalFailure(f"gamma = {gamma!r} puts the peak scan past the float64 range")
     taus, g = np.empty(0), np.empty(0)
@@ -220,15 +222,23 @@ class ViolationReport:
         )
 
 
-def _pair_evaluator(spec: CascadeSpec) -> Callable[[int, int, float], float]:
+def g2(spec: CascadeSpec, selection, tau) -> float | np.ndarray:
+    """g2 of a pair (m, n) or a SubsetSpec (equal rates only) of the ring ``spec``
+    at signed delays tau: the equal-rate form, else the N = 3 form, else propagation."""
     if not isinstance(spec, CascadeSpec):
         raise ConfigInvalid(f"spec must be a CascadeSpec, got {type(spec).__name__}")
+    if isinstance(selection, SubsetSpec):
+        if not spec.is_equal_rate():
+            raise ConfigInvalid("a subset g2 needs equal rates")
+        return g2_subset(spec.n_levels, selection, spec.rates[0], tau)
+    if not (isinstance(selection, tuple) and len(selection) == 2):
+        raise ConfigInvalid(f"selection must be a pair (m, n) or a SubsetSpec, got {selection!r}")
+    m, n = selection
     if spec.is_equal_rate():
-        gamma = spec.rates[0]
-        return lambda m, n, tau: float(g2_equal_pair(spec.n_levels, m, n, gamma, tau))
+        return g2_equal_pair(spec.n_levels, m, n, spec.rates[0], tau)
     if spec.n_levels == 3:
-        return lambda m, n, tau: float(g2_three_level(*spec.rates, m, n, tau))
-    return lambda m, n, tau: float(g2_general(spec, m, n, tau))
+        return g2_three_level(*spec.rates, m, n, tau)
+    return g2_general(spec, m, n, tau)
 
 
 def cs_check(spec: CascadeSpec, m: int, n: int, tau_samples: Sequence[float]) -> ViolationReport:
@@ -237,13 +247,12 @@ def cs_check(spec: CascadeSpec, m: int, n: int, tau_samples: Sequence[float]) ->
     m, n = check_index("m", m), check_index("n", n)
     if m == n:
         raise ConfigInvalid("Cauchy-Schwarz check needs two distinct transitions")
-    g = _pair_evaluator(spec)
-    lhs = g(n, n, 0.0) * g(m, m, 0.0)
+    lhs = g2(spec, (n, n), 0.0) * g2(spec, (m, m), 0.0)
     # one route call per sample, squared as a Python float: numpy's ** 2
     # can differ by an ulp, and no sample may depend on the others
     taus = [check_number("tau", tau) for tau in tau_samples]
     try:
-        rhs = np.array([g(n, m, tau) ** 2 for tau in taus], dtype=float)
+        rhs = np.array([g2(spec, (n, m), tau) ** 2 for tau in taus], dtype=float)
     except OverflowError:  # a square past the float range
         lhs = math.inf
     if not math.isfinite(lhs):
@@ -261,6 +270,5 @@ def discontinuity(spec: CascadeSpec, m: int, n: int) -> tuple[float, float, floa
     Both limits are exact tau = 0 values on the route `cs_check` uses: the
     left limit of g_{m,n} is the right limit of the swapped pair g_{n,m}.
     """
-    g = _pair_evaluator(spec)
-    left, right = g(n, m, 0.0), g(m, n, 0.0)
+    left, right = g2(spec, (n, m), 0.0), g2(spec, (m, n), 0.0)
     return left, right, right - left

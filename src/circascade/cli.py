@@ -32,12 +32,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import cs_check, find_peaks, find_peaks_cross
+from .analysis import cs_check, find_peaks, find_peaks_cross, g2
+# g2_equal_pair, g2_subset, correlate, correlate_subset, read_events_binary,
+# simulate and write_events_binary are not called here (analytic goes through
+# g2, correlate through correlate_blocks, simulate through simulate_to_file);
+# perfbench/tracer.py still wraps them by these names
 from .analytic_equal import g2_equal_pair, g2_subset
-# correlate streams its file through correlate_blocks and simulate writes
-# either format through simulate_to_file, so correlate, correlate_subset,
-# read_events_binary, simulate and write_events_binary (below) are not
-# called here; perfbench/tracer.py still wraps them by these names
 from .estimator import (
     HistogramConfig,
     correlate,
@@ -129,8 +129,17 @@ def _parse_pair(text: str, n_levels: int) -> tuple[int, int]:
     return m, n
 
 
-def _parse_subset(text: str) -> SubsetSpec:
-    return SubsetSpec(_parse_numbers("--subset", text, "i,j,...", int))
+def _selection(args, n_levels: int):
+    """The pair, the class-k pair (0, (k - 1) % N) or the SubsetSpec of the one
+    --pair, --k or --subset flag given; ConfigInvalid unless exactly one is."""
+    flags = [f"--{name}" for name in ("pair", "k", "subset") if hasattr(args, name)]
+    if sum(getattr(args, flag[2:]) is not None for flag in flags) != 1:
+        raise ConfigInvalid(f"give exactly one of {', '.join(flags[:-1])} or {flags[-1]}")
+    if args.pair is not None:
+        return _parse_pair(args.pair, n_levels)
+    if args.subset is not None:
+        return SubsetSpec(_parse_numbers("--subset", args.subset, "i,j,...", int))
+    return 0, (args.k - 1) % n_levels  # any pair of the requested class
 
 
 def _tau_grid(args) -> np.ndarray:
@@ -209,20 +218,10 @@ def _spec(args, n_levels=None, n_flag: str = "--n") -> CascadeSpec:
 
 
 def cmd_analytic(args) -> None:
-    _spec(args)
+    spec = _spec(args)
     taus = _tau_grid(args)
-    chosen = [x for x in (args.pair, args.k, args.subset) if x is not None]
-    if len(chosen) != 1:
-        raise ConfigInvalid("give exactly one of --pair, --k or --subset")
-    if args.subset is not None:
-        subset = _parse_subset(args.subset)
-        values = grid_map(lambda t: g2_subset(args.n, subset, args.gamma, t), taus)
-    else:
-        if args.k is not None:
-            m, n = 0, (args.k - 1) % args.n  # any pair of the requested class
-        else:
-            m, n = _parse_pair(args.pair, args.n)
-        values = grid_map(lambda t: g2_equal_pair(args.n, m, n, args.gamma, t), taus)
+    selection = _selection(args, spec.n_levels)
+    values = grid_map(lambda t: g2(spec, selection, t), taus)
     trace = CorrelationTrace(tau=taus, values=values, source="analytic")
     write_trace_csv(trace, args.out)
 
@@ -258,19 +257,11 @@ def cmd_simulate(args) -> None:
 
 def cmd_correlate(args) -> None:
     n_levels, total, blocks = read_event_blocks(getattr(args, "in"))
-    pair = subset = None
     try:
         # the checks run in the order they ran when the whole file was read
-        if args.pair is not None and args.subset is not None:
-            raise ConfigInvalid("give --pair or --subset, not both")
-        if args.subset:
-            subset = _parse_subset(args.subset)
-        elif not args.pair:
-            raise ConfigInvalid("give --pair or --subset")
-        else:
-            pair = _parse_pair(args.pair, n_levels)
+        selection = _selection(args, n_levels)
         cfg = HistogramConfig(args.bin, args.taumax)
-        trace = correlate_blocks(blocks, n_levels, total, cfg, pair, subset)
+        trace = correlate_blocks(blocks, n_levels, total, cfg, selection)
     except (ConfigInvalid, MemoryError):  # the histogram is allocated before the first block
         for _ in blocks:  # a damaged file is reported first
             pass
@@ -307,11 +298,11 @@ def cmd_peaks(args) -> None:
         _spec(args)
         report = (find_peaks_cross(args.n, args.gamma, orders) if args.cross
                   else find_peaks(args.n, args.gamma, args.k, orders))
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json() + "\n")
-        if args.csv:
+        if args.csv:  # first: a failed --csv write leaves no --out file
             with open(args.csv, "w") as fh:
                 fh.write(report.to_csv())
+        with open(args.out, "w") as fh:
+            fh.write(report.to_json() + "\n")
 
 
 def cmd_cscheck(args) -> None:

@@ -14,9 +14,9 @@ channels, so each lag costs a vectorized pass and no pair index is stored.
 The sweep takes its ring as time-ordered blocks (``correlate_blocks``),
 joins each block to the events within the window of the ones before and
 counts the joined run in two sweeps, so a stream read from a file is
-counted as it is read. Every estimate takes its pair or subset as an
-argument, and ``_counted`` is the one place that checks and gathers its
-levels out of each block into a smaller ring before the sweep.
+counted as it is read. Every estimate takes one selection (a pair, a
+SubsetSpec, or None for all levels), and ``_counted`` is the one place that
+checks it and gathers its levels out of each block before the sweep.
 ``correlate`` and ``correlate_subset`` pass an in-memory stream as one
 block; every count equals that of the whole stream.
 Every count is kept by the time segment of its pair's source event:
@@ -51,7 +51,7 @@ _SWEEP_BLOCK = 16_384
 class HistogramConfig:
     """Bin width and window half-length of a coincidence histogram; tau_max
     is truncated down to a whole number of bins. The channels are not part
-    of it: each estimator entry takes its pair or subset as an argument."""
+    of it: each estimator entry takes its selection as an argument."""
 
     bin_width: float
     tau_max: float
@@ -235,27 +235,25 @@ def _channel_pair(pair, n_levels: int) -> tuple[int, int]:
 
 
 def _counted(blocks, n_levels: int, total_duration: float, cfg: HistogramConfig,
-             pair, subset, edges):
-    """The checks and counts of every estimate, of the pair ``pair`` = (m,
-    n) or, for None, the merged levels ``subset`` (all for None) of a ring
-    fed as blocks: (``_ring_pairs``'s histogram and sources for the time
-    ``edges``, events of the source and of the destination channel). The
-    levels are gathered out of each block (``_gathered``) unless they are
-    the whole ring. On an invalid argument the blocks are drawn to the end
-    first, so a reader that checks a file as it goes reports a damaged file
-    first. An empty channel raises InsufficientSamples."""
+             selection, edges):
+    """The checks and counts of every estimate, of the merged levels of a
+    SubsetSpec ``selection`` (all for None), or else of the pair (m, n), of a
+    ring fed as blocks: (``_ring_pairs``'s histogram and sources for the time
+    ``edges``, events of the source and of the destination channel). Levels
+    are gathered out of each block (``_gathered``) unless they are the whole
+    ring. On an invalid argument the blocks are drawn to the end first, so a
+    reader that checks a file as it goes reports a damaged file first. An
+    empty channel raises InsufficientSamples."""
     try:
         n_levels = check_levels(n_levels)
-        if pair is None:
-            if not isinstance(subset, SubsetSpec):
-                subset = SubsetSpec(range(n_levels) if subset is None else subset)
-            subset.check_against(n_levels)
-            wanted = subset.members
-        elif subset is None:
-            pair = _channel_pair(pair, n_levels)
-            wanted = sorted(set(pair))
+        if selection is None:
+            selection = SubsetSpec(range(n_levels))
+        if isinstance(selection, SubsetSpec):
+            selection.check_against(n_levels)
+            pair, wanted = None, selection.members
         else:
-            raise ConfigInvalid("give a pair or a subset, not both")
+            pair = _channel_pair(selection, n_levels)
+            wanted = sorted(set(pair))
         if cfg.tau_max > total_duration / 10:
             raise ConfigInvalid(
                 f"tau_max {cfg.tau_max} exceeds total_duration/10 = {total_duration / 10}")
@@ -279,20 +277,19 @@ def correlate_blocks(
     n_levels: int,
     total_duration: float,
     cfg: HistogramConfig,
-    pair: tuple[int, int] | None = None,
-    subset: SubsetSpec | None = None,
+    selection: tuple[int, int] | SubsetSpec | None = None,
 ) -> CorrelationTrace:
     """Coincidence-histogram estimate of g2 from a ring of ``n_levels``
     levels and window ``total_duration``, fed as consecutive blocks (label
-    of the first event, times) in time order: of the channel pair ``pair``
-    = (m, n), or of the merged emission of the levels ``subset`` (all
-    levels when both are None).
+    of the first event, times) in time order: of the channel pair
+    ``selection`` = (m, n), or of the merged emission of a SubsetSpec's
+    levels (all levels for None).
 
     The counts (``_counted``) hold only the events within the window of
     the latest block, so a stream read block by block is never held whole.
     """
     (hist,), _, n_src, n_dst = _counted(
-        blocks, n_levels, total_duration, cfg, pair, subset, (-np.inf, np.inf))
+        blocks, n_levels, total_duration, cfg, selection, (-np.inf, np.inf))
     denom = _expected_pairs(n_src / total_duration, n_dst / total_duration, total_duration, cfg)
     return CorrelationTrace(tau=_bin_centers(cfg), values=hist / denom, source="estimated",
                             stderr=np.sqrt(np.maximum(hist, 1)) / denom)
@@ -314,8 +311,9 @@ def correlate_subset(
     With equal channel rates this equals the (1/n_S^2) double sum of the
     pairwise estimates by construction, since the merged rate is n_S r.
     """
+    subset = subset if isinstance(subset, SubsetSpec) else SubsetSpec(subset)
     return correlate_blocks([(stream.first_label, stream.times)], stream.n_levels,
-                            stream.total_duration, cfg, subset=subset)
+                            stream.total_duration, cfg, subset)
 
 
 def block_bootstrap_stderr(
@@ -326,7 +324,7 @@ def block_bootstrap_stderr(
     n_boot: int = 200,
     seed: int = 0,
 ) -> np.ndarray:
-    """Block-bootstrap refinement of the per-bin errors of ``correlate``.
+    """Block-bootstrap errors of ``correlate_blocks`` for the selection ``pair``.
 
     Splits the window into n_blocks equal time segments, counts the pairs
     of each segment's source events in the pass ``correlate`` makes in one
@@ -343,7 +341,7 @@ def block_bootstrap_stderr(
     edges = np.linspace(t0, t0 + stream.total_duration, n_blocks + 1)
     block_counts, block_src, _, n_dst = _counted(
         [(stream.first_label, stream.times)], stream.n_levels, stream.total_duration, cfg,
-        pair, None, edges)
+        pair, edges)
     rate_dst = n_dst / stream.total_duration
     block_dur = np.diff(edges)
     est = np.empty((n_boot, 2 * cfg.n_side))

@@ -146,19 +146,20 @@ def _expm(a: np.ndarray) -> np.ndarray:
     2^-53, times e^(-s / 2^k), then k squarings. Each squaring divides
     every column by its sum, since exp(a) has unit column sums; without
     that the squarings drift by about 2^k eps. A matrix with a NaN or inf
-    entry, or a 1-norm that overflows, returns all NaN.
+    entry, or a B whose 1-norm overflows, returns all NaN.
     """
     n = len(a)
-    with np.errstate(over="ignore"):
-        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    shift = float(-a.diagonal().min(initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = a + shift * np.eye(n)
+        norm = float(np.abs(b).sum(axis=0).max(initial=0.0))
     if not math.isfinite(norm):
         return np.full_like(a, np.nan)
-    shift = float(-a.diagonal().min(initial=0.0))
     k = math.ceil(math.log2(max(1.0, n - 1 + shift)))
     degree = 1
     while math.lgamma(degree + 2) < (k + 53) * math.log(2):  # log (m + 1)!
         degree += 1
-    b = np.ldexp(a + shift * np.eye(n), -k)
+    b = np.ldexp(b, -k)
     e = np.eye(n)
     for j in range(degree, 0, -1):  # Horner: T = I + B T / j
         e = np.eye(n) + b @ e / j

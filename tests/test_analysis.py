@@ -11,11 +11,17 @@ from circascade import (
     ConfigInvalid,
     InsufficientSamples,
     NumericalFailure,
+    SubsetSpec,
     cs_check,
     discontinuity,
     find_peaks,
     find_peaks_cross,
+    g2,
     g2_equal,
+    g2_equal_pair,
+    g2_general,
+    g2_subset,
+    g2_three_level,
     steady_state,
 )
 from circascade import analysis
@@ -231,6 +237,15 @@ def test_a_subnormal_gamma_raises_before_the_scan(scan, monkeypatch):
         scan(2, 5e-324, 1, 2)
 
 
+@pytest.mark.parametrize("n_levels, gamma", [(6, 5e-324), (12, 1e-323)])
+def test_a_flat_point_that_underflows_raises_before_the_scan(n_levels, gamma, monkeypatch):
+    # 2 gamma sin^2(pi / N) underflows to 0: the flat point was 40 / 0, a
+    # ZeroDivisionError
+    monkeypatch.setattr(analysis, "g2_equal", None)
+    with pytest.raises(NumericalFailure, match="past the float64 range"):
+        find_peaks(n_levels, gamma, 1, 2)
+
+
 def test_cs_check_equal_rates_always_violated():
     report = cs_check(CascadeSpec.equal(6, 1.0), 3, 1, [0.1])
     assert report.lhs == 0.0
@@ -248,7 +263,7 @@ RING5 = CascadeSpec(5, tuple(10.0 ** np.random.default_rng(9).uniform(-2, 2, 5))
 def test_cs_check_squares_each_sample_alone(spec):
     """Every rhs is the route's value at that tau alone, squared as a
     Python float, bit for bit; the flags and the ratio follow from it."""
-    route = analysis._pair_evaluator(spec)
+    route = lambda m, n, tau: analysis.g2(spec, (m, n), tau)
     taus = np.linspace(0.005, 0.3, 9)
     for m in range(spec.n_levels):
         for n in range(spec.n_levels):
@@ -333,3 +348,55 @@ def test_discontinuity_returns_exact_limits():
     spec = CascadeSpec(4, (0.5, 1.0, 2.0, 3.0))
     right = 1 / steady_state(spec)[2]
     assert discontinuity(spec, 2, 1) == pytest.approx((0.0, right, right), rel=1e-12, abs=0)
+
+
+RINGS = st.one_of(
+    st.builds(CascadeSpec.equal, st.integers(1, 12), st.floats(0.1, 10.0)),
+    st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3).map(lambda r: CascadeSpec(3, r)),
+    st.integers(2, 8).flatmap(lambda n: st.lists(
+        st.floats(0.01, 100.0), min_size=n, max_size=n).map(lambda r: CascadeSpec(n, r))),
+)
+
+
+@given(RINGS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_g2_takes_the_route_its_ring_names(spec, data):
+    """A pair goes to the equal-rate form, else the N = 3 form, else
+    propagation, and returns that route's bits."""
+    n = spec.n_levels
+    m, k = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), label="pair")
+    taus = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6),
+                              label="taus"))
+    if spec.is_equal_rate():
+        route = lambda t: g2_equal_pair(n, m, k, spec.rates[0], t)
+    elif n == 3:
+        route = lambda t: g2_three_level(*spec.rates, m, k, t)
+    else:
+        route = lambda t: g2_general(spec, m, k, t)
+    assert g2(spec, (m, k), taus).tobytes() == route(taus).tobytes()
+    scalar = g2(spec, (m, k), float(taus[0]))
+    assert type(scalar) is float and scalar == route(float(taus[0]))
+
+
+def test_g2_of_a_subset_is_the_equal_rate_subset_form():
+    taus = np.linspace(-4.0, 4.0, 81)
+    spec = CascadeSpec.equal(7, 0.8)
+    subset = SubsetSpec((1, 2, 5))
+    assert g2(spec, subset, taus).tobytes() == g2_subset(7, subset, 0.8, taus).tobytes()
+
+
+@pytest.mark.parametrize("spec", [UNBALANCED, CascadeSpec(4, (0.5, 1.0, 2.0, 3.0))])
+def test_g2_of_a_subset_needs_equal_rates(spec):
+    with pytest.raises(ConfigInvalid, match="equal rates"):
+        g2(spec, SubsetSpec((0, 1)), 0.5)
+
+
+@pytest.mark.parametrize("selection", [3, None, "1", (1, 2, 3)])
+def test_g2_takes_a_pair_or_a_subset_only(selection):
+    with pytest.raises(ConfigInvalid):
+        g2(CascadeSpec.equal(4), selection, 0.5)
+
+
+def test_g2_takes_a_spec_only():
+    with pytest.raises(ConfigInvalid, match="spec must be a CascadeSpec"):
+        g2((4, 1.0), (1, 0), 0.5)

@@ -1,13 +1,18 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from circascade import (
     CascadeSpec,
@@ -28,6 +33,7 @@ from circascade import (
     read_events_text,
     simulate,
     write_events_binary,
+    write_events_text,
     write_trace_csv,
 )
 
@@ -386,7 +392,7 @@ def test_main_exits_with_the_code_of_the_error(tmp_path, monkeypatch, capsys, er
     def fail(*args):
         raise error("boom")
 
-    monkeypatch.setattr(cli, "g2_equal_pair", fail)
+    monkeypatch.setattr(cli, "g2", fail)
     out = tmp_path / "x.csv"
     assert cli.main(["analytic", "--n", "6", "--pair", "1,1", "--out", str(out)]) == code
     assert capsys.readouterr().err == "error: boom\n"
@@ -653,7 +659,27 @@ def test_correlate_with_a_pair_and_a_subset_exits_2(tmp_path, capsys, ring6_file
     argv = ["correlate", "--in", str(ring6_file[1]), "--pair", "1,1", "--subset", "1,2",
             "--bin", "0.5", "--taumax", "15", "--out", str(out)]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "error: give --pair or --subset, not both\n"
+    assert capsys.readouterr().err == "error: give exactly one of --pair or --subset\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("selection", [[], ["--pair", "1,1", "--k", "2"],
+                                       ["--k", "2", "--subset", "1,2"],
+                                       ["--pair", "1,1", "--k", "2", "--subset", "1,2"]],
+                         ids=["none", "pair+k", "k+subset", "all"])
+def test_analytic_with_no_or_two_selections_exits_2(tmp_path, capsys, selection):
+    argv = ["analytic", "--n", "6", *selection, "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: give exactly one of --pair, --k or --subset\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_correlate_without_a_selection_exits_2(tmp_path, capsys, ring6_file):
+    out = tmp_path / "x.csv"
+    argv = ["correlate", "--in", str(ring6_file[1]), "--bin", "0.5", "--taumax", "15",
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: give exactly one of --pair or --subset\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -849,3 +875,138 @@ def test_the_float_range_exits_without_a_traceback(tmp_path, name):
     cp = run_cli(*args, "--out", tmp_path / "out")
     assert cp.returncode in (0, 3) and "Traceback" not in cp.stderr, cp.stderr
     assert cp.returncode == 3 or cp.stderr == ""
+
+
+# argv pools of the CLI contract property: per subcommand, each flag has
+# (good, bad) values, drawn from the good ones four times in five. None
+# leaves the flag out, True gives a switch, and a list is a run of argv
+# (several flags, or none). Work-size values are small, or so large that they
+# fail at once (more draws or bins than an array holds, or an allocation of
+# terabytes); none starts a run that allocates gigabytes.
+RING = {"--n": ([1, 2, 3, 6], [None, 0, -1, 99999999999999999999]),
+        "--gamma": ([None, 1.0, 0.5], [1e-300, 1e300, 5e-324, 0, -2, "nan"])}
+RATES = ([None, None, "{files}/rates3.json", "{files}/rates5.json"],
+         ["{files}/huge.json", "{files}/broken.json", "{files}/negative.json",
+          "{files}/absent.json"])
+TAU = ([None, "-3:3", "0:1"], ["1:0", "-1e300:1e300", "a:b", "0:0"])
+STEPS = ([None, 1, 2, 40], [0, -1, 10**14])
+PAIR = (["2,1", "1,0", "0,0"], ["9,9", "1", "a,b", "1,2,3"])
+SUBSETS = (["--subset", "1,2"], ["--subset", "0"], ["--subset", "0,1,2"])
+BAD_SUBSETS = (["--subset", "1,1"], ["--subset", "9"], ["--subset", ""], ["--subset", "x"])
+CONTRACT_FLAGS = {
+    "analytic": {
+        **RING, "--tau": TAU, "--steps": STEPS,
+        "selection": ([["--pair", "2,1"], ["--pair", "1,0"], ["--k", 2], ["--k", 13], *SUBSETS],
+                      [[], ["--pair", "9,9"], ["--pair", "1"], ["--pair", "1,1", "--k", 2],
+                       ["--k", 1, "--subset", "1,2"], *BAD_SUBSETS]),
+        "--preset": ([None], ["fig1c", "fig5", "no"])},
+    "general": {
+        "--rates-inline": ([None, "1,2,3", "1,1.1,0.025", "2,3,5,7"],
+                           ["1e308,1e308", "1e-300,1,1e300", "1", "0,1", "a"]),
+        "--rates": RATES, "--pair": ([None, *PAIR[0]], PAIR[1]), "--tau": TAU,
+        "--steps": STEPS, "--preset": ([None], ["fig5dashed", "fig1c"])},
+    "cscheck": {**RING, "--rates": RATES, "--pair": (["0,1", "2,1"], ["1,1", "9,0", "x"]),
+                "--tau-samples": ([None, "0.01:0.1:5", "0:1:1", "-1:1:3"],
+                                  ["1:0:3", "0:1:0", "0:1:2.5", f"0:1:{10**14}"])},
+    "peaks": {**RING, "--k": ([None, 1, 2, 0, -1], []), "--orders": ([None, 1, 3], [0, 10**400]),
+              "--cross": ([None, True], []), "--cross-orders": ([None, 1], [0]),
+              "--scan": ([None, None, "3:5"], ["5:3", "0:2", "2:2"]),
+              "--csv": ([None, "{tmp}/x.csv"], ["{tmp}/missing/x.csv"]),
+              "--preset": ([None], ["fig5", "no"])},
+    "simulate": {
+        **RING, "--rates": RATES,
+        "stop": ([["--events", 200], ["--events", "1e3"], ["--duration", 5.0],
+                  ["--duration", 50.0]],
+                 [[], ["--events", 0], ["--events", 1.5], ["--events", "many"],
+                  ["--events", "1e300"], ["--duration", 1e300], ["--duration", -1],
+                  ["--events", 10, "--duration", 5.0]]),
+        "--seed": ([None, 0, 7], [-1, 2**64]), "--burn-in": ([None, 0, 1.0], [1e300, -1]),
+        "--initial": ([None, 0, 2], [7, -1]), "--format": ([None, "binary", "text"], [])},
+    "correlate": {
+        "--in": (["{files}/ring6.events", "{files}/ring3.txt", "{files}/ring1.events"],
+                 ["{files}/sparse.events", "{files}/unordered.events",
+                  "{files}/truncated.events", "{files}/empty.txt", "{files}/magic.events",
+                  "{files}/absent"]),
+        "selection": ([["--pair", "0,0"], ["--pair", "2,1"], *SUBSETS],
+                      [[], ["--pair", "1,1", "--subset", "1,2"], ["--pair", "9,9"],
+                       ["--pair", "a,b"], *BAD_SUBSETS]),
+        "--bin": ([0.5, 0.05], [1e-12, 1e-300, 0, -1]),
+        "--taumax": ([1.0, 5.0, 40.0], [1e6, 0])},
+}
+OUT = (["{tmp}/x.out"], [None, "{tmp}/missing/x.out"])
+
+
+def _pool(good, bad):
+    """The good values four times in five, when there are bad ones."""
+    return st.sampled_from([*good * 4 * len(bad or [0]), *bad * len(good)])
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """Rates files and small event streams, damaged ones included."""
+    files = tmp_path_factory.mktemp("contract")
+    for name, text in {"rates3.json": '{"n_levels": 3, "rates": [1, 1.1, 0.025]}',
+                       "rates5.json": '{"n_levels": 5, "rates": [1, 0.4, 2.5, 0.8, 1.7]}',
+                       "huge.json": '{"n_levels": 2, "rates": [1e308, 1e308]}',
+                       "broken.json": "{not json",
+                       "negative.json": '{"n_levels": 3, "rates": [1.0, -1.0, 2.0]}',
+                       "empty.txt": ""}.items():
+        (files / name).write_text(text)
+    write_events_binary(simulate(SimConfig(CascadeSpec.equal(6), seed=1, total_events=3000)),
+                        files / "ring6.events")
+    write_events_text(simulate(SimConfig(CascadeSpec(3, (1.0, 2.0, 0.5)), seed=2,
+                                         total_events=1000)), files / "ring3.txt")
+    write_events_binary(simulate(SimConfig(CascadeSpec.equal(1), seed=3, total_events=500)),
+                        files / "ring1.events")
+    write_events_binary(EventStream(np.array([1.0, 2.0, 3.0]), 2, 6, 100.0),
+                        files / "sparse.events")
+    (files / "unordered.events").write_bytes(
+        b"CEV2" + struct.pack("<IIQdQ", 6, 0, 0, 100.0, 3) + np.array([1.0, 3.0, 2.0]).tobytes())
+    whole = (files / "ring6.events").read_bytes()
+    (files / "truncated.events").write_bytes(whole[:len(whole) // 2 + 3])
+    (files / "magic.events").write_bytes(b"CEV9" + whole[4:100])
+    return files
+
+
+def _contract_run(argv):
+    """(exit code, stderr) of cli.main(argv) in-process; argparse's usage
+    errors, the one exception allowed to leave main, give (None, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return cli.main(argv), err.getvalue()
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, err.getvalue())
+            return None, err.getvalue()
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_run_keeps_the_cli_contract(contract_files, data):
+    """Exit 0 and write --out and its manifest, or print one `error:` line,
+    exit 2, 3, 4 or 5 and write neither; no exception but argparse's exit 2
+    leaves main."""
+    command = data.draw(st.sampled_from(sorted(CONTRACT_FLAGS)), label="command")
+    pools = {**CONTRACT_FLAGS[command], "--out": OUT}
+    flags = data.draw(st.fixed_dictionaries(
+        {flag: _pool(*pool) for flag, pool in pools.items()}), label="flags")
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for flag, value in flags.items():
+            if value is True:
+                argv.append(flag)
+            elif value is not None:
+                argv += value if isinstance(value, list) else [flag, value]
+        argv = [str(a).format(tmp=tmp, files=contract_files) for a in argv]
+        code, err = _contract_run(argv)
+        event(f"{command} exit {code}")
+        out = flags["--out"] and flags["--out"].format(tmp=tmp)
+        written = [os.path.exists(p) for p in (out, f"{out}.manifest.json")] if out else [False]
+        if code is None:
+            assert not any(written), argv
+        elif code == 0:
+            assert all(written) and err == "", (argv, err)
+        else:
+            assert code in (2, 3, 4, 5), (argv, code, err)
+            assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+            assert not any(written), argv

@@ -68,9 +68,6 @@ def test_config_validation():
         correlate(stream, (1, 1), HistogramConfig(0.5, stream.total_duration / 2))
     with pytest.raises(ConfigInvalid):
         correlate(stream, (0, 7), HistogramConfig(0.5, 5.0))
-    with pytest.raises(ConfigInvalid, match="not both"):
-        correlate_blocks([(0, stream.times)], 6, stream.total_duration, HistogramConfig(0.5, 5.0),
-                         pair=(1, 1), subset=(1, 2))
 
 
 def test_a_subset_of_the_whole_ring_is_counted_without_a_gather():
@@ -86,7 +83,7 @@ def test_a_subset_of_the_whole_ring_is_counted_without_a_gather():
 def test_correlate_blocks_rejects_a_subset_outside_the_ring(levels):
     with pytest.raises(ConfigInvalid):
         correlate_blocks([(1, np.arange(1.0, 13.0))], 4, 200.0, HistogramConfig(0.5, 2.0),
-                         subset=levels)
+                         SubsetSpec(levels))
 
 
 @pytest.mark.parametrize(
@@ -427,21 +424,21 @@ def test_streamed_counts_equal_the_whole_stream_and_the_bruteforce(
         path = os.path.join(tmp, "events")
         write_events_binary(stream, path)
 
-        def streamed(**selection):
+        def streamed(selection):
             n_levels, total, blocks = read_event_blocks(path)
-            return correlate_blocks(blocks, n_levels, total, cfg, **selection)
+            return correlate_blocks(blocks, n_levels, total, cfg, selection)
 
         for m in range(n):
             for k in range(n):
                 whole = _outcome(lambda: correlate(stream, (m, k), cfg))
-                assert _outcome(lambda: streamed(pair=(m, k))) == whole, (m, k)
+                assert _outcome(lambda: streamed((m, k))) == whole, (m, k)
                 assert _outcome(lambda: correlate_blocks(
                     _split(times, first % n, n, cuts), n, t_total, cfg, (m, k))) == whole
                 if isinstance(whole, str):
                     continue
                 src, dst = _channel(stream, m), _channel(stream, k)
                 np.testing.assert_array_equal(
-                    _counts_of(streamed(pair=(m, k)), len(src) / t_total,
+                    _counts_of(streamed((m, k)), len(src) / t_total,
                                len(dst) / t_total, t_total, cfg),
                     pair_histogram_bruteforce(src, dst, bin_width, n_side, m == k),
                 )
@@ -449,13 +446,13 @@ def test_streamed_counts_equal_the_whole_stream_and_the_bruteforce(
         whole = _outcome(lambda: correlate_subset(stream, SubsetSpec(subset), cfg))
         merged, labels = stream.merged()
         chosen = merged[np.isin(labels, subset)]
-        assert _outcome(lambda: streamed(subset=subset)) == whole
+        assert _outcome(lambda: streamed(SubsetSpec(subset))) == whole
         assert _outcome(lambda: correlate_blocks(
-            _split(times, first % n, n, cuts), n, t_total, cfg, subset=subset)) == whole
+            _split(times, first % n, n, cuts), n, t_total, cfg, SubsetSpec(subset))) == whole
         if not isinstance(whole, str):
             rate = len(chosen) / t_total
             np.testing.assert_array_equal(
-                _counts_of(streamed(subset=subset), rate, rate, t_total, cfg),
+                _counts_of(streamed(SubsetSpec(subset)), rate, rate, t_total, cfg),
                 pair_histogram_bruteforce(chosen, chosen, bin_width, n_side, True),
             )
 
@@ -545,6 +542,16 @@ def test_block_bootstrap_keeps_its_frozen_bytes():
     for pair, digest in FROZEN_BOOTSTRAP.items():
         boot = block_bootstrap_stderr(stream, pair, cfg, n_blocks=16, n_boot=50, seed=1)
         assert _sha256(boot.tobytes()) == digest, pair
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_block_bootstrap_of_every_level_is_that_of_the_whole_ring(n):
+    stream = simulate(SimConfig(CascadeSpec.equal(n), seed=5, total_events=20_000))
+    cfg = HistogramConfig(0.25, 5.0)
+    whole = block_bootstrap_stderr(stream, None, cfg, n_blocks=8, n_boot=30, seed=2)
+    every = block_bootstrap_stderr(stream, SubsetSpec(range(n)), cfg, n_blocks=8, n_boot=30,
+                                   seed=2)
+    assert every.tobytes() == whole.tobytes()
 
 
 STREAM4 = EventStream(np.arange(1.0, 41.0), 0, 4, 45.0)

@@ -28,6 +28,7 @@ from circascade import (
     discontinuity,
     find_peaks,
     find_peaks_cross,
+    g2,
     g2_equal,
     g2_equal_pair,
     g2_general,
@@ -409,6 +410,19 @@ def test_expm_of_a_matrix_with_a_non_finite_norm_is_nan(bad):
     assert np.isnan(_expm(a)).all()
 
 
+def test_a_ring_whose_generator_norm_overflows_still_propagates():
+    # the columns of Q = [[-g, g], [g, -g]] sum past the float range at
+    # g = 1e308, but those of the Taylor matrix B = Q + g I = [[0, g], [g, 0]]
+    # do not; g tau fully decays both modes, so g2 takes its limits
+    spec = CascadeSpec(2, (1e308, 1e308))
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(g2_general(spec, 0, 0, [0.0, 1.0]), [0.0, 1.0],
+                               rtol=0, atol=4 * eps)
+    np.testing.assert_allclose(g2_general(spec, 0, 1, [-1.0, 0.0, 1.0]), [1.0, 2.0, 1.0],
+                               rtol=0, atol=8 * eps)
+    assert np.isfinite(_expm(generator_matrix(spec))).all()
+
+
 def test_g2_general_matches_equal_rate_closed_form():
     rng = np.random.default_rng(5)
     for n in (2, 5, 12):
@@ -569,6 +583,7 @@ DELAY_ROUTES = {
     "g2_two_level": lambda t: g2_general(CascadeSpec(2, (1.0, 2.0)), 1, 0, t),
     "g2_three_level": lambda t: g2_three_level(1.0, 1.1, 0.025, 2, 1, t),
     "g2_general": lambda t: g2_general(SPEC4, 2, 1, [t, 0.5]),
+    "g2": lambda t: g2(SPEC4, (2, 1), [t, 0.5]),
     "cs_check": lambda t: cs_check(CascadeSpec.equal(6, 1.0), 3, 1, [0.1, t]),
     "small_tau_leading": lambda t: small_tau_leading(6, 2, 1.0, [0.5, t]),
 }
@@ -625,6 +640,7 @@ SPEC_ROUTES = {
     "steady_state": steady_state,
     "decompose": decompose,
     "g2_general": lambda spec: g2_general(spec, 2, 1, 0.5),
+    "g2": lambda spec: g2(spec, (2, 1), 0.5),
     "discontinuity": lambda spec: discontinuity(spec, 2, 1),
     "cs_check": lambda spec: cs_check(spec, 2, 1, [0.5]),
 }
@@ -688,6 +704,7 @@ INDEX_CALLS = {
     # the shifted Taylor kernel's values: 60-digit mpmath puts both within
     # 2 eps relative (1.9e-16 and 3.4e-16)
     "g2_general": (lambda m, n: g2_general(SPEC4, m, n, 0.5), (2, 1), 2.8464197325395326),
+    "g2": (lambda m, n: g2(SPEC4, (m, n), 0.5), (2, 1), 2.8464197325395326),
     "cs_check": (lambda m, n: cs_check(CascadeSpec.equal(6), m, n, [0.1]).samples[0].rhs, (3, 1),
                  8.187307531050577e-07),
     "discontinuity": (lambda m, n: discontinuity(CascadeSpec(3, UNBALANCED), m, n)[2], (2, 1),
@@ -909,6 +926,7 @@ def _spec(rates, nlev):
 FLOAT_RANGE_ROUTES = {
     "steady_state": lambda r, nlev, t, m, n: steady_state(_spec(r, nlev)),
     "g2_general": lambda r, nlev, t, m, n: g2_general(_spec(r, nlev), m, n, [t, 0.0]),
+    "g2": lambda r, nlev, t, m, n: g2(_spec(r, nlev), (m, n), [t, 0.0]),
     "cs_check": lambda r, nlev, t, m, n: [
         s.rhs for s in cs_check(_spec(r, nlev), m, m + 1, [t]).samples],
     "discontinuity": lambda r, nlev, t, m, n: discontinuity(_spec(r, nlev), m, n),

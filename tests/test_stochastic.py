@@ -21,6 +21,7 @@ from circascade import (
     NumericalFailure,
     SimConfig,
     StreamInvariantViolation,
+    SubsetSpec,
     block_bootstrap_stderr,
     correlate_blocks,
     read_event_blocks,
@@ -523,10 +524,10 @@ def test_event_blocks_of_either_format_are_the_whole_read_in_order(n, data):
             assert at == full.n_events
 
 
-def _correlate_file(path, **selection):
+def _correlate_file(path, selection):
     """The estimator's trace of a pair or subset of a stream file, read block by block."""
     n_levels, total, blocks = read_event_blocks(path)
-    return correlate_blocks(blocks, n_levels, total, HistogramConfig(0.5, 1.0), **selection)
+    return correlate_blocks(blocks, n_levels, total, HistogramConfig(0.5, 1.0), selection)
 
 
 def test_selected_read_checks_order_across_block_seams(tmp_path, monkeypatch):
@@ -540,7 +541,7 @@ def test_selected_read_checks_order_across_block_seams(tmp_path, monkeypatch):
             path.write_bytes(b"CEV2" + struct.pack("<IIQdQ", 3, 0, 0, 20.0, 12)
                              + broken.tobytes())
             with pytest.raises(StreamInvariantViolation, match="out-of-order"):
-                _correlate_file(path, pair=(1, 1))
+                _correlate_file(path, (1, 1))
 
 
 def test_text_blocks_name_a_damaged_line_as_one_whole_parse_does(tmp_path, monkeypatch):
@@ -569,10 +570,10 @@ def test_selected_read_validates_the_whole_file(tmp_path):
     path = tmp_path / "events.bin"
     write_events_binary(EventStream(np.array([1.0]), 2, 3, 10.0), path)
     with pytest.raises(InsufficientSamples, match="channel 1 has no events"):
-        _correlate_file(path, pair=(1, 1))
+        _correlate_file(path, (1, 1))
     write_events_binary(EventStream(np.array([1.0, 2.0, 30.0]), 2, 3, 10.0), path)
     with pytest.raises(StreamInvariantViolation, match="span"):
-        _correlate_file(path, pair=(1, 1))
+        _correlate_file(path, (1, 1))
 
 
 def test_text_writer_formats_block_by_block(tmp_path):
@@ -716,11 +717,11 @@ def test_text_fractional_labels_rejected(tmp_path):
 
 
 # a whole read, then the estimator's pair and subset of the file read block by block
-SELECTIONS = [None, {"pair": (1, 1)}, {"subset": (2, 0)}]
+SELECTIONS = [None, (1, 1), SubsetSpec((2, 0))]
 
 
 def _read_selected(read, path, selection):
-    return read(path) if selection is None else _correlate_file(path, **selection)
+    return read(path) if selection is None else _correlate_file(path, selection)
 
 
 @pytest.mark.parametrize("kept_bytes", [20, 100], ids=["header", "records"])
