@@ -21,6 +21,7 @@ from .model import (
     check_index,
     check_levels,
     check_number,
+    check_pair,
     check_rate,
 )
 from .spectral_general import g2_general, g2_three_level
@@ -222,21 +223,25 @@ class ViolationReport:
         )
 
 
+def _levels(spec: CascadeSpec) -> int:
+    """N of the ring ``spec``; ConfigInvalid unless it is a CascadeSpec."""
+    if not isinstance(spec, CascadeSpec):
+        raise ConfigInvalid(f"spec must be a CascadeSpec, got {type(spec).__name__}")
+    return spec.n_levels
+
+
 def g2(spec: CascadeSpec, selection, tau) -> float | np.ndarray:
     """g2 of a pair (m, n) or a SubsetSpec (equal rates only) of the ring ``spec``
     at signed delays tau: the equal-rate form, else the N = 3 form, else propagation."""
-    if not isinstance(spec, CascadeSpec):
-        raise ConfigInvalid(f"spec must be a CascadeSpec, got {type(spec).__name__}")
+    n_levels = _levels(spec)
     if isinstance(selection, SubsetSpec):
         if not spec.is_equal_rate():
             raise ConfigInvalid("a subset g2 needs equal rates")
-        return g2_subset(spec.n_levels, selection, spec.rates[0], tau)
-    if not (isinstance(selection, tuple) and len(selection) == 2):
-        raise ConfigInvalid(f"selection must be a pair (m, n) or a SubsetSpec, got {selection!r}")
-    m, n = selection
+        return g2_subset(n_levels, selection, spec.rates[0], tau)
+    m, n = check_pair(selection, n_levels)
     if spec.is_equal_rate():
-        return g2_equal_pair(spec.n_levels, m, n, spec.rates[0], tau)
-    if spec.n_levels == 3:
+        return g2_equal_pair(n_levels, m, n, spec.rates[0], tau)
+    if n_levels == 3:
         return g2_three_level(*spec.rates, m, n, tau)
     return g2_general(spec, m, n, tau)
 
@@ -244,7 +249,7 @@ def g2(spec: CascadeSpec, selection, tau) -> float | np.ndarray:
 def cs_check(spec: CascadeSpec, m: int, n: int, tau_samples: Sequence[float]) -> ViolationReport:
     """Report where g_nm(tau)^2 exceeds the classical bound g_nn(0) g_mm(0);
     a side past the float range raises NumericalFailure."""
-    m, n = check_index("m", m), check_index("n", n)
+    m, n = check_pair((m, n), _levels(spec))
     if m == n:
         raise ConfigInvalid("Cauchy-Schwarz check needs two distinct transitions")
     lhs = g2(spec, (n, n), 0.0) * g2(spec, (m, m), 0.0)
@@ -270,5 +275,5 @@ def discontinuity(spec: CascadeSpec, m: int, n: int) -> tuple[float, float, floa
     Both limits are exact tau = 0 values on the route `cs_check` uses: the
     left limit of g_{m,n} is the right limit of the swapped pair g_{n,m}.
     """
-    left, right = g2(spec, (n, m), 0.0), g2(spec, (m, n), 0.0)
+    right, left = g2(spec, (m, n), 0.0), g2(spec, (n, m), 0.0)
     return left, right, right - left

@@ -46,6 +46,7 @@ from .model import (
     check_delays,
     check_index,
     check_levels,
+    check_pair,
     check_rate,
     signed_delay,
     trace_index,
@@ -156,7 +157,7 @@ def g2_equal_pair(n_levels: int, m: int, n: int, gamma: float, tau) -> float | n
     tau = 0 is the right limit.
     """
     n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
-    m, n = check_index("m", m), check_index("n", n)
+    m, n = check_pair((m, n), n_levels)
     return signed_delay(
         lambda a, b, s: g2_equal(n_levels, trace_index(a, b, n_levels), gamma, s),
         m, n, tau,
@@ -210,8 +211,8 @@ def g2_subset(n_levels: int, subset: SubsetSpec, gamma: float, tau) -> float | n
     taus = check_delays(tau)
     acc = np.zeros_like(taus)
     for k in np.flatnonzero(counts):
-        # the pair (0, k - 1) is of class k; its mirror is class (2 - k) mod N
-        acc += counts[k] * g2_equal_pair(n_levels, 0, k - 1, gamma, taus)
+        # the pair (0, (k - 1) % N) is of class k; its mirror is class (2 - k) mod N
+        acc += counts[k] * g2_equal_pair(n_levels, 0, (k - 1) % n_levels, gamma, taus)
     out = acc / subset.n_s ** 2
     return out if np.ndim(tau) else float(out[0])
 

@@ -53,6 +53,7 @@ from .model import (
     InsufficientSamples,
     NumericalFailure,
     SubsetSpec,
+    check_pair,
     steady_state,
 )
 from .spectral_general import g2_general, g2_three_level
@@ -123,10 +124,11 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_pair(text: str, n_levels: int) -> tuple[int, int]:
-    m, n = _parse_numbers("--pair", text, "m,n", int)
-    if not (0 <= m < n_levels and 0 <= n < n_levels):
-        raise ConfigInvalid(f"--pair {text!r} has an index outside [0, {n_levels})")
-    return m, n
+    pair = tuple(_parse_numbers("--pair", text, "m,n", int))
+    try:
+        return check_pair(pair, n_levels)
+    except ConfigInvalid:
+        raise ConfigInvalid(f"--pair {text!r} has an index outside [0, {n_levels})") from None
 
 
 def _selection(args, n_levels: int):

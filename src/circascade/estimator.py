@@ -38,6 +38,7 @@ from .model import (
     check_index,
     check_levels,
     check_number,
+    check_pair,
     level_count,
     philox,
 )
@@ -224,16 +225,6 @@ def _expected_pairs(rate_src, rate_dst, t_total, cfg: HistogramConfig):
     return rate_src * rate_dst * (t_total - np.abs(_bin_centers(cfg))) * cfg.bin_width
 
 
-def _channel_pair(pair, n_levels: int) -> tuple[int, int]:
-    """``pair`` as a pair (m, n) of levels of an N-level ring."""
-    if not (isinstance(pair, tuple) and len(pair) == 2):
-        raise ConfigInvalid(f"pair must be a pair (m, n), got {pair!r}")
-    m, n = (check_index("channel", c) for c in pair)
-    if not (0 <= m < n_levels and 0 <= n < n_levels):
-        raise ConfigInvalid(f"channel pair {(m, n)} outside [0, {n_levels})")
-    return m, n
-
-
 def _counted(blocks, n_levels: int, total_duration: float, cfg: HistogramConfig,
              selection, edges):
     """The checks and counts of every estimate, of the merged levels of a
@@ -252,7 +243,7 @@ def _counted(blocks, n_levels: int, total_duration: float, cfg: HistogramConfig,
             selection.check_against(n_levels)
             pair, wanted = None, selection.members
         else:
-            pair = _channel_pair(selection, n_levels)
+            pair = check_pair(selection, n_levels)
             wanted = sorted(set(pair))
         if cfg.tau_max > total_duration / 10:
             raise ConfigInvalid(

@@ -34,7 +34,9 @@ disagree), ``StreamInvariantViolation`` (4, a malformed event stream) and
 rule lives here once: a level count is an integer >= 1 (``check_levels``),
 a rate is a finite number > 0 (``check_rate``) and a class, pair, level or
 order index is an integer (``check_index``; a bool, float or string is
-not), and a level of an N-level ring one in [0, N) (``check_level``);
+not), a level of an N-level ring one in [0, N) (``check_level``) and a
+pair (m, n) of transitions a tuple of two such levels (``check_pair``,
+applied by every pair-taking call: no pair index is reduced mod N);
 anything else raises ``ConfigInvalid``. A ``CascadeSpec`` applies
 the first two when it is built, so every spec that exists is valid and no
 function that takes one checks it again.
@@ -118,6 +120,17 @@ def check_level(name: str, value, n_levels: int) -> int:
     if not 0 <= level < n_levels:
         raise ConfigInvalid(f"{name} {level} outside [0, {n_levels})")
     return level
+
+
+def check_pair(pair, n_levels: int) -> tuple[int, int]:
+    """The pair rule: ``pair`` as a pair (m, n) of ints when it is a tuple of
+    two integers, each a level of the N-level ring, in [0, N)."""
+    if not (isinstance(pair, tuple) and len(pair) == 2):
+        raise ConfigInvalid(f"pair must be a pair (m, n), got {pair!r}")
+    m, n = (check_index("channel", c) for c in pair)
+    if not (0 <= m < n_levels and 0 <= n < n_levels):
+        raise ConfigInvalid(f"channel pair {(m, n)} outside [0, {n_levels})")
+    return m, n
 
 
 def check_levels(n_levels) -> int:
@@ -317,7 +330,9 @@ def trace_index(m: int, n: int, n_levels: int) -> int:
 
     k = 1 is the autocorrelation class, k = 0 the contiguous-cascade class.
     """
-    return (check_index("n", n) - check_index("m", m) + 1) % check_levels(n_levels)
+    n_levels = check_levels(n_levels)
+    m, n = check_pair((m, n), n_levels)
+    return (n - m + 1) % n_levels
 
 
 def signed_delay(right, m: int, n: int, tau) -> float | np.ndarray:

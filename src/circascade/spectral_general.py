@@ -34,8 +34,8 @@ from .model import (
     CascadeSpec,
     NumericalFailure,
     check_delays,
-    check_index,
     check_level,
+    check_pair,
     check_rate,
     flux_weights,
     signed_delay,
@@ -216,23 +216,22 @@ def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> 
 def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
     """Correlation between transition pair (m, n) for arbitrary rates.
 
-    Pair indices are arrival-labeled (see model module): for tau >= 0 the
-    trace is p(level (n+1) % N at tau | level m % N at 0) / p_ss[(n+1) % N];
+    Pair indices are arrival-labeled levels in [0, N) (see model module):
+    for tau >= 0 the trace is p(level (n+1) % N at tau | level m at 0) / p_ss[(n+1) % N];
     negative delays mirror the swapped pair; tau = 0 is the right limit.
     Rounding depends on the whole stepped array: pass a grid in one call.
     A read level whose occupation is 0, below the float range, raises
     NumericalFailure.
     """
-    nlev = spec.n_levels
-    m, n = check_index("m", m), check_index("n", n)
+    m, n = check_pair((m, n), spec.n_levels)
     pss = steady_state(spec)
 
     def right(a, b, s):
-        read = (b + 1) % nlev
+        read = (b + 1) % spec.n_levels
         _check_occupation(pss[read], read)
         return _propagate_grid(spec, a, s)[:, read] / pss[read]
 
-    return signed_delay(right, m % nlev, n % nlev, tau)
+    return signed_delay(right, m, n, tau)
 
 
 def _check_occupation(p: float, level: int) -> None:
@@ -289,7 +288,7 @@ def g2_three_level(
     relative). `g2_general` is accurate entry by entry there.
     """
     rates = _rates(gamma0, gamma1, gamma2)
-    m, n = check_index("m", m), check_index("n", n)
+    m, n = check_pair((m, n), 3)
     z2, (lo, mid, hi), e = _zeta_squared(*sorted(rates))
     units = [math.ldexp(r, -e) for r in rates]
     total = lo + mid + hi
@@ -316,7 +315,7 @@ def g2_three_level(
             f = np.exp(-slow * s) * (c0 * (1 + em1 / 2) - v * em1 / (2 * h))
         return 1.0 + f / p
 
-    return signed_delay(right, m % 3, n % 3, tau)
+    return signed_delay(right, m, n, tau)
 
 
 class OscillationRegime(enum.Enum):

@@ -227,7 +227,9 @@ def simulate_to_file(config: SimConfig, path, fmt: str) -> None:
 def _join(blocks, size: int) -> tuple[int | None, np.ndarray]:
     """(label of the first block, even an empty one, and the times of all
     blocks end to end) of blocks (label of the first event, times), copied
-    into one buffer of ``size`` timestamps that doubles when outgrown."""
+    into one buffer of ``size`` timestamps that doubles when outgrown. The
+    buffer is then shrunk in place to the joined times, so a short result
+    keeps no unused tail, and a ``size`` that was exact costs no copy."""
     times, first, at = np.empty(size), None, 0
     for label, block in blocks:
         first = label if first is None else first
@@ -237,7 +239,8 @@ def _join(blocks, size: int) -> tuple[int | None, np.ndarray]:
             times = grown
         times[at:at + len(block)] = block
         at += len(block)
-    return first, times[:at]
+    times.resize(at, refcheck=False)  # in place: no view of the buffer exists yet
+    return first, times
 
 
 def _nudge_collisions(times: np.ndarray, previous: float) -> None:

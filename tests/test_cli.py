@@ -779,6 +779,36 @@ def test_peaks_outputs_are_pinned(tmp_path, args, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the data outputs, recorded at commit 770eeb6, before every pair-
+# taking route applied the one pair rule
+PINNED_PRESETS = {
+    **{preset: (["analytic", "--preset", preset], digest) for preset, digest in {
+        "fig1c": "2fedcf6b00fe27c5406022dc6c7f1febf1e3f289c7a7692f9e4465bc0d0f4784",
+        "fig1d": "7c739578bb3cae0b4765616df727a7959614393bbeea7add2133f7ed4d6a4341",
+        "fig3a": "1f2662ba226ef74427a097b2b3b9808383164c18ff98bcda081f0155a3abfa51",
+        "fig3b": "3fc76b42518abb79bc6276a2d2935a03267d2af4bcfbc6a42decee6e901f103f",
+        "fig3c": "f09d77ce035553103e95faa32c6dca8ab1918d3d12f056e626386094c589a37b",
+        "fig3d": "54f37c8a59c35ae39be48133cb70033a1d112e395e63090d1e5a2b8cd658dee0",
+        "fig4a": "bd7c35aaf66d17f5f9f978c8f864dda2520d12d659fe7e085e1ed0d4b730c7d9",
+    }.items()},
+    "cscheck": (["cscheck", "--n", "6", "--pair", "3,1", "--tau-samples", "0.02:0.1:5"],
+                "81908b40b0807bc0c23fbfa466871cd1c861e562b24e510ec61362c8960cb441"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PRESETS)
+def test_preset_outputs_are_pinned(tmp_path, name):
+    """The equal-rate presets and a cscheck report keep their bytes.
+
+    fig5 and fig5dashed are not pinned: their propagation goes through BLAS
+    matrix products, whose last bits can differ from one machine to another.
+    """
+    args, digest = PINNED_PRESETS[name]
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_peaks_order_count_past_the_float_range(tmp_path):
     cp = run_cli("peaks", "--n", 6, "--orders", "9" * 401, "--out", tmp_path / "x.json")
     assert cp.returncode == 0, cp.stderr

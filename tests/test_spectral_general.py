@@ -21,7 +21,9 @@ from circascade import (
     OscillationRegime,
     SimConfig,
     SubsetSpec,
+    block_bootstrap_stderr,
     bundle_peak,
+    correlate,
     correlate_blocks,
     cs_check,
     decompose,
@@ -738,6 +740,61 @@ def test_every_index_entry_point_applies_the_index_rule():
         and name not in INDEX_CALLS
     ]
     assert not uncovered
+
+
+RING6_BLOCKS = [(0, np.arange(1.0, 60.0))]
+RING6_STREAM = EventStream(np.arange(1.0, 60.0), 0, 6, 100.0)
+# every public function that takes a pair of transitions: (its valid call as
+# a function of the pair, the level count N of its ring)
+PAIR_CALLS = {
+    "g2_equal_pair": (lambda m, n: g2_equal_pair(6, m, n, 1.0, 0.5), 6),
+    "g2_general": (lambda m, n: g2_general(SPEC4, m, n, 0.5), 4),
+    "g2_three_level": (lambda m, n: g2_three_level(*UNBALANCED, m, n, 0.5), 3),
+    "g2": (lambda m, n: g2(SPEC4, (m, n), 0.5), 4),
+    "trace_index": (lambda m, n: trace_index(m, n, 6), 6),
+    "cs_check": (lambda m, n: cs_check(CascadeSpec.equal(6), m, n, [0.5]), 6),
+    "discontinuity": (lambda m, n: discontinuity(CascadeSpec(3, UNBALANCED), m, n), 3),
+    "correlate_blocks": (
+        lambda m, n: correlate_blocks(RING6_BLOCKS, 6, 100.0, HistogramConfig(0.5, 2.0), (m, n)),
+        6,
+    ),
+    "correlate": (lambda m, n: correlate(RING6_STREAM, (m, n), HistogramConfig(0.5, 2.0)), 6),
+    "block_bootstrap_stderr": (
+        lambda m, n: block_bootstrap_stderr(RING6_STREAM, (m, n), HistogramConfig(0.5, 2.0)),
+        6,
+    ),
+}
+PAIR_PARAMETERS = {"m", "n", "pair", "selection"}
+OUTSIDE_PAIRS = {"(0, N)": lambda nlev: (0, nlev), "(-1, 0)": lambda nlev: (-1, 0),
+                 "(N, 1)": lambda nlev: (nlev, 1), "(1, -N)": lambda nlev: (1, -nlev)}
+
+
+@pytest.mark.parametrize("outside", OUTSIDE_PAIRS.values(), ids=OUTSIDE_PAIRS.keys())
+@pytest.mark.parametrize("name", PAIR_CALLS)
+def test_a_pair_outside_the_ring_raises(name, outside):
+    # these calls reduced the pair mod N and answered for another pair
+    call, nlev = PAIR_CALLS[name]
+    m, n = outside(nlev)
+    with pytest.raises(ConfigInvalid, match=rf"channel pair \({m}, {n}\) outside \[0, {nlev}\)"):
+        call(m, n)
+
+
+def test_every_pair_entry_point_applies_the_pair_rule():
+    uncovered = [
+        name for name in dir(circascade)
+        if not name.startswith("_") and callable(getattr(circascade, name))
+        and not isinstance(getattr(circascade, name), type)
+        and PAIR_PARAMETERS & set(inspect.signature(getattr(circascade, name)).parameters)
+        and name not in PAIR_CALLS
+    ]
+    assert not uncovered
+
+
+def test_cs_check_does_not_compare_a_transition_with_itself():
+    # (0, 6) wrapped to (0, 0) on a six-level ring: it passed the distinct-
+    # transitions guard and reported pair (0, 6) violated with lhs = 0
+    with pytest.raises(ConfigInvalid, match=r"channel pair \(0, 6\) outside \[0, 6\)"):
+        cs_check(CascadeSpec.equal(6), 0, 6, [0.5])
 
 
 # expm(Q * inf) would be NaN: the delay rule rejects inf before any step,

@@ -312,6 +312,36 @@ def test_binary_reader_holds_one_copy_of_the_stream(tmp_path):
     assert _peak_per_stream_byte(lambda: read_events_binary(path), n_events) <= 1.25
 
 
+def _ten_event_file(path, write):
+    write(EventStream(np.arange(1.0, 11.0), 3, 6, 20.0), path)
+    return path
+
+
+# short streams joined by stochastic._join, each built in a given directory
+JOINED = {
+    # the hint counts the burn-in draws too: a million draws for 12 events
+    "simulate duration": lambda d: simulate(
+        SimConfig(CascadeSpec.equal(6), seed=1, duration=10.0, burn_in=1e6)),
+    "simulate total_events": lambda d: simulate(
+        SimConfig(CascadeSpec.equal(6), seed=1, total_events=12)),
+    # the text reader's hint is one read block of 2^17 timestamps
+    "read_events_text": lambda d: read_events_text(
+        _ten_event_file(d / "ten.txt", write_events_text)),
+    "read_events_binary": lambda d: read_events_binary(
+        _ten_event_file(d / "ten.bin", write_events_binary)),
+}
+
+
+@pytest.mark.parametrize("name", JOINED)
+def test_a_joined_stream_keeps_no_buffer_past_its_times(tmp_path, name):
+    stream = JOINED[name](tmp_path)
+    owner = stream.times
+    while owner.base is not None:
+        owner = owner.base
+    assert 0 < stream.n_events <= 12
+    assert owner.nbytes == stream.times.nbytes
+
+
 def _simulate_argv(config: SimConfig, rates, out) -> list[str]:
     """The `simulate` command line of config, its spec in the JSON file rates."""
     rates.write_text(config.spec.to_json())
