@@ -111,6 +111,8 @@ def _poisson_series(n_levels: int, k: int, x: np.ndarray) -> np.ndarray:
     for _ in range(300):
         step = np.exp(n_levels * logx)
         for i in range(1, n_levels + 1):
+            if not step.any():  # underflowed: 0 / (j + i) stays 0
+                break
             step = step / (j + i)
         term = term * step
         j += n_levels

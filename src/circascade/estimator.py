@@ -309,13 +309,14 @@ def correlate_subset(
 
 def block_bootstrap_stderr(
     stream: EventStream,
-    pair: tuple[int, int],
+    selection: tuple[int, int] | SubsetSpec | None,
     cfg: HistogramConfig,
     n_blocks: int = 20,
     n_boot: int = 200,
     seed: int = 0,
 ) -> np.ndarray:
-    """Block-bootstrap errors of ``correlate_blocks`` for the selection ``pair``.
+    """Block-bootstrap errors of ``correlate_blocks`` for ``selection``: the
+    channel pair (m, n), a SubsetSpec's merged levels, or all levels for None.
 
     Splits the window into n_blocks equal time segments, counts the pairs
     of each segment's source events in the pass ``correlate`` makes in one
@@ -332,7 +333,7 @@ def block_bootstrap_stderr(
     edges = np.linspace(t0, t0 + stream.total_duration, n_blocks + 1)
     block_counts, block_src, _, n_dst = _counted(
         [(stream.first_label, stream.times)], stream.n_levels, stream.total_duration, cfg,
-        pair, edges)
+        selection, edges)
     rate_dst = n_dst / stream.total_duration
     block_dur = np.diff(edges)
     est = np.empty((n_boot, 2 * cfg.n_side))

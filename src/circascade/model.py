@@ -31,15 +31,15 @@ carrying the CLI exit status in ``exit_code``: ``ConfigInvalid`` (2, input
 outside the domain), ``NumericalFailure`` (3, lost accuracy or routes that
 disagree), ``StreamInvariantViolation`` (4, a malformed event stream) and
 ``InsufficientSamples`` (5, an empty channel or no peaks). The domain
-rule lives here once: a level count is an integer >= 1 (``check_levels``),
-a rate is a finite number > 0 (``check_rate``) and a class, pair, level or
-order index is an integer (``check_index``; a bool, float or string is
-not), a level of an N-level ring one in [0, N) (``check_level``) and a
-pair (m, n) of transitions a tuple of two such levels (``check_pair``,
-applied by every pair-taking call: no pair index is reduced mod N);
-anything else raises ``ConfigInvalid``. A ``CascadeSpec`` applies
-the first two when it is built, so every spec that exists is valid and no
-function that takes one checks it again.
+rule lives here once: a level count is an integer in [1, sys.maxsize]
+(``check_levels``), a rate is a finite number > 0 (``check_rate``) and a
+class, pair, level or order index is an integer (``check_index``; a bool,
+float or string is not), a level of an N-level ring one in [0, N)
+(``check_level``) and a pair (m, n) of transitions a tuple of two such
+levels (``check_pair``, applied by every pair-taking call: no pair index
+is reduced mod N); anything else raises ``ConfigInvalid``. A
+``CascadeSpec`` applies the first two when it is built, so every spec that
+exists is valid and no function that takes one checks it again.
 Every raw-argument entry point applies them to its own arguments, and the
 index rule to its indices. The other rules on outside input live here
 too: the seed rule (``check_seed``, applied by ``philox`` and
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 EQUAL_RATE_RTOL = 1e-12
-_ORDER_BLOCK = 1 << 16  # timestamps compared per step of first_unordered
+_ORDER_BLOCK = 1 << 16  # timestamps compared per step of check_order
 
 
 class CascadeError(Exception):
@@ -134,10 +134,13 @@ def check_pair(pair, n_levels: int) -> tuple[int, int]:
 
 
 def check_levels(n_levels) -> int:
-    """The level-count rule: ``n_levels`` as an int when it is an integer >= 1."""
+    """The level-count rule: ``n_levels`` as an int when it is an integer >= 1
+    and at most ``sys.maxsize``, past which no tuple or array indexes a ring."""
     n = check_index("n_levels", n_levels)
     if n < 1:
         raise ConfigInvalid(f"n_levels must be >= 1, got {n}")
+    if n > sys.maxsize:
+        raise ConfigInvalid(f"n_levels {n} is more levels than a ring can hold")
     return n
 
 
@@ -208,24 +211,14 @@ def check_delays(tau, signed: bool = True) -> np.ndarray:
     return taus
 
 
-def first_unordered(times: np.ndarray, start: int = 1) -> int:
-    """Index of the first timestamp at or after ``start`` >= 1 not above the
-    one before it (NaN is not), else len(times). Comparing ``_ORDER_BLOCK``
-    timestamps per step keeps the temporaries small for any length."""
-    for lo in range(start, len(times), _ORDER_BLOCK):
-        block = times[lo - 1:lo + _ORDER_BLOCK]
-        rises = block[1:] > block[:-1]
-        if not rises.all():
-            return lo + int(rises.argmin())
-    return len(times)
-
-
 def check_order(times: np.ndarray, previous: float | None = None) -> None:
     """The order rule of a stream: raise StreamInvariantViolation unless
-    ``times`` strictly increase (``first_unordered``) and, when
-    ``previous`` is given, start above it. NaN fails."""
+    ``times`` strictly increase and, when ``previous`` is given, start above
+    it. NaN fails. Comparing ``_ORDER_BLOCK`` timestamps per step keeps the
+    temporaries small for any length."""
     first_ok = previous is None or len(times) == 0 or times[0] > previous
-    if not (first_ok and first_unordered(times) == len(times)):
+    blocks = (times[lo - 1:lo + _ORDER_BLOCK] for lo in range(1, len(times), _ORDER_BLOCK))
+    if not (first_ok and all((block[1:] > block[:-1]).all() for block in blocks)):
         raise StreamInvariantViolation("simultaneous or out-of-order events")
 
 
@@ -285,8 +278,6 @@ class CascadeSpec:
     @classmethod
     def equal(cls, n_levels: int, gamma: float = 1.0) -> "CascadeSpec":
         n = check_levels(n_levels)
-        if n > sys.maxsize:  # past what a tuple can index
-            raise ConfigInvalid(f"n_levels {n} is more levels than a ring can hold")
         return cls(n, (gamma,) * n)
 
     @property

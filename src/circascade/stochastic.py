@@ -7,11 +7,14 @@ labeled with the source level at the jump. The simulator therefore keeps
 only the jump times and the level of the first recorded visit, which is
 exactly an ``EventStream`` ring. Sampling is vectorized in chunks of
 exactly ``_CHUNK`` draws, counted from draw 0 whatever the config, each
-drawn into one reused buffer; the RNG is counter-based (``model.philox``,
-keyed by the seed). A stamp is its chunk's running sum on top of the
-compensated sum of the chunk totals before it, so it depends only on the
-seed, the rates, the start level and its draw index: a run is a bit-exact
-prefix of every longer run that shares them.
+drawn into one reused buffer and divided by one row of rates, a slice of
+the rate cycle tiled once past a chunk's length; the RNG is counter-based
+(``model.philox``, keyed by the seed). A stamp is its chunk's running sum
+on top of the compensated sum of the chunk totals before it, so it depends
+only on the seed, the rates, the start level and its draw index: a run is
+a bit-exact prefix of every longer run that shares them. A rounding
+collision, a stamp not above the one before it, is nudged to one ulp
+above that one, a whole chunk at a time (``_nudge_collisions``).
 
 A stream file is text, a header and then one '<timestamp> <label>' line
 per event, or binary, a header with the first label and then the raw f64
@@ -42,7 +45,6 @@ from typing import Iterator
 import numpy as np
 
 from .model import (
-    _ORDER_BLOCK,
     CascadeSpec,
     ConfigInvalid,
     EventStream,
@@ -57,13 +59,11 @@ from .model import (
     check_order,
     check_seed,
     check_span,
-    first_unordered,
     philox,
     steady_state,
 )
 
 _CHUNK = 1 << 14  # draws per chunk (128 KiB), counted from draw 0: the seams of every run
-_RATE_ROW = 1 << 12  # draws divided by their rates per row of the rate pattern
 _TEXT_BLOCK = 1 << 12  # lines formatted per write
 _READ_BLOCK = 1 << 17  # timestamps (1 MiB) or event lines read per step of a reader
 _BINARY_MAGIC = b"CEV2"
@@ -142,13 +142,9 @@ def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
 
     horizon = None if config.duration is None else config.burn_in + config.duration
 
-    # visit v sits in level (start - v) % n, so the rates from visit v on
-    # repeat the cycle rolled by v: rows of the pattern from its (v % n)-th
-    # entry on, a whole number of periods long
-    cycle = rates[(start - np.arange(n)) % n]
-    period = n * max(1, _RATE_ROW // n)
-    pattern = np.tile(cycle, period // n + 1)
-    whole = _CHUNK - _CHUNK % period
+    # visit v sits in level (start - v) % n, so the rates of a chunk from
+    # visit v on are the cycle rolled by v: the pattern from its (v % n)-th entry
+    pattern = np.tile(rates[(start - np.arange(n)) % n], _CHUNK // n + 2)
     buf = np.empty(_CHUNK)
     visit = 0           # visits before the current chunk
     base = 0.0          # accumulated time at the start of the current chunk
@@ -157,11 +153,8 @@ def _kept_chunks(config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
     last = -np.inf      # last stamp yielded
     while True:
         dwells = rng.standard_exponential(out=buf)
-        rolled = pattern[visit % n:visit % n + period]
         with np.errstate(over="ignore", invalid="ignore"):  # stamps past float64 raise below
-            rows = dwells[:whole].reshape(-1, period)
-            rows /= rolled
-            dwells[whole:] /= rolled[:_CHUNK - whole]
+            dwells /= pattern[visit % n:visit % n + _CHUNK]
             chunk_total = float(dwells.sum())
             stamps = np.cumsum(dwells, out=dwells)
             stamps -= comp
@@ -245,22 +238,17 @@ def _join(blocks, size: int) -> tuple[int | None, np.ndarray]:
 
 def _nudge_collisions(times: np.ndarray, previous: float) -> None:
     """Raise, in place, every stamp not above its predecessor (``previous``
-    before the first one) to one ulp above it.
-
-    Such rounding collisions are extremely rare: ``first_unordered`` finds
-    them, and ``_ORDER_BLOCK`` stamps from each are settled at a time. The
-    result is that of one sequential pass, so nudging a stream chunk by
+    before the first one) to one ulp above it: the sequential rule
+    t_i <- max(t_i, nextafter(t_(i-1), inf)), so nudging a stream chunk by
     chunk, each against the last stamp before it, equals nudging it whole.
+
+    Such rounding collisions are rare; each pass over the chunk settles the
+    next stamp of every run of them.
     """
     if times[0] <= previous:
         times[0] = np.nextafter(previous, np.inf)
-    at = first_unordered(times)
-    while at < len(times):
-        # each pass settles the next stamp of every run of collisions
-        block = times[at - 1:at + _ORDER_BLOCK]
-        while len(bad := np.flatnonzero(block[1:] <= block[:-1])):
-            block[bad + 1] = np.nextafter(block[bad], np.inf)
-        at = first_unordered(times, at + _ORDER_BLOCK)
+    while len(bad := np.flatnonzero(times[1:] <= times[:-1])):
+        times[bad + 1] = np.nextafter(times[bad], np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -289,11 +289,18 @@ def simulate_in_chunks(rates, seed, start, total_events=None, duration=None, bur
     visits = np.concatenate([v for v, _ in kept])[:total_events]
     if len(visits) == 0:
         return None
-    times = (np.concatenate([s for _, s in kept])[:total_events] - burn_in).tolist()
-    for i in range(1, len(times)):
-        if times[i] <= times[i - 1]:
-            times[i] = math.nextafter(times[i - 1], math.inf)
-    return (start - int(visits[0])) % n, np.array(times)
+    times = np.concatenate([s for _, s in kept])[:total_events] - burn_in
+    return (start - int(visits[0])) % n, nudged_in_sequence(times, -math.inf)
+
+
+def nudged_in_sequence(times, previous):
+    """``times`` with each stamp not above the one before it (``previous``
+    before the first) raised to one ulp above it, one stamp at a time:
+    t_i <- max(t_i, nextafter(t_(i-1), inf))."""
+    out = np.asarray(times, dtype=float).tolist()
+    for i, t in enumerate(out):
+        out[i] = max(t, math.nextafter(previous if i == 0 else out[i - 1], math.inf))
+    return np.array(out)
 
 
 def exact_stamps(rates, seed, start, n_draws):

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import mpmath
 import numpy as np
@@ -265,6 +266,22 @@ def test_negative_beyond_rounding_raises(monkeypatch):
     monkeypatch.setattr(analytic_equal, "_mode_sum", lambda n, k, x: np.full_like(x, -2 * bound))
     with pytest.raises(NumericalFailure):
         g2_equal(40, 1, 1.0, 5.0)
+
+
+def test_poisson_series_stops_dividing_once_its_step_underflows():
+    # each term of the series divides x^N by N factors; once x^N is 0 no
+    # division is made, so a ring of 2^62 levels returns at once
+    def expire(signum, frame):
+        raise TimeoutError("g2_equal(2**62, ...) did not return within 10 s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        vals = g2_equal(2**62, 1, 1.0, [0.0, 0.5, 0.999])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert vals.tolist() == [0.0, 0.0, 0.0]
 
 
 @given(

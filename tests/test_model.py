@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,11 @@ from circascade import (
     SimConfig,
     StreamInvariantViolation,
     SubsetSpec,
+    bundle_peak,
     cs_check,
+    find_peaks,
+    find_peaks_cross,
+    g2_equal,
     g2_equal_pair,
     g2_general,
     g2_subset,
@@ -35,6 +40,24 @@ def test_validate_canonical_spec():
 def test_validate_zero_levels():
     with pytest.raises(ConfigInvalid, match="n_levels must be >= 1"):
         CascadeSpec(0, ())
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: CascadeSpec.equal(n),
+    lambda n: g2_equal(n, 1, 1.0, 5.0),
+    lambda n: g2_equal_pair(n, 1, 1, 1.0, 0.5),
+    lambda n: g2_subset(n, SubsetSpec([1]), 1.0, 0.5),
+    lambda n: small_tau_leading(n, 1, 1.0, 0.5),
+    lambda n: bundle_peak(n, 2),
+    lambda n: trace_index(1, 1, n),
+    lambda n: find_peaks(n, 1.0, 1, 1),
+    lambda n: find_peaks_cross(n, 1.0, 1),
+], ids=["CascadeSpec.equal", "g2_equal", "g2_equal_pair", "g2_subset", "small_tau_leading",
+        "bundle_peak", "trace_index", "find_peaks", "find_peaks_cross"])
+@pytest.mark.parametrize("n_levels", [sys.maxsize + 1, 10**20])
+def test_a_level_count_past_the_index_range_is_config_invalid(call, n_levels):
+    with pytest.raises(ConfigInvalid, match="more levels than a ring can hold"):
+        call(n_levels)
 
 
 def test_validate_negative_rate():

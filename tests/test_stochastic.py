@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -37,6 +38,7 @@ from circascade import cli, stochastic
 from oracles import (
     dwell_segments,
     exact_stamps,
+    nudged_in_sequence,
     occupancy_block_estimates,
     simulate_in_chunks,
     time_weighted_occupancy,
@@ -245,11 +247,32 @@ def test_simulate_equals_whole_chunks_summed_in_one_array(n, data):
     assert stream.times.tobytes() == expected[1].tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 3 * stochastic._CHUNK), longest=st.integers(1, 64),
+       steps=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+       previous=st.sampled_from(["none", "below", "equal", "above"]),
+       above=st.integers(1, 100))
+def test_nudge_equals_the_sequential_rule(size, longest, steps, seed, previous, above):
+    # runs of equal stamps, the runs a few ulps apart either way, so that
+    # nudged runs collide with the runs after them
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, longest + 1, size)
+    lengths = lengths[:np.searchsorted(np.cumsum(lengths), size) + 1]
+    ulps = np.cumsum(rng.integers(-steps, steps + 1, len(lengths)))
+    times = np.repeat(1.5 + ulps * np.spacing(1.5), lengths)[:size]
+    first = float(times[0])
+    before = {"none": -np.inf, "below": math.nextafter(first, -math.inf), "equal": first,
+              "above": first + above * math.ulp(first)}[previous]
+    expected = nudged_in_sequence(times, before)
+    stochastic._nudge_collisions(times, before)
+    assert times.tobytes() == expected.tobytes()
+
+
 # sha256 of times.tobytes(), each equal to oracles.simulate_in_chunks's
-# stream: a 1e12:1 rate spread rounds every fast dwell away, so about half
-# the stamps collide and are nudged, in runs that cross the nudge's block
-# edges. The duration run ends in its first 2^14-draw chunk, so its bytes
-# date from before simulate wrote into one buffer
+# stream: a 1e12:1 rate spread rounds every fast dwell away, so the stamp
+# after each one collides with the stamp before it and is nudged one ulp
+# above it. The duration run ends in its first 2^14-draw chunk, so its
+# bytes date from before simulate wrote into one buffer
 FROZEN_NUDGED = {
     "total_events": (
         SimConfig(CascadeSpec(2, (1e-12, 1e12)), seed=4, total_events=3 * 2**20 + 5),
@@ -472,8 +495,8 @@ def test_failed_binary_write_keeps_the_old_file_and_leaves_no_other(tmp_path, wr
 
 
 def test_cli_simulate_holds_well_under_one_copy_of_the_stream(tmp_path):
-    # every chunk of stochastic._CHUNK draws is drawn into one buffer and
-    # written as drawn, and the collision check scans it in blocks, so the
+    # every chunk of stochastic._CHUNK draws is drawn into one buffer,
+    # divided by one row of rates as long and written as drawn, so the
     # peak does not grow with the event count. A first untraced run loads
     # what the command imports on first use
     argv = ["simulate", "--n", "6", "--seed", "3", "--out", str(tmp_path / "run.events"),
