@@ -49,6 +49,7 @@ from .model import (
     check_pair,
     check_rate,
     signed_delay,
+    source_level,
     trace_index,
 )
 
@@ -207,7 +208,7 @@ def g2_subset(n_levels: int, subset: SubsetSpec, gamma: float, tau) -> float | n
         subset = SubsetSpec(subset)
     subset.check_against(n_levels)
     members = np.asarray(subset.members)
-    classes = (members[None, :] - members[:, None] + 1) % n_levels
+    classes = (source_level(members[None, :], n_levels) - members[:, None]) % n_levels
     counts = np.bincount(classes.ravel(), minlength=n_levels)
 
     taus = check_delays(tau)

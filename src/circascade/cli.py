@@ -54,6 +54,7 @@ from .model import (
     NumericalFailure,
     SubsetSpec,
     check_pair,
+    source_level,
     steady_state,
 )
 from .spectral_general import g2_general, g2_three_level
@@ -90,6 +91,11 @@ PRESETS = {
                    "rates_inline": "0.7083333333333334,0.7083333333333334,0.7083333333333334",
                    "pair": "2,1", "tau": "-8:8", "steps": 1600},
 }
+
+
+# the selection flags of every subcommand name transitions as the model does
+_PAIR_HELP = "transition pair m,n, each named by the level it arrives in"
+_SUBSET_HELP = "comma-separated transitions, each named by the level it arrives in"
 
 
 def grid_map(fn, taus: np.ndarray) -> np.ndarray:
@@ -236,10 +242,10 @@ def cmd_general(args) -> None:
     values = g2_general(spec, m, n, taus)
     if spec.n_levels == 3:
         closed = g2_three_level(*spec.rates, m, n, taus)
-        # accurate to about eps / p_ss[r], r the level read: (n + 1) % 3, or (m + 1) % 3
-        # mirrored below tau = 0. The gap stayed below 13.1 eps / p_ss[r] over 2,400
+        # accurate to about eps / p_ss[r], r the level read: source_level(n, 3), or that
+        # of m mirrored below tau = 0. The gap stayed below 13.1 eps / p_ss[r] over 2,400
         # rate triples 10^U(+-6) and 10^U(+-8), all nine pairs, so C = 32
-        p_read = steady_state(spec)[np.where(taus >= 0, (n + 1) % 3, (m + 1) % 3)]
+        p_read = steady_state(spec)[np.where(taus >= 0, source_level(n, 3), source_level(m, 3))]
         gap = np.abs(closed - values)
         if (gap > 1e-6 + 32 * np.finfo(float).eps / p_read).any():
             raise NumericalFailure("internal consistency failure: closed form vs "
@@ -340,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, help=summary, parents=[*parents, out]).set_defaults(func=func)
 
     p = flags()
-    p.add_argument("--pair", help="transition pair m,n")
+    p.add_argument("--pair", help=_PAIR_HELP)
     p.add_argument("--k", type=int, help="trace class instead of a pair")
-    p.add_argument("--subset", help="comma-separated transition subset")
+    p.add_argument("--subset", help=_SUBSET_HELP)
     p.add_argument("--tau", help="range lo:hi (default -10:10)")
     p.add_argument("--steps", type=int)
     p.add_argument("--preset", help="|".join(k for k in PRESETS if PRESETS[k]["command"] == "analytic"))
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = flags()
     p.add_argument("--rates-inline", dest="rates_inline", help="comma-separated rates")
-    p.add_argument("--pair")
+    p.add_argument("--pair", help=_PAIR_HELP)
     p.add_argument("--tau")
     p.add_argument("--steps", type=int)
     p.add_argument("--preset", help="fig5|fig5dashed")
@@ -367,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = flags()
     p.add_argument("--in", dest="in", required=True, help="event stream file")
-    p.add_argument("--pair")
-    p.add_argument("--subset")
+    p.add_argument("--pair", help=_PAIR_HELP)
+    p.add_argument("--subset", help=_SUBSET_HELP)
     p.add_argument("--bin", type=_finite_float, required=True)
     p.add_argument("--taumax", type=_finite_float, required=True)
     command("correlate", "coincidence histogram from an event stream", cmd_correlate, p)
@@ -384,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("peaks", "oscillation peak report (JSON, optional CSV)", cmd_peaks, ring, p)
 
     p = flags()
-    p.add_argument("--pair", required=True)
+    p.add_argument("--pair", required=True, help=_PAIR_HELP)
     p.add_argument("--tau-samples", dest="tau_samples", default="0.01:0.1:10",
                    help="lo:hi:count sample grid")
     command("cscheck", "Cauchy-Schwarz violation report (JSON)", cmd_cscheck, ring, rates, p)

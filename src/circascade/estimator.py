@@ -15,8 +15,10 @@ The sweep takes its ring as time-ordered blocks (``correlate_blocks``),
 joins each block to the events within the window of the ones before and
 counts the joined run in two sweeps, so a stream read from a file is
 counted as it is read. Every estimate takes one selection (a pair, a
-SubsetSpec, or None for all levels), and ``_counted`` is the one place that
-checks it and gathers its levels out of each block before the sweep.
+SubsetSpec, or None for the whole ring) of transitions named, as on every
+route, by the level each arrives in. ``_counted`` is the one place that
+checks it, maps it to the stream channels (``model.source_level``) and
+gathers those out of each block before the sweep.
 ``correlate`` and ``correlate_subset`` pass an in-memory stream as one
 block; every count equals that of the whole stream.
 Every count is kept by the time segment of its pair's source event:
@@ -41,6 +43,7 @@ from .model import (
     check_pair,
     level_count,
     philox,
+    source_level,
 )
 
 # rows of src per sweep block: a block's slices of src, dst and the window
@@ -227,24 +230,26 @@ def _expected_pairs(rate_src, rate_dst, t_total, cfg: HistogramConfig):
 
 def _counted(blocks, n_levels: int, total_duration: float, cfg: HistogramConfig,
              selection, edges):
-    """The checks and counts of every estimate, of the merged levels of a
-    SubsetSpec ``selection`` (all for None), or else of the pair (m, n), of a
-    ring fed as blocks: (``_ring_pairs``'s histogram and sources for the time
-    ``edges``, events of the source and of the destination channel). Levels
-    are gathered out of each block (``_gathered``) unless they are the whole
-    ring. On an invalid argument the blocks are drawn to the end first, so a
-    reader that checks a file as it goes reports a damaged file first. An
-    empty channel raises InsufficientSamples."""
+    """The checks and counts of every estimate, of the merged transitions of
+    a SubsetSpec ``selection`` (all for None), or else of the pair (m, n), of
+    a ring fed as blocks: (``_ring_pairs``'s histogram and sources for the
+    time ``edges``, events of the source and of the destination channel).
+    Each transition maps to its stream channel by ``source_level``, and the
+    channels are gathered out of each block (``_gathered``) unless they are
+    the whole ring. On an invalid argument the blocks are drawn to the end
+    first, so a reader that checks a file as it goes reports a damaged file
+    first. An empty channel raises InsufficientSamples naming its transition."""
     try:
         n_levels = check_levels(n_levels)
+        if not 0 < check_number("total_duration", total_duration) < np.inf:  # NaN fails too
+            raise ConfigInvalid(f"total_duration must be finite and > 0, got {total_duration!r}")
         if selection is None:
             selection = SubsetSpec(range(n_levels))
         if isinstance(selection, SubsetSpec):
             selection.check_against(n_levels)
-            pair, wanted = None, selection.members
+            pair, chosen = None, selection.members
         else:
-            pair = check_pair(selection, n_levels)
-            wanted = sorted(set(pair))
+            pair = chosen = check_pair(selection, n_levels)
         if cfg.tau_max > total_duration / 10:
             raise ConfigInvalid(
                 f"tau_max {cfg.tau_max} exceeds total_duration/10 = {total_duration / 10}")
@@ -252,14 +257,17 @@ def _counted(blocks, n_levels: int, total_duration: float, cfg: HistogramConfig,
         for _ in blocks:  # a damaged stream is reported first
             pass
         raise
-    if len(wanted) < n_levels:
-        blocks = _gathered(blocks, n_levels, wanted)
-    ranks = range(len(wanted)) if pair is None else [wanted.index(c) for c in pair]
+    # in the order of their channels: level i of the gathered ring is transitions[i]
+    transitions = sorted(set(chosen), key=lambda t: source_level(t, n_levels))
+    if len(transitions) < n_levels:
+        blocks = _gathered(blocks, n_levels, [source_level(t, n_levels) for t in transitions])
+    ranks = range(len(transitions)) if pair is None else [transitions.index(t) for t in pair]
     hist, sources, first, events = _ring_pairs(
-        blocks, len(wanted), None if pair is None else ranks, cfg, edges)
-    counts = [level_count(events, first, len(wanted), r) for r in ranks]
+        blocks, len(transitions), None if pair is None else ranks, cfg, edges)
+    counts = [level_count(events, first, len(transitions), r) for r in ranks]
     if 0 in counts:
-        raise InsufficientSamples(f"channel {wanted[ranks[counts.index(0)]]} has no events")
+        empty = transitions[ranks[counts.index(0)]]
+        raise InsufficientSamples(f"transition {empty} has no events")
     return hist, sources, *(counts if pair else (events, events))
 
 
@@ -271,10 +279,10 @@ def correlate_blocks(
     selection: tuple[int, int] | SubsetSpec | None = None,
 ) -> CorrelationTrace:
     """Coincidence-histogram estimate of g2 from a ring of ``n_levels``
-    levels and window ``total_duration``, fed as consecutive blocks (label
-    of the first event, times) in time order: of the channel pair
+    levels and window ``total_duration``, fed as consecutive blocks (stream
+    label of the first event, times) in time order: of the transition pair
     ``selection`` = (m, n), or of the merged emission of a SubsetSpec's
-    levels (all levels for None).
+    transitions (all for None), each named by the level it arrives in.
 
     The counts (``_counted``) hold only the events within the window of
     the latest block, so a stream read block by block is never held whole.
@@ -289,7 +297,8 @@ def correlate_blocks(
 def correlate(
     stream: EventStream, pair: tuple[int, int], cfg: HistogramConfig
 ) -> CorrelationTrace:
-    """Coincidence-histogram estimate of g2 for the channel pair (m, n)."""
+    """Coincidence-histogram estimate of g2 for the transition pair (m, n),
+    named by the levels they arrive in, as ``analysis.g2`` names them."""
     return correlate_blocks([(stream.first_label, stream.times)], stream.n_levels,
                             stream.total_duration, cfg, pair)
 
@@ -297,7 +306,8 @@ def correlate(
 def correlate_subset(
     stream: EventStream, subset: SubsetSpec, cfg: HistogramConfig
 ) -> CorrelationTrace:
-    """Autocorrelation of the merged emission from a transition subset.
+    """Autocorrelation of the merged emission from a transition subset,
+    named by the levels they arrive in.
 
     With equal channel rates this equals the (1/n_S^2) double sum of the
     pairwise estimates by construction, since the merged rate is n_S r.
@@ -316,7 +326,8 @@ def block_bootstrap_stderr(
     seed: int = 0,
 ) -> np.ndarray:
     """Block-bootstrap errors of ``correlate_blocks`` for ``selection``: the
-    channel pair (m, n), a SubsetSpec's merged levels, or all levels for None.
+    transition pair (m, n), a SubsetSpec's merged transitions, or all for
+    None, named as ``correlate_blocks`` names them.
 
     Splits the window into n_blocks equal time segments, counts the pairs
     of each segment's source events in the pass ``correlate`` makes in one

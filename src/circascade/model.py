@@ -3,17 +3,19 @@
 Conventions (used everywhere in this package):
 
 * Levels are zero-based and cyclic. Level ``l`` has exactly one outgoing
-  transition, labeled ``l``, firing at rate ``rates[l]`` and landing in
-  level ``(l - 1) % N``. Label 0 is the reload step that closes the ring
-  (bottom back to top); labels ``1 .. N-1`` are the radiative ladder steps.
-* Event streams label emission events by the source level of the jump.
-* Correlation-pair indices in the analytic g2 functions label transitions
-  by the level the jump arrives in: after detecting transition ``m`` the
-  cascade occupies level ``m``, and the pair index ``n`` reads the channel
-  that departs from level ``(n + 1) % N``. For equal rates the two
-  labelings produce identical traces (only index differences matter); for
-  unequal rates an estimated channel pair ``(m, n)`` corresponds to the
-  analytic pair ``((m - 1) % N, (n - 1) % N)``.
+  jump, firing at rate ``rates[l]`` and landing in level ``(l - 1) % N``;
+  the jump out of level 0 is the reload that closes the ring (bottom back
+  to top), the others are the radiative ladder steps.
+* Every selection (a pair, a trace class, a ``SubsetSpec``) names a
+  transition by the level it arrives in: after transition ``m`` the
+  cascade occupies level ``m``, and it left level ``source_level(m, N)``.
+  At tau >= 0 the pair (m, n) starts in level m and reads the occupation
+  of the level transition n leaves. The reload is transition N - 1.
+* Event streams (files and ``EventStream``) label each event by the level
+  its jump leaves: the events of transition ``m`` carry the label
+  ``source_level(m, N)``. ``source_level`` is the one place that turns a
+  transition into a stream channel; the estimator applies it to its
+  selection before it counts.
 * Delays are signed. A negative delay mirrors the swapped pair,
   ``g_{m,n}(-s) = g_{n,m}(s)``, and tau = 0 (also -0.0) is the right
   limit ``g_{m,n}(0+)``; the jump of a contiguous pair sits there. Every
@@ -232,17 +234,32 @@ def check_span(ends, total_duration: float) -> None:
         raise StreamInvariantViolation("timestamps span more than total_duration")
 
 
-def check_labels(labels: np.ndarray, n_levels: int, previous=None, at: int = 0) -> None:
+def check_labels(labels, n_levels: int, previous=None, at: int = 0) -> None:
     """The label rule of a ring: raise StreamInvariantViolation unless every
-    label lies in [0, N) and each is one below the one before it mod N,
+    label is a whole number (of an integer or real dtype; a string, None or
+    NaN is not) in [0, N) and each is one below the one before it mod N,
     ``previous`` before the first when given. ``at``, the merged index of
     the first label, places a break in the message."""
+    labels = np.asarray(labels)
+    kind = labels.dtype.kind
+    if not (kind in "iu" or kind == "f" and np.isfinite(labels).all()
+            and (labels == np.floor(labels)).all()):
+        raise StreamInvariantViolation("event labels must be whole numbers")
+    if kind == "u":  # an unsigned step would wrap; a label past 2**63 turns negative
+        labels = labels.astype(np.int64)
     if len(labels) and not (labels.min() >= 0 and labels.max() < n_levels):
         raise StreamInvariantViolation("event label outside [0, N)")
     steps = np.diff(labels, prepend=labels[:1] + 1 if previous is None else previous)
     bad = np.flatnonzero((steps != -1) & (steps != n_levels - 1))
     if len(bad):
         raise StreamInvariantViolation(f"label cycling broken at merged index {at + bad[0]}")
+
+
+def source_level(transition, n_levels: int):
+    """The level transition ``transition`` leaves, ``(transition + 1) % N``
+    (elementwise on an array): the label of its events in a stream, and the
+    level whose occupation a pair ending in it reads."""
+    return (transition + 1) % n_levels
 
 
 def level_count(n_events: int, first_label: int, n_levels: int, level: int) -> int:
@@ -317,13 +334,14 @@ def steady_state(spec: CascadeSpec) -> np.ndarray:
 
 
 def trace_index(m: int, n: int, n_levels: int) -> int:
-    """Equal-rate trace class of the pair (m, n): k = (n - m + 1) mod N.
+    """Equal-rate trace class of the pair (m, n): k = (n - m + 1) mod N, the
+    offset of the level the pair reads, ``source_level(n, N)``, from level m.
 
     k = 1 is the autocorrelation class, k = 0 the contiguous-cascade class.
     """
     n_levels = check_levels(n_levels)
     m, n = check_pair((m, n), n_levels)
-    return (n - m + 1) % n_levels
+    return (source_level(n, n_levels) - m) % n_levels
 
 
 def signed_delay(right, m: int, n: int, tau) -> float | np.ndarray:
@@ -351,7 +369,8 @@ def signed_delay(right, m: int, n: int, tau) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class SubsetSpec:
-    """A non-empty set of transition labels detected jointly, from any iterable."""
+    """A non-empty set of transitions detected jointly, from any iterable, each
+    named by the level it arrives in."""
 
     members: tuple[int, ...]
 
@@ -414,14 +433,17 @@ class EventStream:
 
     The jump order is deterministic (level l always relaxes to (l-1) % N),
     so a trajectory is its strictly increasing ``times`` plus the label of
-    the first event: event i carries label ``(first_label - i) % N``, and
-    channel l is the strided view ``times[(first_label - l) % N :: N]``.
+    the first event. Labels are source levels, as in a stream file: event i
+    carries label ``(first_label - i) % N``, the level its jump leaves, and
+    channel l, the events of transition ``(l - 1) % N`` (``source_level``),
+    is the strided view ``times[(first_label - l) % N :: N]``.
     Label cycling, per-channel count balance, the header rule
     (``check_header``) and strict order (checked on construction, NaN
     failing) hold for every stream;
     ``from_labels`` builds a stream from outside (times, labels) input and
     rejects labels that do not cycle. A stream is always a whole ring: the
-    estimator (``correlate_blocks``) picks the channels it correlates.
+    estimator (``correlate_blocks``) picks the channels of the transitions
+    it correlates.
     ``times`` is stored read-only.
 
     ``total_duration`` is the length of the observation window; timestamps
@@ -449,21 +471,24 @@ class EventStream:
     @classmethod
     def from_labels(cls, times, labels, n_levels: int, total_duration: float,
                     seed: int | None = None):
-        """Build a stream from time-ordered events labeled by source level.
+        """Build a stream from time-ordered events labeled as in a stream,
+        by the level each jump leaves (``source_level``).
 
-        Raises StreamInvariantViolation unless every label lies in [0, N)
-        and each label is one below the previous one, mod N.
+        Raises StreamInvariantViolation unless the labels pass the label
+        rule (``check_labels``): whole numbers in [0, N), each one below the
+        previous one, mod N.
         """
         labels = np.asarray(labels)
         n = check_index("n_levels", n_levels)
         if labels.shape != np.shape(times):
             raise StreamInvariantViolation("times and labels differ in length")
-        check_labels(labels.astype(np.int64, copy=False), n)
+        check_labels(labels, n)
         first = int(labels[0]) if len(labels) else 0
         return cls(times, first, n, total_duration, seed=seed)
 
     @property
     def counts(self) -> tuple[int, ...]:
+        """Events per channel, indexed by stream label (source level)."""
         n, e = self.n_levels, len(self.times)
         return tuple(level_count(e, self.first_label, n, l) for l in range(n))
 
@@ -472,7 +497,7 @@ class EventStream:
         return len(self.times)
 
     def merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """Globally time-ordered (timestamps, labels)."""
+        """Globally time-ordered (timestamps, stream labels)."""
         labels = (self.first_label - np.arange(len(self.times))) % self.n_levels
         return self.times, labels
 

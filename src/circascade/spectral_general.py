@@ -39,6 +39,7 @@ from .model import (
     check_rate,
     flux_weights,
     signed_delay,
+    source_level,
     steady_state,
 )
 
@@ -216,8 +217,9 @@ def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> 
 def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
     """Correlation between transition pair (m, n) for arbitrary rates.
 
-    Pair indices are arrival-labeled levels in [0, N) (see model module):
-    for tau >= 0 the trace is p(level (n+1) % N at tau | level m at 0) / p_ss[(n+1) % N];
+    Pair indices name transitions by the level they arrive in (see model
+    module): for tau >= 0 the trace is p(level r at tau | level m at 0) / p_ss[r],
+    r = source_level(n, N);
     negative delays mirror the swapped pair; tau = 0 is the right limit.
     Rounding depends on the whole stepped array: pass a grid in one call.
     A read level whose occupation is 0, below the float range, raises
@@ -227,7 +229,7 @@ def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
     pss = steady_state(spec)
 
     def right(a, b, s):
-        read = (b + 1) % spec.n_levels
+        read = source_level(b, spec.n_levels)
         _check_occupation(pss[read], read)
         return _propagate_grid(spec, a, s)[:, read] / pss[read]
 
@@ -262,7 +264,7 @@ def g2_three_level(
     """Three-level closed form for any transition pair and signed tau.
 
     At tau = s >= 0 the pair (m, n) starts in level a = m and reads level
-    r = (n + 1) % 3. f(s) = p_r(s) - p_ss[r] lies in the span of the two
+    r = source_level(n, 3). f(s) = p_r(s) - p_ss[r] lies in the span of the two
     decaying modes (-S +- zeta) / 2, S = g0 + g1 + g2, so its value
     c0 = [a = r] - p_ss[r] and slope d = Q[r, a] at s = 0 fix it:
 
@@ -296,7 +298,7 @@ def g2_three_level(
     inverse_sum = sum(sorted(weights, reverse=True))  # 1/lo + 1/mid + 1/hi
 
     def right(a, b, s):
-        r = (b + 1) % 3
+        r = source_level(b, 3)
         p = weights[r] / inverse_sum
         _check_occupation(p, r)
         c0 = (a == r) - p

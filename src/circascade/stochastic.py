@@ -268,8 +268,8 @@ def _text_blocks(path):
     The header and its values (``check_header``) are checked first. Each
     step then parses the next ``_READ_BLOCK`` event lines (``np.loadtxt``
     with ``max_rows`` consumes just those lines) and checks the lines and
-    their labels, whole numbers in [0, N) that cycle, across block seams
-    too. A malformed line is named by its row among all.
+    their labels (``check_labels``: whole numbers in [0, N) that cycle),
+    across block seams too. A malformed line is named by its row among all.
     """
     with open(path, errors="replace") as fh:  # undecodable bytes fail below
         header = fh.readline().strip()
@@ -298,8 +298,6 @@ def _text_blocks(path):
             if data.shape[1] != 2:
                 raise StreamInvariantViolation("event lines must read '<timestamp> <label>'")
             times, labels = data[:, 0], data[:, 1]
-            if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
-                raise StreamInvariantViolation("event labels must be whole numbers")
             check_labels(labels, n, label, rows)
             yield int(labels[0]), times
             rows, label = rows + len(times), labels[-1]

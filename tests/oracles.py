@@ -172,8 +172,15 @@ def g2_subset_bruteforce(n_levels, members, gamma, tau):
     total = 0.0
     for i in members:
         for j in members:
-            total += g2_pair_expm(rates, (i - 1) % n_levels, (j - 1) % n_levels, tau)
+            total += g2_pair_expm(rates, i, j, tau)
     return total / len(members) ** 2
+
+
+def selection_of(channels, n_levels):
+    """The selection that names the stream channels ``channels`` (stream
+    labels, the levels the jumps leave): each transition by the level it
+    arrives in, one below its label on the ring."""
+    return tuple((c - 1) % n_levels for c in channels)
 
 
 def pair_histogram_bruteforce(src, dst, bin_width, n_side, same_channel):

@@ -36,6 +36,7 @@ from circascade import (
     write_events_text,
     write_trace_csv,
 )
+from oracles import selection_of
 
 
 def run_cli(*args, env_extra=None, cwd=None, timeout=None):
@@ -632,13 +633,16 @@ def test_correlate_of_selected_levels_equals_the_in_memory_trace(tmp_path, ring6
      ("--subset", "0,4,5", 4)],
 )
 def test_correlate_names_an_empty_channel_by_its_level(tmp_path, capsys, flag, value, empty):
-    # events at levels 2, 1, 0 only
+    # events at levels 2, 1, 0 only; value and empty are stream channels,
+    # selected and named as the transitions that leave them
     path = tmp_path / "sparse.events"
     write_events_binary(EventStream(np.array([1.0, 2.0, 3.0]), 2, 6, 100.0), path)
-    argv = ["correlate", "--in", str(path), flag, value, "--bin", "0.5", "--taumax", "5",
+    selection = ",".join(map(str, selection_of(map(int, value.split(",")), 6)))
+    argv = ["correlate", "--in", str(path), flag, selection, "--bin", "0.5", "--taumax", "5",
             "--out", str(tmp_path / "x.csv")]
     assert cli.main(argv) == 5
-    assert capsys.readouterr().err == f"error: channel {empty} has no events\n"
+    (transition,) = selection_of((empty,), 6)
+    assert capsys.readouterr().err == f"error: transition {transition} has no events\n"
 
 
 @pytest.mark.parametrize(
@@ -732,7 +736,8 @@ def test_correlate_reports_a_damaged_file_before_an_oversized_histogram(tmp_path
 def test_correlate_empty_channel_exit_5(tmp_path):
     stream_path = tmp_path / "one.events"
     stream_path.write_text("# cascade-events v1 N=3 seed=0 T=10\n1.0 2\n")
-    cp = run_cli("correlate", "--in", stream_path, "--pair", "1,1",
+    # channel 1, transition 0, is empty
+    cp = run_cli("correlate", "--in", stream_path, "--pair", "%d,%d" % selection_of((1, 1), 3),
                  "--bin", 0.05, "--taumax", 1, "--out", tmp_path / "x.csv")
     assert cp.returncode == 5
 

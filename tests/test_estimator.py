@@ -30,7 +30,7 @@ from circascade import (
 )
 from circascade import cli, stochastic
 from circascade.estimator import _add_pairs, _gathered, _ring_pairs
-from oracles import pair_histogram_bruteforce
+from oracles import pair_histogram_bruteforce, selection_of
 
 
 def _channel(stream, level):
@@ -86,6 +86,15 @@ def test_correlate_blocks_rejects_a_subset_outside_the_ring(levels):
                          SubsetSpec(levels))
 
 
+@pytest.mark.parametrize("total", ["x", np.nan, np.inf, 0.0], ids=repr)
+def test_correlate_blocks_rejects_a_window_outside_the_domain(total):
+    drawn = []
+    blocks = (drawn.append(block) or block for block in [(1, np.arange(1.0, 13.0))])
+    with pytest.raises(ConfigInvalid, match="total_duration"):
+        correlate_blocks(blocks, 4, total, HistogramConfig(0.5, 2.0), (1, 1))
+    assert len(drawn) == 1  # drawn to the end first, as for every invalid argument
+
+
 @pytest.mark.parametrize(
     "bin_width, tau_max", [(np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)]
 )
@@ -116,20 +125,20 @@ def test_bootstrap_rejects_out_of_range_pair(estimate, pair, message):
 
 def test_empty_channel_rejected():
     # fewer events than levels: channel 0 never fires; the bootstrap names
-    # it as the estimator does, and a stream without events too
+    # its transition, 2, as the estimator does, and a stream without events too
     stream = EventStream.from_labels([0.5, 1.5], [2, 1], 3, 100.0)
     cfg = HistogramConfig(0.1, 1.0)
     for call in (correlate, block_bootstrap_stderr):
-        with pytest.raises(InsufficientSamples, match="channel 0 has no events"):
-            call(stream, (0, 1), cfg)
-    with pytest.raises(InsufficientSamples, match="channel 1 has no events"):
+        with pytest.raises(InsufficientSamples, match="transition 2 has no events"):
+            call(stream, selection_of((0, 1), 3), cfg)
+    with pytest.raises(InsufficientSamples, match="transition 1 has no events"):
         block_bootstrap_stderr(EventStream(np.empty(0), 0, 3, 100.0), (1, 1), cfg)
 
 
 def test_subset_of_a_short_stream_rejects_its_empty_channel():
     stream = EventStream.from_labels([0.5, 1.5], [2, 1], 3, 100.0)
-    with pytest.raises(InsufficientSamples, match="channel 0"):
-        correlate_subset(stream, SubsetSpec((0, 1)), HistogramConfig(0.1, 1.0))
+    with pytest.raises(InsufficientSamples, match="transition 2"):
+        correlate_subset(stream, SubsetSpec(selection_of((0, 1), 3)), HistogramConfig(0.1, 1.0))
 
 
 def test_poisson_stream_is_flat():
@@ -173,13 +182,13 @@ def test_subset_equals_weighted_pairwise_sum():
     stream = make_stream(n=6, events=80_000, seed=4)
     members = (1, 2, 4)
     cfg = HistogramConfig(0.25, 6.0)
-    sub = correlate_subset(stream, SubsetSpec(members), cfg)
+    sub = correlate_subset(stream, SubsetSpec(selection_of(members, 6)), cfg)
     t_total = stream.total_duration
     r_merged = sum(len(_channel(stream, i)) for i in members) / t_total
     acc = np.zeros_like(sub.values)
     for i in members:
         for j in members:
-            pair = correlate(stream, (i, j), cfg)
+            pair = correlate(stream, selection_of((i, j), 6), cfg)
             r_i = len(_channel(stream, i)) / t_total
             r_j = len(_channel(stream, j)) / t_total
             acc += pair.values * (r_i * r_j)
@@ -329,7 +338,7 @@ def test_pair_counts_match_the_bruteforce_oracle(
                 got = _pair_counts(_channel(stream, m), _channel(stream, k), hist_cfg, m == k)
                 np.testing.assert_array_equal(got, expect)
             if len(channel[m]) and len(channel[k]):
-                trace = correlate(stream, (m, k), hist_cfg)
+                trace = correlate(stream, selection_of((m, k), n), hist_cfg)
                 rates = len(channel[m]) / t_total, len(channel[k]) / t_total
                 np.testing.assert_array_equal(_counts_of(trace, *rates, t_total, hist_cfg), expect)
 
@@ -337,7 +346,7 @@ def test_pair_counts_match_the_bruteforce_oracle(
     if all(len(channel[i]) for i in members):
         merged = np.sort(np.concatenate([channel[i] for i in members]))
         cfg = HistogramConfig(bin_width, tau_max)
-        trace = correlate_subset(stream, SubsetSpec(members), cfg)
+        trace = correlate_subset(stream, SubsetSpec(selection_of(members, n)), cfg)
         rate = len(merged) / t_total
         np.testing.assert_array_equal(
             _counts_of(trace, rate, rate, t_total, cfg),
@@ -430,29 +439,31 @@ def test_streamed_counts_equal_the_whole_stream_and_the_bruteforce(
 
         for m in range(n):
             for k in range(n):
-                whole = _outcome(lambda: correlate(stream, (m, k), cfg))
-                assert _outcome(lambda: streamed((m, k))) == whole, (m, k)
+                pair = selection_of((m, k), n)
+                whole = _outcome(lambda: correlate(stream, pair, cfg))
+                assert _outcome(lambda: streamed(pair)) == whole, pair
                 assert _outcome(lambda: correlate_blocks(
-                    _split(times, first % n, n, cuts), n, t_total, cfg, (m, k))) == whole
+                    _split(times, first % n, n, cuts), n, t_total, cfg, pair)) == whole
                 if isinstance(whole, str):
                     continue
                 src, dst = _channel(stream, m), _channel(stream, k)
                 np.testing.assert_array_equal(
-                    _counts_of(streamed((m, k)), len(src) / t_total,
+                    _counts_of(streamed(pair), len(src) / t_total,
                                len(dst) / t_total, t_total, cfg),
                     pair_histogram_bruteforce(src, dst, bin_width, n_side, m == k),
                 )
 
-        whole = _outcome(lambda: correlate_subset(stream, SubsetSpec(subset), cfg))
+        selection = SubsetSpec(selection_of(subset, n))
+        whole = _outcome(lambda: correlate_subset(stream, selection, cfg))
         merged, labels = stream.merged()
         chosen = merged[np.isin(labels, subset)]
-        assert _outcome(lambda: streamed(SubsetSpec(subset))) == whole
+        assert _outcome(lambda: streamed(selection)) == whole
         assert _outcome(lambda: correlate_blocks(
-            _split(times, first % n, n, cuts), n, t_total, cfg, SubsetSpec(subset))) == whole
+            _split(times, first % n, n, cuts), n, t_total, cfg, selection)) == whole
         if not isinstance(whole, str):
             rate = len(chosen) / t_total
             np.testing.assert_array_equal(
-                _counts_of(streamed(SubsetSpec(subset)), rate, rate, t_total, cfg),
+                _counts_of(streamed(selection), rate, rate, t_total, cfg),
                 pair_histogram_bruteforce(chosen, chosen, bin_width, n_side, True),
             )
 
@@ -508,16 +519,18 @@ def test_segment_rows_split_the_ring_histogram_by_source_time(block):
 
 # sha256 of outputs recorded before the pair counts became a lag sweep,
 # re-recorded when the simulator's chunk seams became fixed (the streams
-# equal oracles.simulate_in_chunks's)
+# equal oracles.simulate_in_chunks's); recorded when selections were stream
+# labels, so each key names the transitions of those channels, one level
+# below them (selection_of)
 FROZEN_CSV = {
-    ("--pair", "1,1"): "c8d5ab601592d36f403fe29bfdd904e4b2489629b79339b968431838db05c2ae",
-    ("--pair", "2,4"): "6b0bb010bb22d42e2d180b228b63da8e36629b84931318b5ce7b2db96a6328b8",
-    ("--subset", "1,2"): "d2e3379b009c43a88a09b92878605cb38cc269ccec0fb639db22f7257e34c227",
+    ("--pair", "0,0"): "c8d5ab601592d36f403fe29bfdd904e4b2489629b79339b968431838db05c2ae",
+    ("--pair", "1,3"): "6b0bb010bb22d42e2d180b228b63da8e36629b84931318b5ce7b2db96a6328b8",
+    ("--subset", "0,1"): "d2e3379b009c43a88a09b92878605cb38cc269ccec0fb639db22f7257e34c227",
 }
 FROZEN_BOOTSTRAP = {
-    (1, 1): "9241cc4ecec45d95cd69071ebbcd8248ae57c15f7c4370e1fbf13cd93984d551",
-    (2, 0): "cb2ce520e82a4820e29b7e433358ce667fe4c130c2a406392151450ea1116999",
-    (0, 2): "30a4e5935fe3de4153dfd4084d89f72f2c111efa585887003fb7d2263dd942f0",
+    (0, 0): "9241cc4ecec45d95cd69071ebbcd8248ae57c15f7c4370e1fbf13cd93984d551",
+    (1, 3): "cb2ce520e82a4820e29b7e433358ce667fe4c130c2a406392151450ea1116999",
+    (3, 1): "30a4e5935fe3de4153dfd4084d89f72f2c111efa585887003fb7d2263dd942f0",
 }
 
 

@@ -364,6 +364,22 @@ def test_labels_outside_the_ring_are_rejected(labels):
         EventStream.from_labels([0.1, 0.2, 0.3], labels, 3, 1.0)
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [[2.7, 1.2], ["2", "1"], ["a", "b"], [None, 1], [float("nan"), 1.0], [float("inf"), 1.0]],
+    ids=repr,
+)
+def test_labels_that_are_not_whole_numbers_are_rejected(labels):
+    # the text reader's label rule: no label is truncated, parsed or cast
+    with pytest.raises(StreamInvariantViolation, match="whole numbers"):
+        EventStream.from_labels([0.5, 1.5], labels, 3, 100.0)
+
+
+def test_whole_labels_of_any_number_dtype_are_accepted():
+    for labels in ([2.0, 1.0], np.array([2, 1], np.uint64), np.array([2, 1], np.int8)):
+        assert EventStream.from_labels([0.5, 1.5], labels, 3, 100.0).first_label == 2
+
+
 def test_stream_shorter_than_the_ring_has_empty_channels():
     stream = EventStream.from_labels([0.5, 1.5], [2, 1], 5, 10.0)
     stream.check()

@@ -40,6 +40,7 @@ from oracles import (
     exact_stamps,
     nudged_in_sequence,
     occupancy_block_estimates,
+    selection_of,
     simulate_in_chunks,
     time_weighted_occupancy,
 )
@@ -618,12 +619,12 @@ def test_text_blocks_name_a_damaged_line_as_one_whole_parse_does(tmp_path, monke
 
 
 def test_selected_read_validates_the_whole_file(tmp_path):
-    # level 1 has no event, but the file has one: not "no events" but an
-    # empty channel, and a span past T fails whatever the selection
+    # channel 1, transition 0, has no event, but the file has one: not "no
+    # events" but an empty channel, and a span past T fails whatever the selection
     path = tmp_path / "events.bin"
     write_events_binary(EventStream(np.array([1.0]), 2, 3, 10.0), path)
-    with pytest.raises(InsufficientSamples, match="channel 1 has no events"):
-        _correlate_file(path, (1, 1))
+    with pytest.raises(InsufficientSamples, match="transition 0 has no events"):
+        _correlate_file(path, selection_of((1, 1), 3))
     write_events_binary(EventStream(np.array([1.0, 2.0, 30.0]), 2, 3, 10.0), path)
     with pytest.raises(StreamInvariantViolation, match="span"):
         _correlate_file(path, (1, 1))
