@@ -24,7 +24,7 @@ from .model import (
     check_pair,
     check_rate,
 )
-from .spectral_general import g2_general, g2_three_level
+from .spectral_general import g2_general
 
 PEAK_GRID_STEP = 0.01      # in units of 1/gamma
 PEAK_REFINE_TOL = 1e-4     # in units of 1/gamma
@@ -232,7 +232,9 @@ def _levels(spec: CascadeSpec) -> int:
 
 def g2(spec: CascadeSpec, selection, tau) -> float | np.ndarray:
     """g2 of a pair (m, n) or a SubsetSpec (equal rates only) of the ring ``spec``
-    at signed delays tau: the equal-rate form, else the N = 3 form, else propagation."""
+    at signed delays tau. Two routes: the equal-rate closed form, else
+    propagation (`g2_general`), accurate relative to itself at any rates.
+    The N = 3 closed form is not a route; it only cross-checks `general`."""
     n_levels = _levels(spec)
     if isinstance(selection, SubsetSpec):
         if not spec.is_equal_rate():
@@ -241,8 +243,6 @@ def g2(spec: CascadeSpec, selection, tau) -> float | np.ndarray:
     m, n = check_pair(selection, n_levels)
     if spec.is_equal_rate():
         return g2_equal_pair(n_levels, m, n, spec.rates[0], tau)
-    if n_levels == 3:
-        return g2_three_level(*spec.rates, m, n, tau)
     return g2_general(spec, m, n, tau)
 
 

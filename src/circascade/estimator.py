@@ -27,6 +27,7 @@ one segment, all of time, for an estimate, n for the bootstrap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ from .model import (
     check_index,
     check_levels,
     check_number,
+    check_positive,
     check_pair,
     level_count,
     philox,
@@ -61,11 +63,7 @@ class HistogramConfig:
     tau_max: float
 
     def __post_init__(self):
-        bin_width = check_number("bin_width", self.bin_width)
-        if not 0 < bin_width < np.inf:  # NaN fails too
-            raise ConfigInvalid(
-                f"bin_width must be finite and > 0, got {self.bin_width!r}"
-            )
+        bin_width = check_positive("bin_width", self.bin_width)
         tau_max = check_number("tau_max", self.tau_max)
         if not bin_width <= tau_max < np.inf:
             raise ConfigInvalid(
@@ -222,10 +220,18 @@ def _ring_pairs(blocks, n_levels: int, pair, cfg: HistogramConfig, edges):
     return hist, sources, first, events
 
 
-def _expected_pairs(rate_src, rate_dst, t_total, cfg: HistogramConfig):
-    """Pairs per bin of two independent channels, r_m r_n (T - |tau_b|)
-    delta: the normalization of every estimate."""
-    return rate_src * rate_dst * (t_total - np.abs(_bin_centers(cfg))) * cfg.bin_width
+def _expected_pairs(n_src, t_src, n_dst, window, cfg: HistogramConfig):
+    """Pairs per bin of two independent channels, r_m r_n (t_src - |tau_b|)
+    delta, the normalization of every estimate: r_m = n_src / t_src over
+    the source's time, r_n = n_dst / window over the stream's. Every time
+    is taken in units of 2^e, the power of two at the window: an exact
+    rescaling, so r_m r_n stays inside the float range at any rates, and a
+    value in range without it keeps its bits."""
+    e = math.frexp(window)[1]
+    t_src, window = math.ldexp(t_src, -e), math.ldexp(window, -e)
+    centers = np.ldexp(_bin_centers(cfg), -e)
+    return (n_src / t_src * (n_dst / window) * (t_src - np.abs(centers))
+            * math.ldexp(cfg.bin_width, -e))
 
 
 def _counted(blocks, n_levels: int, total_duration: float, cfg: HistogramConfig,
@@ -241,8 +247,7 @@ def _counted(blocks, n_levels: int, total_duration: float, cfg: HistogramConfig,
     first. An empty channel raises InsufficientSamples naming its transition."""
     try:
         n_levels = check_levels(n_levels)
-        if not 0 < check_number("total_duration", total_duration) < np.inf:  # NaN fails too
-            raise ConfigInvalid(f"total_duration must be finite and > 0, got {total_duration!r}")
+        check_positive("total_duration", total_duration)
         if selection is None:
             selection = SubsetSpec(range(n_levels))
         if isinstance(selection, SubsetSpec):
@@ -289,7 +294,7 @@ def correlate_blocks(
     """
     (hist,), _, n_src, n_dst = _counted(
         blocks, n_levels, total_duration, cfg, selection, (-np.inf, np.inf))
-    denom = _expected_pairs(n_src / total_duration, n_dst / total_duration, total_duration, cfg)
+    denom = _expected_pairs(n_src, total_duration, n_dst, total_duration, cfg)
     return CorrelationTrace(tau=_bin_centers(cfg), values=hist / denom, source="estimated",
                             stderr=np.sqrt(np.maximum(hist, 1)) / denom)
 
@@ -345,7 +350,6 @@ def block_bootstrap_stderr(
     block_counts, block_src, _, n_dst = _counted(
         [(stream.first_label, stream.times)], stream.n_levels, stream.total_duration, cfg,
         selection, edges)
-    rate_dst = n_dst / stream.total_duration
     block_dur = np.diff(edges)
     est = np.empty((n_boot, 2 * cfg.n_side))
     for i in range(n_boot):
@@ -353,7 +357,7 @@ def block_bootstrap_stderr(
         n_src, t_tot = block_src[pick].sum(), block_dur[pick].sum()
         # a resample without sources has no rate, and no estimate
         est[i] = np.nan if n_src == 0 else block_counts[pick].sum(axis=0) / _expected_pairs(
-            n_src / t_tot, rate_dst, t_tot, cfg)
+            n_src, t_tot, n_dst, stream.total_duration, cfg)
     return np.nanstd(est, axis=0)
 
 

@@ -158,6 +158,15 @@ def check_number(name: str, value) -> float:
     raise ConfigInvalid(f"{name} = {value!r} is not a number")
 
 
+def check_positive(name: str, value, error=ConfigInvalid) -> float:
+    """The positive rule: ``value`` as a float (``check_number``) when it
+    is finite and > 0; otherwise ``error`` naming ``name``."""
+    number = check_number(name, value)
+    if not 0 < number < math.inf:  # NaN fails too
+        raise error(f"{name} must be finite and > 0, got {value!r}")
+    return number
+
+
 def check_rate(name: str, value) -> float:
     """The rate rule: ``value`` as a float (``check_number``) when it is
     finite and > 0; otherwise ConfigInvalid naming ``name``."""
@@ -194,8 +203,7 @@ def check_header(n_levels, total, seed=None, first_label=0) -> tuple:
         raise StreamInvariantViolation(f"N = {n} outside [1, 2**32)")
     if not 0 <= first < n:
         raise StreamInvariantViolation(f"first label {first} outside [0, N)")
-    if not 0 < check_number("total_duration", total) < math.inf:  # NaN fails too
-        raise StreamInvariantViolation(f"total_duration must be finite and > 0, got {total!r}")
+    check_positive("total_duration", total, StreamInvariantViolation)
     return n, None if seed is None else check_seed(seed, StreamInvariantViolation), first
 
 

@@ -4,7 +4,10 @@ its oscillation regime. No g2 route calls `decompose`; it remains a
 standalone eigendecomposition of the generator.
 
 The N = 3 closed form is one expression for all nine pairs, fixed by the
-value and slope at tau = 0 of the read level's two decaying modes.
+value and slope at tau = 0 of the read level's two decaying modes. It
+holds only to eps / p_ss[r] absolute, so it is no route of `analysis.g2`
+(the equal-rate form, else `g2_general`); its one job in the package is
+the `general` command's N = 3 consistency check.
 
 Propagation needs numpy only. The generator is essentially nonnegative,
 so `_expm` shifts it to a nonnegative matrix and sums a Taylor series
@@ -215,7 +218,8 @@ def _propagate_grid(spec: CascadeSpec, initial_level: int, taus: np.ndarray) -> 
 
 
 def g2_general(spec: CascadeSpec, m: int, n: int, tau) -> float | np.ndarray:
-    """Correlation between transition pair (m, n) for arbitrary rates.
+    """Correlation between transition pair (m, n) for arbitrary rates: the
+    route of `analysis.g2` for every ring without equal rates, N = 3 included.
 
     Pair indices name transitions by the level they arrive in (see model
     module): for tau >= 0 the trace is p(level r at tau | level m at 0) / p_ss[r],
@@ -287,7 +291,8 @@ def g2_three_level(
     g. When r is the one fast level and tau has outlived the fast mode,
     the bracket cancels to O(p_ss[r]): at rates (0.001, 1000, 0.001),
     pair (1, 0), tau = 0.1, g = 1.96e-4 is off by 2.2e-10 (1.1e-6
-    relative). `g2_general` is accurate entry by entry there.
+    relative). `g2_general` is accurate entry by entry there, so
+    `analysis.g2` propagates and this form cross-checks `general` only.
     """
     rates = _rates(gamma0, gamma1, gamma2)
     m, n = check_pair((m, n), 3)

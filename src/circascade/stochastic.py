@@ -56,6 +56,7 @@ from .model import (
     check_labels,
     check_level,
     check_number,
+    check_positive,
     check_order,
     check_seed,
     check_span,
@@ -90,8 +91,8 @@ class SimConfig:
     def __post_init__(self):
         if (self.duration is None) == (self.total_events is None):
             raise ConfigInvalid("set exactly one of duration or total_events")
-        if self.duration is not None and not 0 < check_number("duration", self.duration) < np.inf:
-            raise ConfigInvalid(f"duration must be finite and > 0, got {self.duration!r}")
+        if self.duration is not None:
+            check_positive("duration", self.duration)
         if self.total_events is not None and check_index("total_events", self.total_events) < 1:
             raise ConfigInvalid("total_events must be >= 1")
         if not 0 <= check_number("burn_in", self.burn_in) < np.inf:  # NaN fails too

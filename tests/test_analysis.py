@@ -21,13 +21,13 @@ from circascade import (
     g2_equal_pair,
     g2_general,
     g2_subset,
-    g2_three_level,
     steady_state,
 )
 from circascade import analysis
 from oracles import golden_section_max
 
 UNBALANCED = CascadeSpec(3, (1.0, 1.1, 0.025))
+STIFF3 = CascadeSpec(3, (0.001, 1000.0, 0.001))
 
 
 def test_first_peak_n6():
@@ -348,6 +348,11 @@ def test_discontinuity_returns_exact_limits():
     spec = CascadeSpec(4, (0.5, 1.0, 2.0, 3.0))
     right = 1 / steady_state(spec)[2]
     assert discontinuity(spec, 2, 1) == pytest.approx((0.0, right, right), rel=1e-12, abs=0)
+    # N = 3 rings propagate too: a contiguous pair (m, m - 1) reads the level m it starts in
+    for spec in (UNBALANCED, STIFF3):
+        for m in range(3):
+            right = 1 / steady_state(spec)[m]
+            assert discontinuity(spec, m, (m - 1) % 3) == (0.0, right, right), (spec, m)
 
 
 RINGS = st.one_of(
@@ -361,16 +366,14 @@ RINGS = st.one_of(
 @given(RINGS, st.data())
 @settings(max_examples=60, deadline=None)
 def test_g2_takes_the_route_its_ring_names(spec, data):
-    """A pair goes to the equal-rate form, else the N = 3 form, else
-    propagation, and returns that route's bits."""
+    """A pair goes to the equal-rate form, else to propagation (N = 3
+    included), and returns that route's bits."""
     n = spec.n_levels
     m, k = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), label="pair")
     taus = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6),
                               label="taus"))
     if spec.is_equal_rate():
         route = lambda t: g2_equal_pair(n, m, k, spec.rates[0], t)
-    elif n == 3:
-        route = lambda t: g2_three_level(*spec.rates, m, k, t)
     else:
         route = lambda t: g2_general(spec, m, k, t)
     assert g2(spec, (m, k), taus).tobytes() == route(taus).tobytes()

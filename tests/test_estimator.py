@@ -159,6 +159,19 @@ def test_autocorrelation_matches_analytic_within_3sigma():
     assert np.mean(np.abs(pulls) < 3.0) >= 0.99
 
 
+def test_extreme_rates_estimate_within_3sigma():
+    # (n / T)^2 overflows at 1e160 and underflows at 1e-200: the normalization
+    # takes its times in units of the power of two at T
+    for gamma in (1e160, 1e-200):
+        stream = make_stream(n=2, gamma=gamma, events=1_000_000, seed=5)
+        cfg = HistogramConfig(0.05 / gamma, 5 / gamma)
+        trace = correlate(stream, (0, 1), cfg)
+        pulls = (trace.values - g2_equal_pair(2, 0, 1, gamma, trace.tau)) / trace.stderr
+        assert np.mean(np.abs(pulls) < 3.0) >= 0.99, gamma
+        boot = block_bootstrap_stderr(stream, (0, 1), cfg, n_boot=20, seed=1)
+        assert np.median(boot / trace.stderr) == pytest.approx(1.0, abs=0.5), gamma
+
+
 def test_time_reversal_is_exact():
     stream = make_stream(n=4, events=60_000, seed=9)
     cfg = HistogramConfig(0.2, 6.0)

@@ -17,6 +17,7 @@ from circascade import (
     StreamInvariantViolation,
     SubsetSpec,
     bundle_peak,
+    correlate_blocks,
     cs_check,
     find_peaks,
     find_peaks_cross,
@@ -323,6 +324,22 @@ def test_event_stream_span_must_fit_window():
 def test_event_stream_rejects_non_finite_duration(total):
     with pytest.raises(StreamInvariantViolation):
         EventStream.from_labels([0.5], [0], 1, total)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: HistogramConfig(0.0, 1.0), ConfigInvalid, "bin_width must be finite and > 0, got 0.0"),
+    (lambda: SimConfig(CascadeSpec.equal(2), seed=0, duration=-1.0), ConfigInvalid,
+     "duration must be finite and > 0, got -1.0"),
+    (lambda: correlate_blocks([], 2, float("inf"), HistogramConfig(0.1, 1.0)), ConfigInvalid,
+     "total_duration must be finite and > 0, got inf"),
+    (lambda: EventStream(np.array([0.5]), 0, 1, float("nan")), StreamInvariantViolation,
+     "total_duration must be finite and > 0, got nan"),
+    (lambda: model.check_positive("x", "1"), ConfigInvalid, "x = '1' is not a number"),
+], ids=["bin_width", "duration", "window", "stream window", "not a number"])
+def test_every_window_and_width_takes_the_positive_rule(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 @given(st.integers(1, 300), st.data())

@@ -375,9 +375,11 @@ STIFF3 = (0.001, 1000.0, 0.001)
 @pytest.mark.parametrize("m, n", [(1, 0), (2, 0), (0, 0), (0, 1)])
 def test_stiff_three_level_pairs_match_mpmath(m, n):
     # read level r = (n + 1) % 3; for (1, 0) it is the fast level, where the
-    # closed form holds only eps / p_ss[r] absolute; propagation stays relative
+    # closed form holds only eps / p_ss[r] absolute; propagation, the route
+    # g2 takes, stays relative
     ref = g2_pair_mpmath(STIFF3, m, n, 0.1)
     assert abs(g2_general(CascadeSpec(3, STIFF3), m, n, 0.1) - ref) <= 1e-13 * ref
+    assert abs(g2(CascadeSpec(3, STIFF3), (m, n), 0.1) - ref) <= 1e-13 * ref
     assert abs(g2_three_level(*STIFF3, m, n, 0.1) - ref) <= 1e-9
 
 
