@@ -1,5 +1,11 @@
 """Derived results: oscillation-peak extraction, Cauchy-Schwarz violation
-reports, tau = 0 discontinuity quantification."""
+reports, tau = 0 discontinuity quantification.
+
+The peak scan compares neighbours on a uniform grid. Values from the
+table-driven mode sum (`analytic_equal._grid_mode_sum`) decide every
+comparison their error bound can; the rest, a few percent of the points,
+take `g2_equal`'s value, so the maxima found are exactly those of
+`g2_equal` on the grid."""
 
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .analytic_equal import MODE_CUT, g2_equal, g2_equal_pair, g2_subset
+from .analytic_equal import MODE_CUT, _grid_mode_sum, g2_equal, g2_equal_pair, g2_subset
 from .model import (
     CascadeSpec,
     ConfigInvalid,
@@ -28,7 +34,7 @@ from .spectral_general import g2_general
 
 PEAK_GRID_STEP = 0.01      # in units of 1/gamma
 PEAK_REFINE_TOL = 1e-4     # in units of 1/gamma
-PEAK_SCAN_WINDOW = 4096    # grid points per g2_equal call of the peak scan
+PEAK_SCAN_WINDOW = 4096    # grid points per window of the peak scan
 _INVPHI = (math.sqrt(5) - 1) / 2
 
 
@@ -106,21 +112,36 @@ def _golden_refine(
 def _grid_brackets(n_levels: int, k: int, gamma: float) -> Iterator[tuple[float, float]]:
     """(tau_{i-1}, tau_{i+1}) around each grid maximum above 1, in tau order.
 
-    The grid is tau_i = step + i * step, evaluated PEAK_SCAN_WINDOW points
-    at a time with the last two points carried across each seam. It ends
-    with the first window past gamma tau d_1 = MODE_CUT: the mode sum keeps
-    no pair there, so g2 is exactly 1 and no maximum above 1 can follow.
+    The grid is tau_i = step + i * step, taken PEAK_SCAN_WINDOW points at a
+    time with the last two points carried across each seam. It ends with
+    the first window past gamma tau d_1 = MODE_CUT: the mode sum keeps no
+    pair there, so g2 is exactly 1 and no maximum above 1 can follow.
+
+    Each window's values come from `_grid_mode_sum`, each within a bound of
+    g2_equal's. A point within its bound of 1, and both points of a
+    neighbour pair no further apart than their two bounds, take g2_equal's
+    own value; every other comparison has the sign it has on g2_equal's
+    values. So the maxima are exactly those of g2_equal on the grid.
     """
     step = PEAK_GRID_STEP / gamma
     slowest = 2 * gamma * math.sin(math.pi / n_levels) ** 2  # gamma d_1, 0 if it underflows
     tau_flat = 0.0 if n_levels == 1 else MODE_CUT / slowest if slowest else math.inf
     if not tau_flat + (PEAK_SCAN_WINDOW + 1) * step < math.inf:
         raise NumericalFailure(f"gamma = {gamma!r} puts the peak scan past the float64 range")
-    taus, g = np.empty(0), np.empty(0)
+    taus, g, err = np.empty(0), np.empty(0), np.empty(0)
     for start in itertools.count(0, PEAK_SCAN_WINDOW):
         window = step + np.arange(start, start + PEAK_SCAN_WINDOW) * step
+        approx, bound = _grid_mode_sum(n_levels, k, gamma, window, step)
         taus = np.concatenate([taus[-2:], window])
-        g = np.concatenate([g[-2:], g2_equal(n_levels, k, gamma, window)])
+        g = np.concatenate([g[-2:], approx])
+        err = np.concatenate([err[-2:], bound])
+        close = np.abs(np.diff(g)) <= err[:-1] + err[1:]
+        doubt = np.abs(g - 1.0) <= err
+        doubt[:-1] |= close
+        doubt[1:] |= close
+        idx = np.flatnonzero(doubt)
+        if idx.size:
+            g[idx], err[idx] = g2_equal(n_levels, k, gamma, taus[idx]), 0.0
         mid = g[1:-1]
         for i in np.flatnonzero((mid > g[:-2]) & (mid >= g[2:]) & (mid > 1.0)):
             yield float(taus[i]), float(taus[i + 2])
@@ -157,9 +178,12 @@ def find_peaks(n_levels: int, gamma: float, k: int, max_order: int) -> PeakRepor
 
     Maxima are located by derivative sign change on a 0.01/gamma grid,
     scanned PEAK_SCAN_WINDOW points at a time until the max_order-th
-    maximum or until the trace is exactly 1. One golden section, batched
-    over all of them, then refines each to within 1e-4/gamma. max_order < 1
-    raises ConfigInvalid; a trace without maxima raises InsufficientSamples.
+    maximum or until the trace is exactly 1. The grid values come from the
+    table-driven mode sum; g2_equal re-evaluates only the points where its
+    error bound leaves a comparison open, so the maxima are those of
+    g2_equal. One golden section on g2_equal, batched over all of them,
+    then refines each to within 1e-4/gamma. max_order < 1 raises
+    ConfigInvalid; a trace without maxima raises InsufficientSamples.
     """
     n_levels, gamma = check_levels(n_levels), check_rate("gamma", gamma)
     k = check_index("k", k)

@@ -61,6 +61,8 @@ MODE_CUT = 40.0
 NEGATIVE_ROUNDING = 16
 # elements per temporary (points x modes) block of the mode sum
 _BLOCK = 1 << 16
+# points per row block of the uniform-grid mode sum (its table of step powers)
+_TABLE_ROWS = 512
 _EPS = float(np.finfo(float).eps)
 
 
@@ -97,6 +99,77 @@ def _mode_sum(n_levels: int, k: int, x: np.ndarray) -> np.ndarray:
             terms = np.exp(-xs * decay[:m]) * np.cos(xs * freq[:m] + phase[:m])
             out[idx] += 2 * terms.sum(axis=1)
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def _step_table(n_levels: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets a_r = r h of one row block and, for every pair j, the real
+    and imaginary parts of exp(-a_r (d_j - i sin theta_j)), shaped
+    (pairs, 2, rows): at most _TABLE_ROWS rows, and no more than _BLOCK
+    values unless one row holds more."""
+    decay, freq, _ = _mode_pairs(n_levels, 0)
+    rows = min(_TABLE_ROWS, max(1, _BLOCK // max(2 * len(decay), 1)))
+    offsets = np.arange(rows) * h
+    size = np.exp(-decay[:, None] * offsets)
+    arg = freq[:, None] * offsets
+    table = np.stack([size * np.cos(arg), size * np.sin(arg)], axis=1)
+    offsets.flags.writeable = table.flags.writeable = False
+    return offsets, table
+
+
+def _grid_mode_sum(
+    n_levels: int, k: int, gamma: float, taus: np.ndarray, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mode sum of g2_equal at increasing delays taus close to
+    taus[0] + i step, and a bound on each value's distance from
+    g2_equal(n_levels, k, gamma, taus); the bound is inf below
+    SERIES_SWITCH, where g2_equal takes the series.
+
+    With x = gamma tau and h = gamma step, a row block of points x0 + a_r,
+    a_r = r h, sums 2 Re sum_j c_j w_j^r with c_j = exp(-x0 (d_j - i s_j)
+    + i phi_j) and the table w_j^r = exp(-a_r (d_j - i s_j)) of
+    `_step_table`: a matrix product, with no exp or cos per point. It keeps
+    the m pairs that g2_equal keeps at x[0], every pair that any point keeps.
+
+    The bound, u = eps / 2, X = x[-1], H = a_{rows-1} and S = sum_{j<m}
+    exp(-x[0] d_j) >= sum_{j<m} exp(-x d_j) at every point, takes exp, cos
+    and sin to 4 ulp (8 u) and sums in any order:
+      - rounding: a pair's exponent and phase are off by at most
+        u (2 X + 2 pi), so its term e^(-x d_j) cos(x s_j + phi_j) is off by
+        u (4 X + 24) e^(-x d_j) in g2_equal and by u (4.9 X + 3.5 H + 51)
+        e^(-x d_j) here; summing m terms there and 2 m products here adds
+        3 m u S. Doubled, with u (4 X + 23) from the real mode and the
+        additions of 1, this stays within 10 u (X + H + m + 8) (1 + 2 S).
+      - grid: a point lies eps_x = |x - (x0 + a_r)| <= 2 (|fl(x - fl(x0 +
+        a_r))| + u X) off its table point, and |dg/dx| <= 2 + 4 S.
+      - cut: the pairs kept here and not in g2_equal, and a real mode left
+        out past 2 x = MODE_CUT, weigh less than (2 m + 1) exp(-MODE_CUT).
+    """
+    decay, freq, phase = _mode_pairs(n_levels, k)
+    with np.errstate(over="ignore"):  # as in g2_equal
+        x = gamma * taus
+    offsets, table = _step_table(n_levels, gamma * step)
+    rows = len(offsets)
+    starts = x[::rows]
+    m = int(np.searchsorted(decay, MODE_CUT / x[0], side="right"))
+    table = table[:m].reshape(2 * m, rows)
+    sums = np.empty((len(starts), rows))
+    per = max(1, _BLOCK // max(2 * m, 1))  # row blocks per product
+    for lo in range(0, len(starts), per):
+        x0 = starts[lo:lo + per, None]
+        size = np.exp(-x0 * decay[:m])
+        arg = x0 * freq[:m] + phase[:m]
+        coef = np.stack([size * np.cos(arg), -size * np.sin(arg)], axis=2)
+        sums[lo:lo + per] = coef.reshape(len(x0), 2 * m) @ table
+    out = 1 + 2 * sums.ravel()[:len(x)]
+    if n_levels % 2 == 0 and 2 * x[0] <= MODE_CUT:
+        out += (-1) ** k * np.exp(-2 * x)
+    u, top, spread = _EPS / 2, x[-1], np.exp(-x[0] * decay[:m]).sum()
+    off_grid = np.abs(x - (starts[:, None] + offsets).ravel()[:len(x)]).max()
+    bound = (10 * u * (top + offsets[-1] + m + 8) * (1 + 2 * spread)
+             + 2 * (off_grid + u * top) * (2 + 4 * spread)
+             + (2 * m + 1) * math.exp(-MODE_CUT))
+    return out, np.where(x < SERIES_SWITCH, np.inf, bound)
 
 
 def _poisson_series(n_levels: int, k: int, x: np.ndarray) -> np.ndarray:

@@ -11,14 +11,15 @@ estimations, and extract derived reports as CSV/JSON plot data:
     circascade cscheck --n 6 --gamma 1 --pair 3,1 --tau-samples 0.02:0.1:5 --out cs.json
 
 Every command writes a `<out>.manifest.json` sidecar recording the full
-parameter set, output names and wall-clock duration; data outputs are
-byte-identical across reruns with the same parameters (manifest timing is
-diagnostic only). A failure prints `error: <message>` and exits with the
-`exit_code` of its `CascadeError`: 2 `ConfigInvalid` (usage/validation,
-also a setting too large to allocate), 3 `NumericalFailure` (internal
-consistency), 4 `StreamInvariantViolation` or any OSError (I/O), 5
-`InsufficientSamples`. `analytic` and `general` evaluate their grid in one
-call.
+parameter set, output names, wall-clock duration and, where
+/proc/self/status exists, the process's own peak resident memory
+(`peak_rss_mb`, from VmHWM); data outputs are byte-identical across reruns
+with the same parameters (manifest timing and memory are diagnostic only).
+A failure prints `error: <message>` and exits with the `exit_code` of its
+`CascadeError`: 2 `ConfigInvalid` (usage/validation, also a setting too
+large to allocate), 3 `NumericalFailure` (internal consistency), 4
+`StreamInvariantViolation` or any OSError (I/O), 5 `InsufficientSamples`.
+`analytic` and `general` evaluate their grid in one call.
 """
 
 from __future__ import annotations
@@ -160,6 +161,19 @@ def _tau_grid(args) -> np.ndarray:
     return np.linspace(lo, hi, steps + 1)
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's own resident high-water mark (VmHWM) in MiB, or None
+    where /proc/self/status does not exist or has no such line."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return None
+
+
 def _write_manifest(args, started: float) -> None:
     params = {
         k: v for k, v in sorted(vars(args).items())
@@ -172,6 +186,9 @@ def _write_manifest(args, started: float) -> None:
         "outputs": [args.out],
         "duration_seconds": time.monotonic() - started,
     }
+    peak_rss = _peak_rss_mb()
+    if peak_rss is not None:
+        manifest["peak_rss_mb"] = peak_rss
     with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

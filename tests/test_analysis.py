@@ -1,9 +1,11 @@
+import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circascade import (
@@ -23,7 +25,8 @@ from circascade import (
     g2_subset,
     steady_state,
 )
-from circascade import analysis
+from circascade import analysis, analytic_equal
+from circascade.analytic_equal import _grid_mode_sum as grid_mode_sum
 from oracles import golden_section_max
 
 UNBALANCED = CascadeSpec(3, (1.0, 1.1, 0.025))
@@ -145,12 +148,12 @@ def test_scan_grid_is_the_arange_grid(gamma, max_order, window):
     # is flat: whole windows of step + i * step, the last one past tau_flat
     seen = []
 
-    def record(n_levels, k, gamma_, taus):
+    def record(n_levels, k, gamma_, taus, step):
         seen.append(np.array(taus))
-        return g2_equal(n_levels, k, gamma_, taus)
+        return grid_mode_sum(n_levels, k, gamma_, taus, step)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "g2_equal", record)
+        mp.setattr(analysis, "_grid_mode_sum", record)
         mp.setattr(analysis, "PEAK_SCAN_WINDOW", window)
         with pytest.raises(InsufficientSamples):
             find_peaks(2, gamma, 1, max_order)
@@ -161,6 +164,125 @@ def test_scan_grid_is_the_arange_grid(gamma, max_order, window):
     assert scanned.tobytes() == expected.tobytes()
     assert [len(w) for w in seen] == [window] * len(seen)
     assert [w[-1] > tau_flat for w in seen] == [False] * (len(seen) - 1) + [True]
+
+
+def exact_brackets(n_levels, k, gamma, g2=g2_equal):
+    """The scan with every grid point through g2 (g2_equal), as it was
+    before `_grid_mode_sum` decided the comparisons it can."""
+    step = analysis.PEAK_GRID_STEP / gamma
+    slowest = 2 * gamma * math.sin(math.pi / n_levels) ** 2
+    tau_flat = 0.0 if n_levels == 1 else analysis.MODE_CUT / slowest if slowest else math.inf
+    taus, g = np.empty(0), np.empty(0)
+    for start in itertools.count(0, analysis.PEAK_SCAN_WINDOW):
+        window = step + np.arange(start, start + analysis.PEAK_SCAN_WINDOW) * step
+        taus = np.concatenate([taus[-2:], window])
+        g = np.concatenate([g[-2:], g2(n_levels, k, gamma, window)])
+        mid = g[1:-1]
+        for i in np.flatnonzero((mid > g[:-2]) & (mid >= g[2:]) & (mid > 1.0)):
+            yield float(taus[i]), float(taus[i + 2])
+        if taus[-1] > tau_flat:
+            return
+
+
+def assert_same_scan(n_levels, k, gamma, orders=None):
+    scans = [list(itertools.islice(scan(n_levels, k, gamma), orders))
+             for scan in (analysis._grid_brackets, exact_brackets)]
+    assert np.array(scans[0]).tobytes() == np.array(scans[1]).tobytes()
+
+
+@given(st.integers(1, 64), st.integers(0, 127), st.floats(-3.0, 3.0),
+       st.sampled_from([3, 7, 64, 4096]), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_filtered_scan_is_the_exact_scan(n_levels, k, log_gamma, window, orders):
+    # the exact scan makes one g2_equal call per window: whole scans in
+    # windows of 4096, the first few maxima in smaller ones
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "PEAK_SCAN_WINDOW", window)
+        assert_same_scan(n_levels, k % n_levels, 10.0 ** log_gamma,
+                         None if window == 4096 else orders)
+
+
+# whole scans, out to where the trace is exactly 1: (6, 1, 1.0) reports 26
+# maxima and (3, 0, 0.37) 6, most of them rounding ripples of one lobe
+@pytest.mark.parametrize("n_levels, k, gamma, window", [
+    (6, 1, 1.0, 4096), (3, 0, 0.37, 4096), (6, 1, 1.0, 7), (3, 0, 0.37, 3),
+    (2, 1, 1.0, 64), (1, 0, 2.0, 7), (13, 1, 1e300, 4096), (12, 7, 1e-300, 4096),
+    (25, 14, 1e300, 64), (50, 1, 1e-300, 4096), (64, 33, 0.01, 4096),
+])
+def test_whole_filtered_scan_is_the_exact_scan(monkeypatch, n_levels, k, gamma, window):
+    monkeypatch.setattr(analysis, "PEAK_SCAN_WINDOW", window)
+    assert_same_scan(n_levels, k, gamma)
+
+
+@given(st.integers(1, 24), st.integers(0, 63), st.floats(-1.0, 1.0),
+       st.sampled_from([3, 7, 4096]), st.floats(-15.0, -3.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_scan_is_exact_for_any_values_within_their_bounds(
+        n_levels, k, log_gamma, window, log_bound, seed):
+    # the scan may trust no more than the bound: values off g2_equal by up to
+    # a loose bound, in random directions, still give the exact brackets
+    rng = np.random.default_rng(seed)
+
+    def loose(n_levels_, k_, gamma_, taus, step):
+        exact = g2_equal(n_levels_, k_, gamma_, taus)
+        series = gamma_ * taus < analytic_equal.SERIES_SWITCH  # no bound there
+        off = np.where(series, 1.0, 10.0 ** log_bound) * rng.choice([-0.99, 0.99], len(taus))
+        approx = exact + off
+        # a bound that the rounding of exact + off cannot exceed
+        bound = np.maximum(10.0 ** log_bound, np.abs(approx - exact))
+        return approx, np.where(series, np.inf, bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "PEAK_SCAN_WINDOW", window)
+        mp.setattr(analysis, "_grid_mode_sum", loose)
+        assert_same_scan(n_levels, k % n_levels, 10.0 ** log_gamma,
+                         None if window == 4096 else 3)
+
+
+def test_scan_takes_the_exact_value_of_a_maximum_near_1(monkeypatch):
+    # every third point a maximum within its bound of 1, its neighbours far
+    # below it: no neighbour pair is close, so only the test against 1 can
+    # send it to the exact value
+    bound = 1e-9
+
+    def trace(n_levels, k, gamma, taus):
+        i = np.rint(gamma * taus / analysis.PEAK_GRID_STEP).astype(int)
+        return 1.0 + np.where(i % 3 == 0, 0.5, -3.0) * bound
+
+    def low(n_levels, k, gamma, taus, step):
+        return trace(n_levels, k, gamma, taus) - 0.99 * bound, np.full(len(taus), bound)
+
+    monkeypatch.setattr(analysis, "g2_equal", trace)
+    monkeypatch.setattr(analysis, "_grid_mode_sum", low)
+    found = list(itertools.islice(analysis._grid_brackets(6, 1, 1.0), 5))
+    assert found == list(itertools.islice(exact_brackets(6, 1, 1.0, trace), 5))
+    assert len(found) == 5
+
+
+@pytest.mark.parametrize("n_levels, gamma, k, max_order", [(6, 1.0, 1, 2000), (3, 0.37, 0, 9)])
+def test_ripple_reports_are_those_of_the_exact_scan(monkeypatch, n_levels, gamma, k, max_order):
+    report = find_peaks(n_levels, gamma, k, max_order)
+    monkeypatch.setattr(analysis, "_grid_brackets", exact_brackets)
+    assert report == find_peaks(n_levels, gamma, k, max_order)
+    assert len(report.peaks) == {6: 26, 3: 6}[n_levels]
+
+
+@given(st.integers(2, 64), st.integers(0, 63), st.floats(-3.0, 3.0), st.floats(0.0, 1.0),
+       st.integers(1, 4096))
+@example(2001, 5, 0.0, 0.0, 4096)  # 1,000 pairs: 32-row blocks, four products
+@settings(max_examples=150, deadline=None)
+def test_grid_mode_sum_is_within_its_bound(n_levels, k, log_gamma, where, length):
+    # windows of the scan grid anywhere up to the flat point gamma tau d_1 = MODE_CUT
+    gamma = 10.0 ** log_gamma
+    step = analysis.PEAK_GRID_STEP / gamma
+    flat = analysis.MODE_CUT / (2 * math.sin(math.pi / n_levels) ** 2) / analysis.PEAK_GRID_STEP
+    start = int(where * flat)
+    taus = step + np.arange(start, start + length) * step
+    approx, bound = grid_mode_sum(n_levels, k % n_levels, gamma, taus, step)
+    exact = g2_equal(n_levels, k, gamma, taus)
+    finite = bound < np.inf
+    assert np.array_equal(finite, gamma * taus >= 1.0)
+    assert np.all(np.abs(approx - exact)[finite] <= bound[finite])
 
 
 def _plateaus(centre):
@@ -209,7 +331,22 @@ def test_peak_scan_makes_few_g2_calls(monkeypatch):
     monkeypatch.setattr(analysis, "g2_equal", count)
     report = find_peaks(50, 1.0, 1, 8)
     assert len(report.peaks) == 8
-    assert len(calls) <= 40
+    assert len(calls) <= 24
+    # the scan covers 40,960 grid points, the golden section about 12 x 8
+    assert sum(np.size(args[3]) for args in calls) <= 4096
+
+
+@pytest.mark.parametrize("scan", [lambda: find_peaks(64, 1.0, 1, 8),
+                                  lambda: find_peaks_cross(63, 1.0, 7)], ids=["auto", "cross"])
+def test_peak_scan_memory_is_small(scan):
+    analytic_equal._step_table.cache_clear()  # the table is built inside the traced scan
+    tracemalloc.start()
+    try:
+        scan()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_huge_order_count_stops_where_the_trace_is_flat():

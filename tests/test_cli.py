@@ -882,6 +882,23 @@ def test_manifest_records_parameters(tmp_path):
     assert manifest["parameters"]["n"] == 4
     assert manifest["outputs"] == [str(out)]
     assert "duration_seconds" in manifest
+    # the job's own VmHWM, where the kernel reports one
+    if os.path.exists("/proc/self/status"):
+        assert 0 < manifest["peak_rss_mb"] < 4096
+
+
+def test_manifest_leaves_out_memory_without_proc_status(tmp_path, monkeypatch):
+    def no_status(path, *args, **kwargs):
+        if path == "/proc/self/status":
+            raise FileNotFoundError(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_status, raising=False)
+    out = tmp_path / "t.csv"
+    assert cli.main(["analytic", "--n", "4", "--pair", "1,1", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+    assert "peak_rss_mb" not in manifest
+    assert manifest["subcommand"] == "analytic"
 
 
 # rates and a gamma at the edge of the float range: each of these once
