@@ -20,6 +20,8 @@ A failure prints `error: <message>` and exits with the `exit_code` of its
 large to allocate), 3 `NumericalFailure` (internal consistency), 4
 `StreamInvariantViolation` or any OSError (I/O), 5 `InsufficientSamples`.
 `analytic` and `general` evaluate their grid in one call.
+`--preset` names a figure's parameter set in PRESETS: its values are the
+defaults of its subcommand, and any flag given explicitly wins.
 """
 
 from __future__ import annotations
@@ -152,13 +154,12 @@ def _selection(args, n_levels: int):
 
 
 def _tau_grid(args) -> np.ndarray:
-    lo, hi = _parse_numbers("--tau", args.tau or "-10:10", "lo:hi")
+    lo, hi = _parse_numbers("--tau", args.tau, "lo:hi")
     if hi <= lo:
         raise ConfigInvalid(f"--tau range must have hi > lo, got {args.tau!r}")
-    steps = args.steps if args.steps is not None else 1000
-    if steps < 1:
+    if args.steps < 1:
         raise ConfigInvalid("--steps must be >= 1")
-    return np.linspace(lo, hi, steps + 1)
+    return np.linspace(lo, hi, args.steps + 1)
 
 
 def _peak_rss_mb() -> float | None:
@@ -192,19 +193,6 @@ def _write_manifest(args, started: float) -> None:
     with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _apply_preset(args) -> None:
-    preset = PRESETS.get(args.preset)
-    if preset is None:
-        raise ConfigInvalid(f"unknown preset {args.preset!r}")
-    if preset["command"] != args.command:
-        raise ConfigInvalid(
-            f"preset {args.preset!r} belongs to the {preset['command']!r} command"
-        )
-    for key, value in preset.items():
-        if key != "command" and getattr(args, key, None) in (None, False):
-            setattr(args, key, value)
 
 
 @contextlib.contextmanager
@@ -253,7 +241,7 @@ def cmd_analytic(args) -> None:
 
 def cmd_general(args) -> None:
     spec = _spec(args)
-    m, n = _parse_pair(args.pair or "1,1", spec.n_levels)
+    m, n = _parse_pair(args.pair, spec.n_levels)
     taus = _tau_grid(args)
     # one call: the stepped propagation must not restart at chunk boundaries
     values = g2_general(spec, m, n, taus)
@@ -295,9 +283,7 @@ def cmd_correlate(args) -> None:
 
 
 def cmd_peaks(args) -> None:
-    orders = args.orders if args.orders is not None else 3
-    cross_orders = args.cross_orders if args.cross_orders is not None else 7
-    for flag, value in (("--orders", orders), ("--cross-orders", cross_orders)):
+    for flag, value in (("--orders", args.orders), ("--cross-orders", args.cross_orders)):
         if value < 1:
             raise ConfigInvalid(f"{flag} must be >= 1, got {value}")
     if args.scan:
@@ -310,7 +296,7 @@ def cmd_peaks(args) -> None:
         _spec(args, lo, "--scan")
         rows = ["kind,n_levels,order,tau,g2"]
         for n in range(lo, hi + 1):
-            for kind, n_orders in (("auto", orders), ("cross", cross_orders)):
+            for kind, n_orders in (("auto", args.orders), ("cross", args.cross_orders)):
                 try:
                     report = (find_peaks(n, args.gamma, args.k, n_orders) if kind == "auto"
                               else find_peaks_cross(n, args.gamma, n_orders))
@@ -321,8 +307,8 @@ def cmd_peaks(args) -> None:
             fh.write("\n".join(rows) + "\n")
     else:
         _spec(args)
-        report = (find_peaks_cross(args.n, args.gamma, orders) if args.cross
-                  else find_peaks(args.n, args.gamma, args.k, orders))
+        report = (find_peaks_cross(args.n, args.gamma, args.orders) if args.cross
+                  else find_peaks(args.n, args.gamma, args.k, args.orders))
         if args.csv:  # first: a failed --csv write leaves no --out file
             with open(args.csv, "w") as fh:
                 fh.write(report.to_csv())
@@ -340,7 +326,9 @@ def cmd_cscheck(args) -> None:
         fh.write(report.to_json() + "\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(preset: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; the values of ``preset``, a PRESETS
+    name, are the defaults of its command, so an explicit flag still wins."""
     parser = argparse.ArgumentParser(
         prog="circascade",
         description="correlation functions of one-way N-level cascades",
@@ -359,24 +347,34 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--rates", help="JSON file {n_levels, rates}")
     out.add_argument("--out")
 
+    chosen = PRESETS.get(preset, {})  # its "command" entry names its subcommand
+
     def command(name, summary, func, *parents):
-        sub.add_parser(name, help=summary, parents=[*parents, out]).set_defaults(func=func)
+        defaults = chosen if chosen.get("command") == name else {}
+        sub.add_parser(name, help=summary, parents=[*parents, out]).set_defaults(
+            func=func, **defaults)
+
+    def preset_flag(p, name):
+        p.add_argument("--preset", metavar="PRESET",
+                       choices=[k for k, v in PRESETS.items() if v["command"] == name],
+                       help="figure parameter set, one of %(choices)s; "
+                            "explicit flags override its values")
 
     p = flags()
     p.add_argument("--pair", help=_PAIR_HELP)
     p.add_argument("--k", type=int, help="trace class instead of a pair")
     p.add_argument("--subset", help=_SUBSET_HELP)
-    p.add_argument("--tau", help="range lo:hi (default -10:10)")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--preset", help="|".join(k for k in PRESETS if PRESETS[k]["command"] == "analytic"))
+    p.add_argument("--tau", default="-10:10", help="range lo:hi (default %(default)s)")
+    p.add_argument("--steps", type=int, default=1000)
+    preset_flag(p, "analytic")
     command("analytic", "equal-rate closed-form trace to CSV", cmd_analytic, ring, p)
 
     p = flags()
     p.add_argument("--rates-inline", dest="rates_inline", help="comma-separated rates")
-    p.add_argument("--pair", help=_PAIR_HELP)
-    p.add_argument("--tau")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--preset", help="fig5|fig5dashed")
+    p.add_argument("--pair", default="1,1", help=_PAIR_HELP)
+    p.add_argument("--tau", default="-10:10", help="range lo:hi (default %(default)s)")
+    p.add_argument("--steps", type=int, default=1000)
+    preset_flag(p, "general")
     command("general", "arbitrary-rate spectral trace to CSV", cmd_general, rates, p)
 
     p = flags()
@@ -398,11 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = flags()
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--orders", type=int, help="peak count (default 3)")
+    p.add_argument("--orders", type=int, default=3, help="peak count (default %(default)s)")
     p.add_argument("--cross", action="store_true", help="opposite-transition trace")
-    p.add_argument("--cross-orders", dest="cross_orders", type=int)
+    p.add_argument("--cross-orders", dest="cross_orders", type=int, default=7)
     p.add_argument("--scan", help="N range lo:hi (one CSV row per peak)")
-    p.add_argument("--preset", help="fig2")
+    preset_flag(p, "peaks")
     p.add_argument("--csv", help="also write order,tau,g2 CSV here")
     command("peaks", "oscillation peak report (JSON, optional CSV)", cmd_peaks, ring, p)
 
@@ -430,12 +428,12 @@ def _join_range_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_range_flags(list(argv if argv is not None else sys.argv[1:])))
+    argv = _join_range_flags(list(argv if argv is not None else sys.argv[1:]))
+    args = build_parser().parse_args(argv)
+    if getattr(args, "preset", None):  # parsed once more, with its values as defaults
+        args = build_parser(args.preset).parse_args(argv)
     try:
         started = time.monotonic()
-        if getattr(args, "preset", None):
-            _apply_preset(args)
         if args.out is None:
             raise ConfigInvalid("--out is required")
         args.func(args)

@@ -19,8 +19,9 @@ SubsetSpec, or None for the whole ring) of transitions named, as on every
 route, by the level each arrives in. ``_counted`` is the one place that
 checks it, maps it to the stream channels (``model.source_level``) and
 gathers those out of each block before the sweep.
-``correlate`` and ``correlate_subset`` pass an in-memory stream as one
-block; every count equals that of the whole stream.
+``correlate``, ``correlate_subset`` and ``block_bootstrap_stderr`` pass an
+in-memory stream as one block (``_one_block``), checked against its window
+as a read stream is; every count equals that of the whole stream.
 Every count is kept by the time segment of its pair's source event:
 one segment, all of time, for an estimate, n for the bootstrap.
 """
@@ -299,13 +300,22 @@ def correlate_blocks(
                             stderr=np.sqrt(np.maximum(hist, 1)) / denom)
 
 
+def _one_block(stream: EventStream) -> tuple:
+    """The leading arguments of ``correlate_blocks`` and ``_counted`` for an
+    in-memory stream: its one block (label of the first event, times), N and
+    window, after the window rule a read stream passes (``EventStream.check``)
+    when it has events; an empty one is left to ``_counted``'s InsufficientSamples."""
+    if stream.n_events:
+        stream.check()
+    return [(stream.first_label, stream.times)], stream.n_levels, stream.total_duration
+
+
 def correlate(
     stream: EventStream, pair: tuple[int, int], cfg: HistogramConfig
 ) -> CorrelationTrace:
     """Coincidence-histogram estimate of g2 for the transition pair (m, n),
     named by the levels they arrive in, as ``analysis.g2`` names them."""
-    return correlate_blocks([(stream.first_label, stream.times)], stream.n_levels,
-                            stream.total_duration, cfg, pair)
+    return correlate_blocks(*_one_block(stream), cfg, pair)
 
 
 def correlate_subset(
@@ -318,8 +328,7 @@ def correlate_subset(
     pairwise estimates by construction, since the merged rate is n_S r.
     """
     subset = subset if isinstance(subset, SubsetSpec) else SubsetSpec(subset)
-    return correlate_blocks([(stream.first_label, stream.times)], stream.n_levels,
-                            stream.total_duration, cfg, subset)
+    return correlate_blocks(*_one_block(stream), cfg, subset)
 
 
 def block_bootstrap_stderr(
@@ -347,9 +356,7 @@ def block_bootstrap_stderr(
     rng = philox(seed)
     t0 = float(stream.times[0]) if stream.n_events else 0.0
     edges = np.linspace(t0, t0 + stream.total_duration, n_blocks + 1)
-    block_counts, block_src, _, n_dst = _counted(
-        [(stream.first_label, stream.times)], stream.n_levels, stream.total_duration, cfg,
-        selection, edges)
+    block_counts, block_src, _, n_dst = _counted(*_one_block(stream), cfg, selection, edges)
     block_dur = np.diff(edges)
     est = np.empty((n_boot, 2 * cfg.n_side))
     for i in range(n_boot):

@@ -414,15 +414,21 @@ def test_cs_check_squares_each_sample_alone(spec):
                 assert sample.rhs == route(n, m, sample.tau) ** 2 == alone.rhs
                 assert sample.violated == alone.violated
             rhs = [s.rhs for s in report.samples]
-            if report.lhs > 0:
-                over = [r / report.lhs for r in rhs if r > report.lhs + 1e-12]
-                assert not report.infinite_ratio
-                assert report.max_ratio == (max(over) if over else None)
-            else:
-                assert report.infinite_ratio == any(r > 0.0 for r in rhs)
-                assert report.max_ratio is None
-            assert [s.violated for s in report.samples] == [
-                r > (report.lhs + 1e-12 if report.lhs > 0 else 0.0) for r in rhs]
+            assert report.lhs == 0.0
+            assert report.infinite_ratio == any(r > 0.0 for r in rhs)
+            assert report.max_ratio is None
+            assert [s.violated for s in report.samples] == [r > 0.0 for r in rhs]
+
+
+@given(n_levels=st.integers(2, 40), spread=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_every_auto_pair_vanishes_at_zero(n_levels, spread, seed):
+    """Each transition of a one-way ring is perfectly antibunched: g_nn(0+)
+    is exactly 0 on both routes, so the left side of cs_check is 0."""
+    rng = np.random.default_rng(seed)
+    spec = (CascadeSpec(n_levels, tuple(10.0 ** rng.uniform(-3, 3, n_levels))) if spread
+            else CascadeSpec.equal(n_levels, 10.0 ** rng.uniform(-3, 3)))
+    assert [g2(spec, (n, n), 0.0) for n in range(n_levels)] == [0.0] * n_levels
 
 
 def test_cs_check_rejects_degenerate_pair():

@@ -864,6 +864,61 @@ def test_preset_equals_explicit_flags(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# presets with one value (the probe) that differs from its parser default
+PROBE_PRESETS = [
+    ("analytic", {"n": 6, "pair": "2,1", "tau": "-4:4", "steps": 80}, {"gamma": 2.0}),
+    ("peaks", {"n": 7, "orders": 2}, {"k": 3}),
+]
+
+
+def _flags(values: dict) -> list[str]:
+    return [f"--{key}={value}" for key, value in values.items()]
+
+
+@pytest.mark.parametrize("command, values, probe", PROBE_PRESETS, ids=["gamma", "k"])
+def test_every_preset_value_reaches_the_job(tmp_path, monkeypatch, command, values, probe):
+    """A preset value applies even where the parser has a default of its own."""
+    monkeypatch.setitem(cli.PRESETS, "probe", {"command": command, **values, **probe})
+    a, b, default = (tmp_path / f"{name}.out" for name in ("preset", "explicit", "default"))
+    assert cli.main([command, "--preset", "probe", "--out", str(a)]) == 0
+    assert cli.main([command, *_flags({**values, **probe}), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    # the probe's default gives other bytes, so a dropped probe would show
+    assert cli.main([command, *_flags(values), "--out", str(default)]) == 0
+    assert default.read_bytes() != a.read_bytes()
+
+
+def test_explicit_flag_overrides_preset(tmp_path):
+    out = tmp_path / "fig1d.csv"
+    assert cli.main(["analytic", "--preset", "fig1d", "--steps", "10", "--out", str(out)]) == 0
+    assert len(load_csv(out)) == 11
+    assert json.loads((tmp_path / "fig1d.csv.manifest.json").read_text())[
+        "parameters"]["steps"] == 10
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--tau", ["analytic", "--n", "6", "--pair", "2,1", "--tau="]),
+    ("--tau", ["general", "--rates-inline", "1,2,3", "--tau="]),
+    ("--pair", ["general", "--rates-inline", "1,2,3", "--pair="]),
+])
+def test_empty_flag_is_not_its_default(tmp_path, capsys, flag, argv):
+    out = tmp_path / "x.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} expects")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["analytic", "--preset", "fig5"],
+                                  ["general", "--preset", "nope"],
+                                  ["peaks", "--preset", ""]])
+def test_preset_outside_its_command_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "argument --preset: invalid choice" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_preset_fig5_dashed_uses_mean_rate(tmp_path):
     out = tmp_path / "fig5d.csv"
     assert run_cli("general", "--preset", "fig5dashed", "--out", out).returncode == 0

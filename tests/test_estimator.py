@@ -16,6 +16,7 @@ from circascade import (
     InsufficientSamples,
     HistogramConfig,
     SimConfig,
+    StreamInvariantViolation,
     SubsetSpec,
     block_bootstrap_stderr,
     correlate,
@@ -24,6 +25,7 @@ from circascade import (
     g2_equal,
     g2_equal_pair,
     read_event_blocks,
+    read_events_binary,
     simulate,
     write_events_binary,
     write_trace_csv,
@@ -133,6 +135,27 @@ def test_empty_channel_rejected():
             call(stream, selection_of((0, 1), 3), cfg)
     with pytest.raises(InsufficientSamples, match="transition 1 has no events"):
         block_bootstrap_stderr(EventStream(np.empty(0), 0, 3, 100.0), (1, 1), cfg)
+
+
+IN_MEMORY_ESTIMATES = {
+    "correlate": lambda stream, cfg: correlate(stream, (1, 1), cfg),
+    "correlate_subset": lambda stream, cfg: correlate_subset(stream, SubsetSpec([1, 2]), cfg),
+    "block_bootstrap_stderr": lambda stream, cfg: block_bootstrap_stderr(stream, (1, 1), cfg),
+}
+
+
+@pytest.mark.parametrize("estimate", IN_MEMORY_ESTIMATES.values(), ids=IN_MEMORY_ESTIMATES)
+def test_in_memory_stream_obeys_the_window_rule(tmp_path, estimate):
+    """A stream whose stamps span four times its window raises, as the same
+    stamps read from a file do, instead of normalising by the wrong window."""
+    ring = simulate(SimConfig(CascadeSpec.equal(3), seed=8, total_events=3000))
+    short = EventStream(ring.times, ring.first_label, 3, ring.total_duration / 4)
+    cfg = HistogramConfig(0.5, 5.0)
+    estimate(ring, cfg)
+    write_events_binary(short, tmp_path / "short.events")
+    for make in (lambda: short, lambda: read_events_binary(tmp_path / "short.events")):
+        with pytest.raises(StreamInvariantViolation, match="span more than total_duration"):
+            estimate(make(), cfg)
 
 
 def test_subset_of_a_short_stream_rejects_its_empty_channel():
