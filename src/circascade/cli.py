@@ -21,7 +21,8 @@ large to allocate), 3 `NumericalFailure` (internal consistency), 4
 `StreamInvariantViolation` or any OSError (I/O), 5 `InsufficientSamples`.
 `analytic` and `general` evaluate their grid in one call.
 `--preset` names a figure's parameter set in PRESETS: its values are the
-defaults of its subcommand, and any flag given explicitly wins.
+defaults of its subcommand, and any flag given explicitly wins, also over
+a preset's value of another flag of its group in _FLAG_GROUPS.
 """
 
 from __future__ import annotations
@@ -96,6 +97,9 @@ PRESETS = {
 }
 
 
+# flags naming one thing, the selection first; none has a parser default where
+# its subcommand has another, so a parse without a preset sets only given ones
+_FLAG_GROUPS = (("pair", "k", "subset"), ("rates_inline", "rates"), ("scan", "n"))
 # the selection flags of every subcommand name transitions as the model does
 _PAIR_HELP = "transition pair m,n, each named by the level it arrives in"
 _SUBSET_HELP = "comma-separated transitions, each named by the level it arrives in"
@@ -143,7 +147,7 @@ def _parse_pair(text: str, n_levels: int) -> tuple[int, int]:
 def _selection(args, n_levels: int):
     """The pair, the class-k pair (0, (k - 1) % N) or the SubsetSpec of the one
     --pair, --k or --subset flag given; ConfigInvalid unless exactly one is."""
-    flags = [f"--{name}" for name in ("pair", "k", "subset") if hasattr(args, name)]
+    flags = [f"--{name}" for name in _FLAG_GROUPS[0] if hasattr(args, name)]
     if sum(getattr(args, flag[2:]) is not None for flag in flags) != 1:
         raise ConfigInvalid(f"give exactly one of {', '.join(flags[:-1])} or {flags[-1]}")
     if args.pair is not None:
@@ -205,9 +209,9 @@ def _naming(flags: str):
 
 
 def _spec(args, n_levels=None, n_flag: str = "--n") -> CascadeSpec:
-    """The ring of the first ring flags a subcommand has and was given:
-    --rates-inline, --rates (a JSON file), or ``n_levels`` (default --n)
-    from ``n_flag`` with --gamma; ConfigInvalid names the flags at fault."""
+    """The ring of the first ring flags a subcommand has and was given, in the order
+    RING_FLAG_ERRORS pins: --rates-inline, --rates (a JSON file), or ``n_levels``
+    (default --n) from ``n_flag`` with --gamma; ConfigInvalid names the flags at fault."""
     if getattr(args, "rates_inline", None):
         rates = _parse_numbers("--rates-inline", args.rates_inline, "r0,r1,...")
         with _naming("--rates-inline"):
@@ -243,7 +247,7 @@ def cmd_general(args) -> None:
     spec = _spec(args)
     m, n = _parse_pair(args.pair, spec.n_levels)
     taus = _tau_grid(args)
-    # one call: the stepped propagation must not restart at chunk boundaries
+    # one call: the rounding of the stepped propagation depends on the whole grid
     values = g2_general(spec, m, n, taus)
     if spec.n_levels == 3:
         closed = g2_three_level(*spec.rates, m, n, taus)
@@ -294,6 +298,8 @@ def cmd_peaks(args) -> None:
         if hi < lo:
             raise ConfigInvalid(f"--scan range must have hi >= lo, got {args.scan!r}")
         _spec(args, lo, "--scan")
+        if args.n is not None:
+            raise ConfigInvalid("--scan sets the ring sizes; it takes no --n")
         rows = ["kind,n_levels,order,tau,g2"]
         for n in range(lo, hi + 1):
             for kind, n_orders in (("auto", args.orders), ("cross", args.cross_orders)):
@@ -326,9 +332,9 @@ def cmd_cscheck(args) -> None:
         fh.write(report.to_json() + "\n")
 
 
-def build_parser(preset: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand; the values of ``preset``, a PRESETS
-    name, are the defaults of its command, so an explicit flag still wins."""
+def build_parser(preset: str | None = None, given=frozenset()) -> argparse.ArgumentParser:
+    """The parser of every subcommand; the values of ``preset``, a PRESETS name, are its
+    command's defaults, bar each whose group in _FLAG_GROUPS has another dest in ``given``."""
     parser = argparse.ArgumentParser(
         prog="circascade",
         description="correlation functions of one-way N-level cascades",
@@ -350,7 +356,8 @@ def build_parser(preset: str | None = None) -> argparse.ArgumentParser:
     chosen = PRESETS.get(preset, {})  # its "command" entry names its subcommand
 
     def command(name, summary, func, *parents):
-        defaults = chosen if chosen.get("command") == name else {}
+        defaults = {key: value for key, value in chosen.items() if chosen["command"] == name
+                    and not any(key in g and given & set(g) - {key} for g in _FLAG_GROUPS)}
         sub.add_parser(name, help=summary, parents=[*parents, out]).set_defaults(
             func=func, **defaults)
 
@@ -431,7 +438,8 @@ def main(argv=None) -> int:
     argv = _join_range_flags(list(argv if argv is not None else sys.argv[1:]))
     args = build_parser().parse_args(argv)
     if getattr(args, "preset", None):  # parsed once more, with its values as defaults
-        args = build_parser(args.preset).parse_args(argv)
+        given = {dest for dest, value in vars(args).items() if value is not None}
+        args = build_parser(args.preset, given).parse_args(argv)
     try:
         started = time.monotonic()
         if args.out is None:

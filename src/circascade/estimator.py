@@ -141,15 +141,13 @@ def _lag_sweep(src, dst, shift, step, cfg, hist) -> None:
             inside = other < edges if step > 0 else other >= edges
             if not inside.any():
                 break
-            q = np.subtract(other, rows) if step > 0 else np.subtract(rows, other)
+            q = np.subtract(other, rows)
             q /= width
-            if step > 0:  # dst >= src going up, so truncation is the floor
-                hist[n_side:] += np.bincount(q[inside].astype(np.intp), minlength=n_side)[:n_side]
-            else:
-                # r = ceil((src - dst) / delta) = -floor((dst - src) / delta)
-                # exactly, so bin n_side - r; r > n_side falls below bin 0
-                bins = np.ceil(q[inside]).astype(np.intp)
-                hist[:n_side + 1] += np.bincount(bins, minlength=n_side + 1)[n_side::-1]
+            # bin floor(q) + n_side, counted one slot on; the slot past each end takes
+            # the pairs beyond the bins and drops (more than one bin beyond only where
+            # a stamp's ulp exceeds delta, as in nanosecond stamps since the epoch)
+            bins = np.floor(q[inside]).astype(np.intp) + (n_side + 1)
+            hist += np.bincount(bins.clip(0, 2 * n_side + 1), minlength=2 * n_side + 2)[1:-1]
             lag += step
 
 

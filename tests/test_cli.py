@@ -669,8 +669,9 @@ def test_correlate_with_a_pair_and_a_subset_exits_2(tmp_path, capsys, ring6_file
 
 @pytest.mark.parametrize("selection", [[], ["--pair", "1,1", "--k", "2"],
                                        ["--k", "2", "--subset", "1,2"],
-                                       ["--pair", "1,1", "--k", "2", "--subset", "1,2"]],
-                         ids=["none", "pair+k", "k+subset", "all"])
+                                       ["--pair", "1,1", "--k", "2", "--subset", "1,2"],
+                                       ["--preset", "fig1d", "--k", "2", "--subset", "1,2"]],
+                         ids=["none", "pair+k", "k+subset", "all", "preset+k+subset"])
 def test_analytic_with_no_or_two_selections_exits_2(tmp_path, capsys, selection):
     argv = ["analytic", "--n", "6", *selection, "--out", str(tmp_path / "x.csv")]
     assert cli.main(argv) == 2
@@ -862,6 +863,45 @@ def test_preset_equals_explicit_flags(tmp_path):
     assert run_cli("analytic", "--n", 6, "--pair", "2,1", "--gamma", 1,
                    "--tau", "-8:8", "--steps", 1600, "--out", b).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# a preset run with a flag of one of its groups, and the explicit flags it equals
+GROUP_FLAG_OVER_PRESET = {
+    "selection k": (["analytic", "--preset", "fig1d", "--k", "2"],
+                    ["analytic", "--n", "6", "--k", "2", "--tau", "-8:8", "--steps", "1600"]),
+    "selection pair": (["analytic", "--preset", "fig4a", "--pair", "1,1"],
+                       ["analytic", "--n", "50", "--pair", "1,1", "--tau", "-100:100",
+                        "--steps", "4000"]),
+    "rates": (["general", "--preset", "fig5", "--rates", "ring.json"],
+              ["general", "--rates", "ring.json", "--pair", "2,1", "--tau", "-8:8",
+               "--steps", "1600"]),
+    "ring size": (["peaks", "--preset", "fig2", "--n", "6"],
+                  ["peaks", "--n", "6", "--k", "1", "--orders", "8"]),
+}
+
+
+@pytest.mark.parametrize("name", GROUP_FLAG_OVER_PRESET)
+def test_a_flag_displaces_the_preset_value_of_its_group(tmp_path, monkeypatch, name):
+    """An explicit flag wins over a preset's value of another flag that names
+    the same thing: the run equals its explicit flags byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ring.json").write_text('{"n_levels": 4, "rates": [1, 0.5, 2, 0.7]}')
+    with_preset, explicit = GROUP_FLAG_OVER_PRESET[name]
+    assert cli.main([*with_preset, "--out", "preset.out"]) == 0
+    assert cli.main([*explicit, "--out", "explicit.out"]) == 0
+    assert (tmp_path / "preset.out").read_bytes() == (tmp_path / "explicit.out").read_bytes()
+
+    def parameters(out):  # a displaced preset value is not recorded either
+        recorded = json.loads((tmp_path / f"{out}.manifest.json").read_text())["parameters"]
+        return {key: value for key, value in recorded.items() if key not in {"out", "preset"}}
+    assert parameters("preset.out") == parameters("explicit.out")
+
+
+def test_peaks_scan_rejects_n(tmp_path, capsys):
+    # the scan sets the ring sizes, so an explicit --n would not act
+    assert cli.main(["peaks", "--scan", "3:5", "--n", "4", "--out", str(tmp_path / "y.csv")]) == 2
+    assert capsys.readouterr().err == "error: --scan sets the ring sizes; it takes no --n\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # presets with one value (the probe) that differs from its parser default

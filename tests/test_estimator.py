@@ -407,17 +407,23 @@ def test_pairs_inside_the_window_but_outside_the_bins_are_dropped():
     # bin floor(1.1 / 0.1) + 11 rounds past the last one; the bin rule drops it
     src, dst = 7 * 0.1, 18 * 0.1
     assert dst < src + 11 * 0.1 and np.floor((dst - src) / 0.1) + 11 >= 22
-    cfg = HistogramConfig(0.1, 1.1)
-    assert cfg.n_side == 11
-    for n in (1, 2, 3):
-        stream = EventStream(np.arange(1, 120) * 0.1, 0, n, 100.0)
-        for m in range(n):
-            for k in range(n):
-                src, dst = _channel(stream, m), _channel(stream, k)
-                np.testing.assert_array_equal(
-                    _pair_counts(src, dst, cfg, m == k),
-                    pair_histogram_bruteforce(src, dst, 0.1, 11, m == k),
-                )
+    # stamps near 1e16 lie 2 apart, so fl(src - W) for W = 1 rounds 1e16 + 1
+    # down to 1e16, a stamp inside the window two bins below the first one
+    src, dst = 1e16 + 2, 1e16
+    assert dst >= src - 1.0 and np.floor((dst - src) / 0.5) + 2 == -2
+    for times, width, tau_max, n_side in ((np.arange(1, 120) * 0.1, 0.1, 1.1, 11),
+                                          (1e16 + 2.0 * np.arange(12), 0.5, 1.0, 2)):
+        cfg = HistogramConfig(width, tau_max)
+        assert cfg.n_side == n_side
+        for n in (1, 2, 3):
+            stream = EventStream(times, 0, n, 100.0)
+            for m in range(n):
+                for k in range(n):
+                    src, dst = _channel(stream, m), _channel(stream, k)
+                    np.testing.assert_array_equal(
+                        _pair_counts(src, dst, cfg, m == k),
+                        pair_histogram_bruteforce(src, dst, width, n_side, m == k),
+                    )
 
 
 def _split(times, first, n, cuts):
